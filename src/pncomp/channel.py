@@ -110,11 +110,16 @@ def apply_channel(ch: ChannelState, x: CVec, noise: NoiseSpec,
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (ch.n,):
         raise ValueError(f"x length {x.shape} != N={ch.n}")
-    y = ifft(ch.lam * fft(x)[None, :])
-    if noise.snr_db != np.inf:
-        if rng is None:
-            rng = np.random.default_rng(noise.seed)
-        sigma = np.sqrt(10.0 ** (-noise.snr_db / 10.0) / 2.0)
-        y = y + sigma * (rng.standard_normal(y.shape)
-                         + 1j * rng.standard_normal(y.shape))
-    return y
+    return add_awgn(ifft(ch.lam * fft(x)[None, :]), noise, rng)
+
+
+def add_awgn(y: CMat, noise: NoiseSpec,
+             rng: np.random.Generator | None = None) -> CMat:
+    """y plus AWGN drawn from rng (else noise.seed), real part first."""
+    if noise.snr_db == np.inf:
+        return y
+    if rng is None:
+        rng = np.random.default_rng(noise.seed)
+    sigma = np.sqrt(10.0 ** (-noise.snr_db / 10.0) / 2.0)
+    return y + sigma * (rng.standard_normal(y.shape)
+                        + 1j * rng.standard_normal(y.shape))

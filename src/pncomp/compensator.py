@@ -7,12 +7,12 @@ branch), optionally augmented with null-tone rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import CompBasis
-from .numerics import CVec, CMat, fft, pinv, svd, DEFAULT_RCOND
+from .numerics import CVec, CMat, fft, pinv, svd
 from .ofdm import FreqSymbol, evm_db as _evm_db
 
 WEAK_TONE_REL = 1e-6
@@ -22,7 +22,6 @@ WEAK_TONE_REL = 1e-6
 class CompConfig:
     method: str = "LS"
     use_null_tones: bool = False
-    rcond: float = DEFAULT_RCOND
 
     def __post_init__(self):
         if self.method not in ("LS", "TLS"):
@@ -37,7 +36,6 @@ class CompResult:
     evm_db: float
     n_equations: int
     underdetermined: bool = False
-    branch_s_hat: CMat = field(default=None, repr=False)
 
 
 def _as_branches(a) -> CMat:
@@ -68,11 +66,11 @@ def build_w(z: CVec, lam: CVec, basis: CompBasis) -> CMat:
     return w
 
 
-def solve_ls(w_rows: CMat, s_rows: CVec, rcond: float = DEFAULT_RCOND) -> CVec:
+def solve_ls(w_rows: CMat, s_rows: CVec) -> CVec:
     """Minimum-norm least squares via the pseudoinverse."""
     if w_rows.shape[0] < 1:
         raise ValueError("no equation rows")
-    return pinv(w_rows, rcond) @ s_rows
+    return pinv(w_rows) @ s_rows
 
 
 def solve_tls(w_rows: CMat, s_rows: CVec) -> CVec:
@@ -116,6 +114,29 @@ def _mrc_combine(s_branches: CMat, lam: CMat) -> CVec:
     return (w * s_branches).sum(axis=0) / den
 
 
+def fit_gamma(blocks, cfg: CompConfig) -> tuple[CVec, int]:
+    """Fit gamma on the stacked equations of all blocks; (gamma, rows).
+
+    A block is (W, usable-tone mask, ref): one per receive branch or user.
+    Each contributes its usable pilot rows (target: the pilots), then, with
+    cfg.use_null_tones, its usable null rows (target: zero).
+    """
+    rows, targets = [], []
+    for w, usable, ref in blocks:
+        layout = ref.layout
+        p_idx = [k for k in layout.pilot_idx if usable[k]]
+        rows.append(w[p_idx])
+        targets.append(ref.s[p_idx])
+        if cfg.use_null_tones and layout.null_idx:
+            n_idx = [k for k in layout.null_idx if usable[k]]
+            rows.append(w[n_idx])
+            targets.append(np.zeros(len(n_idx), dtype=np.complex128))
+    w_rows = np.vstack(rows)
+    s_rows = np.concatenate(targets)
+    solve = solve_tls if cfg.method == "TLS" else solve_ls
+    return solve(w_rows, s_rows), w_rows.shape[0]
+
+
 def compensate(z, lam, basis: CompBasis, ref: FreqSymbol,
                cfg: CompConfig = CompConfig()) -> CompResult:
     """Estimate gamma on pilot rows of all branches, correct and equalize.
@@ -123,35 +144,17 @@ def compensate(z, lam, basis: CompBasis, ref: FreqSymbol,
     z and lam are (n_rx, N) arrays (or length-N vectors for one branch).
     """
     z, lam = _as_branches(z), _as_branches(lam)
-    layout = ref.layout
-    rows, targets = [], []
-    w_all = []
-    for b in range(z.shape[0]):
-        w_b = build_w(z[b], lam[b], basis)
-        w_all.append(w_b)
-        mask = strong_tone_mask(lam[b])
-        p_idx = [k for k in layout.pilot_idx if mask[k]]
-        rows.append(w_b[p_idx])
-        targets.append(ref.s[p_idx])
-        if cfg.use_null_tones and layout.null_idx:
-            n_idx = [k for k in layout.null_idx if mask[k]]
-            rows.append(w_b[n_idx])
-            targets.append(np.zeros(len(n_idx), dtype=np.complex128))
-    w_rows = np.vstack(rows)
-    s_rows = np.concatenate(targets)
-    underdetermined = w_rows.shape[0] < basis.d
-    if cfg.method == "TLS":
-        gamma = solve_tls(w_rows, s_rows)
-    else:
-        gamma = solve_ls(w_rows, s_rows, cfg.rcond)
+    w_all = [build_w(z[b], lam[b], basis) for b in range(z.shape[0])]
+    gamma, n_eq = fit_gamma(
+        [(w, strong_tone_mask(lam_b), ref) for w, lam_b in zip(w_all, lam)],
+        cfg)
     s_branches = np.stack([w @ gamma for w in w_all])
-    s_hat = FreqSymbol(s=_mrc_combine(s_branches, lam), layout=layout)
+    s_hat = FreqSymbol(s=_mrc_combine(s_branches, lam), layout=ref.layout)
     return CompResult(
         gamma=gamma,
         s_hat=s_hat,
         correction=basis.v @ gamma,
         evm_db=_evm_db(s_hat, ref),
-        n_equations=w_rows.shape[0],
-        underdetermined=underdetermined,
-        branch_s_hat=s_branches,
+        n_equations=n_eq,
+        underdetermined=n_eq < basis.d,
     )

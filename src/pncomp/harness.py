@@ -27,7 +27,7 @@ from .compensator import CompConfig, compensate, equalize_only
 from .mimo import MuSystem, mu_compensate, mu_received, zf_beamformer
 from .numerics import ifft
 from .ofdm import (Constellation, FreqSymbol, default_layout, ToneLayout,
-                   hard_decide, make_symbol, ratio_to_db, symbol_error_rate)
+                   evm_linear, make_symbol, ratio_to_db, symbol_error_rate)
 from .tracker import (TrackedSymbol, TrackingConfig, init_tracker, run_tracked)
 
 CSV_COLUMNS = ["scenario", "channel_seed", "symbol_index", "aggregate",
@@ -36,6 +36,10 @@ CSV_COLUMNS = ["scenario", "channel_seed", "symbol_index", "aggregate",
 
 SCENARIO_NAMES = ("evm_vs_d", "evm_vs_sigma", "mimo_sweep", "tracking",
                   "custom")
+BASIS_KINDS = ("KL", "DFT", "DCT")
+# basis kind of each fixed-basis track mode; "cpe" uses its first column
+_FIXED_TRACK_MODES = {"dft": "DFT", "cpe": "DFT", "kl": "KL"}
+TRACK_MODES = ("tracked", "frozen", *_FIXED_TRACK_MODES)
 
 
 class ConfigError(Exception):
@@ -83,7 +87,6 @@ class Scenario:
     tx_sigma_list: tuple = (0.0, 1.0)
     # tracking
     beta: float = 0.9
-    alpha: float = 0.1
     ppm: float = 0.0
     carrier_hz: float = 5e9
     sample_rate_hz: float = 20e6
@@ -101,6 +104,14 @@ class Scenario:
             raise ConfigError("n_channels and n_symbols must be >= 1")
         if not self.sigma_list or not self.d_list:
             raise ConfigError("sweep ranges must be non-empty")
+        if not np.isfinite(self.scale) or self.scale <= 0:
+            raise ConfigError(f"scale must be finite and > 0, got {self.scale}")
+        for key, allowed in (("basis_kinds", BASIS_KINDS),
+                             ("track_modes", TRACK_MODES)):
+            bad = [v for v in getattr(self, key) if v not in allowed]
+            if bad:
+                raise ConfigError(f"{key}: unknown {bad[0]!r}, "
+                                  f"expected one of {', '.join(allowed)}")
 
     @property
     def n_channels_eff(self) -> int:
@@ -118,11 +129,10 @@ class Scenario:
     def constellation(self) -> Constellation:
         return Constellation.qam(self.qam_order)
 
-    def pn_model(self, seed: int, sigma_deg: float | None = None) -> pn_mod.PnModel:
+    def pn_model(self, seed: int, sigma_deg: float) -> pn_mod.PnModel:
         return pn_mod.PnModel(
-            sigma_deg=self.sigma_deg if sigma_deg is None else sigma_deg,
-            seed=seed, order=self.pn_order, cutoff=self.pn_cutoff,
-            ripple_db=self.pn_ripple_db)
+            sigma_deg=sigma_deg, seed=seed, order=self.pn_order,
+            cutoff=self.pn_cutoff, ripple_db=self.pn_ripple_db)
 
 
 def _coerce(key: str, raw: str, ref):
@@ -239,11 +249,10 @@ def _pn_source(sc: Scenario, seed: int, sigma: float):
     return iter(lambda: gen.next(sc.n), None)
 
 
-def _kl_basis_for(sc: Scenario, seed: int, sigma: float, d: int):
-    src = _pn_source(sc, seed, sigma)
-    cov = pn_mod.estimate_cov(
-        [next(src) for _ in range(sc.kl_cov_symbols)])
-    return basis_mod.kl_basis(cov, d), cov
+def _kl_cov(sc: Scenario, ci: int, sigma: float) -> pn_mod.PnCovariance:
+    """Sample covariance that channel ci's KL bases are built from."""
+    src = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigma)
+    return pn_mod.estimate_cov([next(src) for _ in range(sc.kl_cov_symbols)])
 
 
 def _make_basis(sc: Scenario, kind: str, d: int, cov) -> basis_mod.CompBasis:
@@ -251,17 +260,13 @@ def _make_basis(sc: Scenario, kind: str, d: int, cov) -> basis_mod.CompBasis:
         return basis_mod.kl_basis(cov, d)
     if kind == "DFT":
         return basis_mod.dft_basis(sc.n, d)
-    if kind == "DCT":
-        return basis_mod.dct_basis(sc.n, d)
-    raise ConfigError(f"unknown basis kind {kind!r}")
+    return basis_mod.dct_basis(sc.n, d)
 
 
 def _channel_symbols(sc: Scenario, ci: int, sigma: float,
-                     offset: pn_mod.CarrierOffset | None = None,
-                     n_symbols: int | None = None):
+                     offset: pn_mod.CarrierOffset | None = None):
     """Simulate one channel's symbol stream; returns (channel, list of
     (ref FreqSymbol, z (n_rx, N)))."""
-    n_symbols = n_symbols or sc.n_symbols
     ch = channel_mod.gen_channel(sc.n_taps, sc.channel_profile,
                                  child_seed(sc.master_seed, "chan", ci),
                                  n_rx=sc.n_rx, n=sc.n)
@@ -270,7 +275,7 @@ def _channel_symbols(sc: Scenario, ci: int, sigma: float,
     noise_rng = np.random.default_rng(child_seed(sc.master_seed, "noise", ci))
     layout, const = sc.layout, sc.constellation
     out = []
-    for m in range(n_symbols):
+    for m in range(sc.n_symbols):
         ref = make_symbol(layout, const,
                           child_seed(sc.master_seed, "sym", ci, m))
         psi = next(pn_src)
@@ -281,62 +286,42 @@ def _channel_symbols(sc: Scenario, ci: int, sigma: float,
     return ch, out
 
 
-def _eval_point(sc: Scenario, ch, symbols, kind: str, d: int, cov,
-                acc: _Acc) -> None:
+def _score(s_hat: FreqSymbol, ref: FreqSymbol, const: Constellation,
+           n_eq: int, *accs: _Acc) -> None:
+    """Score one symbol once and add it to every accumulator it feeds."""
+    err, refp = evm_linear(s_hat, ref)
+    ser = symbol_error_rate(s_hat, ref, const)
+    for acc in accs:
+        acc.add(err, refp, ser, n_eq)
+
+
+def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
+    """Fixed-basis sweep over sigma x basis kind x d; d = 0 scores
+    per-tone equalization without phase-noise correction."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
-    bas = None if d == 0 else _make_basis(sc, kind, d, cov)
-    for ref, z in symbols:
-        if d == 0:
-            s_hat = FreqSymbol(s=equalize_only(z, ch.lam), layout=ref.layout)
-            err = np.sum(np.abs(s_hat.s[list(ref.layout.data_idx)]
-                                - ref.s[list(ref.layout.data_idx)]) ** 2)
-            refp = np.sum(np.abs(ref.s[list(ref.layout.data_idx)]) ** 2)
-            acc.add(float(err), float(refp),
-                    symbol_error_rate(s_hat, ref, const), 0)
-        else:
-            res = compensate(z, ch.lam, bas, ref, cfg)
-            idx = list(ref.layout.data_idx)
-            err = np.sum(np.abs(res.s_hat.s[idx] - ref.s[idx]) ** 2)
-            refp = np.sum(np.abs(ref.s[idx]) ** 2)
-            acc.add(float(err), float(refp),
-                    symbol_error_rate(res.s_hat, ref, const),
-                    res.n_equations)
-
-
-def _run_evm_vs_d(sc: Scenario) -> list[ResultRow]:
-    accs = {(kind, d): _Acc() for kind in sc.basis_kinds for d in sc.d_list}
-    for ci in range(sc.n_channels_eff):
-        ch, symbols = _channel_symbols(sc, ci, sc.sigma_deg)
-        _, cov = _kl_basis_for(sc, child_seed(sc.master_seed, "cov", ci),
-                               sc.sigma_deg, max(1, min(sc.d_list[-1], sc.n)))
-        for kind in sc.basis_kinds:
-            for d in sc.d_list:
-                _eval_point(sc, ch, symbols, kind, d, cov, accs[(kind, d)])
+    points = [(kind, d) for kind in sc.basis_kinds for d in ds]
     rows = []
-    for kind in sc.basis_kinds:
-        for d in sc.d_list:
-            acc = accs[(kind, d)]
-            rows.append(ResultRow(sc.name, "all", "", 1, kind, d,
-                                  sc.sigma_deg, sc.method, acc.evm_db,
-                                  acc.ser, acc.n_eq))
-    return rows
-
-
-def _run_evm_vs_sigma(sc: Scenario) -> list[ResultRow]:
-    rows = []
-    for sigma in sc.sigma_list:
-        accs = {kind: _Acc() for kind in sc.basis_kinds}
+    for sigma in sigmas:
+        accs = {pt: _Acc() for pt in points}
         for ci in range(sc.n_channels_eff):
             ch, symbols = _channel_symbols(sc, ci, sigma)
-            _, cov = _kl_basis_for(sc, child_seed(sc.master_seed, "cov", ci),
-                                   sigma, sc.d)
-            for kind in sc.basis_kinds:
-                _eval_point(sc, ch, symbols, kind, sc.d, cov, accs[kind])
-        for kind in sc.basis_kinds:
-            rows.append(ResultRow(sc.name, "all", "", 1, kind, sc.d, sigma,
-                                  sc.method, accs[kind].evm_db,
-                                  accs[kind].ser, accs[kind].n_eq))
+            cov = _kl_cov(sc, ci, sigma) if "KL" in sc.basis_kinds else None
+            for kind, d in points:
+                acc = accs[(kind, d)]
+                bas = _make_basis(sc, kind, d, cov) if d else None
+                for ref, z in symbols:
+                    if bas is None:
+                        s_hat = FreqSymbol(s=equalize_only(z, ch.lam),
+                                           layout=ref.layout)
+                        _score(s_hat, ref, const, 0, acc)
+                    else:
+                        res = compensate(z, ch.lam, bas, ref, cfg)
+                        _score(res.s_hat, ref, const, res.n_equations, acc)
+        for kind, d in points:
+            acc = accs[(kind, d)]
+            rows.append(ResultRow(sc.name, "all", "", 1, kind, d, sigma,
+                                  sc.method, acc.evm_db, acc.ser, acc.n_eq))
     return rows
 
 
@@ -354,7 +339,7 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
                         child_seed(sc.master_seed, "chan", ci, u),
                         n_rx=sc.n_rx, n=sc.n)
                     for u in range(sc.n_users))
-                sys_ = MuSystem(channels=chans, tx_pn_sigma_deg=tx_sigma)
+                sys_ = MuSystem(channels=chans)
                 bf = zf_beamformer(sys_)
                 rx_src = _pn_source(sc, child_seed(sc.master_seed, "pn", ci),
                                     sigma)
@@ -362,9 +347,7 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
                     sc.pn_model(child_seed(sc.master_seed, "txpn", ci, u),
                                 tx_sigma))
                            for u in range(sc.n_users)] if tx_sigma > 0 else None
-                _, cov = _kl_basis_for(
-                    sc, child_seed(sc.master_seed, "cov", ci), sigma, sc.d)
-                bas = basis_mod.kl_basis(cov, sc.d)
+                bas = basis_mod.kl_basis(_kl_cov(sc, ci, sigma), sc.d)
                 noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
                 noise_rng = np.random.default_rng(
                     child_seed(sc.master_seed, "noise", ci))
@@ -379,14 +362,8 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
                     z = mu_received(sys_, refs, psi_rx, tx_psi, noise,
                                     rng=noise_rng)
                     results = mu_compensate(sys_, z, bas, refs, cfg, bf=bf)
-                    for u, res in enumerate(results):
-                        idx = list(layout.data_idx)
-                        err = np.sum(np.abs(res.s_hat.s[idx]
-                                            - refs[u].s[idx]) ** 2)
-                        refp = np.sum(np.abs(refs[u].s[idx]) ** 2)
-                        acc.add(float(err), float(refp),
-                                symbol_error_rate(res.s_hat, refs[u], const),
-                                res.n_equations)
+                    for ref, res in zip(refs, results):
+                        _score(res.s_hat, ref, const, res.n_equations, acc)
             rows.append(ResultRow(sc.name, "all", "", 1,
                                   f"KL_tx{tx_sigma:g}", sc.d, sigma,
                                   sc.method, acc.evm_db, acc.ser, acc.n_eq))
@@ -397,93 +374,56 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
     offset = pn_mod.CarrierOffset(ppm=sc.ppm, carrier_hz=sc.carrier_hz,
                                   sample_rate_hz=sc.sample_rate_hz)
     const = sc.constellation
-    n_sym = sc.n_symbols
-    per_symbol = {mode: [_Acc() for _ in range(n_sym)]
+    per_symbol = {mode: [_Acc() for _ in range(sc.n_symbols)]
                   for mode in sc.track_modes}
     totals = {mode: _Acc() for mode in sc.track_modes}
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
+    mode_d = {mode: 1 if mode == "cpe" else sc.d for mode in sc.track_modes}
     for ci in range(sc.n_channels_eff):
-        ch, symbols = _channel_symbols(sc, ci, sc.sigma_deg, offset=offset,
-                                       n_symbols=n_sym)
+        ch, symbols = _channel_symbols(sc, ci, sc.sigma_deg, offset=offset)
         cov = None
         for mode in sc.track_modes:
-            if mode in ("tracked", "frozen"):
+            if mode in _FIXED_TRACK_MODES:
+                kind = _FIXED_TRACK_MODES[mode]
+                if kind == "KL" and cov is None:
+                    cov = _kl_cov(sc, ci, sc.sigma_deg)
+                bas = _make_basis(sc, kind, mode_d[mode], cov)
+                results = (compensate(z, ch.lam, bas, ref, cfg)
+                           for ref, z in symbols)
+            else:
                 freeze = sc.freeze_after if (mode == "frozen"
                                              and sc.freeze_after >= 0) else None
-                state = init_tracker(sc.n, sc.d, beta=sc.beta, alpha=sc.alpha)
                 tcfg = TrackingConfig(constellation=const, method=sc.method,
                                       use_null_tones=sc.use_null_tones,
                                       training_symbols=sc.training_symbols,
                                       freeze_after=freeze)
                 stream = (TrackedSymbol(z=z, lam=ch.lam, ref=ref)
                           for ref, z in symbols)
-                results, _ = run_tracked(stream, state, tcfg)
-                for m, ((ref, _z), res) in enumerate(zip(symbols, results)):
-                    idx = list(ref.layout.data_idx)
-                    err = float(np.sum(np.abs(res.s_hat.s[idx]
-                                              - ref.s[idx]) ** 2))
-                    refp = float(np.sum(np.abs(ref.s[idx]) ** 2))
-                    ser = symbol_error_rate(res.s_hat, ref, const)
-                    per_symbol[mode][m].add(err, refp, ser, res.n_equations)
-                    totals[mode].add(err, refp, ser, res.n_equations)
-            else:
-                if mode == "dft":
-                    bas = basis_mod.dft_basis(sc.n, sc.d)
-                elif mode == "cpe":
-                    bas = basis_mod.dft_basis(sc.n, 1)
-                elif mode == "kl":
-                    if cov is None:
-                        _, cov = _kl_basis_for(
-                            sc, child_seed(sc.master_seed, "cov", ci),
-                            sc.sigma_deg, sc.d)
-                    bas = basis_mod.kl_basis(cov, sc.d)
-                else:
-                    raise ConfigError(f"unknown track mode {mode!r}")
-                for m, (ref, z) in enumerate(symbols):
-                    res = compensate(z, ch.lam, bas, ref, cfg)
-                    idx = list(ref.layout.data_idx)
-                    err = float(np.sum(np.abs(res.s_hat.s[idx]
-                                              - ref.s[idx]) ** 2))
-                    refp = float(np.sum(np.abs(ref.s[idx]) ** 2))
-                    ser = symbol_error_rate(res.s_hat, ref, const)
-                    per_symbol[mode][m].add(err, refp, ser, res.n_equations)
-                    totals[mode].add(err, refp, ser, res.n_equations)
+                results, _ = run_tracked(
+                    stream, init_tracker(sc.n, sc.d, beta=sc.beta), tcfg)
+            for (ref, _z), res, acc in zip(symbols, results, per_symbol[mode]):
+                _score(res.s_hat, ref, const, res.n_equations, acc,
+                       totals[mode])
     rows = []
     for mode in sc.track_modes:
-        d_mode = 1 if mode == "cpe" else sc.d
         if sc.per_symbol_rows:
-            for m in range(n_sym):
-                acc = per_symbol[mode][m]
-                rows.append(ResultRow(sc.name, "all", m, 0, mode, d_mode,
+            for m, acc in enumerate(per_symbol[mode]):
+                rows.append(ResultRow(sc.name, "all", m, 0, mode, mode_d[mode],
                                       sc.sigma_deg, sc.method, acc.evm_db,
                                       acc.ser, acc.n_eq))
         acc = totals[mode]
-        rows.append(ResultRow(sc.name, "all", "", 1, mode, d_mode,
+        rows.append(ResultRow(sc.name, "all", "", 1, mode, mode_d[mode],
                               sc.sigma_deg, sc.method, acc.evm_db, acc.ser,
                               acc.n_eq))
     return rows
 
 
-def _run_custom(sc: Scenario) -> list[ResultRow]:
-    rows = []
-    for kind in sc.basis_kinds:
-        acc = _Acc()
-        for ci in range(sc.n_channels_eff):
-            ch, symbols = _channel_symbols(sc, ci, sc.sigma_deg)
-            _, cov = _kl_basis_for(sc, child_seed(sc.master_seed, "cov", ci),
-                                   sc.sigma_deg, sc.d)
-            _eval_point(sc, ch, symbols, kind, sc.d, cov, acc)
-        rows.append(ResultRow(sc.name, "all", "", 1, kind, sc.d, sc.sigma_deg,
-                              sc.method, acc.evm_db, acc.ser, acc.n_eq))
-    return rows
-
-
 _RUNNERS = {
-    "evm_vs_d": _run_evm_vs_d,
-    "evm_vs_sigma": _run_evm_vs_sigma,
+    "evm_vs_d": lambda sc: _run_sweep(sc, (sc.sigma_deg,), sc.d_list),
+    "evm_vs_sigma": lambda sc: _run_sweep(sc, sc.sigma_list, (sc.d,)),
     "mimo_sweep": _run_mimo_sweep,
     "tracking": _run_tracking,
-    "custom": _run_custom,
+    "custom": lambda sc: _run_sweep(sc, (sc.sigma_deg,), (sc.d,)),
 }
 
 

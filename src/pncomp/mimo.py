@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CompBasis
-from .channel import ChannelState, NoiseSpec
-from .compensator import CompConfig, CompResult, solve_ls, solve_tls
+from .channel import ChannelState, NoiseSpec, add_awgn
+from .compensator import CompConfig, CompResult, fit_gamma
 from .numerics import CVec, CMat, fft, ifft
 from .ofdm import FreqSymbol, evm_db as _evm_db
 
@@ -30,7 +30,6 @@ class MuSystem:
     """
 
     channels: tuple[ChannelState, ...]
-    tx_pn_sigma_deg: float = 0.0
 
     def __post_init__(self):
         n_rx = self.channels[0].n_rx
@@ -92,13 +91,7 @@ def mu_received(sys: MuSystem, syms: list[FreqSymbol], psi_rx: CVec,
         if tx_psi is not None:
             x = tx_psi[u] * x
         z += ifft(sys.channels[u].lam * fft(x)[None, :])
-    if noise.snr_db != np.inf:
-        if rng is None:
-            rng = np.random.default_rng(noise.seed)
-        sigma = np.sqrt(10.0 ** (-noise.snr_db / 10.0) / 2.0)
-        z += sigma * (rng.standard_normal(z.shape)
-                      + 1j * rng.standard_normal(z.shape))
-    return psi_rx[None, :] * z
+    return psi_rx[None, :] * add_awgn(z, noise, rng)
 
 
 def mu_build_w(z: CMat, bf: ZfBeamformer, basis: CompBasis) -> np.ndarray:
@@ -115,22 +108,8 @@ def mu_compensate(sys: MuSystem, z: CMat, basis: CompBasis,
     if bf is None:
         bf = zf_beamformer(sys)
     w = mu_build_w(z, bf, basis)
-    rows, targets = [], []
-    for u, ref in enumerate(refs):
-        p_idx = [k for k in ref.layout.pilot_idx if bf.ok_tones[k]]
-        rows.append(w[u, p_idx])
-        targets.append(ref.s[p_idx])
-        if cfg.use_null_tones and ref.layout.null_idx:
-            n_idx = [k for k in ref.layout.null_idx if bf.ok_tones[k]]
-            rows.append(w[u, n_idx])
-            targets.append(np.zeros(len(n_idx), dtype=np.complex128))
-    w_rows = np.vstack(rows)
-    s_rows = np.concatenate(targets)
-    underdetermined = w_rows.shape[0] < basis.d
-    if cfg.method == "TLS":
-        gamma = solve_tls(w_rows, s_rows)
-    else:
-        gamma = solve_ls(w_rows, s_rows, cfg.rcond)
+    gamma, n_eq = fit_gamma(
+        [(w[u], bf.ok_tones, ref) for u, ref in enumerate(refs)], cfg)
     correction = basis.v @ gamma
     results = []
     for u, ref in enumerate(refs):
@@ -140,7 +119,7 @@ def mu_compensate(sys: MuSystem, z: CMat, basis: CompBasis,
             s_hat=s_hat,
             correction=correction,
             evm_db=_evm_db(s_hat, ref),
-            n_equations=w_rows.shape[0],
-            underdetermined=underdetermined,
+            n_equations=n_eq,
+            underdetermined=n_eq < basis.d,
         ))
     return results

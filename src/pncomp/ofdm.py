@@ -137,14 +137,10 @@ def evm_db(est: FreqSymbol, ref: FreqSymbol, scope: str = "data_only") -> float:
     """Error vector magnitude in dB over the chosen tone scope."""
     if est.layout != ref.layout:
         raise ValueError("EVM requires matching tone layouts")
-    idx = _scope_idx(ref.layout, scope)
-    num = float(np.sum(np.abs(est.s[idx] - ref.s[idx]) ** 2))
-    den = float(np.sum(np.abs(ref.s[idx]) ** 2))
+    num, den = evm_linear(est, ref, scope)
     if den == 0.0:
         raise ValueError("reference has zero power on the EVM scope")
-    if num == 0.0:
-        return EVM_FLOOR_DB
-    return max(10.0 * np.log10(num / den), EVM_FLOOR_DB)
+    return ratio_to_db(num, den)
 
 
 def evm_linear(est: FreqSymbol, ref: FreqSymbol, scope: str = "data_only") -> tuple[float, float]:

@@ -26,13 +26,11 @@ class TrackerState:
     v: CMat
     p: CMat
     beta: float = 0.9
-    alpha: float = 0.1
-    r: CMat | None = None
     symbol_counter: int = 0
 
     def __post_init__(self):
-        if not 0 < self.beta <= 1 or not 0 < self.alpha <= 1:
-            raise ValueError("beta and alpha must be in (0, 1]")
+        if not 0 < self.beta <= 1:
+            raise ValueError("beta must be in (0, 1]")
 
     @property
     def d(self) -> int:
@@ -43,15 +41,13 @@ class TrackerState:
         return CompBasis(v=self.v, kind="PAST")
 
 
-def init_tracker(n: int, d: int, beta: float = 0.9, alpha: float = 0.1,
-                 v0: CMat | None = None, track_cov: bool = False) -> TrackerState:
+def init_tracker(n: int, d: int, beta: float = 0.9,
+                 v0: CMat | None = None) -> TrackerState:
     """Start from the d low-frequency DFT columns unless v0 is given."""
     if v0 is None:
         v0 = dft_basis(n, d).v
-    r = np.eye(n, dtype=np.complex128) if track_cov else None
     return TrackerState(v=np.array(v0, dtype=np.complex128),
-                        p=np.eye(d, dtype=np.complex128),
-                        beta=beta, alpha=alpha, r=r)
+                        p=np.eye(d, dtype=np.complex128), beta=beta)
 
 
 def dd_phase_estimate(z, s_hat: FreqSymbol, lam):
@@ -93,11 +89,7 @@ def past_update(state: TrackerState, psi_hat) -> TrackerState:
     p = (p + p.conj().T) / 2
     e = x - state.v @ y
     v = state.v + np.outer(e, g.conj())
-    r = state.r
-    if r is not None:
-        r = (1 - state.alpha) * r + state.alpha * np.outer(x, x.conj())
-    return replace(state, v=v, p=p, r=r,
-                   symbol_counter=state.symbol_counter + 1)
+    return replace(state, v=v, p=p, symbol_counter=state.symbol_counter + 1)
 
 
 @dataclass(frozen=True)
@@ -152,9 +144,8 @@ def save_tracker_state(state: TrackerState, path) -> None:
     n, d = state.v.shape
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "d", "beta", "alpha", "symbol_counter"])
-        writer.writerow([n, d, repr(state.beta), repr(state.alpha),
-                         state.symbol_counter])
+        writer.writerow(["n", "d", "beta", "symbol_counter"])
+        writer.writerow([n, d, repr(state.beta), state.symbol_counter])
         for row in state.v:
             writer.writerow([f"{c.real:.18e}" for c in row]
                             + [f"{c.imag:.18e}" for c in row])
@@ -167,8 +158,7 @@ def load_tracker_state(path) -> TrackerState:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     n, d = int(rows[1][0]), int(rows[1][1])
-    beta, alpha = float(rows[1][2]), float(rows[1][3])
-    counter = int(rows[1][4])
+    beta, counter = float(rows[1][2]), int(rows[1][3])
     def parse(block, width):
         out = np.empty((len(block), width), dtype=np.complex128)
         for i, row in enumerate(block):
@@ -178,5 +168,4 @@ def load_tracker_state(path) -> TrackerState:
         return out
     v = parse(rows[2:2 + n], d)
     p = parse(rows[2 + n:2 + n + d], d)
-    return TrackerState(v=v, p=p, beta=beta, alpha=alpha,
-                        symbol_counter=counter)
+    return TrackerState(v=v, p=p, beta=beta, symbol_counter=counter)

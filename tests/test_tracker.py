@@ -143,13 +143,6 @@ class TestPastUpdate:
                 angles = []
         assert all(b <= a + 1e-12 for a, b in zip(window_means, window_means[1:]))
 
-    def test_optional_covariance_ewma(self):
-        state = init_tracker(16, 2, alpha=0.5, track_cov=True)
-        x = np.ones(16, dtype=complex)
-        new = past_update(state, x)
-        expected = 0.5 * np.eye(16) + 0.5 * np.outer(x, x.conj())
-        np.testing.assert_allclose(new.r, expected, atol=1e-12)
-
     def test_symbol_counter_increments(self):
         state = init_tracker(16, 2)
         state = past_update(state, np.ones(16, dtype=complex))
