@@ -2,7 +2,9 @@
 
 The correction vector V @ gamma approximates exp(-j*phi); gamma is fit on
 the pilot rows of W = diag(1/lambda) F diag(z) V (one block per receive
-branch), optionally augmented with null-tone rows.
+branch), optionally augmented with null-tone rows.  Column j of W depends
+only on column j of V, so a W built for a basis serves every leading-column
+prefix of that basis: one W per symbol fits every d of a basis family.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .basis import CompBasis
 from .numerics import CVec, CMat, fft, pinv, svd
-from .ofdm import FreqSymbol, evm_db as _evm_db
+from .ofdm import FreqSymbol
 
 WEAK_TONE_REL = 1e-6
 
@@ -33,7 +35,6 @@ class CompResult:
     gamma: CVec
     s_hat: FreqSymbol
     correction: CVec
-    evm_db: float
     n_equations: int
     underdetermined: bool = False
 
@@ -43,26 +44,29 @@ def _as_branches(a) -> CMat:
     return a[None, :] if a.ndim == 1 else a
 
 
-def strong_tone_mask(lam: CVec) -> np.ndarray:
+def strong_tone_mask(lam) -> np.ndarray:
+    """Tones within 1e-6 of the peak |lambda|, per branch (last axis)."""
     mag = np.abs(lam)
-    peak = mag.max()
-    if peak == 0:
+    peak = mag.max(axis=-1, keepdims=True)
+    if (peak == 0).any():
         raise ValueError("all-zero channel response")
     return mag >= WEAK_TONE_REL * peak
 
 
-def build_w(z: CVec, lam: CVec, basis: CompBasis) -> CMat:
-    """W = diag(1/lambda) F diag(z) V, column-wise via the FFT.
+def build_w(z, lam, basis: CompBasis) -> np.ndarray:
+    """W = diag(1/lambda) F diag(z) V per receive branch, via the FFT.
 
-    Rows for tones with |lambda| below 1e-6 of the peak are zeroed; callers
-    exclude them from the equation system.
+    z and lam are (n_rx, N) arrays, giving W of shape (n_rx, N, d), or
+    length-N vectors, giving (N, d).  Rows for tones with |lambda| below
+    1e-6 of the branch peak are zeroed; fits exclude them.
     """
     z = np.asarray(z, dtype=np.complex128)
     lam = np.asarray(lam, dtype=np.complex128)
     mask = strong_tone_mask(lam)
-    fzv = fft((z[:, None] * basis.v).T).T  # per-column unitary FFT
+    # one unitary FFT per (branch, column); each W[b] is an (N, d) view
+    fzv = np.swapaxes(fft(z[..., None, :] * basis.v.T), -1, -2)
     w = np.zeros_like(fzv)
-    w[mask] = fzv[mask] / lam[mask, None]
+    w[mask] = fzv[mask] / lam[mask][:, None]
     return w
 
 
@@ -124,11 +128,11 @@ def fit_gamma(blocks, cfg: CompConfig) -> tuple[CVec, int]:
     rows, targets = [], []
     for w, usable, ref in blocks:
         layout = ref.layout
-        p_idx = [k for k in layout.pilot_idx if usable[k]]
+        p_idx = layout.pilot_arr[usable[layout.pilot_arr]]
         rows.append(w[p_idx])
         targets.append(ref.s[p_idx])
         if cfg.use_null_tones and layout.null_idx:
-            n_idx = [k for k in layout.null_idx if usable[k]]
+            n_idx = layout.null_arr[usable[layout.null_arr]]
             rows.append(w[n_idx])
             targets.append(np.zeros(len(n_idx), dtype=np.complex128))
     w_rows = np.vstack(rows)
@@ -137,24 +141,30 @@ def fit_gamma(blocks, cfg: CompConfig) -> tuple[CVec, int]:
     return solve(w_rows, s_rows), w_rows.shape[0]
 
 
-def compensate(z, lam, basis: CompBasis, ref: FreqSymbol,
+def compensate(w, lam, basis: CompBasis, ref: FreqSymbol,
                cfg: CompConfig = CompConfig()) -> CompResult:
     """Estimate gamma on pilot rows of all branches, correct and equalize.
 
-    z and lam are (n_rx, N) arrays (or length-N vectors for one branch).
+    w is build_w(z, lam, B) for a basis B whose leading basis.d columns are
+    basis.v; the fit uses those columns of w.  lam is (n_rx, N) (or a
+    length-N vector for one branch), w correspondingly (n_rx, N, >= d).
     """
-    z, lam = _as_branches(z), _as_branches(lam)
-    w_all = [build_w(z[b], lam[b], basis) for b in range(z.shape[0])]
+    lam = _as_branches(lam)
+    w = np.asarray(w)
+    w = w[None] if w.ndim == 2 else w
+    if w.shape[:2] != lam.shape or w.shape[2] < basis.d:
+        raise ValueError(f"W of shape {w.shape} does not fit {lam.shape[0]} "
+                         f"branches of {lam.shape[1]} tones and d={basis.d}")
+    w = w[:, :, :basis.d]
     gamma, n_eq = fit_gamma(
-        [(w, strong_tone_mask(lam_b), ref) for w, lam_b in zip(w_all, lam)],
+        [(w_b, mask_b, ref) for w_b, mask_b in zip(w, strong_tone_mask(lam))],
         cfg)
-    s_branches = np.stack([w @ gamma for w in w_all])
+    s_branches = np.array([w_b @ gamma for w_b in w])
     s_hat = FreqSymbol(s=_mrc_combine(s_branches, lam), layout=ref.layout)
     return CompResult(
         gamma=gamma,
         s_hat=s_hat,
         correction=basis.v @ gamma,
-        evm_db=_evm_db(s_hat, ref),
         n_equations=n_eq,
         underdetermined=n_eq < basis.d,
     )

@@ -23,7 +23,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import channel as channel_mod
 from . import phase_noise as pn_mod
-from .compensator import CompConfig, compensate, equalize_only
+from .compensator import CompConfig, build_w, compensate, equalize_only
 from .mimo import MuSystem, mu_compensate, mu_received, zf_beamformer
 from .numerics import ifft
 from .ofdm import (Constellation, FreqSymbol, default_layout, ToneLayout,
@@ -106,6 +106,15 @@ class Scenario:
             raise ConfigError("sweep ranges must be non-empty")
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise ConfigError(f"scale must be finite and > 0, got {self.scale}")
+        # d = 0 means equalization only, which the sweeps score but the
+        # tracker and the multiuser fit cannot run
+        d_min = 1 if self.name in ("tracking", "mimo_sweep") else 0
+        for key, values, lo in (("d", (self.d,), d_min),
+                                ("d_list", self.d_list, 0)):
+            bad = [d for d in values if not lo <= d <= self.n]
+            if bad:
+                raise ConfigError(f"{key}: {bad[0]} is outside "
+                                  f"[{lo}, {self.n}] for {self.name}")
         for key, allowed in (("basis_kinds", BASIS_KINDS),
                              ("track_modes", TRACK_MODES)):
             bad = [v for v in getattr(self, key) if v not in allowed]
@@ -297,27 +306,40 @@ def _score(s_hat: FreqSymbol, ref: FreqSymbol, const: Constellation,
 
 def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
     """Fixed-basis sweep over sigma x basis kind x d; d = 0 scores
-    per-tone equalization without phase-noise correction."""
+    per-tone equalization without phase-noise correction.
+
+    Each kind's basis is built once per channel at the largest d and W
+    once per symbol; every d fits on their leading d columns.  Every
+    accumulator still sees its symbols in channel, then symbol order."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
+    d_max = max(ds)
     rows = []
     for sigma in sigmas:
         accs = {pt: _Acc() for pt in points}
         for ci in range(sc.n_channels_eff):
             ch, symbols = _channel_symbols(sc, ci, sigma)
-            cov = _kl_cov(sc, ci, sigma) if "KL" in sc.basis_kinds else None
-            for kind, d in points:
-                acc = accs[(kind, d)]
-                bas = _make_basis(sc, kind, d, cov) if d else None
-                for ref, z in symbols:
-                    if bas is None:
-                        s_hat = FreqSymbol(s=equalize_only(z, ch.lam),
-                                           layout=ref.layout)
-                        _score(s_hat, ref, const, 0, acc)
-                    else:
-                        res = compensate(z, ch.lam, bas, ref, cfg)
-                        _score(res.s_hat, ref, const, res.n_equations, acc)
+            cov = (_kl_cov(sc, ci, sigma)
+                   if d_max and "KL" in sc.basis_kinds else None)
+            families = {kind: _make_basis(sc, kind, d_max, cov) if d_max
+                        else None for kind in sc.basis_kinds}
+            bases = {(kind, d): families[kind].leading(d)
+                     for kind, d in points if d}
+            for ref, z in symbols:
+                for kind in sc.basis_kinds:
+                    fam = families[kind]
+                    w = build_w(z, ch.lam, fam) if fam else None
+                    for d in ds:
+                        if d:
+                            res = compensate(w, ch.lam, bases[(kind, d)],
+                                             ref, cfg)
+                            s_hat, n_eq = res.s_hat, res.n_equations
+                        else:
+                            s_hat = FreqSymbol(s=equalize_only(z, ch.lam),
+                                               layout=ref.layout)
+                            n_eq = 0
+                        _score(s_hat, ref, const, n_eq, accs[(kind, d)])
         for kind, d in points:
             acc = accs[(kind, d)]
             rows.append(ResultRow(sc.name, "all", "", 1, kind, d, sigma,
@@ -329,26 +351,29 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
     rows = []
     layout, const = sc.layout, sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
+    noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
+    # per channel: the users' channels and their ZF beamformer
+    systems = []
+    for ci in range(sc.n_channels_eff):
+        sys_ = MuSystem(channels=tuple(
+            channel_mod.gen_channel(
+                sc.n_taps, sc.channel_profile,
+                child_seed(sc.master_seed, "chan", ci, u),
+                n_rx=sc.n_rx, n=sc.n)
+            for u in range(sc.n_users)))
+        systems.append((sys_, zf_beamformer(sys_)))
     for sigma in sc.sigma_list:
+        bases = [basis_mod.kl_basis(_kl_cov(sc, ci, sigma), sc.d)
+                 for ci in range(sc.n_channels_eff)]
         for tx_sigma in sc.tx_sigma_list:
             acc = _Acc()
-            for ci in range(sc.n_channels_eff):
-                chans = tuple(
-                    channel_mod.gen_channel(
-                        sc.n_taps, sc.channel_profile,
-                        child_seed(sc.master_seed, "chan", ci, u),
-                        n_rx=sc.n_rx, n=sc.n)
-                    for u in range(sc.n_users))
-                sys_ = MuSystem(channels=chans)
-                bf = zf_beamformer(sys_)
+            for ci, ((sys_, bf), bas) in enumerate(zip(systems, bases)):
                 rx_src = _pn_source(sc, child_seed(sc.master_seed, "pn", ci),
                                     sigma)
                 tx_gens = [pn_mod.PnGenerator(
                     sc.pn_model(child_seed(sc.master_seed, "txpn", ci, u),
                                 tx_sigma))
                            for u in range(sc.n_users)] if tx_sigma > 0 else None
-                bas = basis_mod.kl_basis(_kl_cov(sc, ci, sigma), sc.d)
-                noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
                 noise_rng = np.random.default_rng(
                     child_seed(sc.master_seed, "noise", ci))
                 for m in range(sc.n_symbols):
@@ -388,7 +413,8 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
                 if kind == "KL" and cov is None:
                     cov = _kl_cov(sc, ci, sc.sigma_deg)
                 bas = _make_basis(sc, kind, mode_d[mode], cov)
-                results = (compensate(z, ch.lam, bas, ref, cfg)
+                results = (compensate(build_w(z, ch.lam, bas), ch.lam, bas,
+                                      ref, cfg)
                            for ref, z in symbols)
             else:
                 freeze = sc.freeze_after if (mode == "frozen"

@@ -16,7 +16,7 @@ from .basis import CompBasis
 from .channel import ChannelState, NoiseSpec, add_awgn
 from .compensator import CompConfig, CompResult, fit_gamma
 from .numerics import CVec, CMat, fft, ifft
-from .ofdm import FreqSymbol, evm_db as _evm_db
+from .ofdm import FreqSymbol
 
 RANK_TOL = 1e-9
 
@@ -118,7 +118,6 @@ def mu_compensate(sys: MuSystem, z: CMat, basis: CompBasis,
             gamma=gamma,
             s_hat=s_hat,
             correction=correction,
-            evm_db=_evm_db(s_hat, ref),
             n_equations=n_eq,
             underdetermined=n_eq < basis.d,
         ))

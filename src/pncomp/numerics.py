@@ -20,7 +20,7 @@ DEFAULT_RCOND = 1e-12
 
 def _as_complex(a) -> np.ndarray:
     out = np.asarray(a, dtype=np.complex128)
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    if not np.isfinite(out).all():
         raise ValueError("non-finite entries in input")
     return out
 

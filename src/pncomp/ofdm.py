@@ -19,7 +19,11 @@ DEFAULT_PILOTS = tuple(range(0, 7)) + (20, 42) + tuple(range(57, 64))
 
 @dataclass(frozen=True)
 class ToneLayout:
-    """Partition of the N tones into pilot, null and data sets."""
+    """Partition of the N tones into pilot, null and data sets.
+
+    The index arrays pilot_arr, null_arr, data_arr and active_arr (pilots,
+    then data) are built once here for the per-symbol hot paths.
+    """
 
     n: int
     pilot_idx: tuple[int, ...]
@@ -33,8 +37,15 @@ class ToneLayout:
         all_idx = pilots | nulls
         if all_idx and (min(all_idx) < 0 or max(all_idx) >= self.n):
             raise ValueError("tone index out of range")
+        data = tuple(k for k in range(self.n) if k not in all_idx)
         object.__setattr__(self, "pilot_idx", tuple(sorted(pilots)))
         object.__setattr__(self, "null_idx", tuple(sorted(nulls)))
+        for name, idx in (("pilot_arr", self.pilot_idx),
+                          ("null_arr", self.null_idx), ("data_arr", data),
+                          ("active_arr", self.pilot_idx + data)):
+            arr = np.array(idx, dtype=np.intp)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_pilot(self) -> int:
@@ -42,8 +53,7 @@ class ToneLayout:
 
     @property
     def data_idx(self) -> tuple[int, ...]:
-        used = set(self.pilot_idx) | set(self.null_idx)
-        return tuple(k for k in range(self.n) if k not in used)
+        return tuple(self.data_arr.tolist())
 
 
 def default_layout(n: int = DEFAULT_N) -> ToneLayout:
@@ -62,6 +72,21 @@ class Constellation:
 
     order: int
     points: CVec = field(repr=False)
+
+    def __post_init__(self):
+        # Slicer tables per axis: the inner PAM levels (all but the two
+        # outermost, ascending) and the label bits (I: high, Q: low) of the
+        # levels just below and just above each gap between them.
+        side = int(round(np.sqrt(self.order)))
+        labels = np.arange(self.order)
+        axes = []
+        for coord, bits in ((self.points.real, labels // side * side),
+                            (self.points.imag, labels % side)):
+            levels = np.unique(coord)
+            level_bits = np.empty(len(levels), dtype=np.intp)
+            level_bits[np.searchsorted(levels, coord)] = bits
+            axes.append((levels[1:-1], level_bits[:-1], level_bits[1:]))
+        object.__setattr__(self, "_axes", tuple(axes))
 
     @staticmethod
     def qam(order: int) -> "Constellation":
@@ -103,7 +128,7 @@ class FreqSymbol:
 
     @property
     def pilots(self) -> CVec:
-        return self.s[list(self.layout.pilot_idx)]
+        return self.s[self.layout.pilot_arr]
 
 
 def make_symbol(layout: ToneLayout, constellation: Constellation,
@@ -111,7 +136,7 @@ def make_symbol(layout: ToneLayout, constellation: Constellation,
     """Random payload: i.i.d. constellation points on pilot and data tones."""
     rng = np.random.default_rng(rng_seed)
     s = np.zeros(layout.n, dtype=np.complex128)
-    active = list(layout.pilot_idx) + list(layout.data_idx)
+    active = layout.active_arr
     s[active] = rng.choice(constellation.points, size=len(active))
     return FreqSymbol(s=s, layout=layout)
 
@@ -125,11 +150,11 @@ def demodulate(x: CVec, layout: ToneLayout) -> FreqSymbol:
     return FreqSymbol(s=fft(x), layout=layout)
 
 
-def _scope_idx(layout: ToneLayout, scope: str) -> list[int]:
+def _scope_idx(layout: ToneLayout, scope: str) -> np.ndarray:
     if scope == "data_only":
-        return list(layout.data_idx)
+        return layout.data_arr
     if scope == "all_active":
-        return list(layout.data_idx) + list(layout.pilot_idx)
+        return np.concatenate([layout.data_arr, layout.pilot_arr])
     raise ValueError(f"unknown EVM scope {scope!r}")
 
 
@@ -146,8 +171,9 @@ def evm_db(est: FreqSymbol, ref: FreqSymbol, scope: str = "data_only") -> float:
 def evm_linear(est: FreqSymbol, ref: FreqSymbol, scope: str = "data_only") -> tuple[float, float]:
     """(error power, reference power) for linear-domain aggregation."""
     idx = _scope_idx(ref.layout, scope)
-    return (float(np.sum(np.abs(est.s[idx] - ref.s[idx]) ** 2)),
-            float(np.sum(np.abs(ref.s[idx]) ** 2)))
+    ref_s = ref.s[idx]
+    return (float((np.abs(est.s[idx] - ref_s) ** 2).sum()),
+            float((np.abs(ref_s) ** 2).sum()))
 
 
 def ratio_to_db(num: float, den: float) -> float:
@@ -156,14 +182,32 @@ def ratio_to_db(num: float, den: float) -> float:
     return max(10.0 * np.log10(num / den), EVM_FLOOR_DB)
 
 
+def _bracket(x: np.ndarray, axis) -> np.ndarray:
+    """Label bits of the two adjacent levels around each x, shape (2, n);
+    values beyond the outermost levels get the outermost pair."""
+    inner, lo_bits, hi_bits = axis
+    gap = inner.searchsorted(x)
+    return np.array([lo_bits[gap], hi_bits[gap]])
+
+
 def hard_decide(est: FreqSymbol, constellation: Constellation) -> FreqSymbol:
-    """Nearest-point decision on pilot and data tones; null tones stay 0."""
-    out = np.zeros_like(est.s)
-    active = list(est.layout.pilot_idx) + list(est.layout.data_idx)
+    """Nearest-point decision on pilot and data tones; null tones stay 0.
+
+    A square QAM grid is the product of two PAM axes, so the nearest point
+    is one of the 2 x 2 points whose levels bracket the value on each axis:
+    O(N) work instead of O(N * order).  Their distances are computed as a
+    full distance matrix would, and ties go to the smallest bit label.
+    """
+    i_axis, q_axis = constellation._axes
+    active = est.layout.active_arr
     vals = est.s[active]
-    # argmin returns the first minimum, i.e. the smallest bit label on ties
-    d2 = np.abs(vals[:, None] - constellation.points[None, :]) ** 2
-    out[active] = constellation.points[np.argmin(d2, axis=1)]
+    labels = (_bracket(vals.real, i_axis)[:, None]
+              + _bracket(vals.imag, q_axis)[None, :]).reshape(4, -1)
+    d2 = np.abs(vals - constellation.points[labels]) ** 2
+    tied = d2 == d2.min(axis=0)
+    label = np.where(tied, labels, constellation.order).min(axis=0)
+    out = np.zeros_like(est.s)
+    out[active] = constellation.points[label]
     return FreqSymbol(s=out, layout=est.layout)
 
 
@@ -171,6 +215,6 @@ def symbol_error_rate(est: FreqSymbol, ref: FreqSymbol,
                       constellation: Constellation) -> float:
     """Uncoded SER over data tones after hard decisions on est."""
     decided = hard_decide(est, constellation)
-    idx = list(ref.layout.data_idx)
+    idx = ref.layout.data_arr
     errors = np.abs(decided.s[idx] - ref.s[idx]) > 1e-9
-    return float(np.mean(errors)) if idx else 0.0
+    return np.count_nonzero(errors) / idx.size if idx.size else 0.0

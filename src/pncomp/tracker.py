@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import CompBasis, dft_basis
-from .compensator import CompConfig, CompResult, compensate, _as_branches
+from .compensator import (CompConfig, CompResult, build_w, compensate,
+                          _as_branches)
 from .numerics import CVec, CMat, ifft
 from .ofdm import Constellation, FreqSymbol, hard_decide
 
@@ -121,7 +122,9 @@ def run_tracked(stream, state: TrackerState,
     results: list[CompResult] = []
     comp_cfg = CompConfig(method=cfg.method, use_null_tones=cfg.use_null_tones)
     for m, sym in enumerate(stream):
-        res = compensate(sym.z, sym.lam, state.basis, sym.ref, comp_cfg)
+        basis = state.basis
+        res = compensate(build_w(sym.z, sym.lam, basis), sym.lam, basis,
+                         sym.ref, comp_cfg)
         results.append(res)
         if cfg.freeze_after is not None and m >= cfg.freeze_after:
             continue
@@ -129,8 +132,8 @@ def run_tracked(stream, state: TrackerState,
             s_dd = sym.ref
         else:
             decided = hard_decide(res.s_hat, cfg.constellation)
-            s = decided.s.copy()
-            p_idx = list(sym.ref.layout.pilot_idx)
+            s = decided.s
+            p_idx = sym.ref.layout.pilot_arr
             s[p_idx] = sym.ref.s[p_idx]
             s_dd = FreqSymbol(s=s, layout=sym.ref.layout)
         psi_hat = dd_phase_estimate(sym.z, s_dd, sym.lam)

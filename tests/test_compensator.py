@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from pncomp import numerics as nx
-from pncomp.basis import dft_basis, kl_basis
+from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import from_taps, gen_channel
 from pncomp.compensator import (CompConfig, build_w, compensate,
                                 equalize_only, solve_ls, solve_tls,
                                 strong_tone_mask, tls_implied_perturbation)
 from pncomp.ofdm import (Constellation, FreqSymbol, ToneLayout, default_layout,
-                         make_symbol)
+                         evm_db, make_symbol)
 from pncomp.phase_noise import PnGenerator, PnModel, estimate_cov
 
 
@@ -22,6 +22,11 @@ def layout():
 @pytest.fixture(scope="module")
 def qam():
     return Constellation.qam(256)
+
+
+def comp(z, lam, bas, ref, cfg=CompConfig()):
+    """compensate on the W of (z, lam) built with bas itself."""
+    return compensate(build_w(z, lam, bas), lam, bas, ref, cfg)
 
 
 def received(ch, sym, psi=None):
@@ -66,6 +71,66 @@ class TestBuildW:
     def test_rejects_all_zero_channel(self):
         with pytest.raises(ValueError):
             build_w(np.ones(64), np.zeros(64), dft_basis(64, 2))
+
+
+@pytest.fixture(scope="module")
+def kl_cov():
+    gen = PnGenerator(PnModel(sigma_deg=3.0, seed=40))
+    return estimate_cov([gen.next(64) for _ in range(300)])
+
+
+class TestPrefixW:
+    """compensate on the leading d columns of a W built at d = 16 against
+    compensate on a W built with the basis at exactly d: bit-identical."""
+
+    NULLS = (28, 29, 30, 31, 32, 33, 34, 35)
+
+    @pytest.mark.parametrize("kind, method, n_rx, nulls, weak", [
+        ("KL", "LS", 2, False, False),
+        ("KL", "TLS", 1, True, True),
+        ("DFT", "TLS", 2, True, False),
+        # 16 pilot rows < d + 1 at d = 16: TLS falls back to LS
+        ("DFT", "TLS", 1, False, False),
+        ("DCT", "TLS", 3, False, True),
+        ("DCT", "LS", 1, True, False),
+    ])
+    def test_matches_w_built_at_d(self, qam, kl_cov, kind, method, n_rx,
+                                  nulls, weak):
+        layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                            null_idx=self.NULLS if nulls else ())
+        make_basis = {"KL": lambda d: kl_basis(kl_cov, d),
+                      "DFT": lambda d: dft_basis(64, d),
+                      "DCT": lambda d: dct_basis(64, d)}[kind]
+        ch = gen_channel(8, "exp_decay(3)", seed=41 + n_rx, n_rx=n_rx, n=64)
+        lam = ch.lam.copy()
+        if weak:  # a pilot and a null tone drop out of branch 0's rows
+            lam[0, [3, 30]] = 1e-9 * np.abs(lam[0]).max()
+        sym = make_symbol(layout, qam, rng_seed=42)
+        psi = PnGenerator(PnModel(sigma_deg=3.0, seed=43)).next(64).psi
+        rng = np.random.default_rng(44)
+        z = (psi[None, :] * nx.ifft(lam * nx.fft(nx.ifft(sym.s))[None, :])
+             + 1e-3 * (rng.standard_normal(lam.shape)
+                       + 1j * rng.standard_normal(lam.shape)))
+        cfg = CompConfig(method=method, use_null_tones=nulls)
+        family = make_basis(16)
+        w_family = build_w(z, lam, family)
+        for d in (1, 2, 3, 5, 8, 12, 15, 16):
+            exact = make_basis(d)
+            a = compensate(w_family, lam, family.leading(d), sym, cfg)
+            b = compensate(build_w(z, lam, exact), lam, exact, sym, cfg)
+            assert np.array_equal(a.gamma, b.gamma)
+            assert np.array_equal(a.s_hat.s, b.s_hat.s)
+            assert a.n_equations == b.n_equations
+            n_pilot = 16 * n_rx - weak
+            n_null = (8 * n_rx - weak) if nulls else 0
+            assert a.n_equations == n_pilot + n_null
+
+    def test_rejects_too_few_columns(self, layout, qam):
+        ch = gen_channel(8, "uniform", seed=45, n=64)
+        sym = make_symbol(layout, qam, rng_seed=45)
+        w = build_w(received(ch, sym), ch.lam, dft_basis(64, 3))
+        with pytest.raises(ValueError):
+            compensate(w, ch.lam, dft_basis(64, 4), sym)
 
 
 class TestSolveLs:
@@ -167,22 +232,22 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=12)
         ch = gen_channel(8, "exp_decay(3)", seed=12, n=64)
         z = received(ch, sym)
-        res = compensate(z, ch.lam, dft_basis(64, 1), sym)
+        res = comp(z, ch.lam, dft_basis(64, 1), sym)
         assert abs(res.gamma[0] - 8.0) <= 1e-9
         np.testing.assert_allclose(res.correction, np.ones(64), atol=1e-9)
         np.testing.assert_allclose(res.s_hat.s, sym.s, atol=1e-9)
-        assert res.evm_db <= -180
+        assert evm_db(res.s_hat, sym) <= -180
 
     def test_constant_phase_recovered(self, layout, qam):
         theta = 0.7
         sym = make_symbol(layout, qam, rng_seed=13)
         ch = gen_channel(8, "uniform", seed=13, n=64)
         z = received(ch, sym, psi=np.exp(1j * theta) * np.ones(64))
-        res = compensate(z, ch.lam, dft_basis(64, 1), sym)
+        res = comp(z, ch.lam, dft_basis(64, 1), sym)
         np.testing.assert_allclose(res.correction,
                                    np.exp(-1j * theta) * np.ones(64),
                                    atol=1e-9)
-        assert res.evm_db <= -180
+        assert evm_db(res.s_hat, sym) <= -180
 
     def test_in_span_exact_recovery(self, layout, qam):
         # phi synthesized inside a conjugate-closed span: residual is the
@@ -196,8 +261,8 @@ class TestCompensate:
         ch = gen_channel(8, "exp_decay(3)", seed=14, n=64)
         z = received(ch, sym, psi=np.exp(1j * phi))
         for method in ("LS", "TLS"):
-            res = compensate(z, ch.lam, bas, sym, CompConfig(method=method))
-            assert res.evm_db <= -80
+            res = comp(z, ch.lam, bas, sym, CompConfig(method=method))
+            assert evm_db(res.s_hat, sym) <= -80
 
     def test_two_branches_beat_one(self, layout, qam):
         # doubled pilot-row count: mean EVM no worse with 2 rx branches
@@ -211,10 +276,10 @@ class TestCompensate:
             ch = gen_channel(8, "exp_decay(3)", seed=300 + i, n_rx=2, n=64)
             psi = gen2.next(64).psi
             z = received(ch, sym, psi=psi)
-            r1 = compensate(z[:1], ch.lam[:1], bas, sym)
-            r2 = compensate(z, ch.lam, bas, sym)
-            one += 10 ** (r1.evm_db / 10)
-            two += 10 ** (r2.evm_db / 10)
+            r1 = comp(z[:1], ch.lam[:1], bas, sym)
+            r2 = comp(z, ch.lam, bas, sym)
+            one += 10 ** (evm_db(r1.s_hat, sym) / 10)
+            two += 10 ** (evm_db(r2.s_hat, sym) / 10)
         assert two <= one
 
     def test_ls_beats_cpe_baseline_residual(self, layout, qam):
@@ -247,10 +312,9 @@ class TestCompensate:
             sym = make_symbol(layout, qam, rng_seed=400 + i)
             ch = gen_channel(8, "exp_decay(3)", seed=500 + i, n=64)
             z = received(ch, sym, psi=np.exp(1j * phi))
-            res = compensate(z, ch.lam, bas, sym)
+            res = comp(z, ch.lam, bas, sym)
             base = FreqSymbol(s=equalize_only(z, ch.lam), layout=layout)
-            from pncomp.ofdm import evm_db
-            assert res.evm_db <= evm_db(base, sym) + 0.1
+            assert evm_db(res.s_hat, sym) <= evm_db(base, sym) + 0.1
 
     def test_null_tone_rows_added(self, qam):
         layout = ToneLayout(n=64, pilot_idx=tuple(range(7)) + (20, 42)
@@ -258,9 +322,9 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=20)
         ch = gen_channel(8, "uniform", seed=20, n=64)
         z = received(ch, sym)
-        with_null = compensate(z, ch.lam, dft_basis(64, 4), sym,
-                               CompConfig(use_null_tones=True))
-        without = compensate(z, ch.lam, dft_basis(64, 4), sym)
+        with_null = comp(z, ch.lam, dft_basis(64, 4), sym,
+                         CompConfig(use_null_tones=True))
+        without = comp(z, ch.lam, dft_basis(64, 4), sym)
         assert with_null.n_equations == without.n_equations + 2
 
     def test_underdetermined_flagged(self, qam):
@@ -268,6 +332,6 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=21)
         ch = gen_channel(8, "uniform", seed=21, n=64)
         z = received(ch, sym)
-        res = compensate(z, ch.lam, dft_basis(64, 8), sym)
+        res = comp(z, ch.lam, dft_basis(64, 8), sym)
         assert res.underdetermined
         assert res.n_equations == 2

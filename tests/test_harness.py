@@ -204,8 +204,15 @@ class TestCli:
         ("name = evm_vs_d\n", ["--scale", "0"]),
         ("name = evm_vs_d\n", ["--scale", "nan"]),
         ("name = evm_vs_d\n", ["--scale", "inf"]),
+        ("name = tracking\nd = 0\n", []),
+        ("name = mimo_sweep\nd = 0\n", []),
+        ("name = custom\nd = 65\n", []),
+        ("name = evm_vs_sigma\nd = -1\n", []),
+        ("name = evm_vs_d\nd_list = 0, 4, 65\n", []),
+        ("name = evm_vs_d\nd_list = -1, 4\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
-            "scale_nan", "scale_inf"])
+            "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
+            "sigma_d_neg", "d_list_gt_n", "d_list_neg"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -254,6 +261,10 @@ class TestCli:
 # they hold for the numpy/BLAS build they were recorded with.
 NULLS = dict(null_tones=(28, 29, 30, 31, 32, 33, 34, 35), use_null_tones=True)
 GOLDEN = {
+    "evm_vs_d_tls_nulls": (
+        dict(name="evm_vs_d", d_list=(0, 1, 3, 6), method="TLS",
+             basis_kinds=("KL", "DFT", "DCT"), **NULLS, **SMALL),
+        "5718103cac0eb5217f419066f1b1ff0ab9da761aafa01a466431220c52809fae"),
     "evm_vs_sigma_kl_dft_dct": (
         dict(name="evm_vs_sigma", sigma_list=(2.0, 5.0), d=4,
              basis_kinds=("KL", "DFT", "DCT"), **SMALL),

@@ -215,6 +215,46 @@ class TestHardDecide:
         np.testing.assert_array_equal(hard_decide(once, qam).s, once.s)
 
 
+def distance_matrix_decide(est, constellation):
+    """Reference slicer: full distance matrix, first (smallest-label) min."""
+    out = np.zeros_like(est.s)
+    active = list(est.layout.pilot_idx) + list(est.layout.data_idx)
+    d2 = np.abs(est.s[active][:, None] - constellation.points[None, :]) ** 2
+    out[active] = constellation.points[np.argmin(d2, axis=1)]
+    return out
+
+
+class TestHardDecideOracle:
+    """The per-axis slicer against the distance-matrix reference."""
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_random_points(self, order):
+        qam = Constellation.qam(order)
+        rng = np.random.default_rng(order)
+        n = 4096
+        scale = np.repeat([0.5, 1.5, 10.0, 1e3], n // 4)  # incl. far outside
+        vals = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        lay = ToneLayout(n=n, pilot_idx=tuple(range(0, n, 7)),
+                         null_idx=tuple(range(3, n, 7)))
+        est = FreqSymbol(s=vals, layout=lay)
+        np.testing.assert_array_equal(hard_decide(est, qam).s,
+                                      distance_matrix_decide(est, qam))
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_midpoints_and_ties(self, order):
+        # every level, every midpoint between adjacent levels and points
+        # beyond the edges, on both axes: two- and four-way ties included
+        qam = Constellation.qam(order)
+        lev = np.unique(qam.points.real)
+        coords = np.concatenate([lev, (lev[1:] + lev[:-1]) / 2,
+                                 [lev[0] - 1, lev[-1] + 1, 0.0]])
+        vals = (coords[:, None] + 1j * coords[None, :]).ravel()
+        lay = ToneLayout(n=len(vals), pilot_idx=(0,))
+        est = FreqSymbol(s=vals, layout=lay)
+        np.testing.assert_array_equal(hard_decide(est, qam).s,
+                                      distance_matrix_decide(est, qam))
+
+
 class TestSer:
     def test_zero_errors(self, layout, qam256):
         sym = make_symbol(layout, qam256, rng_seed=10)

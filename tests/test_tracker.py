@@ -6,7 +6,7 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis, kl_basis
 from pncomp.channel import gen_channel
-from pncomp.ofdm import Constellation, default_layout, make_symbol
+from pncomp.ofdm import Constellation, default_layout, evm_db, make_symbol
 from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
                                 apply_offset, estimate_cov, offset_factor)
 from pncomp.tracker import (TrackedSymbol, TrackerState, TrackingConfig,
@@ -169,7 +169,8 @@ class TestRunTracked:
         state = init_tracker(64, 4, beta=0.9)
         cfg = TrackingConfig(constellation=qam, training_symbols=5)
         results, _ = run_tracked(iter(syms), state, cfg)
-        assert all(res.evm_db <= -180 for res in results)
+        assert all(evm_db(res.s_hat, s.ref) <= -180
+                   for res, s in zip(results, syms))
 
     def test_tracking_improves_over_initial_basis(self, layout, qam):
         syms = self._stream(layout, qam, 400, sigma_deg=3.0, seed=10)
@@ -177,8 +178,10 @@ class TestRunTracked:
         state = init_tracker(64, d, beta=0.9)
         cfg = TrackingConfig(constellation=qam, training_symbols=100)
         results, _ = run_tracked(iter(syms), state, cfg)
-        early = np.mean([10 ** (r.evm_db / 10) for r in results[:20]])
-        late = np.mean([10 ** (r.evm_db / 10) for r in results[-100:]])
+        lin = [10 ** (evm_db(r.s_hat, s.ref) / 10)
+               for r, s in zip(results, syms)]
+        early = np.mean(lin[:20])
+        late = np.mean(lin[-100:])
         assert late < early
 
     def test_offset_span_matches_modulated_kl(self, layout, qam):
@@ -230,5 +233,5 @@ class TestRunTracked:
         path = tmp_path / "tracker.csv"
         save_tracker_state(mid, path)
         res_tail, _ = run_tracked(iter(syms[20:]), load_tracker_state(path), cfg)
-        for a, b in zip(res_full[20:], res_tail):
-            assert a.evm_db == b.evm_db
+        for a, b, s in zip(res_full[20:], res_tail, syms[20:]):
+            assert evm_db(a.s_hat, s.ref) == evm_db(b.s_hat, s.ref)
