@@ -101,25 +101,30 @@ def load_channel_taps(path, n: int, n_rx: int = 1) -> ChannelState:
 
 def apply_channel(ch: ChannelState, x: CVec, noise: NoiseSpec,
                   rng: np.random.Generator | None = None) -> CMat:
-    """y_b = H_b x + n_b per receive branch; returns shape (n_rx, N).
+    """y_b = H_b x + n_b per receive branch; returns shape (..., n_rx, N).
 
-    Noise power is 10^(-snr/10) per complex sample, referenced to the unit
+    x is one length-N symbol or a block of them along leading axes.  Noise
+    power is 10^(-snr/10) per complex sample, referenced to the unit
     nominal signal power (channels are normalized to unit mean tone gain).
     An explicit rng overrides noise.seed so callers can stream symbols.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (ch.n,):
+    if x.shape[-1:] != (ch.n,):
         raise ValueError(f"x length {x.shape} != N={ch.n}")
-    return add_awgn(ifft(ch.lam * fft(x)[None, :]), noise, rng)
+    return add_awgn(ifft(ch.lam * fft(x)[..., None, :]), noise, rng)
 
 
 def add_awgn(y: CMat, noise: NoiseSpec,
              rng: np.random.Generator | None = None) -> CMat:
-    """y plus AWGN drawn from rng (else noise.seed), real part first."""
+    """y (..., n_rx, N) plus AWGN drawn from rng (else noise.seed).
+
+    Per symbol the real parts are drawn first, then the imaginary parts,
+    so a block of symbols consumes rng as the symbols one by one would.
+    """
     if noise.snr_db == np.inf:
         return y
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     sigma = np.sqrt(10.0 ** (-noise.snr_db / 10.0) / 2.0)
-    return y + sigma * (rng.standard_normal(y.shape)
-                        + 1j * rng.standard_normal(y.shape))
+    g = rng.standard_normal(y.shape[:-2] + (2,) + y.shape[-2:])
+    return y + sigma * (g[..., 0, :, :] + 1j * g[..., 1, :, :])

@@ -2,7 +2,8 @@
 
 The correction vector V @ gamma approximates exp(-j*phi); gamma is fit on
 the pilot rows of W = diag(1/lambda) F diag(z) V (one block per receive
-branch), optionally augmented with null-tone rows.  Column j of W depends
+branch), optionally augmented with null-tone rows; what depends only on
+the channel is built once per channel in a Receiver.  Column j of W depends
 only on column j of V, so a W built for a basis serves every leading-column
 prefix of that basis: one W per symbol fits every d of a basis family.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from .basis import CompBasis
 from .numerics import CVec, CMat, fft, pinv, svd
-from .ofdm import FreqSymbol
+from .ofdm import FreqSymbol, ToneLayout
 
 WEAK_TONE_REL = 1e-6
 
@@ -34,7 +35,6 @@ class CompConfig:
 class CompResult:
     gamma: CVec
     s_hat: FreqSymbol
-    correction: CVec
     n_equations: int
     underdetermined: bool = False
 
@@ -44,30 +44,64 @@ def _as_branches(a) -> CMat:
     return a[None, :] if a.ndim == 1 else a
 
 
-def strong_tone_mask(lam) -> np.ndarray:
-    """Tones within 1e-6 of the peak |lambda|, per branch (last axis)."""
+@dataclass(frozen=True, eq=False)
+class Receiver:
+    """A channel's fit constants.  usable (n_blocks, N): the tones each
+    block of W (receive branch or user) may fit on.  rows: (block, tone) of
+    each block's usable pilot rows, then null rows if cfg.use_null_tones.
+    tones: each row's target in the reference tones (one shared reference,
+    or one per block if per_block_refs) plus a trailing zero for null rows.
+    lam, mrc_w = |lam|^2 and guarded mrc_den = sum mrc_w: MRC, single-user."""
+
+    cfg: CompConfig
+    layout: ToneLayout
+    usable: np.ndarray
+    per_block_refs: bool = False
+    lam: CMat | None = None
+    mrc_w: np.ndarray | None = None
+    mrc_den: np.ndarray | None = None
+
+    def __post_init__(self):
+        lay, n_blocks = self.layout, self.usable.shape[0]
+        cand = lay.pilot_arr
+        if self.cfg.use_null_tones:
+            cand = np.concatenate((cand, lay.null_arr))
+        block, j = np.nonzero(self.usable[:, cand])  # block-major order
+        tone = cand[j]
+        target = tone + block * lay.n if self.per_block_refs else tone
+        zero = lay.n * (n_blocks if self.per_block_refs else 1)
+        object.__setattr__(self, "rows", (block, tone))
+        object.__setattr__(self, "tones", np.where(
+            j < len(lay.pilot_arr), target, zero))
+
+
+def receiver(lam, layout: ToneLayout,
+             cfg: CompConfig = CompConfig()) -> Receiver:
+    """The Receiver of a channel with per-tone response lam, (n_rx, N);
+    tones within 1e-6 of their branch's peak |lambda| are usable."""
+    lam = _as_branches(lam)
     mag = np.abs(lam)
     peak = mag.max(axis=-1, keepdims=True)
     if (peak == 0).any():
         raise ValueError("all-zero channel response")
-    return mag >= WEAK_TONE_REL * peak
+    mrc_w = mag ** 2
+    den = mrc_w.sum(axis=0)
+    return Receiver(cfg=cfg, layout=layout, usable=mag >= WEAK_TONE_REL * peak,
+                    lam=lam, mrc_w=mrc_w, mrc_den=np.where(den == 0, 1.0, den))
 
 
-def build_w(z, lam, basis: CompBasis) -> np.ndarray:
+def build_w(z, rcv: Receiver, basis: CompBasis) -> np.ndarray:
     """W = diag(1/lambda) F diag(z) V per receive branch, via the FFT.
 
-    z and lam are (n_rx, N) arrays, giving W of shape (n_rx, N, d), or
-    length-N vectors, giving (N, d).  Rows for tones with |lambda| below
-    1e-6 of the branch peak are zeroed; fits exclude them.
+    z is (..., n_rx, N): one symbol, or a block of symbols along leading
+    axes, giving W of shape (..., n_rx, N, d).  Rows of tones the receiver
+    cannot use (|lambda| below 1e-6 of the branch peak) are zero.
     """
     z = np.asarray(z, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    mask = strong_tone_mask(lam)
-    # one unitary FFT per (branch, column); each W[b] is an (N, d) view
+    # one unitary FFT per (symbol, branch, column); each W[b] is an (N, d) view
     fzv = np.swapaxes(fft(z[..., None, :] * basis.v.T), -1, -2)
-    w = np.zeros_like(fzv)
-    w[mask] = fzv[mask] / lam[mask][:, None]
-    return w
+    return np.divide(fzv, rcv.lam[..., None], out=np.zeros_like(fzv),
+                     where=rcv.usable[..., None])
 
 
 def solve_ls(w_rows: CMat, s_rows: CVec) -> CVec:
@@ -101,70 +135,42 @@ def tls_implied_perturbation(w_rows: CMat, s_rows: CVec, gamma: CVec) -> CMat:
     return -np.outer(r, g.conj()) / (np.linalg.norm(g) ** 2)
 
 
-def equalize_only(z, lam) -> CVec:
+def equalize_only(z, rcv: Receiver) -> CVec:
     """MRC-combined per-tone equalization with no phase-noise correction."""
-    z, lam = _as_branches(z), _as_branches(lam)
-    fz = fft(z)
-    num = np.sum(np.conj(lam) * fz, axis=0)
-    den = np.sum(np.abs(lam) ** 2, axis=0)
-    den = np.where(den == 0, 1.0, den)
-    return num / den
+    fz = fft(_as_branches(z))
+    return np.sum(np.conj(rcv.lam) * fz, axis=0) / rcv.mrc_den
 
 
-def _mrc_combine(s_branches: CMat, lam: CMat) -> CVec:
-    w = np.abs(lam) ** 2
-    den = w.sum(axis=0)
-    den = np.where(den == 0, 1.0, den)
-    return (w * s_branches).sum(axis=0) / den
-
-
-def fit_gamma(blocks, cfg: CompConfig) -> tuple[CVec, int]:
-    """Fit gamma on the stacked equations of all blocks; (gamma, rows).
-
-    A block is (W, usable-tone mask, ref): one per receive branch or user.
-    Each contributes its usable pilot rows (target: the pilots), then, with
-    cfg.use_null_tones, its usable null rows (target: zero).
-    """
-    rows, targets = [], []
-    for w, usable, ref in blocks:
-        layout = ref.layout
-        p_idx = layout.pilot_arr[usable[layout.pilot_arr]]
-        rows.append(w[p_idx])
-        targets.append(ref.s[p_idx])
-        if cfg.use_null_tones and layout.null_idx:
-            n_idx = layout.null_arr[usable[layout.null_arr]]
-            rows.append(w[n_idx])
-            targets.append(np.zeros(len(n_idx), dtype=np.complex128))
-    w_rows = np.vstack(rows)
-    s_rows = np.concatenate(targets)
-    solve = solve_tls if cfg.method == "TLS" else solve_ls
+def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> tuple[CVec, int]:
+    """Fit gamma on rcv's pilot (and null) rows of w (n_blocks, N, d);
+    refs_s: the reference tones (per block concatenated if per_block_refs).
+    Returns (gamma, number of rows)."""
+    w_rows = w[rcv.rows]
+    s_rows = np.concatenate((refs_s, [0]))[rcv.tones]
+    solve = solve_tls if rcv.cfg.method == "TLS" else solve_ls
     return solve(w_rows, s_rows), w_rows.shape[0]
 
 
-def compensate(w, lam, basis: CompBasis, ref: FreqSymbol,
-               cfg: CompConfig = CompConfig()) -> CompResult:
+def compensate(w, rcv: Receiver, basis: CompBasis,
+               ref: FreqSymbol) -> CompResult:
     """Estimate gamma on pilot rows of all branches, correct and equalize.
 
-    w is build_w(z, lam, B) for a basis B whose leading basis.d columns are
-    basis.v; the fit uses those columns of w.  lam is (n_rx, N) (or a
-    length-N vector for one branch), w correspondingly (n_rx, N, >= d).
+    w is build_w(z, rcv, B) for one symbol and a basis B whose leading
+    basis.d columns are basis.v, shape (n_rx, N, >= d); the fit uses those
+    columns of w.
     """
-    lam = _as_branches(lam)
     w = np.asarray(w)
-    w = w[None] if w.ndim == 2 else w
-    if w.shape[:2] != lam.shape or w.shape[2] < basis.d:
-        raise ValueError(f"W of shape {w.shape} does not fit {lam.shape[0]} "
-                         f"branches of {lam.shape[1]} tones and d={basis.d}")
+    if w.ndim != 3 or w.shape[:2] != rcv.usable.shape or w.shape[2] < basis.d:
+        raise ValueError(f"W of shape {w.shape} does not fit (n_rx, N) = "
+                         f"{rcv.usable.shape} and d={basis.d}")
+    if ref.layout != rcv.layout:
+        raise ValueError("reference layout differs from the receiver's")
     w = w[:, :, :basis.d]
-    gamma, n_eq = fit_gamma(
-        [(w_b, mask_b, ref) for w_b, mask_b in zip(w, strong_tone_mask(lam))],
-        cfg)
-    s_branches = np.array([w_b @ gamma for w_b in w])
-    s_hat = FreqSymbol(s=_mrc_combine(s_branches, lam), layout=ref.layout)
+    gamma, n_eq = fit_gamma(w, rcv, ref.s)
+    s_mrc = (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
     return CompResult(
         gamma=gamma,
-        s_hat=s_hat,
-        correction=basis.v @ gamma,
+        s_hat=FreqSymbol(s=s_mrc, layout=ref.layout),
         n_equations=n_eq,
         underdetermined=n_eq < basis.d,
     )

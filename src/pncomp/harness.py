@@ -16,15 +16,17 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis as basis_mod
 from . import channel as channel_mod
 from . import phase_noise as pn_mod
-from .compensator import CompConfig, build_w, compensate, equalize_only
-from .mimo import MuSystem, mu_compensate, mu_received, zf_beamformer
+from .compensator import (CompConfig, build_w, compensate, equalize_only,
+                          receiver)
+from .mimo import (MuSystem, mu_compensate, mu_receiver, mu_received,
+                   zf_beamformer)
 from .numerics import ifft
 from .ofdm import (Constellation, FreqSymbol, default_layout, ToneLayout,
                    evm_linear, make_symbol, ratio_to_db, symbol_error_rate)
@@ -40,6 +42,9 @@ BASIS_KINDS = ("KL", "DFT", "DCT")
 # basis kind of each fixed-basis track mode; "cpe" uses its first column
 _FIXED_TRACK_MODES = {"dft": "DFT", "cpe": "DFT", "kl": "KL"}
 TRACK_MODES = ("tracked", "frozen", *_FIXED_TRACK_MODES)
+# symbols simulated, transformed and turned into W per step; bounds the
+# memory of the block arrays (a W block is SYMBOL_BLOCK * n_rx * N * d)
+SYMBOL_BLOCK = 32
 
 
 class ConfigError(Exception):
@@ -121,6 +126,13 @@ class Scenario:
             if bad:
                 raise ConfigError(f"{key}: unknown {bad[0]!r}, "
                                   f"expected one of {', '.join(allowed)}")
+        if self.name == "mimo_sweep" and self.n_users > self.n_rx:
+            raise ConfigError(f"n_users {self.n_users} > n_rx {self.n_rx}")
+        try:  # what a run resolves from the config, before any simulation
+            self.layout, self.constellation, CompConfig(method=self.method)
+            channel_mod.NoiseSpec(snr_db=self.snr_db)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def n_channels_eff(self) -> int:
@@ -250,18 +262,20 @@ class _Acc:
 
 
 def _pn_source(sc: Scenario, seed: int, sigma: float):
-    """Infinite stream of length-N phase realizations."""
+    """take(k): the next k symbols of one phase-noise stream, k * N samples."""
     if sc.pn_file:
-        windows = list(pn_mod.load_pn_samples(sc.pn_file, sc.n))
-        return itertools.cycle(windows)
+        windows = itertools.cycle(list(pn_mod.load_pn_samples(sc.pn_file,
+                                                              sc.n)))
+        return lambda k: pn_mod.PhaseNoiseRealization.from_phi(
+            np.concatenate([next(windows).phi for _ in range(k)]))
     gen = pn_mod.PnGenerator(sc.pn_model(seed, sigma))
-    return iter(lambda: gen.next(sc.n), None)
+    return lambda k: gen.next(k * sc.n)
 
 
 def _kl_cov(sc: Scenario, ci: int, sigma: float) -> pn_mod.PnCovariance:
     """Sample covariance that channel ci's KL bases are built from."""
-    src = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigma)
-    return pn_mod.estimate_cov([next(src) for _ in range(sc.kl_cov_symbols)])
+    take = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigma)
+    return pn_mod.estimate_cov(take(sc.kl_cov_symbols).psi.reshape(-1, sc.n))
 
 
 def _make_basis(sc: Scenario, kind: str, d: int, cov) -> basis_mod.CompBasis:
@@ -274,25 +288,28 @@ def _make_basis(sc: Scenario, kind: str, d: int, cov) -> basis_mod.CompBasis:
 
 def _channel_symbols(sc: Scenario, ci: int, sigma: float,
                      offset: pn_mod.CarrierOffset | None = None):
-    """Simulate one channel's symbol stream; returns (channel, list of
-    (ref FreqSymbol, z (n_rx, N)))."""
+    """One channel's symbols, simulated SYMBOL_BLOCK at a time (one PN draw,
+    FFT pair and noise draw per block, equal to symbol by symbol); returns
+    (channel, list of (refs, z (b, n_rx, N)))."""
     ch = channel_mod.gen_channel(sc.n_taps, sc.channel_profile,
                                  child_seed(sc.master_seed, "chan", ci),
                                  n_rx=sc.n_rx, n=sc.n)
-    pn_src = _pn_source(sc, child_seed(sc.master_seed, "pn", ci), sigma)
+    take_pn = _pn_source(sc, child_seed(sc.master_seed, "pn", ci), sigma)
     noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
     noise_rng = np.random.default_rng(child_seed(sc.master_seed, "noise", ci))
     layout, const = sc.layout, sc.constellation
-    out = []
-    for m in range(sc.n_symbols):
-        ref = make_symbol(layout, const,
-                          child_seed(sc.master_seed, "sym", ci, m))
-        psi = next(pn_src)
+    blocks = []
+    for m0 in range(0, sc.n_symbols, SYMBOL_BLOCK):
+        refs = [make_symbol(layout, const,
+                            child_seed(sc.master_seed, "sym", ci, m))
+                for m in range(m0, min(m0 + SYMBOL_BLOCK, sc.n_symbols))]
+        psi = take_pn(len(refs))
         if offset is not None and offset.ppm != 0:
-            psi = pn_mod.apply_offset(psi, offset, start_sample=m * sc.n)
-        y = channel_mod.apply_channel(ch, ifft(ref.s), noise, rng=noise_rng)
-        out.append((ref, psi.psi[None, :] * y))
-    return ch, out
+            psi = pn_mod.apply_offset(psi, offset, start_sample=m0 * sc.n)
+        x = ifft(np.array([ref.s for ref in refs]))
+        y = channel_mod.apply_channel(ch, x, noise, rng=noise_rng)
+        blocks.append((refs, psi.psi.reshape(len(refs), 1, sc.n) * y))
+    return ch, blocks
 
 
 def _score(s_hat: FreqSymbol, ref: FreqSymbol, const: Constellation,
@@ -309,7 +326,7 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
     per-tone equalization without phase-noise correction.
 
     Each kind's basis is built once per channel at the largest d and W
-    once per symbol; every d fits on their leading d columns.  Every
+    once per symbol block; every d fits on their leading d columns.  Every
     accumulator still sees its symbols in channel, then symbol order."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
@@ -319,24 +336,25 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
     for sigma in sigmas:
         accs = {pt: _Acc() for pt in points}
         for ci in range(sc.n_channels_eff):
-            ch, symbols = _channel_symbols(sc, ci, sigma)
+            ch, blocks = _channel_symbols(sc, ci, sigma)
+            rcv = receiver(ch.lam, sc.layout, cfg)
             cov = (_kl_cov(sc, ci, sigma)
                    if d_max and "KL" in sc.basis_kinds else None)
-            families = {kind: _make_basis(sc, kind, d_max, cov) if d_max
-                        else None for kind in sc.basis_kinds}
+            families = {kind: _make_basis(sc, kind, d_max, cov)
+                        for kind in sc.basis_kinds} if d_max else {}
             bases = {(kind, d): families[kind].leading(d)
                      for kind, d in points if d}
-            for ref, z in symbols:
-                for kind in sc.basis_kinds:
-                    fam = families[kind]
-                    w = build_w(z, ch.lam, fam) if fam else None
-                    for d in ds:
+            for refs, z in blocks:
+                ws = {kind: build_w(z, rcv, fam)
+                      for kind, fam in families.items()}
+                for i, ref in enumerate(refs):
+                    for kind, d in points:
                         if d:
-                            res = compensate(w, ch.lam, bases[(kind, d)],
-                                             ref, cfg)
+                            res = compensate(ws[kind][i], rcv,
+                                             bases[(kind, d)], ref)
                             s_hat, n_eq = res.s_hat, res.n_equations
                         else:
-                            s_hat = FreqSymbol(s=equalize_only(z, ch.lam),
+                            s_hat = FreqSymbol(s=equalize_only(z[i], rcv),
                                                layout=ref.layout)
                             n_eq = 0
                         _score(s_hat, ref, const, n_eq, accs[(kind, d)])
@@ -352,7 +370,7 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
     layout, const = sc.layout, sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
-    # per channel: the users' channels and their ZF beamformer
+    # per channel: the users' channels, their ZF beamformer and its receiver
     systems = []
     for ci in range(sc.n_channels_eff):
         sys_ = MuSystem(channels=tuple(
@@ -361,15 +379,16 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
                 child_seed(sc.master_seed, "chan", ci, u),
                 n_rx=sc.n_rx, n=sc.n)
             for u in range(sc.n_users)))
-        systems.append((sys_, zf_beamformer(sys_)))
+        bf = zf_beamformer(sys_)
+        systems.append((sys_, bf, mu_receiver(bf, layout, cfg)))
     for sigma in sc.sigma_list:
         bases = [basis_mod.kl_basis(_kl_cov(sc, ci, sigma), sc.d)
                  for ci in range(sc.n_channels_eff)]
         for tx_sigma in sc.tx_sigma_list:
             acc = _Acc()
-            for ci, ((sys_, bf), bas) in enumerate(zip(systems, bases)):
-                rx_src = _pn_source(sc, child_seed(sc.master_seed, "pn", ci),
-                                    sigma)
+            for ci, ((sys_, bf, rcv), bas) in enumerate(zip(systems, bases)):
+                take_rx = _pn_source(sc, child_seed(sc.master_seed, "pn", ci),
+                                     sigma)
                 tx_gens = [pn_mod.PnGenerator(
                     sc.pn_model(child_seed(sc.master_seed, "txpn", ci, u),
                                 tx_sigma))
@@ -381,12 +400,12 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
                                         child_seed(sc.master_seed, "sym",
                                                    ci, m, u))
                             for u in range(sc.n_users)]
-                    psi_rx = next(rx_src).psi
+                    psi_rx = take_rx(1).psi
                     tx_psi = ([g.next(sc.n).psi for g in tx_gens]
                               if tx_gens else None)
                     z = mu_received(sys_, refs, psi_rx, tx_psi, noise,
                                     rng=noise_rng)
-                    results = mu_compensate(sys_, z, bas, refs, cfg, bf=bf)
+                    results = mu_compensate(z, bas, refs, bf, rcv)
                     for ref, res in zip(refs, results):
                         _score(res.s_hat, ref, const, res.n_equations, acc)
             rows.append(ResultRow(sc.name, "all", "", 1,
@@ -396,6 +415,8 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
 
 
 def _run_tracking(sc: Scenario) -> list[ResultRow]:
+    """Tracked modes run PAST symbol by symbol; fixed-basis modes fit on one
+    W per symbol block and basis family ("cpe": the DFT family's column 0)."""
     offset = pn_mod.CarrierOffset(ppm=sc.ppm, carrier_hz=sc.carrier_hz,
                                   sample_rate_hz=sc.sample_rate_hz)
     const = sc.constellation
@@ -404,29 +425,35 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
     totals = {mode: _Acc() for mode in sc.track_modes}
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     mode_d = {mode: 1 if mode == "cpe" else sc.d for mode in sc.track_modes}
+    fixed = [(m, _FIXED_TRACK_MODES[m]) for m in sc.track_modes
+             if m in _FIXED_TRACK_MODES]
+    family_d = {}  # each basis family at the largest d of its modes
+    for mode, kind in fixed:
+        family_d[kind] = max(family_d.get(kind, 0), mode_d[mode])
     for ci in range(sc.n_channels_eff):
-        ch, symbols = _channel_symbols(sc, ci, sc.sigma_deg, offset=offset)
-        cov = None
-        for mode in sc.track_modes:
-            if mode in _FIXED_TRACK_MODES:
-                kind = _FIXED_TRACK_MODES[mode]
-                if kind == "KL" and cov is None:
-                    cov = _kl_cov(sc, ci, sc.sigma_deg)
-                bas = _make_basis(sc, kind, mode_d[mode], cov)
-                results = (compensate(build_w(z, ch.lam, bas), ch.lam, bas,
-                                      ref, cfg)
-                           for ref, z in symbols)
-            else:
-                freeze = sc.freeze_after if (mode == "frozen"
-                                             and sc.freeze_after >= 0) else None
-                tcfg = TrackingConfig(constellation=const, method=sc.method,
-                                      use_null_tones=sc.use_null_tones,
-                                      training_symbols=sc.training_symbols,
-                                      freeze_after=freeze)
-                stream = (TrackedSymbol(z=z, lam=ch.lam, ref=ref)
-                          for ref, z in symbols)
-                results, _ = run_tracked(
-                    stream, init_tracker(sc.n, sc.d, beta=sc.beta), tcfg)
+        ch, blocks = _channel_symbols(sc, ci, sc.sigma_deg, offset=offset)
+        rcv = receiver(ch.lam, sc.layout, cfg)
+        cov = _kl_cov(sc, ci, sc.sigma_deg) if "KL" in family_d else None
+        families = {kind: _make_basis(sc, kind, d, cov)
+                    for kind, d in family_d.items()}
+        bases = {mode: families[kind].leading(mode_d[mode])
+                 for mode, kind in fixed}
+        for b, (refs, z) in enumerate(blocks):
+            ws = {kind: build_w(z, rcv, fam) for kind, fam in families.items()}
+            for i, ref in enumerate(refs):
+                for mode, kind in fixed:
+                    res = compensate(ws[kind][i], rcv, bases[mode], ref)
+                    _score(res.s_hat, ref, const, res.n_equations,
+                           per_symbol[mode][b * SYMBOL_BLOCK + i], totals[mode])
+        symbols = [(r, z_i) for refs, z in blocks for r, z_i in zip(refs, z)]
+        for mode in [m for m in sc.track_modes if m not in bases]:
+            freeze = sc.freeze_after if (mode == "frozen"
+                                         and sc.freeze_after >= 0) else None
+            tcfg = TrackingConfig(constellation=const, freeze_after=freeze,
+                                  training_symbols=sc.training_symbols)
+            results, _ = run_tracked(
+                (TrackedSymbol(z=z, rcv=rcv, ref=ref) for ref, z in symbols),
+                init_tracker(sc.n, sc.d, beta=sc.beta), tcfg)
             for (ref, _z), res, acc in zip(symbols, results, per_symbol[mode]):
                 _score(res.s_hat, ref, const, res.n_equations, acc,
                        totals[mode])
@@ -509,6 +536,11 @@ def main(argv=None) -> int:
     if out is None:
         out_dir = os.environ.get("PNCOMP_OUT_DIR", ".")
         out = os.path.join(out_dir, f"{sc.name}.csv")
+    target = out if os.path.exists(out) else os.path.dirname(
+        os.path.abspath(out))
+    if os.path.isdir(out) or not os.access(target, os.W_OK):
+        print(f"config error: cannot write {out!r}", file=sys.stderr)
+        return 2
     try:
         run_scenario(sc, out, timing=args.timing)
     except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:

@@ -14,9 +14,9 @@ import numpy as np
 
 from .basis import CompBasis
 from .channel import ChannelState, NoiseSpec, add_awgn
-from .compensator import CompConfig, CompResult, fit_gamma
+from .compensator import CompConfig, CompResult, Receiver, fit_gamma
 from .numerics import CVec, CMat, fft, ifft
-from .ofdm import FreqSymbol
+from .ofdm import FreqSymbol, ToneLayout
 
 RANK_TOL = 1e-9
 
@@ -101,24 +101,23 @@ def mu_build_w(z: CMat, bf: ZfBeamformer, basis: CompBasis) -> np.ndarray:
     return np.einsum("kur,rkd->ukd", bf.b, g)
 
 
-def mu_compensate(sys: MuSystem, z: CMat, basis: CompBasis,
-                  refs: list[FreqSymbol], cfg: CompConfig = CompConfig(),
-                  bf: ZfBeamformer | None = None) -> list[CompResult]:
-    """Joint gamma from all users' pilot rows; per-user equalized symbols."""
-    if bf is None:
-        bf = zf_beamformer(sys)
+def mu_receiver(bf: ZfBeamformer, layout: ToneLayout,
+                cfg: CompConfig = CompConfig()) -> Receiver:
+    """The fit constants of a ZF-beamformed channel: every user's W block
+    uses the full-rank tones, each against its own reference."""
+    n_users = bf.b.shape[1]
+    usable = np.broadcast_to(bf.ok_tones, (n_users, len(bf.ok_tones)))
+    return Receiver(cfg=cfg, layout=layout, usable=usable,
+                    per_block_refs=True)
+
+
+def mu_compensate(z: CMat, basis: CompBasis, refs: list[FreqSymbol],
+                  bf: ZfBeamformer, rcv: Receiver) -> list[CompResult]:
+    """Joint gamma from all users' pilot rows; per-user equalized symbols.
+    bf and rcv = mu_receiver(bf, ...) are built once per channel."""
     w = mu_build_w(z, bf, basis)
-    gamma, n_eq = fit_gamma(
-        [(w[u], bf.ok_tones, ref) for u, ref in enumerate(refs)], cfg)
-    correction = basis.v @ gamma
-    results = []
-    for u, ref in enumerate(refs):
-        s_hat = FreqSymbol(s=w[u] @ gamma, layout=ref.layout)
-        results.append(CompResult(
-            gamma=gamma,
-            s_hat=s_hat,
-            correction=correction,
-            n_equations=n_eq,
-            underdetermined=n_eq < basis.d,
-        ))
-    return results
+    gamma, n_eq = fit_gamma(w, rcv, np.concatenate([r.s for r in refs]))
+    return [CompResult(gamma=gamma,
+                       s_hat=FreqSymbol(s=w[u] @ gamma, layout=ref.layout),
+                       n_equations=n_eq, underdetermined=n_eq < basis.d)
+            for u, ref in enumerate(refs)]

@@ -100,8 +100,13 @@ def svd(a: CMat) -> SvdResult:
 
 
 def pinv(a: CMat, rcond: float = DEFAULT_RCOND) -> CMat:
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
+    """Moore-Penrose pseudoinverse with relative singular-value cutoff;
+    np.linalg.pinv's arithmetic step for step (same bits), less overhead."""
     a = _as_complex(a)
     if not 0 < rcond < 1:
         raise ValueError(f"rcond must be in (0, 1), got {rcond}")
-    return np.linalg.pinv(a, rcond=rcond)
+    u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
+    large = s > rcond * s.max()
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T)

@@ -126,10 +126,6 @@ class FreqSymbol:
             raise ValueError(f"symbol length {s.shape} != layout {self.layout.n}")
         object.__setattr__(self, "s", s)
 
-    @property
-    def pilots(self) -> CVec:
-        return self.s[self.layout.pilot_arr]
-
 
 def make_symbol(layout: ToneLayout, constellation: Constellation,
                 rng_seed: int) -> FreqSymbol:

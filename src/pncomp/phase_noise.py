@@ -125,18 +125,18 @@ def gen_pn(model: PnModel, n: int) -> PhaseNoiseRealization:
 
 
 def estimate_cov(realizations) -> PnCovariance:
-    """R = (1/M) sum psi psi* over the given realizations."""
-    realizations = list(realizations)
-    if not realizations:
+    """R = (1/M) sum psi psi* over the given realizations (or psi rows)."""
+    rows = [getattr(real, "psi", real) for real in realizations]
+    if not rows:
         raise ValueError("need at least one realization")
-    n = len(realizations[0].psi)
+    n = len(rows[0])
     r = np.zeros((n, n), dtype=np.complex128)
-    for real in realizations:
-        if len(real.psi) != n:
+    for psi in rows:
+        if len(psi) != n:
             raise ValueError("realizations must share a common length")
-        r += np.outer(real.psi, real.psi.conj())
-    r /= len(realizations)
-    return PnCovariance(r=(r + r.conj().T) / 2, n_samples_used=len(realizations))
+        r += np.outer(psi, psi.conj())
+    r /= len(rows)
+    return PnCovariance(r=(r + r.conj().T) / 2, n_samples_used=len(rows))
 
 
 def offset_factor(off: CarrierOffset, start_sample: int, n: int) -> CVec:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import CompBasis, dft_basis
-from .compensator import (CompConfig, CompResult, build_w, compensate,
+from .compensator import (CompResult, Receiver, build_w, compensate,
                           _as_branches)
 from .numerics import CVec, CMat, ifft
 from .ofdm import Constellation, FreqSymbol, hard_decide
@@ -95,18 +95,16 @@ def past_update(state: TrackerState, psi_hat) -> TrackerState:
 
 @dataclass(frozen=True)
 class TrackedSymbol:
-    """One symbol of the input stream: received z, channel lam, reference."""
+    """One symbol of the input stream: received z, Receiver, reference."""
 
     z: CMat
-    lam: CMat
+    rcv: Receiver
     ref: FreqSymbol
 
 
 @dataclass(frozen=True)
 class TrackingConfig:
     constellation: Constellation
-    method: str = "LS"
-    use_null_tones: bool = False
     training_symbols: int = 0
     freeze_after: int | None = None
 
@@ -120,11 +118,10 @@ def run_tracked(stream, state: TrackerState,
     tones plus the known pilots are used.  Updates stop at freeze_after.
     """
     results: list[CompResult] = []
-    comp_cfg = CompConfig(method=cfg.method, use_null_tones=cfg.use_null_tones)
     for m, sym in enumerate(stream):
         basis = state.basis
-        res = compensate(build_w(sym.z, sym.lam, basis), sym.lam, basis,
-                         sym.ref, comp_cfg)
+        res = compensate(build_w(sym.z, sym.rcv, basis), sym.rcv, basis,
+                         sym.ref)
         results.append(res)
         if cfg.freeze_after is not None and m >= cfg.freeze_after:
             continue
@@ -136,7 +133,7 @@ def run_tracked(stream, state: TrackerState,
             p_idx = sym.ref.layout.pilot_arr
             s[p_idx] = sym.ref.s[p_idx]
             s_dd = FreqSymbol(s=s, layout=sym.ref.layout)
-        psi_hat = dd_phase_estimate(sym.z, s_dd, sym.lam)
+        psi_hat = dd_phase_estimate(sym.z, s_dd, sym.rcv.lam)
         # track the cancellation vector, the quantity the basis must span
         state = past_update(state, np.conj(psi_hat.psi))
     return results, state

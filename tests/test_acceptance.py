@@ -16,8 +16,8 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import NoiseSpec, gen_channel
-from pncomp.compensator import (CompConfig, build_w, compensate, solve_ls,
-                                solve_tls, tls_implied_perturbation)
+from pncomp.compensator import (CompConfig, build_w, compensate, receiver,
+                                solve_ls, solve_tls, tls_implied_perturbation)
 from pncomp.harness import Scenario, run_scenario
 from pncomp.mimo import MuSystem, mu_build_w, zf_beamformer
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
@@ -164,8 +164,8 @@ def test_criterion_04_in_span_exact_recovery():
         y = nx.ifft(ch.lam * nx.fft(nx.ifft(sym.s))[None, :])
         z = np.exp(1j * phi)[None, :] * y
         for method in ("LS", "TLS"):
-            res = compensate(build_w(z, ch.lam, bas), ch.lam, bas, sym,
-                             CompConfig(method=method))
+            rcv = receiver(ch.lam, layout, CompConfig(method=method))
+            res = compensate(build_w(z, rcv, bas), rcv, bas, sym)
             worst = max(worst, evm_db(res.s_hat, sym))
     report(4, worst <= -80.0,
            f"worst in-span recovery EVM over 100 trials x {{LS,TLS}} = "
@@ -297,7 +297,10 @@ def test_criterion_11_complexity_scaling():
         psi = np.exp(0.05j * rng.standard_normal(n))
         z = psi[None, :] * nx.ifft(ch.lam * nx.fft(nx.ifft(sym.s))[None, :])
         bas = dft_basis(n, d)
-        return lambda: compensate(build_w(z, ch.lam, bas), ch.lam, bas, sym)
+        def run():
+            rcv = receiver(ch.lam, layout)
+            compensate(build_w(z, rcv, bas), rcv, bas, sym)
+        return run
 
     t64 = _min_time(comp_timer(64, 8))
     t128 = _min_time(comp_timer(128, 8))
@@ -334,8 +337,8 @@ def test_criterion_12_oracle_equivalences():
     bas = dft_basis(64, 6)
     z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     dense = np.diag(1 / ch.lam[0]) @ nx.dft_matrix(64) @ np.diag(z) @ bas.v
-    errs["build_w"] = (float(np.max(np.abs(build_w(z, ch.lam[0], bas)
-                                           - dense))), 1e-10)
+    w = build_w(z[None], receiver(ch.lam, default_layout()), bas)[0]
+    errs["build_w"] = (float(np.max(np.abs(w - dense))), 1e-10)
     # multiuser stacked operator vs materialized dense oracle at N=8
     n, n_u, n_r, d = 8, 2, 2, 3
     chans = tuple(gen_channel(3, "uniform", seed=2 + u, n_rx=n_r, n=n)

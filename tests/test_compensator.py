@@ -7,8 +7,8 @@ from pncomp import numerics as nx
 from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import from_taps, gen_channel
 from pncomp.compensator import (CompConfig, build_w, compensate,
-                                equalize_only, solve_ls, solve_tls,
-                                strong_tone_mask, tls_implied_perturbation)
+                                equalize_only, receiver, solve_ls, solve_tls,
+                                tls_implied_perturbation)
 from pncomp.ofdm import (Constellation, FreqSymbol, ToneLayout, default_layout,
                          evm_db, make_symbol)
 from pncomp.phase_noise import PnGenerator, PnModel, estimate_cov
@@ -26,7 +26,13 @@ def qam():
 
 def comp(z, lam, bas, ref, cfg=CompConfig()):
     """compensate on the W of (z, lam) built with bas itself."""
-    return compensate(build_w(z, lam, bas), lam, bas, ref, cfg)
+    rcv = receiver(lam, ref.layout, cfg)
+    return compensate(build_w(z, rcv, bas), rcv, bas, ref)
+
+
+def w_one(z, lam, bas):
+    """The (N, d) W of one receive branch."""
+    return build_w(np.atleast_2d(z), receiver(lam, default_layout()), bas)[0]
 
 
 def received(ch, sym, psi=None):
@@ -42,12 +48,12 @@ class TestBuildW:
         sym = make_symbol(layout, qam, rng_seed=1)
         ch = from_taps([1.0], 64)
         z = received(ch, sym)[0]
-        w = build_w(z, ch.lam[0], dft_basis(64, 1))
+        w = w_one(z, ch.lam[0], dft_basis(64, 1))
         np.testing.assert_allclose(w[:, 0], sym.s / 8.0, atol=1e-12)
 
     def test_zero_input(self, layout):
         ch = gen_channel(4, "uniform", seed=2, n=64)
-        w = build_w(np.zeros(64), ch.lam[0], dft_basis(64, 4))
+        w = w_one(np.zeros(64), ch.lam[0], dft_basis(64, 4))
         np.testing.assert_array_equal(w, np.zeros((64, 4)))
 
     def test_matches_dense_oracle(self, layout, qam):
@@ -57,20 +63,20 @@ class TestBuildW:
         bas = dft_basis(64, 6)
         f = nx.dft_matrix(64)
         oracle = np.diag(1.0 / ch.lam[0]) @ f @ np.diag(z) @ bas.v
-        np.testing.assert_allclose(build_w(z, ch.lam[0], bas), oracle,
+        np.testing.assert_allclose(w_one(z, ch.lam[0], bas), oracle,
                                    atol=1e-10)
 
     def test_weak_tone_rows_zeroed(self):
         lam = np.ones(64, dtype=complex)
         lam[5] = 1e-9  # far below the 1e-6 relative threshold
         z = np.ones(64, dtype=complex)
-        w = build_w(z, lam, dft_basis(64, 3))
+        w = w_one(z, lam, dft_basis(64, 3))
         np.testing.assert_array_equal(w[5], np.zeros(3))
-        assert not strong_tone_mask(lam)[5]
+        assert not receiver(lam, default_layout()).usable[0, 5]
 
     def test_rejects_all_zero_channel(self):
         with pytest.raises(ValueError):
-            build_w(np.ones(64), np.zeros(64), dft_basis(64, 2))
+            receiver(np.zeros(64), default_layout())
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +118,13 @@ class TestPrefixW:
              + 1e-3 * (rng.standard_normal(lam.shape)
                        + 1j * rng.standard_normal(lam.shape)))
         cfg = CompConfig(method=method, use_null_tones=nulls)
+        rcv = receiver(lam, layout, cfg)
         family = make_basis(16)
-        w_family = build_w(z, lam, family)
+        w_family = build_w(z, rcv, family)
         for d in (1, 2, 3, 5, 8, 12, 15, 16):
             exact = make_basis(d)
-            a = compensate(w_family, lam, family.leading(d), sym, cfg)
-            b = compensate(build_w(z, lam, exact), lam, exact, sym, cfg)
+            a = compensate(w_family, rcv, family.leading(d), sym)
+            b = compensate(build_w(z, rcv, exact), rcv, exact, sym)
             assert np.array_equal(a.gamma, b.gamma)
             assert np.array_equal(a.s_hat.s, b.s_hat.s)
             assert a.n_equations == b.n_equations
@@ -128,9 +135,72 @@ class TestPrefixW:
     def test_rejects_too_few_columns(self, layout, qam):
         ch = gen_channel(8, "uniform", seed=45, n=64)
         sym = make_symbol(layout, qam, rng_seed=45)
-        w = build_w(received(ch, sym), ch.lam, dft_basis(64, 3))
+        rcv = receiver(ch.lam, layout)
+        w = build_w(received(ch, sym), rcv, dft_basis(64, 3))
         with pytest.raises(ValueError):
-            compensate(w, ch.lam, dft_basis(64, 4), sym)
+            compensate(w, rcv, dft_basis(64, 4), sym)
+
+
+class TestBlockW:
+    """W built for a block of symbols at once against W built per symbol,
+    and the cpe fit on the DFT family's first column against a W built at
+    d = 1: bit-identical, fits included."""
+
+    def _block(self, layout, qam, n_rx, n_sym, weak):
+        ch = gen_channel(8, "exp_decay(3)", seed=50 + n_rx, n_rx=n_rx, n=64)
+        lam = ch.lam.copy()
+        if weak:  # a pilot tone drops out and a tone of branch 0 is zero
+            lam[0, 3] = 1e-9 * np.abs(lam[0]).max()
+            lam[0, 40] = 0.0
+        syms = [make_symbol(layout, qam, rng_seed=51 + m)
+                for m in range(n_sym)]
+        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=52))
+        rng = np.random.default_rng(53)
+        z = np.array([gen.next(64).psi[None, :] * received(ch, s)
+                      + 1e-3 * (rng.standard_normal(lam.shape)
+                                + 1j * rng.standard_normal(lam.shape))
+                      for s in syms])
+        return lam, syms, z
+
+    @pytest.mark.parametrize("kind, method, n_rx, nulls, weak", [
+        ("KL", "LS", 2, False, False),
+        ("KL", "TLS", 3, True, True),
+        ("DFT", "TLS", 1, False, True),
+        ("DCT", "LS", 2, True, False),
+    ])
+    def test_block_matches_per_symbol(self, qam, kl_cov, kind, method, n_rx,
+                                      nulls, weak):
+        layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                            null_idx=TestPrefixW.NULLS if nulls else ())
+        bas = {"KL": kl_basis(kl_cov, 8), "DFT": dft_basis(64, 8),
+               "DCT": dct_basis(64, 8)}[kind]
+        lam, syms, z = self._block(layout, qam, n_rx, 7, weak)
+        rcv = receiver(lam, layout, CompConfig(method=method,
+                                               use_null_tones=nulls))
+        w_block = build_w(z, rcv, bas)
+        assert w_block.shape == (7, n_rx, 64, 8)
+        for i, sym in enumerate(syms):
+            w_sym = build_w(z[i], rcv, bas)
+            assert np.array_equal(w_block[i], w_sym)
+            for d in (1, 4, 8):
+                a = compensate(w_block[i], rcv, bas.leading(d), sym)
+                b = compensate(w_sym, rcv, bas.leading(d), sym)
+                assert np.array_equal(a.gamma, b.gamma)
+                assert np.array_equal(a.s_hat.s, b.s_hat.s)
+
+    @pytest.mark.parametrize("method, n_rx, weak", [
+        ("LS", 2, False), ("TLS", 2, True), ("TLS", 1, False)])
+    def test_cpe_from_dft_family(self, layout, qam, method, n_rx, weak):
+        lam, syms, z = self._block(layout, qam, n_rx, 5, weak)
+        rcv = receiver(lam, layout, CompConfig(method=method))
+        w_family = build_w(z, rcv, dft_basis(64, 4))
+        cpe = dft_basis(64, 1)
+        for i, sym in enumerate(syms):
+            a = compensate(w_family[i], rcv, dft_basis(64, 4).leading(1), sym)
+            b = compensate(build_w(z[i], rcv, cpe), rcv, cpe, sym)
+            assert np.array_equal(a.gamma, b.gamma)
+            assert np.array_equal(a.s_hat.s, b.s_hat.s)
+            assert a.n_equations == b.n_equations
 
 
 class TestSolveLs:
@@ -232,9 +302,10 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=12)
         ch = gen_channel(8, "exp_decay(3)", seed=12, n=64)
         z = received(ch, sym)
-        res = comp(z, ch.lam, dft_basis(64, 1), sym)
+        bas = dft_basis(64, 1)
+        res = comp(z, ch.lam, bas, sym)
         assert abs(res.gamma[0] - 8.0) <= 1e-9
-        np.testing.assert_allclose(res.correction, np.ones(64), atol=1e-9)
+        np.testing.assert_allclose(bas.v @ res.gamma, np.ones(64), atol=1e-9)
         np.testing.assert_allclose(res.s_hat.s, sym.s, atol=1e-9)
         assert evm_db(res.s_hat, sym) <= -180
 
@@ -243,8 +314,9 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=13)
         ch = gen_channel(8, "uniform", seed=13, n=64)
         z = received(ch, sym, psi=np.exp(1j * theta) * np.ones(64))
-        res = comp(z, ch.lam, dft_basis(64, 1), sym)
-        np.testing.assert_allclose(res.correction,
+        bas = dft_basis(64, 1)
+        res = comp(z, ch.lam, bas, sym)
+        np.testing.assert_allclose(bas.v @ res.gamma,
                                    np.exp(-1j * theta) * np.ones(64),
                                    atol=1e-9)
         assert evm_db(res.s_hat, sym) <= -180
@@ -290,7 +362,7 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=18)
         ch = gen_channel(8, "exp_decay(3)", seed=18, n=64)
         z = received(ch, sym, psi=gen.next(64).psi)[0]
-        w = build_w(z, ch.lam[0], bas)
+        w = w_one(z, ch.lam[0], bas)
         p = list(layout.pilot_idx)
         w_p, s_p = w[p], sym.s[p]
         gamma = solve_ls(w_p, s_p)
@@ -313,7 +385,8 @@ class TestCompensate:
             ch = gen_channel(8, "exp_decay(3)", seed=500 + i, n=64)
             z = received(ch, sym, psi=np.exp(1j * phi))
             res = comp(z, ch.lam, bas, sym)
-            base = FreqSymbol(s=equalize_only(z, ch.lam), layout=layout)
+            base = FreqSymbol(s=equalize_only(z, receiver(ch.lam, layout)),
+                              layout=layout)
             assert evm_db(res.s_hat, sym) <= evm_db(base, sym) + 0.1
 
     def test_null_tone_rows_added(self, qam):

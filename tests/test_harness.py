@@ -2,13 +2,21 @@
 
 import csv
 import hashlib
+import itertools
 import os
 
 import numpy as np
 import pytest
 
-from pncomp.harness import (CSV_COLUMNS, ConfigError, Scenario, child_seed,
-                            main, parse_config, run_scenario, write_csv)
+from pncomp.channel import gen_channel
+from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
+                            Scenario, _channel_symbols, child_seed, main,
+                            parse_config, run_scenario, write_csv)
+from pncomp.numerics import fft, ifft
+from pncomp.ofdm import make_symbol
+from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
+                                apply_offset, load_pn_samples,
+                                save_pn_samples)
 
 
 SMALL = dict(scale=1 / 300, n_symbols=4, kl_cov_symbols=50)
@@ -210,9 +218,16 @@ class TestCli:
         ("name = evm_vs_sigma\nd = -1\n", []),
         ("name = evm_vs_d\nd_list = 0, 4, 65\n", []),
         ("name = evm_vs_d\nd_list = -1, 4\n", []),
+        ("name = evm_vs_d\nn = 32\n", []),
+        ("name = custom\nmethod = XLS\n", []),
+        ("name = evm_vs_d\nqam_order = 8\n", []),
+        ("name = mimo_sweep\nn_users = 3\nn_rx = 2\n", []),
+        ("name = evm_vs_d\nsnr_db = nan\n", []),
+        ("name = evm_vs_d\n", ["--out", "/nonexistent-dir/o.csv"]),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
-            "sigma_d_neg", "d_list_gt_n", "d_list_neg"])
+            "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
+            "qam_8", "mimo_users_gt_rx", "snr_nan", "out_unwritable"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -278,6 +293,13 @@ GOLDEN = {
              track_modes=("tracked", "frozen", "dft", "cpe", "kl"),
              freeze_after=4, training_symbols=3, ppm=2.0, method="TLS", d=4),
         "5cf8cf690a5fd358b4767903ef13132472b4b54a05686f70386d4b3d91727645"),
+    # 70 symbols: more than two symbol blocks, the last one short
+    "tracking_all_modes_blocks": (
+        dict(name="tracking", n_symbols=70, scale=1 / 300, kl_cov_symbols=50,
+             track_modes=("tracked", "frozen", "dft", "cpe", "kl"),
+             freeze_after=30, training_symbols=20, ppm=2.0, method="TLS",
+             d=4),
+        "4bbedb0bb12b83f0d596ee5caba6f69714ac91691b12931ea25b8c69b1d4599e"),
     "mimo_ls": (
         dict(name="mimo_sweep", sigma_list=(3.0,), tx_sigma_list=(0.0, 1.0),
              d=4, **SMALL),
@@ -295,3 +317,73 @@ def test_golden_csv_digest(case, tmp_path):
     out = tmp_path / "out.csv"
     run_scenario(Scenario(**params), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def per_symbol_stream(sc, ci, sigma, offset=None):
+    """Reference for _channel_symbols: channel ci's (ref, z) stream
+    simulated one symbol at a time, with its own PN draw, offset ramp,
+    FFT pair and real-then-imaginary noise draw per symbol."""
+    seed = sc.master_seed
+    ch = gen_channel(sc.n_taps, sc.channel_profile,
+                     child_seed(seed, "chan", ci), n_rx=sc.n_rx, n=sc.n)
+    if sc.pn_file:
+        windows = itertools.cycle(list(load_pn_samples(sc.pn_file, sc.n)))
+        next_pn = lambda: next(windows)  # noqa: E731
+    else:
+        gen = PnGenerator(sc.pn_model(child_seed(seed, "pn", ci), sigma))
+        next_pn = lambda: gen.next(sc.n)  # noqa: E731
+    rng = np.random.default_rng(child_seed(seed, "noise", ci))
+    sigma_n = np.sqrt(10.0 ** (-sc.snr_db / 10.0) / 2.0)
+    out = []
+    for m in range(sc.n_symbols):
+        ref = make_symbol(sc.layout, sc.constellation,
+                          child_seed(seed, "sym", ci, m))
+        psi = next_pn()
+        if offset is not None and offset.ppm != 0:
+            psi = apply_offset(psi, offset, start_sample=m * sc.n)
+        y = ifft(ch.lam * fft(ifft(ref.s))[None, :])
+        if sc.snr_db != np.inf:
+            y = y + sigma_n * (rng.standard_normal(y.shape)
+                               + 1j * rng.standard_normal(y.shape))
+        out.append((ref, psi.psi[None, :] * y))
+    return ch, out
+
+
+class TestBlockStream:
+    """_channel_symbols simulates SYMBOL_BLOCK symbols per step; every
+    symbol must equal the one-at-a-time reference bit for bit."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(ppm=2.0),
+        dict(ppm=-0.7, n_rx=1),
+        dict(snr_db=float("inf"), n_rx=3),
+        dict(pn_file=True, ppm=1.0),
+        dict(pn_file=True, n_rx=3, snr_db=float("inf")),
+        dict(n_symbols=SYMBOL_BLOCK),
+        dict(n_symbols=1, ppm=1.0),
+    ], ids=["ppm", "ppm_neg_nrx1", "snr_inf_nrx3", "pn_file_ppm",
+            "pn_file_nrx3_snr_inf", "one_full_block", "one_symbol"])
+    def test_matches_per_symbol_stream(self, tmp_path, kw):
+        kw = dict(kw)
+        if kw.pop("pn_file", False):
+            # 37 windows: the stream cycles through the file mid-block
+            path = tmp_path / "pn.txt"
+            save_pn_samples(path, PnGenerator(PnModel(3.0, seed=5))
+                            .next_phi(64 * 37))
+            kw["pn_file"] = str(path)
+        params = dict(name="tracking", n_symbols=2 * SYMBOL_BLOCK + 5,
+                      master_seed=77)
+        params.update(kw)
+        sc = Scenario(**params)
+        offset = CarrierOffset(ppm=sc.ppm, carrier_hz=sc.carrier_hz,
+                               sample_rate_hz=sc.sample_rate_hz)
+        ch, blocks = _channel_symbols(sc, 1, 3.0, offset=offset)
+        ref_ch, expected = per_symbol_stream(sc, 1, 3.0, offset=offset)
+        assert np.array_equal(ch.lam, ref_ch.lam)
+        assert all(1 <= len(refs) <= SYMBOL_BLOCK for refs, _ in blocks)
+        got = [(ref, z_i) for refs, z in blocks for ref, z_i in zip(refs, z)]
+        assert len(got) == len(expected) == sc.n_symbols
+        for (ref, z), (ref_e, z_e) in zip(got, expected):
+            assert np.array_equal(ref.s, ref_e.s)
+            assert z.shape == (sc.n_rx, sc.n)
+            assert np.array_equal(z, z_e)

@@ -6,9 +6,9 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import NoiseSpec, from_taps, gen_channel
-from pncomp.compensator import build_w, compensate
+from pncomp.compensator import build_w, compensate, receiver
 from pncomp.mimo import (MuSystem, ZfBeamformer, mu_build_w, mu_compensate,
-                         mu_received, zf_beamformer)
+                         mu_receiver, mu_received, zf_beamformer)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol)
 
@@ -22,6 +22,12 @@ def make_system(seed, n_users=2, n_rx=2, n=64, n_taps=8):
     chans = tuple(gen_channel(n_taps, "exp_decay(3)", seed=seed + u,
                               n_rx=n_rx, n=n) for u in range(n_users))
     return MuSystem(channels=chans)
+
+
+def mu_comp(sys_, z, bas, refs):
+    """mu_compensate with the system's beamformer and receiver."""
+    bf = zf_beamformer(sys_)
+    return mu_compensate(z, bas, refs, bf, mu_receiver(bf, refs[0].layout))
 
 
 class TestMuSystem:
@@ -92,8 +98,9 @@ class TestMuCompensate:
         correction = bas.v @ gamma0
         psi = 1.0 / correction
         z = mu_received(sys_, [ref], psi, None, NoiseSpec(snr_db=np.inf))
-        mu_res = mu_compensate(sys_, z, bas, [ref])[0]
-        simo = compensate(build_w(z, ch.lam, bas), ch.lam, bas, ref)
+        mu_res = mu_comp(sys_, z, bas, [ref])[0]
+        rcv = receiver(ch.lam, layout)
+        simo = compensate(build_w(z, rcv, bas), rcv, bas, ref)
         np.testing.assert_allclose(mu_res.gamma, simo.gamma,
                                    atol=1e-9 * np.linalg.norm(simo.gamma))
 
@@ -102,7 +109,7 @@ class TestMuCompensate:
         sys_ = make_system(6)
         refs = [make_symbol(layout, qam, rng_seed=20 + u) for u in range(2)]
         z = mu_received(sys_, refs, np.ones(64), None, NoiseSpec(snr_db=np.inf))
-        results = mu_compensate(sys_, z, dft_basis(64, 4), refs)
+        results = mu_comp(sys_, z, dft_basis(64, 4), refs)
         for res, ref in zip(results, refs):
             assert evm_db(res.s_hat, ref) <= -180
 
@@ -118,7 +125,7 @@ class TestMuCompensate:
         refs = [make_symbol(layout, qam, rng_seed=30 + u) for u in range(2)]
         z = mu_received(sys_, refs, np.exp(1j * phi), None,
                         NoiseSpec(snr_db=np.inf))
-        for res, ref in zip(mu_compensate(sys_, z, bas, refs), refs):
+        for res, ref in zip(mu_comp(sys_, z, bas, refs), refs):
             assert evm_db(res.s_hat, ref) <= -80
 
     def test_kron_free_matches_dense_oracle(self, qam):
@@ -171,9 +178,9 @@ class TestMuCompensate:
             z0 = mu_received(sys_, refs, psi, None, noise, rng=rng_a)
             tx_psi = [g.next(64).psi for g in tx_gens]
             z1 = mu_received(sys_, refs, psi, tx_psi, noise, rng=rng_b)
-            for res, ref in zip(mu_compensate(sys_, z0, bas, refs), refs):
+            for res, ref in zip(mu_comp(sys_, z0, bas, refs), refs):
                 clean += 10 ** (evm_db(res.s_hat, ref) / 10)
-            for res, ref in zip(mu_compensate(sys_, z1, bas, refs), refs):
+            for res, ref in zip(mu_comp(sys_, z1, bas, refs), refs):
                 noisy += 10 ** (evm_db(res.s_hat, ref) / 10)
         gap = abs(10 * np.log10(noisy / clean))
         assert gap <= 1.5

@@ -177,6 +177,21 @@ class TestPinv:
         assert (np.linalg.norm(nx.pinv(nx.pinv(a)) - a)
                 <= 1e-8 * np.linalg.norm(a))
 
+    @pytest.mark.parametrize("shape, rank", [
+        ((32, 4), 4), ((20, 9), 9), ((4, 32), 4), ((6, 6), 6),
+        ((32, 5), 3), ((5, 12), 2), ((1, 7), 1), ((9, 1), 1)])
+    def test_bit_identical_to_numpy(self, shape, rank):
+        # same arithmetic as np.linalg.pinv, so the same bits; rank < min
+        # shape leaves singular values of round-off size below the cutoff
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            a = rand_cmat(rng, shape[0], rank) @ rand_cmat(rng, rank, shape[1])
+            expected = np.linalg.pinv(a, rcond=nx.DEFAULT_RCOND)
+            assert np.array_equal(nx.pinv(a), expected)
+        cut = np.diag([2.0, 1e-13, 0.0]).astype(complex)
+        assert np.array_equal(nx.pinv(cut),
+                              np.linalg.pinv(cut, rcond=nx.DEFAULT_RCOND))
+
     def test_rcond_validation(self):
         with pytest.raises(ValueError):
             nx.pinv(np.eye(2), rcond=2.0)

@@ -6,6 +6,7 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis, kl_basis
 from pncomp.channel import gen_channel
+from pncomp.compensator import receiver
 from pncomp.ofdm import Constellation, default_layout, evm_db, make_symbol
 from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
                                 apply_offset, estimate_cov, offset_factor)
@@ -154,6 +155,7 @@ class TestRunTracked:
                 offset=None, n_rx=1):
         ch = gen_channel(8, "exp_decay(3)", seed=seed, n_rx=n_rx, n=64)
         gen = PnGenerator(PnModel(sigma_deg=sigma_deg, seed=seed))
+        rcv = receiver(ch.lam, layout)
         syms = []
         for m in range(n_symbols):
             ref = make_symbol(layout, qam, rng_seed=seed * 10_000 + m)
@@ -161,7 +163,7 @@ class TestRunTracked:
             if offset is not None:
                 psi = apply_offset(psi, offset, start_sample=m * 64)
             syms.append(TrackedSymbol(z=received(ch, ref, psi=psi.psi),
-                                      lam=ch.lam, ref=ref))
+                                      rcv=rcv, ref=ref))
         return syms
 
     def test_clean_input_floor(self, layout, qam):
