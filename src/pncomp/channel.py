@@ -114,17 +114,25 @@ def apply_channel(ch: ChannelState, x: CVec, noise: NoiseSpec,
     return add_awgn(ifft(ch.lam * fft(x)[..., None, :]), noise, rng)
 
 
-def add_awgn(y: CMat, noise: NoiseSpec,
-             rng: np.random.Generator | None = None) -> CMat:
-    """y (..., n_rx, N) plus AWGN drawn from rng (else noise.seed).
+def awgn(shape: tuple, noise: NoiseSpec,
+         rng: np.random.Generator | None = None) -> CMat | None:
+    """AWGN of shape (..., n_rx, N) drawn from rng (else noise.seed), or
+    None when snr_db is inf: adding zeros would turn -0.0 into 0.0.
 
     Per symbol the real parts are drawn first, then the imaginary parts,
     so a block of symbols consumes rng as the symbols one by one would.
     """
     if noise.snr_db == np.inf:
-        return y
+        return None
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     sigma = np.sqrt(10.0 ** (-noise.snr_db / 10.0) / 2.0)
-    g = rng.standard_normal(y.shape[:-2] + (2,) + y.shape[-2:])
-    return y + sigma * (g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    g = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+    return sigma * (g[..., 0, :, :] + 1j * g[..., 1, :, :])
+
+
+def add_awgn(y: CMat, noise: NoiseSpec,
+             rng: np.random.Generator | None = None) -> CMat:
+    """y (..., n_rx, N) plus awgn(y.shape, noise, rng)."""
+    n = awgn(y.shape, noise, rng)
+    return y if n is None else y + n

@@ -25,7 +25,7 @@ from . import channel as channel_mod
 from . import phase_noise as pn_mod
 from .compensator import (CompConfig, build_w, compensate, equalize_only,
                           receiver)
-from .mimo import (MuSystem, mu_compensate, mu_receiver, mu_received,
+from .mimo import (MuSystem, mu_apply_channel, mu_compensate, mu_receiver,
                    zf_beamformer)
 from .numerics import ifft
 from .ofdm import (Constellation, FreqSymbol, default_layout, ToneLayout,
@@ -365,13 +365,56 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
     return rows
 
 
-def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
-    rows = []
+def _mu_channel_symbols(sc: Scenario, ci: int, sys_: MuSystem):
+    """Channel ci's multiuser symbols at every (sigma, tx sigma) point,
+    simulated SYMBOL_BLOCK at a time: per block, make_symbol, the users'
+    IFFT and the noise draw run once, the channel once per distinct tx
+    sigma and the rx phase noise once per sigma, equal to simulating each
+    point symbol by symbol.  Yields (refs, (i, j), z) per block and point:
+    refs[m][u] is user u's symbol m and z (b, n_rx, N) the block received
+    at sigma_list[i] and tx_sigma_list[j]."""
+    seed, n = sc.master_seed, sc.n
     layout, const = sc.layout, sc.constellation
-    cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
+    take_rx = [_pn_source(sc, child_seed(seed, "pn", ci), sigma)
+               for sigma in sc.sigma_list]
+    tx_gens = {tx: [pn_mod.PnGenerator(
+                        sc.pn_model(child_seed(seed, "txpn", ci, u), tx))
+                    for u in range(sc.n_users)] if tx > 0 else []
+               for tx in dict.fromkeys(sc.tx_sigma_list)}
     noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
-    # per channel: the users' channels, their ZF beamformer and its receiver
-    systems = []
+    noise_rng = np.random.default_rng(child_seed(seed, "noise", ci))
+    for m0 in range(0, sc.n_symbols, SYMBOL_BLOCK):
+        refs = [[make_symbol(layout, const, child_seed(seed, "sym", ci, m, u))
+                 for u in range(sc.n_users)]
+                for m in range(m0, min(m0 + SYMBOL_BLOCK, sc.n_symbols))]
+        b = len(refs)
+        x = ifft(np.array([[ref.s for ref in syms] for syms in refs]))
+        # the noise is added before the rx phase noise, as at the receiver
+        awgn = channel_mod.awgn((b, sc.n_rx, n), noise, noise_rng)
+        y = {}
+        for tx, gens in tx_gens.items():
+            x_tx = x
+            if gens:
+                x_tx = np.stack([g.next(b * n).psi.reshape(b, n)
+                                 for g in gens], axis=1) * x
+            y[tx] = mu_apply_channel(sys_, x_tx)
+            if awgn is not None:
+                y[tx] = y[tx] + awgn
+        for i, take in enumerate(take_rx):
+            psi = take(b).psi.reshape(b, 1, n)
+            for j, tx in enumerate(sc.tx_sigma_list):
+                yield refs, (i, j), psi * y[tx]
+
+
+def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
+    """Multiuser sweep over the (sigma, tx sigma) points.  Each channel is
+    simulated once for every point; each point keeps its own accumulator,
+    so repeated values give repeated rows, and sees its symbols in
+    channel, then symbol order."""
+    const = sc.constellation
+    cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
+    accs = {pt: _Acc() for pt in itertools.product(
+        range(len(sc.sigma_list)), range(len(sc.tx_sigma_list)))}
     for ci in range(sc.n_channels_eff):
         sys_ = MuSystem(channels=tuple(
             channel_mod.gen_channel(
@@ -380,38 +423,19 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
                 n_rx=sc.n_rx, n=sc.n)
             for u in range(sc.n_users)))
         bf = zf_beamformer(sys_)
-        systems.append((sys_, bf, mu_receiver(bf, layout, cfg)))
-    for sigma in sc.sigma_list:
+        rcv = mu_receiver(bf, sc.layout, cfg)
         bases = [basis_mod.kl_basis(_kl_cov(sc, ci, sigma), sc.d)
-                 for ci in range(sc.n_channels_eff)]
-        for tx_sigma in sc.tx_sigma_list:
-            acc = _Acc()
-            for ci, ((sys_, bf, rcv), bas) in enumerate(zip(systems, bases)):
-                take_rx = _pn_source(sc, child_seed(sc.master_seed, "pn", ci),
-                                     sigma)
-                tx_gens = [pn_mod.PnGenerator(
-                    sc.pn_model(child_seed(sc.master_seed, "txpn", ci, u),
-                                tx_sigma))
-                           for u in range(sc.n_users)] if tx_sigma > 0 else None
-                noise_rng = np.random.default_rng(
-                    child_seed(sc.master_seed, "noise", ci))
-                for m in range(sc.n_symbols):
-                    refs = [make_symbol(layout, const,
-                                        child_seed(sc.master_seed, "sym",
-                                                   ci, m, u))
-                            for u in range(sc.n_users)]
-                    psi_rx = take_rx(1).psi
-                    tx_psi = ([g.next(sc.n).psi for g in tx_gens]
-                              if tx_gens else None)
-                    z = mu_received(sys_, refs, psi_rx, tx_psi, noise,
-                                    rng=noise_rng)
-                    results = mu_compensate(z, bas, refs, bf, rcv)
-                    for ref, res in zip(refs, results):
-                        _score(res.s_hat, ref, const, res.n_equations, acc)
-            rows.append(ResultRow(sc.name, "all", "", 1,
-                                  f"KL_tx{tx_sigma:g}", sc.d, sigma,
-                                  sc.method, acc.evm_db, acc.ser, acc.n_eq))
-    return rows
+                 for sigma in sc.sigma_list]
+        for refs, pt, z in _mu_channel_symbols(sc, ci, sys_):
+            for syms, z_m in zip(refs, z):
+                results = mu_compensate(z_m, bases[pt[0]], syms, bf, rcv)
+                for ref, res in zip(syms, results):
+                    _score(res.s_hat, ref, const, res.n_equations, accs[pt])
+    return [ResultRow(sc.name, "all", "", 1,
+                      f"KL_tx{sc.tx_sigma_list[j]:g}", sc.d,
+                      sc.sigma_list[i], sc.method, acc.evm_db, acc.ser,
+                      acc.n_eq)
+            for (i, j), acc in accs.items()]
 
 
 def _run_tracking(sc: Scenario) -> list[ResultRow]:

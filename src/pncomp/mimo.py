@@ -80,18 +80,27 @@ def zf_beamformer(sys: MuSystem) -> ZfBeamformer:
     return ZfBeamformer(b=b, ok_tones=ok)
 
 
+def mu_apply_channel(sys: MuSystem, x: np.ndarray) -> np.ndarray:
+    """Noise-free received signal (..., n_rx, N) of the users' time-domain
+    signals x (..., n_users, N): the users' branch signals H_u x_u, summed
+    from zero in user order."""
+    lam = np.stack([ch.lam for ch in sys.channels])  # (n_users, n_rx, N)
+    per_user = ifft(lam * fft(x)[..., None, :])
+    y = np.zeros(per_user.shape[:-3] + per_user.shape[-2:],
+                 dtype=np.complex128)
+    for u in range(sys.n_users):
+        y += per_user[..., u, :, :]
+    return y
+
+
 def mu_received(sys: MuSystem, syms: list[FreqSymbol], psi_rx: CVec,
                 tx_psi: list[CVec] | None, noise: NoiseSpec,
                 rng: np.random.Generator | None = None) -> CMat:
-    """Received time-domain signal per rx branch, shape (n_rx, N)."""
-    n = sys.n
-    z = np.zeros((sys.n_rx, n), dtype=np.complex128)
-    for u, sym in enumerate(syms):
-        x = ifft(sym.s)
-        if tx_psi is not None:
-            x = tx_psi[u] * x
-        z += ifft(sys.channels[u].lam * fft(x)[None, :])
-    return psi_rx[None, :] * add_awgn(z, noise, rng)
+    """One symbol's received time-domain signal per rx branch, (n_rx, N)."""
+    x = ifft(np.array([sym.s for sym in syms]))
+    if tx_psi is not None:
+        x = np.array(tx_psi) * x
+    return psi_rx[None, :] * add_awgn(mu_apply_channel(sys, x), noise, rng)
 
 
 def mu_build_w(z: CMat, bf: ZfBeamformer, basis: CompBasis) -> np.ndarray:

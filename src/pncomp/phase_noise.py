@@ -8,6 +8,7 @@ OFDM symbols of a run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ class PnModel:
     order: int = 2
     cutoff: float = 0.005
     ripple_db: float = 1.0
-    family: str = "cheby1"
 
     def __post_init__(self):
         if self.sigma_deg < 0:
@@ -79,15 +79,20 @@ class CarrierOffset:
         return 2.0 * np.pi * self.delta_f / self.sample_rate_hz
 
 
-def _design_filter(model: PnModel):
-    if model.family != "cheby1":
-        raise ValueError(f"unsupported filter family {model.family!r}")
+@functools.lru_cache(maxsize=16)
+def _design_filter(order: int, cutoff: float, ripple_db: float):
+    """Chebyshev-I coefficients (b, a), read-only, and the gain of their
+    impulse response (the steady-state output std for unit white input).
+    Neither depends on the seed or sigma, so every generator of one
+    (order, cutoff, ripple) shares them."""
     # scipy's Wn is a fraction of the Nyquist rate
-    b, a = signal.cheby1(model.order, model.ripple_db, 2.0 * model.cutoff)
+    b, a = signal.cheby1(order, ripple_db, 2.0 * cutoff)
     poles = np.roots(a)
     if np.any(np.abs(poles) >= 1.0):
         raise ValueError("unstable phase-noise filter specification")
-    return b, a
+    h = signal.lfilter(b, a, np.r_[1.0, np.zeros(_IMPULSE_LEN - 1)])
+    b.flags.writeable = a.flags.writeable = False
+    return b, a, float(np.sqrt(np.sum(h * h)))
 
 
 class PnGenerator:
@@ -95,10 +100,8 @@ class PnGenerator:
 
     def __init__(self, model: PnModel):
         self.model = model
-        self._b, self._a = _design_filter(model)
-        # steady-state output std for unit white input, from the impulse response
-        h = signal.lfilter(self._b, self._a, np.r_[1.0, np.zeros(_IMPULSE_LEN - 1)])
-        gain = float(np.sqrt(np.sum(h * h)))
+        self._b, self._a, gain = _design_filter(model.order, model.cutoff,
+                                                model.ripple_db)
         self._scale = np.deg2rad(model.sigma_deg) / gain if gain > 0 else 0.0
         self._rng = np.random.default_rng(model.seed)
         self._zi = np.zeros(max(len(self._a), len(self._b)) - 1)

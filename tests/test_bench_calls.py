@@ -55,9 +55,11 @@ def count_calls(monkeypatch, names):
 
 
 # sweep_d and mimo_tls: a few symbols; track_offset: past its 300 training
-# symbols, so decision-directed symbols are counted too
+# symbols, so decision-directed symbols are counted too; mimo_tls also past
+# one symbol block, so a block boundary is crossed
 @pytest.mark.parametrize("name, n_symbols", [
-    ("sweep_d", 5), ("track_offset", 310), ("mimo_tls", 3)])
+    ("sweep_d", 5), ("track_offset", 310), ("mimo_tls", 3),
+    ("mimo_tls", 33)])
 def test_counts_match_expected(workload, monkeypatch, tmp_path, name,
                                n_symbols):
     sc = harness.parse_config(str(workload.CONFIG_DIR / f"{name}.cfg"),

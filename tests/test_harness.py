@@ -10,8 +10,10 @@ import pytest
 
 from pncomp.channel import gen_channel
 from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
-                            Scenario, _channel_symbols, child_seed, main,
-                            parse_config, run_scenario, write_csv)
+                            Scenario, _channel_symbols, _mu_channel_symbols,
+                            child_seed, main, parse_config, run_scenario,
+                            write_csv)
+from pncomp.mimo import MuSystem
 from pncomp.numerics import fft, ifft
 from pncomp.ofdm import make_symbol
 from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
@@ -308,6 +310,17 @@ GOLDEN = {
         dict(name="mimo_sweep", sigma_list=(3.0,), tx_sigma_list=(0.0, 1.0),
              d=4, method="TLS", **NULLS, **SMALL),
         "d57d7446f2cfc20ddd0158cea9194f073352947ce3858fc347c2b2318ec95284"),
+    # repeated sigma and tx sigma values: each row keeps its own accumulator
+    "mimo_dup_points": (
+        dict(name="mimo_sweep", sigma_list=(2.0, 2.0),
+             tx_sigma_list=(0.0, 1.0, 1.0), d=4, **SMALL),
+        "24e6fdab4787279dd4b10a17cc8880fc407b883851239ca57e07e9640f62e1a2"),
+    # three users, 70 symbols: more than two symbol blocks, the last short
+    "mimo_blocks": (
+        dict(name="mimo_sweep", n_users=3, n_rx=3, n_symbols=70,
+             scale=1 / 300, kl_cov_symbols=50, sigma_list=(3.0,),
+             tx_sigma_list=(0.0, 1.0), d=4, method="TLS", **NULLS),
+        "2ee879365f9e919f0300430a0b15bf307c4bb27bc9dbe109e4af043c9383c6fb"),
 }
 
 
@@ -319,6 +332,22 @@ def test_golden_csv_digest(case, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+def reference_pn(sc, ci, sigma):
+    """next(): channel ci's next one-symbol rx phase-noise realization."""
+    if sc.pn_file:
+        windows = itertools.cycle(list(load_pn_samples(sc.pn_file, sc.n)))
+        return lambda: next(windows)
+    gen = PnGenerator(sc.pn_model(child_seed(sc.master_seed, "pn", ci), sigma))
+    return lambda: gen.next(sc.n)
+
+
+def reference_noise(sc, rng, shape):
+    """One symbol's AWGN, real parts drawn first, then imaginary parts."""
+    sigma_n = np.sqrt(10.0 ** (-sc.snr_db / 10.0) / 2.0)
+    return sigma_n * (rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape))
+
+
 def per_symbol_stream(sc, ci, sigma, offset=None):
     """Reference for _channel_symbols: channel ci's (ref, z) stream
     simulated one symbol at a time, with its own PN draw, offset ramp,
@@ -326,14 +355,8 @@ def per_symbol_stream(sc, ci, sigma, offset=None):
     seed = sc.master_seed
     ch = gen_channel(sc.n_taps, sc.channel_profile,
                      child_seed(seed, "chan", ci), n_rx=sc.n_rx, n=sc.n)
-    if sc.pn_file:
-        windows = itertools.cycle(list(load_pn_samples(sc.pn_file, sc.n)))
-        next_pn = lambda: next(windows)  # noqa: E731
-    else:
-        gen = PnGenerator(sc.pn_model(child_seed(seed, "pn", ci), sigma))
-        next_pn = lambda: gen.next(sc.n)  # noqa: E731
+    next_pn = reference_pn(sc, ci, sigma)
     rng = np.random.default_rng(child_seed(seed, "noise", ci))
-    sigma_n = np.sqrt(10.0 ** (-sc.snr_db / 10.0) / 2.0)
     out = []
     for m in range(sc.n_symbols):
         ref = make_symbol(sc.layout, sc.constellation,
@@ -343,8 +366,7 @@ def per_symbol_stream(sc, ci, sigma, offset=None):
             psi = apply_offset(psi, offset, start_sample=m * sc.n)
         y = ifft(ch.lam * fft(ifft(ref.s))[None, :])
         if sc.snr_db != np.inf:
-            y = y + sigma_n * (rng.standard_normal(y.shape)
-                               + 1j * rng.standard_normal(y.shape))
+            y = y + reference_noise(sc, rng, y.shape)
         out.append((ref, psi.psi[None, :] * y))
     return ch, out
 
@@ -387,3 +409,86 @@ class TestBlockStream:
             assert np.array_equal(ref.s, ref_e.s)
             assert z.shape == (sc.n_rx, sc.n)
             assert np.array_equal(z, z_e)
+
+
+def per_point_mu_stream(sc, ci, sigma, tx_sigma):
+    """Reference for _mu_channel_symbols: channel ci's multiuser stream at
+    one (sigma, tx sigma) point, simulated one symbol at a time with the
+    point's own generators and noise stream; each user's signal is
+    transformed, channel-filtered and added from zero in user order."""
+    seed = sc.master_seed
+    sys_ = MuSystem(channels=tuple(
+        gen_channel(sc.n_taps, sc.channel_profile,
+                    child_seed(seed, "chan", ci, u), n_rx=sc.n_rx, n=sc.n)
+        for u in range(sc.n_users)))
+    next_pn = reference_pn(sc, ci, sigma)
+    tx_gens = [PnGenerator(sc.pn_model(child_seed(seed, "txpn", ci, u),
+                                       tx_sigma))
+               for u in range(sc.n_users)] if tx_sigma > 0 else None
+    rng = np.random.default_rng(child_seed(seed, "noise", ci))
+    out = []
+    for m in range(sc.n_symbols):
+        refs = [make_symbol(sc.layout, sc.constellation,
+                            child_seed(seed, "sym", ci, m, u))
+                for u in range(sc.n_users)]
+        psi = next_pn().psi
+        y = np.zeros((sc.n_rx, sc.n), dtype=np.complex128)
+        for u, ref in enumerate(refs):
+            x = ifft(ref.s)
+            if tx_gens:
+                x = tx_gens[u].next(sc.n).psi * x
+            y += ifft(sys_.channels[u].lam * fft(x)[None, :])
+        if sc.snr_db != np.inf:
+            y = y + reference_noise(sc, rng, y.shape)
+        out.append((refs, psi[None, :] * y))
+    return sys_, out
+
+
+class TestMuBlockStream:
+    """_mu_channel_symbols simulates each channel once per block for every
+    (sigma, tx sigma) point; every point's symbols must equal its own
+    one-at-a-time reference bit for bit."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(n_users=1, n_rx=1),
+        dict(n_users=3, n_rx=3, snr_db=float("inf")),
+        dict(n_symbols=SYMBOL_BLOCK, tx_sigma_list=(0.0,)),
+        dict(n_symbols=1, tx_sigma_list=(1.0,), n_users=3, n_rx=3),
+        dict(snr_db=float("inf"), n_users=1, tx_sigma_list=(0.0,)),
+        dict(pn_file=True),
+        dict(sigma_list=(2.0, 2.0), tx_sigma_list=(1.0, 0.0, 1.0)),
+    ], ids=["two_users", "one_user_nrx1", "three_users_snr_inf",
+            "one_full_block_tx_off", "one_symbol_tx_on",
+            "snr_inf_tx_off", "pn_file", "repeated_points"])
+    def test_matches_per_point_stream(self, tmp_path, kw):
+        kw = dict(kw)
+        if kw.pop("pn_file", False):
+            # 37 windows: the stream cycles through the file mid-block
+            path = tmp_path / "pn.txt"
+            save_pn_samples(path, PnGenerator(PnModel(3.0, seed=5))
+                            .next_phi(64 * 37))
+            kw["pn_file"] = str(path)
+        params = dict(name="mimo_sweep", n_symbols=2 * SYMBOL_BLOCK + 5,
+                      sigma_list=(2.0, 4.0), tx_sigma_list=(0.0, 1.5),
+                      master_seed=77)
+        params.update(kw)
+        sc = Scenario(**params)
+        expected = {}
+        for (i, sigma), (j, tx_sigma) in itertools.product(
+                enumerate(sc.sigma_list), enumerate(sc.tx_sigma_list)):
+            sys_, expected[(i, j)] = per_point_mu_stream(sc, 1, sigma,
+                                                         tx_sigma)
+        got = {}
+        for refs, pt, z in _mu_channel_symbols(sc, 1, sys_):
+            assert 1 <= len(refs) <= SYMBOL_BLOCK
+            got.setdefault(pt, []).extend(zip(refs, z))
+        assert sorted(got) == sorted(expected)
+        for pt, stream in expected.items():
+            assert len(got[pt]) == len(stream) == sc.n_symbols
+            for (syms, z), (syms_e, z_e) in zip(got[pt], stream):
+                assert len(syms) == len(syms_e) == sc.n_users
+                assert all(np.array_equal(a.s, e.s)
+                           for a, e in zip(syms, syms_e))
+                assert z.shape == (sc.n_rx, sc.n)
+                assert np.array_equal(z, z_e)

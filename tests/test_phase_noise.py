@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from pncomp import numerics as nx
 from pncomp.phase_noise import (CarrierOffset, PhaseNoiseRealization,
@@ -43,8 +44,22 @@ class TestGenPn:
             PnModel(sigma_deg=-1.0)
         with pytest.raises(ValueError):
             PnModel(sigma_deg=1.0, cutoff=0.7)
-        with pytest.raises(ValueError):
-            PnGenerator(PnModel(sigma_deg=1.0, family="butter"))
+
+    def test_filter_designed_once_per_shape(self):
+        # generators that differ only in seed and sigma share one filter
+        # design, and draw what a freshly designed filter gives bit for bit
+        a = PnGenerator(PnModel(sigma_deg=3.0, seed=11, cutoff=0.004))
+        b = PnGenerator(PnModel(sigma_deg=5.0, seed=12, cutoff=0.004))
+        assert a._b is b._b and a._a is b._a
+        for sigma, seed, gen in ((3.0, 11, a), (5.0, 12, b)):
+            fb, fa = signal.cheby1(2, 1.0, 2.0 * 0.004)
+            h = signal.lfilter(fb, fa, np.r_[1.0, np.zeros((1 << 15) - 1)])
+            scale = np.deg2rad(sigma) / np.sqrt(np.sum(h * h))
+            rng = np.random.default_rng(seed)
+            _, zi = signal.lfilter(fb, fa, rng.standard_normal(20_000),
+                                   zi=np.zeros(2))
+            y, _ = signal.lfilter(fb, fa, rng.standard_normal(200), zi=zi)
+            assert np.array_equal(gen.next_phi(200), scale * y)
 
 
 class TestEstimateCov:
