@@ -26,11 +26,6 @@ class CompBasis:
     def n(self) -> int:
         return self.v.shape[0]
 
-    def leading(self, d: int) -> "CompBasis":
-        """The basis of this family's d most important columns."""
-        _check_d(self.n, d)
-        return CompBasis(v=self.v[:, :d], kind=self.kind)
-
 
 def _check_d(n: int, d: int) -> None:
     if not 1 <= d <= n:

@@ -1,4 +1,4 @@
-"""Per-symbol phase-noise compensation: W construction, LS/TLS fit, equalize.
+"""Phase-noise compensation: W construction, LS/TLS fit, equalize.
 
 The correction vector V @ gamma approximates exp(-j*phi); gamma is fit on
 the pilot rows of W = diag(1/lambda) F diag(z) V (one block per receive
@@ -6,6 +6,8 @@ branch), optionally augmented with null-tone rows; what depends only on
 the channel is built once per channel in a Receiver.  Column j of W depends
 only on column j of V, so a W built for a basis serves every leading-column
 prefix of that basis: one W per symbol fits every d of a basis family.
+fit_gamma fits a whole block of symbols in one stacked solve; compensate
+then applies one symbol's gamma.
 """
 
 from __future__ import annotations
@@ -105,34 +107,32 @@ def build_w(z, rcv: Receiver, basis: CompBasis) -> np.ndarray:
 
 
 def solve_ls(w_rows: CMat, s_rows: CVec) -> CVec:
-    """Minimum-norm least squares via the pseudoinverse."""
-    if w_rows.shape[0] < 1:
+    """Minimum-norm least squares via the pseudoinverse; w_rows (..., m, d)
+    and s_rows (..., m) may stack one system per leading index."""
+    if w_rows.shape[-2] < 1:
         raise ValueError("no equation rows")
-    return pinv(w_rows) @ s_rows
+    return (pinv(w_rows) @ s_rows[..., None])[..., 0]
 
 
 def solve_tls(w_rows: CMat, s_rows: CVec) -> CVec:
-    """Total least squares from the SVD of [W, s].
+    """Total least squares from the SVD of [W, s], per stacked system.
 
-    gamma = -q12/q22 from the last right singular vector; falls back to
-    LS when q22 vanishes or when there are fewer rows than d + 1.
+    gamma = -q12/q22 from the last right singular vector; the systems whose
+    q22 vanishes are refit by LS, and all of them are when there are fewer
+    rows than d + 1.
     """
-    m, d = w_rows.shape
+    m, d = w_rows.shape[-2:]
     if m < d + 1:
         return solve_ls(w_rows, s_rows)
-    res = svd(np.column_stack([w_rows, s_rows]))
-    q_last = res.q[:, d]
-    q22 = q_last[d]
-    if np.abs(q22) <= 1e-12:
-        return solve_ls(w_rows, s_rows)
-    return -q_last[:d] / q22
-
-
-def tls_implied_perturbation(w_rows: CMat, s_rows: CVec, gamma: CVec) -> CMat:
-    """Minimal [dW, ds] with (W+dW)gamma = s+ds; rank one in the residual."""
-    r = w_rows @ gamma - s_rows
-    g = np.concatenate([gamma, [-1.0 + 0j]])
-    return -np.outer(r, g.conj()) / (np.linalg.norm(g) ** 2)
+    ws = np.concatenate((w_rows, s_rows[..., None]), axis=-1)
+    q_last = svd(ws).q[..., d]
+    q22 = q_last[..., d]
+    weak = np.abs(q22) <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):  # weak: refit
+        gamma = -q_last[..., :d] / q22[..., None]
+    if weak.any():
+        gamma[weak] = solve_ls(w_rows[weak], s_rows[weak])
+    return gamma
 
 
 def equalize_only(z, rcv: Receiver) -> CVec:
@@ -142,35 +142,39 @@ def equalize_only(z, rcv: Receiver) -> CVec:
 
 
 def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> tuple[CVec, int]:
-    """Fit gamma on rcv's pilot (and null) rows of w (n_blocks, N, d);
-    refs_s: the reference tones (per block concatenated if per_block_refs).
-    Returns (gamma, number of rows)."""
-    w_rows = w[rcv.rows]
-    s_rows = np.concatenate((refs_s, [0]))[rcv.tones]
+    """Fit gamma on rcv's pilot (and null) rows of w (..., n_blocks, N, d),
+    one stacked fit per leading index (symbol); refs_s (..., n_refs): the
+    reference tones (per block concatenated if per_block_refs).
+    Returns (gamma (..., d), number of rows per fit)."""
+    block, tone = rcv.rows
+    # contiguous rows: a strided right-hand side changes the matmul's bits
+    w_rows = np.ascontiguousarray(w[..., block, tone, :])
+    zero = np.zeros(refs_s.shape[:-1] + (1,), dtype=refs_s.dtype)
+    s_rows = np.ascontiguousarray(
+        np.concatenate((refs_s, zero), axis=-1)[..., rcv.tones])
     solve = solve_tls if rcv.cfg.method == "TLS" else solve_ls
-    return solve(w_rows, s_rows), w_rows.shape[0]
+    return solve(w_rows, s_rows), len(block)
 
 
-def compensate(w, rcv: Receiver, basis: CompBasis,
-               ref: FreqSymbol) -> CompResult:
-    """Estimate gamma on pilot rows of all branches, correct and equalize.
+def compensate(w, rcv: Receiver, gamma: CVec, ref: FreqSymbol) -> CompResult:
+    """Correct and MRC-equalize one symbol with gamma = fit_gamma(w, ...).
 
-    w is build_w(z, rcv, B) for one symbol and a basis B whose leading
-    basis.d columns are basis.v, shape (n_rx, N, >= d); the fit uses those
-    columns of w.
+    w is build_w(z, rcv, B) for the symbol and a basis B whose leading d =
+    len(gamma) columns gamma was fit on, shape (n_rx, N, >= d).
     """
-    w = np.asarray(w)
-    if w.ndim != 3 or w.shape[:2] != rcv.usable.shape or w.shape[2] < basis.d:
+    w, gamma = np.asarray(w), np.asarray(gamma)
+    d = gamma.shape[-1]
+    if (gamma.ndim != 1 or w.ndim != 3 or w.shape[:2] != rcv.usable.shape
+            or w.shape[2] < d):
         raise ValueError(f"W of shape {w.shape} does not fit (n_rx, N) = "
-                         f"{rcv.usable.shape} and d={basis.d}")
+                         f"{rcv.usable.shape} and gamma of shape {gamma.shape}")
     if ref.layout != rcv.layout:
         raise ValueError("reference layout differs from the receiver's")
-    w = w[:, :, :basis.d]
-    gamma, n_eq = fit_gamma(w, rcv, ref.s)
-    s_mrc = (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
+    n_eq = len(rcv.tones)
+    s_mrc = (rcv.mrc_w * (w[:, :, :d] @ gamma)).sum(axis=0) / rcv.mrc_den
     return CompResult(
         gamma=gamma,
         s_hat=FreqSymbol(s=s_mrc, layout=ref.layout),
         n_equations=n_eq,
-        underdetermined=n_eq < basis.d,
+        underdetermined=n_eq < d,
     )

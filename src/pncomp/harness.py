@@ -24,7 +24,7 @@ from . import basis as basis_mod
 from . import channel as channel_mod
 from . import phase_noise as pn_mod
 from .compensator import (CompConfig, build_w, compensate, equalize_only,
-                          receiver)
+                          fit_gamma, receiver)
 from .mimo import (MuSystem, mu_apply_channel, mu_compensate, mu_receiver,
                    zf_beamformer)
 from .numerics import ifft
@@ -326,8 +326,9 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
     per-tone equalization without phase-noise correction.
 
     Each kind's basis is built once per channel at the largest d and W
-    once per symbol block; every d fits on their leading d columns.  Every
-    accumulator still sees its symbols in channel, then symbol order."""
+    once per symbol block; every d fits the whole block at once on their
+    leading d columns.  Every accumulator still sees its symbols in
+    channel, then symbol order."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
@@ -342,16 +343,18 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
                    if d_max and "KL" in sc.basis_kinds else None)
             families = {kind: _make_basis(sc, kind, d_max, cov)
                         for kind in sc.basis_kinds} if d_max else {}
-            bases = {(kind, d): families[kind].leading(d)
-                     for kind, d in points if d}
             for refs, z in blocks:
                 ws = {kind: build_w(z, rcv, fam)
                       for kind, fam in families.items()}
+                refs_s = np.array([ref.s for ref in refs])
+                gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv,
+                                               refs_s)[0]
+                          for kind, d in points if d}
                 for i, ref in enumerate(refs):
                     for kind, d in points:
                         if d:
                             res = compensate(ws[kind][i], rcv,
-                                             bases[(kind, d)], ref)
+                                             gammas[(kind, d)][i], ref)
                             s_hat, n_eq = res.s_hat, res.n_equations
                         else:
                             s_hat = FreqSymbol(s=equalize_only(z[i], rcv),
@@ -439,8 +442,9 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
 
 
 def _run_tracking(sc: Scenario) -> list[ResultRow]:
-    """Tracked modes run PAST symbol by symbol; fixed-basis modes fit on one
-    W per symbol block and basis family ("cpe": the DFT family's column 0)."""
+    """Tracked modes run PAST symbol by symbol; fixed-basis modes fit each
+    symbol block at once on one W per block and basis family ("cpe": the
+    DFT family's column 0)."""
     offset = pn_mod.CarrierOffset(ppm=sc.ppm, carrier_hz=sc.carrier_hz,
                                   sample_rate_hz=sc.sample_rate_hz)
     const = sc.constellation
@@ -460,17 +464,19 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
         cov = _kl_cov(sc, ci, sc.sigma_deg) if "KL" in family_d else None
         families = {kind: _make_basis(sc, kind, d, cov)
                     for kind, d in family_d.items()}
-        bases = {mode: families[kind].leading(mode_d[mode])
-                 for mode, kind in fixed}
         for b, (refs, z) in enumerate(blocks):
             ws = {kind: build_w(z, rcv, fam) for kind, fam in families.items()}
+            refs_s = np.array([ref.s for ref in refs])
+            gammas = {mode: fit_gamma(ws[kind][..., :mode_d[mode]], rcv,
+                                      refs_s)[0] for mode, kind in fixed}
             for i, ref in enumerate(refs):
                 for mode, kind in fixed:
-                    res = compensate(ws[kind][i], rcv, bases[mode], ref)
+                    res = compensate(ws[kind][i], rcv, gammas[mode][i], ref)
                     _score(res.s_hat, ref, const, res.n_equations,
                            per_symbol[mode][b * SYMBOL_BLOCK + i], totals[mode])
         symbols = [(r, z_i) for refs, z in blocks for r, z_i in zip(refs, z)]
-        for mode in [m for m in sc.track_modes if m not in bases]:
+        for mode in [m for m in sc.track_modes
+                     if m not in _FIXED_TRACK_MODES]:
             freeze = sc.freeze_after if (mode == "frozen"
                                          and sc.freeze_after >= 0) else None
             tcfg = TrackingConfig(constellation=const, freeze_after=freeze,

@@ -68,15 +68,14 @@ class ZfBeamformer:
 
 
 def zf_beamformer(sys: MuSystem) -> ZfBeamformer:
-    lam = sys.lam  # (N, n_rx, n_users)
-    n, n_rx, n_users = lam.shape
-    b = np.zeros((n, n_users, n_rx), dtype=np.complex128)
-    ok = np.zeros(n, dtype=bool)
-    for k in range(n):
-        u, s, vh = np.linalg.svd(lam[k], full_matrices=False)
-        ok[k] = s[-1] > RANK_TOL * s[0] and s[0] > 0
-        if ok[k]:
-            b[k] = (vh.conj().T * (1.0 / s)) @ u.conj().T
+    """Pseudoinverse of every tone's (n_rx, n_users) channel from one
+    stacked SVD; rank-deficient tones get b[k] = 0."""
+    u, s, vh = np.linalg.svd(sys.lam, full_matrices=False)
+    ok = (s[:, -1] > RANK_TOL * s[:, 0]) & (s[:, 0] > 0)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=ok[:, None])
+    b = ((np.swapaxes(vh.conj(), -1, -2) * inv_s[:, None, :])
+         @ np.swapaxes(u.conj(), -1, -2))
+    b[~ok] = 0
     return ZfBeamformer(b=b, ok_tones=ok)
 
 

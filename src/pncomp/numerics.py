@@ -44,12 +44,6 @@ def ifft(x: CVec) -> CVec:
     return np.fft.ifft(x, axis=-1) * np.sqrt(x.shape[-1])
 
 
-def dft_matrix(n: int) -> CMat:
-    """Dense unitary DFT matrix; F @ x == fft(x)."""
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-
-
 @dataclass(frozen=True)
 class EigResult:
     """Eigenvalues sorted descending; vectors[:, i] pairs with values[i]."""
@@ -94,19 +88,21 @@ def herm_eig(a: CMat) -> EigResult:
 
 
 def svd(a: CMat) -> SvdResult:
+    """Full SVD of a matrix, or of each matrix of a stack (..., m, n)."""
     a = _as_complex(a)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return SvdResult(u, s, vh.conj().T)
+    return SvdResult(u, s, np.swapaxes(vh.conj(), -1, -2))
 
 
 def pinv(a: CMat, rcond: float = DEFAULT_RCOND) -> CMat:
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff;
-    np.linalg.pinv's arithmetic step for step (same bits), less overhead."""
+    """Moore-Penrose pseudoinverse with relative singular-value cutoff, of a
+    matrix or of each matrix of a stack (..., m, n); np.linalg.pinv's
+    arithmetic step for step (same bits), less overhead."""
     a = _as_complex(a)
     if not 0 < rcond < 1:
         raise ValueError(f"rcond must be in (0, 1), got {rcond}")
     u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
-    large = s > rcond * s.max()
+    large = s > rcond * s.max(axis=-1, keepdims=True)
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    return vt.T @ (s[:, None] * u.T)
+    return np.swapaxes(vt, -1, -2) @ (s[..., None] * np.swapaxes(u, -1, -2))

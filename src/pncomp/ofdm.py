@@ -1,4 +1,4 @@
-"""QAM constellations, tone layout, OFDM modulation and EVM/SER metrics."""
+"""QAM constellations, tone layout and EVM/SER metrics."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import CVec, fft, ifft
+from .numerics import CVec
 
 EVM_FLOOR_DB = -300.0
 
@@ -135,15 +135,6 @@ def make_symbol(layout: ToneLayout, constellation: Constellation,
     active = layout.active_arr
     s[active] = rng.choice(constellation.points, size=len(active))
     return FreqSymbol(s=s, layout=layout)
-
-
-def modulate(sym: FreqSymbol) -> CVec:
-    """Time-domain symbol x = F* s (unitary inverse DFT)."""
-    return ifft(sym.s)
-
-
-def demodulate(x: CVec, layout: ToneLayout) -> FreqSymbol:
-    return FreqSymbol(s=fft(x), layout=layout)
 
 
 def _scope_idx(layout: ToneLayout, scope: str) -> np.ndarray:

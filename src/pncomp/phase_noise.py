@@ -122,11 +122,6 @@ class PnGenerator:
         return PhaseNoiseRealization.from_phi(self.next_phi(n))
 
 
-def gen_pn(model: PnModel, n: int) -> PhaseNoiseRealization:
-    """One-shot realization; deterministic given model.seed."""
-    return PnGenerator(model).next(n)
-
-
 def estimate_cov(realizations) -> PnCovariance:
     """R = (1/M) sum psi psi* over the given realizations (or psi rows)."""
     rows = [getattr(real, "psi", real) for real in realizations]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import CompBasis, dft_basis
 from .compensator import (CompResult, Receiver, build_w, compensate,
-                          _as_branches)
+                          fit_gamma, _as_branches)
 from .numerics import CVec, CMat, ifft
 from .ofdm import Constellation, FreqSymbol, hard_decide
 
@@ -119,8 +119,8 @@ def run_tracked(stream, state: TrackerState,
     """
     results: list[CompResult] = []
     for m, sym in enumerate(stream):
-        basis = state.basis
-        res = compensate(build_w(sym.z, sym.rcv, basis), sym.rcv, basis,
+        w = build_w(sym.z, sym.rcv, state.basis)
+        res = compensate(w, sym.rcv, fit_gamma(w, sym.rcv, sym.ref.s)[0],
                          sym.ref)
         results.append(res)
         if cfg.freeze_after is not None and m >= cfg.freeze_after:

@@ -16,13 +16,15 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import NoiseSpec, gen_channel
-from pncomp.compensator import (CompConfig, build_w, compensate, receiver,
-                                solve_ls, solve_tls, tls_implied_perturbation)
+from pncomp.compensator import (CompConfig, build_w, compensate, fit_gamma,
+                                receiver, solve_ls, solve_tls)
 from pncomp.harness import Scenario, run_scenario
 from pncomp.mimo import MuSystem, mu_build_w, zf_beamformer
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol)
 from pncomp.tracker import init_tracker, past_update
+
+from oracles import dft_matrix, tls_implied_perturbation
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -165,7 +167,8 @@ def test_criterion_04_in_span_exact_recovery():
         z = np.exp(1j * phi)[None, :] * y
         for method in ("LS", "TLS"):
             rcv = receiver(ch.lam, layout, CompConfig(method=method))
-            res = compensate(build_w(z, rcv, bas), rcv, bas, sym)
+            w = build_w(z, rcv, bas)
+            res = compensate(w, rcv, fit_gamma(w, rcv, sym.s)[0], sym)
             worst = max(worst, evm_db(res.s_hat, sym))
     report(4, worst <= -80.0,
            f"worst in-span recovery EVM over 100 trials x {{LS,TLS}} = "
@@ -299,7 +302,8 @@ def test_criterion_11_complexity_scaling():
         bas = dft_basis(n, d)
         def run():
             rcv = receiver(ch.lam, layout)
-            compensate(build_w(z, rcv, bas), rcv, bas, sym)
+            w = build_w(z, rcv, bas)
+            compensate(w, rcv, fit_gamma(w, rcv, sym.s)[0], sym)
         return run
 
     t64 = _min_time(comp_timer(64, 8))
@@ -330,13 +334,13 @@ def test_criterion_12_oracle_equivalences():
     errs = {}
     # FFT vs dense DFT
     x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    errs["fft"] = (float(np.max(np.abs(nx.fft(x) - nx.dft_matrix(64) @ x))),
+    errs["fft"] = (float(np.max(np.abs(nx.fft(x) - dft_matrix(64) @ x))),
                    1e-10)
     # build_w vs dense construction
     ch = gen_channel(8, "exp_decay(3)", seed=1, n=64)
     bas = dft_basis(64, 6)
     z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    dense = np.diag(1 / ch.lam[0]) @ nx.dft_matrix(64) @ np.diag(z) @ bas.v
+    dense = np.diag(1 / ch.lam[0]) @ dft_matrix(64) @ np.diag(z) @ bas.v
     w = build_w(z[None], receiver(ch.lam, default_layout()), bas)[0]
     errs["build_w"] = (float(np.max(np.abs(w - dense))), 1e-10)
     # multiuser stacked operator vs materialized dense oracle at N=8
@@ -346,7 +350,7 @@ def test_criterion_12_oracle_equivalences():
     bf = zf_beamformer(MuSystem(channels=chans))
     zm = rng.standard_normal((n_r, n)) + 1j * rng.standard_normal((n_r, n))
     bas8 = dft_basis(n, d)
-    f = nx.dft_matrix(n)
+    f = dft_matrix(n)
     big = np.zeros((n_u * n, n_r * n), dtype=complex)
     for k in range(n):
         for u in range(n_u):

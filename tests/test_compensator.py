@@ -1,4 +1,4 @@
-"""Tests for the per-symbol LS/TLS compensation pipeline."""
+"""Tests for the LS/TLS compensation pipeline: W, block fit, combine."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,13 @@ from pncomp import numerics as nx
 from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import from_taps, gen_channel
 from pncomp.compensator import (CompConfig, build_w, compensate,
-                                equalize_only, receiver, solve_ls, solve_tls,
-                                tls_implied_perturbation)
+                                equalize_only, fit_gamma, receiver, solve_ls,
+                                solve_tls)
 from pncomp.ofdm import (Constellation, FreqSymbol, ToneLayout, default_layout,
                          evm_db, make_symbol)
 from pncomp.phase_noise import PnGenerator, PnModel, estimate_cov
+
+from oracles import dft_matrix, tls_implied_perturbation
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +29,13 @@ def qam():
 def comp(z, lam, bas, ref, cfg=CompConfig()):
     """compensate on the W of (z, lam) built with bas itself."""
     rcv = receiver(lam, ref.layout, cfg)
-    return compensate(build_w(z, rcv, bas), rcv, bas, ref)
+    return comp_w(build_w(z, rcv, bas), rcv, bas.d, ref)
+
+
+def comp_w(w, rcv, d, ref):
+    """Fit gamma on the leading d columns of one symbol's w, then
+    compensate."""
+    return compensate(w, rcv, fit_gamma(w[..., :d], rcv, ref.s)[0], ref)
 
 
 def w_one(z, lam, bas):
@@ -61,7 +69,7 @@ class TestBuildW:
         ch = gen_channel(8, "exp_decay(3)", seed=3, n=64)
         z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         bas = dft_basis(64, 6)
-        f = nx.dft_matrix(64)
+        f = dft_matrix(64)
         oracle = np.diag(1.0 / ch.lam[0]) @ f @ np.diag(z) @ bas.v
         np.testing.assert_allclose(w_one(z, ch.lam[0], bas), oracle,
                                    atol=1e-10)
@@ -123,8 +131,8 @@ class TestPrefixW:
         w_family = build_w(z, rcv, family)
         for d in (1, 2, 3, 5, 8, 12, 15, 16):
             exact = make_basis(d)
-            a = compensate(w_family, rcv, family.leading(d), sym)
-            b = compensate(build_w(z, rcv, exact), rcv, exact, sym)
+            a = comp_w(w_family, rcv, d, sym)
+            b = comp_w(build_w(z, rcv, exact), rcv, d, sym)
             assert np.array_equal(a.gamma, b.gamma)
             assert np.array_equal(a.s_hat.s, b.s_hat.s)
             assert a.n_equations == b.n_equations
@@ -137,8 +145,8 @@ class TestPrefixW:
         sym = make_symbol(layout, qam, rng_seed=45)
         rcv = receiver(ch.lam, layout)
         w = build_w(received(ch, sym), rcv, dft_basis(64, 3))
-        with pytest.raises(ValueError):
-            compensate(w, rcv, dft_basis(64, 4), sym)
+        with pytest.raises(ValueError):  # a gamma of a d = 4 fit
+            compensate(w, rcv, np.ones(4, dtype=complex), sym)
 
 
 class TestBlockW:
@@ -183,8 +191,8 @@ class TestBlockW:
             w_sym = build_w(z[i], rcv, bas)
             assert np.array_equal(w_block[i], w_sym)
             for d in (1, 4, 8):
-                a = compensate(w_block[i], rcv, bas.leading(d), sym)
-                b = compensate(w_sym, rcv, bas.leading(d), sym)
+                a = comp_w(w_block[i], rcv, d, sym)
+                b = comp_w(w_sym, rcv, d, sym)
                 assert np.array_equal(a.gamma, b.gamma)
                 assert np.array_equal(a.s_hat.s, b.s_hat.s)
 
@@ -196,11 +204,104 @@ class TestBlockW:
         w_family = build_w(z, rcv, dft_basis(64, 4))
         cpe = dft_basis(64, 1)
         for i, sym in enumerate(syms):
-            a = compensate(w_family[i], rcv, dft_basis(64, 4).leading(1), sym)
-            b = compensate(build_w(z[i], rcv, cpe), rcv, cpe, sym)
+            a = comp_w(w_family[i], rcv, 1, sym)
+            b = comp_w(build_w(z[i], rcv, cpe), rcv, 1, sym)
             assert np.array_equal(a.gamma, b.gamma)
             assert np.array_equal(a.s_hat.s, b.s_hat.s)
             assert a.n_equations == b.n_equations
+
+
+def per_symbol_fit(w, rcv, d, ref):
+    """The per-symbol fit and combine that the block fit replaced, kept as
+    the reference: one pinv, or one SVD of [W, s], per symbol on the
+    leading d columns of its W.  Returns (gamma, s_hat)."""
+    w = w[:, :, :d]
+    w_rows = w[rcv.rows]
+    s_rows = np.concatenate((ref.s, [0]))[rcv.tones]
+    gamma = None
+    if rcv.cfg.method == "TLS" and len(s_rows) >= d + 1:
+        _, _, vh = np.linalg.svd(np.column_stack([w_rows, s_rows]))
+        q_last = vh.conj().T[:, d]
+        if np.abs(q_last[d]) > 1e-12:
+            gamma = -q_last[:d] / q_last[d]
+    if gamma is None:
+        gamma = np.linalg.pinv(w_rows, rcond=nx.DEFAULT_RCOND) @ s_rows
+    return gamma, (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
+
+
+class TestBlockFit:
+    """fit_gamma on a block of M symbols (one stacked pinv or SVD) plus the
+    per-symbol compensate against per_symbol_fit: bit-identical."""
+
+    def _block(self, layout, qam, kl_cov, n_rx, n_sym, weak, cfg):
+        ch = gen_channel(8, "exp_decay(3)", seed=60 + n_rx, n_rx=n_rx, n=64)
+        lam = ch.lam.copy()
+        if weak:  # one pilot tone is weak, another zero, on branch 0
+            lam[0, 3] = 1e-9 * np.abs(lam[0]).max()
+            lam[0, 20] = 0.0
+        syms = [make_symbol(layout, qam, rng_seed=61 + m)
+                for m in range(n_sym)]
+        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=62))
+        rng = np.random.default_rng(63)
+        z = np.array([gen.next(64).psi[None, :]
+                      * nx.ifft(lam * nx.fft(nx.ifft(s.s))[None, :])
+                      + 1e-3 * (rng.standard_normal(lam.shape)
+                                + 1j * rng.standard_normal(lam.shape))
+                      for s in syms])
+        rcv = receiver(lam, layout, cfg)
+        return rcv, syms, build_w(z, rcv, kl_basis(kl_cov, 16))
+
+    @pytest.mark.parametrize("method, n_rx, nulls, weak, n_sym", [
+        ("LS", 2, False, True, 32),
+        ("LS", 1, True, False, 31),
+        ("LS", 1, False, True, 1),
+        ("TLS", 2, True, True, 32),
+        # 14 usable pilot rows < d + 1 at d = 16: that block fits by LS
+        ("TLS", 1, False, True, 31),
+        ("TLS", 3, False, False, 1),
+        ("TLS", 1, True, True, 32),
+    ])
+    def test_block_matches_per_symbol(self, qam, kl_cov, method, n_rx, nulls,
+                                      weak, n_sym):
+        layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                            null_idx=TestPrefixW.NULLS if nulls else ())
+        cfg = CompConfig(method=method, use_null_tones=nulls)
+        rcv, syms, w = self._block(layout, qam, kl_cov, n_rx, n_sym, weak,
+                                   cfg)
+        refs_s = np.array([s.s for s in syms])
+        for d in (1, 4, 16):
+            gamma, n_eq = fit_gamma(w[..., :d], rcv, refs_s)
+            assert gamma.shape == (n_sym, d)
+            assert n_eq == (16 + 8 * nulls) * n_rx - 2 * weak
+            for i, sym in enumerate(syms):
+                res = compensate(w[i], rcv, gamma[i], sym)
+                g_ref, s_ref = per_symbol_fit(w[i], rcv, d, sym)
+                assert np.array_equal(gamma[i], g_ref)
+                assert np.array_equal(res.s_hat.s, s_ref)
+                assert res.n_equations == n_eq
+                # one symbol without a leading axis, as the tracker fits
+                assert np.array_equal(
+                    fit_gamma(w[i][..., :d], rcv, sym.s)[0], g_ref)
+
+    def test_vanishing_q22_refits_only_those_symbols(self, layout, qam,
+                                                     kl_cov):
+        # a zero column makes [W, s] singular with a last right singular
+        # vector whose final entry vanishes: those symbols take LS, the
+        # rest of the block keeps TLS
+        rcv, syms, w = self._block(layout, qam, kl_cov, 2, 9, False,
+                                   CompConfig(method="TLS"))
+        w = w[..., :4].copy()
+        w[::3, :, :, 2] = 0
+        gamma, _ = fit_gamma(w, rcv, np.array([s.s for s in syms]))
+        for i, sym in enumerate(syms):
+            g_ref, s_ref = per_symbol_fit(w[i], rcv, 4, sym)
+            assert np.array_equal(gamma[i], g_ref)
+            assert np.array_equal(compensate(w[i], rcv, gamma[i], sym)
+                                  .s_hat.s, s_ref)
+            w_rows = w[i][rcv.rows]
+            g_ls = np.linalg.pinv(w_rows, rcond=nx.DEFAULT_RCOND) @ (
+                sym.s[rcv.tones])
+            assert np.array_equal(gamma[i], g_ls) == (i % 3 == 0)
 
 
 class TestSolveLs:

@@ -321,6 +321,18 @@ GOLDEN = {
              scale=1 / 300, kl_cov_symbols=50, sigma_list=(3.0,),
              tx_sigma_list=(0.0, 1.0), d=4, method="TLS", **NULLS),
         "2ee879365f9e919f0300430a0b15bf307c4bb27bc9dbe109e4af043c9383c6fb"),
+    # one branch, 70 symbols: the block fit crosses two block boundaries;
+    # 16 pilot rows are fewer than d + 1 = 17, so TLS at d = 16 fits by LS
+    "evm_vs_d_ls_nrx1": (
+        dict(name="evm_vs_d", n_rx=1, d_list=(0, 1, 16), method="LS",
+             basis_kinds=("KL", "DFT", "DCT"), scale=1 / 300, n_symbols=70,
+             kl_cov_symbols=50),
+        "098a12552fcf65baa8610bc07e2e9aa838a7ea969fff9b2e63920eee515909f5"),
+    "evm_vs_d_tls_nrx1": (
+        dict(name="evm_vs_d", n_rx=1, d_list=(1, 16), method="TLS",
+             basis_kinds=("KL", "DFT", "DCT"), scale=1 / 300, n_symbols=70,
+             kl_cov_symbols=50),
+        "778b8af74ddb685328a135bb21a3bc116c07476559592d8874dcdc6da6e04126"),
 }
 
 

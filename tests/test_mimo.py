@@ -6,11 +6,14 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import NoiseSpec, from_taps, gen_channel
-from pncomp.compensator import build_w, compensate, receiver
-from pncomp.mimo import (MuSystem, ZfBeamformer, mu_build_w, mu_compensate,
-                         mu_receiver, mu_received, zf_beamformer)
+from pncomp.compensator import build_w, compensate, fit_gamma, receiver
+from pncomp.mimo import (RANK_TOL, MuSystem, ZfBeamformer, mu_build_w,
+                         mu_compensate, mu_receiver, mu_received,
+                         zf_beamformer)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol)
+
+from oracles import dft_matrix
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +46,59 @@ class TestMuSystem:
             MuSystem(channels=chans)
 
 
+def per_tone_zf(sys_):
+    """The per-tone SVD loop that zf_beamformer's stacked SVD replaced,
+    kept as the reference: returns (b, ok_tones)."""
+    lam = sys_.lam
+    n, n_rx, n_users = lam.shape
+    b = np.zeros((n, n_users, n_rx), dtype=np.complex128)
+    ok = np.zeros(n, dtype=bool)
+    for k in range(n):
+        u, s, vh = np.linalg.svd(lam[k], full_matrices=False)
+        ok[k] = s[-1] > RANK_TOL * s[0] and s[0] > 0
+        if ok[k]:
+            b[k] = (vh.conj().T * (1.0 / s)) @ u.conj().T
+    return b, ok
+
+
 class TestZfBeamformer:
+    @pytest.mark.filterwarnings("error")  # no division by a zero singular value
+    @pytest.mark.parametrize("chans", [
+        lambda: make_system(30).channels,
+        lambda: make_system(31, n_users=3, n_rx=3).channels,
+        lambda: make_system(32, n_users=2, n_rx=4).channels,
+        lambda: make_system(33, n_users=1, n_rx=2).channels,
+        # the users' columns are parallel on tone 0 only
+        lambda: (from_taps(np.array([[1.0], [1.0]]), 16),
+                 from_taps(np.array([[1.0, 0.0], [0.0, 1.0]]), 16)),
+        # user 0 is zero on every branch at tone 8
+        lambda: (from_taps(np.array([[1.0, 1.0], [1.0, 1.0]]), 16),
+                 from_taps(np.array([[1.0, 1.0], [2.0, -2.0]]), 16)),
+        # both users are zero on every branch at tone 8
+        lambda: (from_taps(np.array([[1.0, 1.0], [1.0, 1.0]]), 16),
+                 from_taps(np.array([[1.0, 1.0], [2.0, 2.0]]), 16)),
+    ], ids=["2x2", "3x3", "2users_4rx", "1user_2rx", "parallel_tone",
+            "zero_user_tone", "zero_tone"])
+    def test_stacked_svd_matches_per_tone_loop(self, chans):
+        sys_ = MuSystem(channels=chans())
+        bf = zf_beamformer(sys_)
+        b, ok = per_tone_zf(sys_)
+        assert np.array_equal(bf.ok_tones, ok)
+        assert np.array_equal(bf.b, b)
+
+    def test_rank_deficient_tones_flagged(self):
+        parallel = MuSystem(channels=(
+            from_taps(np.array([[1.0], [1.0]]), 16),
+            from_taps(np.array([[1.0, 0.0], [0.0, 1.0]]), 16)))
+        zero_user, zero = (MuSystem(channels=(
+            from_taps(np.array([[1.0, 1.0], [1.0, 1.0]]), 16),
+            from_taps(np.array([[1.0, 1.0], [2.0, sign * 2.0]]), 16)))
+            for sign in (-1, 1))
+        for sys_, tone in ((parallel, 0), (zero_user, 8), (zero, 8)):
+            bf = zf_beamformer(sys_)
+            assert np.flatnonzero(~bf.ok_tones).tolist() == [tone]
+            assert np.array_equal(bf.b[tone], np.zeros((2, 2)))
+
     def test_single_user_flat_channels(self):
         # two unit branches: pseudoinverse of [1, 1]^T is [0.5, 0.5]
         ch = from_taps(np.array([[1.0], [1.0]]), 16)
@@ -100,7 +155,8 @@ class TestMuCompensate:
         z = mu_received(sys_, [ref], psi, None, NoiseSpec(snr_db=np.inf))
         mu_res = mu_comp(sys_, z, bas, [ref])[0]
         rcv = receiver(ch.lam, layout)
-        simo = compensate(build_w(z, rcv, bas), rcv, bas, ref)
+        w = build_w(z, rcv, bas)
+        simo = compensate(w, rcv, fit_gamma(w, rcv, ref.s)[0], ref)
         np.testing.assert_allclose(mu_res.gamma, simo.gamma,
                                    atol=1e-9 * np.linalg.norm(simo.gamma))
 
@@ -139,7 +195,7 @@ class TestMuCompensate:
         rng = np.random.default_rng(9)
         z = rng.standard_normal((n_r, n)) + 1j * rng.standard_normal((n_r, n))
         bas = dft_basis(n, d)
-        f = nx.dft_matrix(n)
+        f = dft_matrix(n)
 
         # dense B: branch-stacked time -> user-stacked frequency, per tone
         big = np.zeros((n_u * n, n_r * n), dtype=complex)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from pncomp import numerics as nx
 
+from oracles import dft_matrix
+
 
 def rand_cvec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -28,7 +30,7 @@ class TestFFT:
     def test_matches_dense_dft_oracle(self):
         rng = np.random.default_rng(0)
         x = rand_cvec(rng, 64)
-        np.testing.assert_allclose(nx.fft(x), nx.dft_matrix(64) @ x,
+        np.testing.assert_allclose(nx.fft(x), dft_matrix(64) @ x,
                                    atol=1e-10)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
@@ -184,13 +186,37 @@ class TestPinv:
         # same arithmetic as np.linalg.pinv, so the same bits; rank < min
         # shape leaves singular values of round-off size below the cutoff
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            a = rand_cmat(rng, shape[0], rank) @ rand_cmat(rng, rank, shape[1])
+        stack = np.array([rand_cmat(rng, shape[0], rank)
+                          @ rand_cmat(rng, rank, shape[1]) for _ in range(20)])
+        for a in stack:
             expected = np.linalg.pinv(a, rcond=nx.DEFAULT_RCOND)
             assert np.array_equal(nx.pinv(a), expected)
+        # a stack is pseudo-inverted matrix by matrix, with the same bits
+        expected = np.linalg.pinv(stack, rcond=nx.DEFAULT_RCOND)
+        assert np.array_equal(nx.pinv(stack), expected)
+        assert np.array_equal(nx.pinv(stack.reshape(4, 5, *shape)),
+                              expected.reshape(4, 5, *shape[::-1]))
         cut = np.diag([2.0, 1e-13, 0.0]).astype(complex)
         assert np.array_equal(nx.pinv(cut),
                               np.linalg.pinv(cut, rcond=nx.DEFAULT_RCOND))
+
+    def test_stack_mixing_full_rank_and_cut_off(self):
+        # each matrix of a stack has its own cutoff: rcond times its own
+        # largest singular value
+        rng = np.random.default_rng(14)
+        mixed = np.array([rand_cmat(rng, 3, 3),
+                          np.diag([2.0, 1e-13, 0.0]).astype(complex),
+                          1e6 * rand_cmat(rng, 3, 3),
+                          rand_cmat(rng, 3, 1) @ rand_cmat(rng, 1, 3),
+                          np.diag([1e-20, 1e-33, 1e-20]).astype(complex),
+                          np.zeros((3, 3), dtype=complex)])
+        got = nx.pinv(mixed)
+        assert np.array_equal(got,
+                              np.linalg.pinv(mixed, rcond=nx.DEFAULT_RCOND))
+        for a, a_pinv in zip(mixed, got):
+            assert np.array_equal(a_pinv, nx.pinv(a))
+        assert np.array_equal(got[1], np.diag([0.5, 0.0, 0.0]))
+        assert np.array_equal(got[5], np.zeros((3, 3)))
 
     def test_rcond_validation(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ from scipy import signal
 from pncomp import numerics as nx
 from pncomp.phase_noise import (CarrierOffset, PhaseNoiseRealization,
                                 PnGenerator, PnModel, apply_offset,
-                                estimate_cov, gen_pn, load_pn_samples,
+                                estimate_cov, load_pn_samples,
                                 offset_factor, save_pn_samples)
+
+from oracles import gen_pn
 
 
 class TestGenPn:
