@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,18 +68,3 @@ def dct_basis(n: int, d: int) -> CompBasis:
         c = np.sqrt(1.0 / n) if k == 0 else np.sqrt(2.0 / n)
         v[:, k] = c * np.cos(np.pi * (m + 0.5) * k / n)
     return CompBasis(v=v.astype(np.complex128), kind="DCT")
-
-
-def export_basis_csv(basis: CompBasis, path) -> None:
-    """N rows, 2d columns: re/im pairs per basis column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = []
-        for j in range(basis.d):
-            header += [f"v{j}_re", f"v{j}_im"]
-        writer.writerow(header)
-        for row in basis.v:
-            out = []
-            for val in row:
-                out += [f"{val.real:.18e}", f"{val.imag:.18e}"]
-            writer.writerow(out)

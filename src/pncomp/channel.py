@@ -37,20 +37,24 @@ class NoiseSpec:
     """AWGN level relative to unit nominal per-sample signal power."""
 
     snr_db: float
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.snr_db) or self.snr_db == np.inf):
             raise ValueError("snr_db must be finite or +inf")
 
 
-def _profile_weights(n_taps: int, profile: str) -> np.ndarray:
+def tap_weights(n_taps: int, profile: str, n: int) -> np.ndarray:
+    """Mean power of each of n_taps taps (at most n), summing to 1."""
+    if not 1 <= n_taps <= n:
+        raise ValueError(f"n_taps must be in [1, {n}], got {n_taps}")
     if profile == "uniform":
         w = np.ones(n_taps)
     elif profile.startswith("exp_decay"):
         tau = 3.0
         if "(" in profile:
             tau = float(profile[profile.index("(") + 1:profile.rindex(")")])
+        if not tau > 0:
+            raise ValueError(f"exp_decay needs tau > 0, got {tau}")
         w = np.exp(-np.arange(n_taps) / tau)
     else:
         raise ValueError(f"unknown channel profile {profile!r}")
@@ -70,43 +74,20 @@ def from_taps(taps: np.ndarray, n: int) -> ChannelState:
 def gen_channel(n_taps: int, profile: str, seed: int, n_rx: int = 1,
                 n: int = 64) -> ChannelState:
     """Random taps shaped by profile, normalized so E|lambda_k|^2 = 1."""
-    if not 1 <= n_taps <= n:
-        raise ValueError(f"n_taps must be in [1, {n}], got {n_taps}")
+    w = tap_weights(n_taps, profile, n)
     rng = np.random.default_rng(seed)
-    w = _profile_weights(n_taps, profile)
     taps = np.sqrt(w / 2) * (rng.standard_normal((n_rx, n_taps))
                              + 1j * rng.standard_normal((n_rx, n_taps)))
     return from_taps(taps, n)
 
 
-def load_channel_taps(path, n: int, n_rx: int = 1) -> ChannelState:
-    """Read taps from a CSV file with one 're,im' line per tap.
-
-    With n_rx > 1 the file holds the branches concatenated, equal length each.
-    """
-    taps = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 're,im'")
-            taps.append(complex(float(parts[0]), float(parts[1])))
-    if not taps or len(taps) % n_rx != 0:
-        raise ValueError(f"{path}: tap count {len(taps)} not divisible by n_rx={n_rx}")
-    return from_taps(np.array(taps).reshape(n_rx, -1), n)
-
-
 def apply_channel(ch: ChannelState, x: CVec, noise: NoiseSpec,
-                  rng: np.random.Generator | None = None) -> CMat:
+                  rng: np.random.Generator) -> CMat:
     """y_b = H_b x + n_b per receive branch; returns shape (..., n_rx, N).
 
     x is one length-N symbol or a block of them along leading axes.  Noise
     power is 10^(-snr/10) per complex sample, referenced to the unit
     nominal signal power (channels are normalized to unit mean tone gain).
-    An explicit rng overrides noise.seed so callers can stream symbols.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.shape[-1:] != (ch.n,):
@@ -115,24 +96,21 @@ def apply_channel(ch: ChannelState, x: CVec, noise: NoiseSpec,
 
 
 def awgn(shape: tuple, noise: NoiseSpec,
-         rng: np.random.Generator | None = None) -> CMat | None:
-    """AWGN of shape (..., n_rx, N) drawn from rng (else noise.seed), or
-    None when snr_db is inf: adding zeros would turn -0.0 into 0.0.
+         rng: np.random.Generator) -> CMat | None:
+    """AWGN of shape (..., n_rx, N) drawn from rng, or None when snr_db is
+    inf: adding zeros would turn -0.0 into 0.0.
 
     Per symbol the real parts are drawn first, then the imaginary parts,
     so a block of symbols consumes rng as the symbols one by one would.
     """
     if noise.snr_db == np.inf:
         return None
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
     sigma = np.sqrt(10.0 ** (-noise.snr_db / 10.0) / 2.0)
     g = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
     return sigma * (g[..., 0, :, :] + 1j * g[..., 1, :, :])
 
 
-def add_awgn(y: CMat, noise: NoiseSpec,
-             rng: np.random.Generator | None = None) -> CMat:
+def add_awgn(y: CMat, noise: NoiseSpec, rng: np.random.Generator) -> CMat:
     """y (..., n_rx, N) plus awgn(y.shape, noise, rng)."""
     n = awgn(y.shape, noise, rng)
     return y if n is None else y + n

@@ -103,14 +103,23 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {self.name!r}")
-        if self.sigma_deg < 0:
-            raise ConfigError("sigma_deg must be >= 0")
-        if self.n_channels < 1 or self.n_symbols < 1:
-            raise ConfigError("n_channels and n_symbols must be >= 1")
+        # NaN and inf are stopped here, where they enter: no FFT or solver
+        # scans its input (snr_db = inf, no noise, is NoiseSpec's to judge)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if (isinstance(v, float) and not np.isfinite(v)
+                        and f.name != "snr_db"):
+                    raise ConfigError(f"{f.name} must be finite, got {v}")
+        for key, lo in (("n_rx", 1), ("n_channels", 1), ("n_symbols", 1),
+                        ("kl_cov_symbols", 1), ("training_symbols", 0)):
+            if getattr(self, key) < lo:
+                raise ConfigError(f"{key} must be >= {lo}, "
+                                  f"got {getattr(self, key)}")
         if not self.sigma_list or not self.d_list:
             raise ConfigError("sweep ranges must be non-empty")
-        if not np.isfinite(self.scale) or self.scale <= 0:
-            raise ConfigError(f"scale must be finite and > 0, got {self.scale}")
+        if self.scale <= 0:
+            raise ConfigError(f"scale must be > 0, got {self.scale}")
         # d = 0 means equalization only, which the sweeps score but the
         # tracker and the multiuser fit cannot run
         d_min = 1 if self.name in ("tracking", "mimo_sweep") else 0
@@ -126,11 +135,18 @@ class Scenario:
             if bad:
                 raise ConfigError(f"{key}: unknown {bad[0]!r}, "
                                   f"expected one of {', '.join(allowed)}")
-        if self.name == "mimo_sweep" and self.n_users > self.n_rx:
-            raise ConfigError(f"n_users {self.n_users} > n_rx {self.n_rx}")
+        if self.name == "mimo_sweep" and not 1 <= self.n_users <= self.n_rx:
+            raise ConfigError(f"n_users must be in [1, n_rx = {self.n_rx}], "
+                              f"got {self.n_users}")
         try:  # what a run resolves from the config, before any simulation
             self.layout, self.constellation, CompConfig(method=self.method)
             channel_mod.NoiseSpec(snr_db=self.snr_db)
+            channel_mod.tap_weights(self.n_taps, self.channel_profile, self.n)
+            for sigma in (self.sigma_deg, *self.sigma_list,
+                          *self.tx_sigma_list):
+                self.pn_model(0, sigma)
+            if self.name == "tracking":
+                self.offset, init_tracker(self.n, self.d, beta=self.beta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -149,6 +165,11 @@ class Scenario:
     @property
     def constellation(self) -> Constellation:
         return Constellation.qam(self.qam_order)
+
+    @property
+    def offset(self) -> pn_mod.CarrierOffset:
+        return pn_mod.CarrierOffset(ppm=self.ppm, carrier_hz=self.carrier_hz,
+                                    sample_rate_hz=self.sample_rate_hz)
 
     def pn_model(self, seed: int, sigma_deg: float) -> pn_mod.PnModel:
         return pn_mod.PnModel(
@@ -445,8 +466,6 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
     """Tracked modes run PAST symbol by symbol; fixed-basis modes fit each
     symbol block at once on one W per block and basis family ("cpe": the
     DFT family's column 0)."""
-    offset = pn_mod.CarrierOffset(ppm=sc.ppm, carrier_hz=sc.carrier_hz,
-                                  sample_rate_hz=sc.sample_rate_hz)
     const = sc.constellation
     per_symbol = {mode: [_Acc() for _ in range(sc.n_symbols)]
                   for mode in sc.track_modes}
@@ -459,7 +478,7 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
     for mode, kind in fixed:
         family_d[kind] = max(family_d.get(kind, 0), mode_d[mode])
     for ci in range(sc.n_channels_eff):
-        ch, blocks = _channel_symbols(sc, ci, sc.sigma_deg, offset=offset)
+        ch, blocks = _channel_symbols(sc, ci, sc.sigma_deg, offset=sc.offset)
         rcv = receiver(ch.lam, sc.layout, cfg)
         cov = _kl_cov(sc, ci, sc.sigma_deg) if "KL" in family_d else None
         families = {kind: _make_basis(sc, kind, d, cov)

@@ -94,7 +94,7 @@ def mu_apply_channel(sys: MuSystem, x: np.ndarray) -> np.ndarray:
 
 def mu_received(sys: MuSystem, syms: list[FreqSymbol], psi_rx: CVec,
                 tx_psi: list[CVec] | None, noise: NoiseSpec,
-                rng: np.random.Generator | None = None) -> CMat:
+                rng: np.random.Generator) -> CMat:
     """One symbol's received time-domain signal per rx branch, (n_rx, N)."""
     x = ifft(np.array([sym.s for sym in syms]))
     if tx_psi is not None:

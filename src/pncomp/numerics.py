@@ -3,6 +3,9 @@
 Everything here is a thin, convention-fixing layer over numpy.linalg:
 unitary FFT/IFFT, Hermitian eigendecomposition with deterministic
 ordering and phase, SVD, and the Moore-Penrose pseudoinverse.
+Inputs are not scanned for NaN or inf: non-finite values are rejected
+where they enter the program, in harness.Scenario and
+phase_noise.load_pn_samples.
 """
 
 from __future__ import annotations
@@ -18,13 +21,6 @@ CMat = NDArray[np.complex128]
 DEFAULT_RCOND = 1e-12
 
 
-def _as_complex(a) -> np.ndarray:
-    out = np.asarray(a, dtype=np.complex128)
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite entries in input")
-    return out
-
-
 def _check_pow2(n: int) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
@@ -32,14 +28,14 @@ def _check_pow2(n: int) -> None:
 
 def fft(x: CVec) -> CVec:
     """Unitary forward DFT (1/sqrt(N) normalization)."""
-    x = _as_complex(x)
+    x = np.asarray(x, dtype=np.complex128)
     _check_pow2(x.shape[-1])
     return np.fft.fft(x, axis=-1) / np.sqrt(x.shape[-1])
 
 
 def ifft(x: CVec) -> CVec:
     """Unitary inverse DFT; exact inverse of :func:`fft`."""
-    x = _as_complex(x)
+    x = np.asarray(x, dtype=np.complex128)
     _check_pow2(x.shape[-1])
     return np.fft.ifft(x, axis=-1) * np.sqrt(x.shape[-1])
 
@@ -78,7 +74,7 @@ def herm_eig(a: CMat) -> EigResult:
     The input is symmetrized as (A + A*)/2 so callers may pass sample
     covariances with round-off asymmetry.
     """
-    a = _as_complex(a)
+    a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"herm_eig needs a square matrix, got {a.shape}")
     a = (a + a.conj().T) / 2
@@ -88,21 +84,20 @@ def herm_eig(a: CMat) -> EigResult:
 
 
 def svd(a: CMat) -> SvdResult:
-    """Full SVD of a matrix, or of each matrix of a stack (..., m, n)."""
-    a = _as_complex(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    """Reduced SVD of a matrix, or of each matrix of a stack (..., m, n):
+    u is (..., m, k) and q (..., n, k) with k = min(m, n)."""
+    u, s, vh = np.linalg.svd(np.asarray(a, dtype=np.complex128),
+                             full_matrices=False)
     return SvdResult(u, s, np.swapaxes(vh.conj(), -1, -2))
 
 
-def pinv(a: CMat, rcond: float = DEFAULT_RCOND) -> CMat:
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff, of a
-    matrix or of each matrix of a stack (..., m, n); np.linalg.pinv's
-    arithmetic step for step (same bits), less overhead."""
-    a = _as_complex(a)
-    if not 0 < rcond < 1:
-        raise ValueError(f"rcond must be in (0, 1), got {rcond}")
+def pinv(a: CMat) -> CMat:
+    """Moore-Penrose pseudoinverse with relative singular-value cutoff
+    DEFAULT_RCOND, of a matrix or of each matrix of a stack (..., m, n);
+    np.linalg.pinv's arithmetic step for step (same bits), less overhead."""
+    a = np.asarray(a, dtype=np.complex128)
     u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
-    large = s > rcond * s.max(axis=-1, keepdims=True)
+    large = s > DEFAULT_RCOND * s.max(axis=-1, keepdims=True)
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
     return np.swapaxes(vt, -1, -2) @ (s[..., None] * np.swapaxes(u, -1, -2))

@@ -48,10 +48,6 @@ class ToneLayout:
             object.__setattr__(self, name, arr)
 
     @property
-    def n_pilot(self) -> int:
-        return len(self.pilot_idx)
-
-    @property
     def data_idx(self) -> tuple[int, ...]:
         return tuple(self.data_arr.tolist())
 
@@ -137,27 +133,20 @@ def make_symbol(layout: ToneLayout, constellation: Constellation,
     return FreqSymbol(s=s, layout=layout)
 
 
-def _scope_idx(layout: ToneLayout, scope: str) -> np.ndarray:
-    if scope == "data_only":
-        return layout.data_arr
-    if scope == "all_active":
-        return np.concatenate([layout.data_arr, layout.pilot_arr])
-    raise ValueError(f"unknown EVM scope {scope!r}")
-
-
-def evm_db(est: FreqSymbol, ref: FreqSymbol, scope: str = "data_only") -> float:
-    """Error vector magnitude in dB over the chosen tone scope."""
+def evm_db(est: FreqSymbol, ref: FreqSymbol) -> float:
+    """Error vector magnitude in dB over the data tones."""
     if est.layout != ref.layout:
         raise ValueError("EVM requires matching tone layouts")
-    num, den = evm_linear(est, ref, scope)
+    num, den = evm_linear(est, ref)
     if den == 0.0:
-        raise ValueError("reference has zero power on the EVM scope")
+        raise ValueError("reference has zero power on the data tones")
     return ratio_to_db(num, den)
 
 
-def evm_linear(est: FreqSymbol, ref: FreqSymbol, scope: str = "data_only") -> tuple[float, float]:
-    """(error power, reference power) for linear-domain aggregation."""
-    idx = _scope_idx(ref.layout, scope)
+def evm_linear(est: FreqSymbol, ref: FreqSymbol) -> tuple[float, float]:
+    """(error power, reference power) over the data tones, for
+    linear-domain aggregation."""
+    idx = ref.layout.data_arr
     ref_s = ref.s[idx]
     return (float((np.abs(est.s[idx] - ref_s) ** 2).sum()),
             float((np.abs(ref_s) ** 2).sum()))

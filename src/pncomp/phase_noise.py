@@ -36,9 +36,13 @@ class PnModel:
 
     def __post_init__(self):
         if self.sigma_deg < 0:
-            raise ValueError("sigma_deg must be >= 0")
+            raise ValueError(f"sigma_deg must be >= 0, got {self.sigma_deg}")
         if not 0 < self.cutoff < 0.5:
             raise ValueError("cutoff must be in (0, 0.5) of the sample rate")
+        if not self.ripple_db > 0:
+            raise ValueError(f"ripple_db must be > 0, got {self.ripple_db}")
+        # raises for an order, cutoff and ripple that give no stable filter
+        _design_filter(self.order, self.cutoff, self.ripple_db)
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,6 @@ class PnCovariance:
     """Sample covariance R = (1/M) sum psi psi*; Hermitian PSD, unit diagonal."""
 
     r: CMat
-    n_samples_used: int
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,11 @@ class CarrierOffset:
     ppm: float
     carrier_hz: float
     sample_rate_hz: float
+
+    def __post_init__(self):
+        if not self.sample_rate_hz > 0:
+            raise ValueError(f"sample_rate_hz must be > 0, "
+                             f"got {self.sample_rate_hz}")
 
     @property
     def delta_f(self) -> float:
@@ -99,7 +107,6 @@ class PnGenerator:
     """Stateful generator: one stationary phi process across symbols."""
 
     def __init__(self, model: PnModel):
-        self.model = model
         self._b, self._a, gain = _design_filter(model.order, model.cutoff,
                                                 model.ripple_db)
         self._scale = np.deg2rad(model.sigma_deg) / gain if gain > 0 else 0.0
@@ -134,7 +141,7 @@ def estimate_cov(realizations) -> PnCovariance:
             raise ValueError("realizations must share a common length")
         r += np.outer(psi, psi.conj())
     r /= len(rows)
-    return PnCovariance(r=(r + r.conj().T) / 2, n_samples_used=len(rows))
+    return PnCovariance(r=(r + r.conj().T) / 2)
 
 
 def offset_factor(off: CarrierOffset, start_sample: int, n: int) -> CVec:
@@ -168,17 +175,16 @@ def load_pn_samples(path, n: int):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
             try:
-                if len(parts) == 1:
-                    phi.append(float(parts[0]))
-                elif len(parts) == 2:
-                    phi.append(float(np.angle(complex(float(parts[0]),
-                                                      float(parts[1])))))
-                else:
-                    raise ValueError
+                vals = [float(part) for part in line.split(",")]
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed sample line") from None
+                vals = []
+            if len(vals) not in (1, 2):
+                raise ValueError(f"{path}:{lineno}: malformed sample line")
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{path}:{lineno}: non-finite sample")
+            phi.append(vals[0] if len(vals) == 1
+                       else float(np.angle(complex(*vals))))
     if len(phi) < n:
         raise ValueError(f"{path}: {len(phi)} samples, need at least {n}")
     phi = np.asarray(phi)

@@ -10,7 +10,6 @@ two spans differ by conjugation of the offset ramp).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,6 @@ class TrackerState:
     v: CMat
     p: CMat
     beta: float = 0.9
-    symbol_counter: int = 0
 
     def __post_init__(self):
         if not 0 < self.beta <= 1:
@@ -42,12 +40,9 @@ class TrackerState:
         return CompBasis(v=self.v, kind="PAST")
 
 
-def init_tracker(n: int, d: int, beta: float = 0.9,
-                 v0: CMat | None = None) -> TrackerState:
-    """Start from the d low-frequency DFT columns unless v0 is given."""
-    if v0 is None:
-        v0 = dft_basis(n, d).v
-    return TrackerState(v=np.array(v0, dtype=np.complex128),
+def init_tracker(n: int, d: int, beta: float = 0.9) -> TrackerState:
+    """Start from the d low-frequency DFT columns."""
+    return TrackerState(v=dft_basis(n, d).v,
                         p=np.eye(d, dtype=np.complex128), beta=beta)
 
 
@@ -90,7 +85,7 @@ def past_update(state: TrackerState, psi_hat) -> TrackerState:
     p = (p + p.conj().T) / 2
     e = x - state.v @ y
     v = state.v + np.outer(e, g.conj())
-    return replace(state, v=v, p=p, symbol_counter=state.symbol_counter + 1)
+    return replace(state, v=v, p=p)
 
 
 @dataclass(frozen=True)
@@ -137,35 +132,3 @@ def run_tracked(stream, state: TrackerState,
         # track the cancellation vector, the quantity the basis must span
         state = past_update(state, np.conj(psi_hat.psi))
     return results, state
-
-
-def save_tracker_state(state: TrackerState, path) -> None:
-    """CSV warm-start format: shape line, then V and P entries re/im."""
-    n, d = state.v.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "d", "beta", "symbol_counter"])
-        writer.writerow([n, d, repr(state.beta), state.symbol_counter])
-        for row in state.v:
-            writer.writerow([f"{c.real:.18e}" for c in row]
-                            + [f"{c.imag:.18e}" for c in row])
-        for row in state.p:
-            writer.writerow([f"{c.real:.18e}" for c in row]
-                            + [f"{c.imag:.18e}" for c in row])
-
-
-def load_tracker_state(path) -> TrackerState:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    n, d = int(rows[1][0]), int(rows[1][1])
-    beta, counter = float(rows[1][2]), int(rows[1][3])
-    def parse(block, width):
-        out = np.empty((len(block), width), dtype=np.complex128)
-        for i, row in enumerate(block):
-            re = np.array(row[:width], dtype=float)
-            im = np.array(row[width:], dtype=float)
-            out[i] = re + 1j * im
-        return out
-    v = parse(rows[2:2 + n], d)
-    p = parse(rows[2 + n:2 + n + d], d)
-    return TrackerState(v=v, p=p, beta=beta, symbol_counter=counter)

@@ -1,13 +1,11 @@
 """Tests for KL / DFT / DCT compensation bases."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from pncomp import numerics as nx
 from pncomp.basis import (CompBasis, dct_basis, dft_basis, dft_low_freq_order,
-                          export_basis_csv, kl_basis)
+                          kl_basis)
 from pncomp.phase_noise import PnCovariance, PnGenerator, PnModel, estimate_cov
 
 
@@ -29,12 +27,12 @@ def mean_residual(basis, realizations):
 
 class TestKlBasis:
     def test_all_ones_cov(self):
-        cov = PnCovariance(r=np.ones((16, 16), dtype=complex), n_samples_used=1)
+        cov = PnCovariance(r=np.ones((16, 16), dtype=complex))
         bas = kl_basis(cov, 1)
         np.testing.assert_allclose(bas.v[:, 0], np.ones(16) / 4.0, atol=1e-12)
 
     def test_identity_cov_reconstruction(self):
-        cov = PnCovariance(r=np.eye(8, dtype=complex), n_samples_used=1)
+        cov = PnCovariance(r=np.eye(8, dtype=complex))
         bas = kl_basis(cov, 8)
         recon = bas.v @ bas.v.conj().T
         assert np.linalg.norm(recon - np.eye(8)) <= 1e-9
@@ -57,7 +55,7 @@ class TestKlBasis:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         r = a @ a.conj().T
-        cov = PnCovariance(r=r, n_samples_used=1)
+        cov = PnCovariance(r=r)
         d = 3
         bas = kl_basis(cov, d)
         captured = np.trace(bas.v.conj().T @ r @ bas.v).real
@@ -121,17 +119,3 @@ class TestDctBasis:
         bas = dct_basis(16, 16)
         oracle = dct(np.eye(16), type=2, norm="ortho", axis=0)
         np.testing.assert_allclose(bas.v.real, oracle.T, atol=1e-12)
-
-
-class TestExport:
-    def test_csv_round_trip(self, tmp_path):
-        bas = dft_basis(16, 3)
-        path = tmp_path / "basis.csv"
-        export_basis_csv(bas, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["v0_re", "v0_im", "v1_re", "v1_im", "v2_re", "v2_im"]
-        assert len(rows) == 17
-        got = np.array([[complex(float(r[2 * j]), float(r[2 * j + 1]))
-                         for j in range(3)] for r in rows[1:]])
-        np.testing.assert_allclose(got, bas.v, atol=1e-15)

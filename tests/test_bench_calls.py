@@ -5,7 +5,9 @@ benchmark task calls each traced function, and `bench/run.py --trace 1`
 fails when the counts differ.  This runs one small scenario of each
 benchmark shape, with only `n_symbols` lowered, under plain counting
 wrappers, so a change that breaks that self-check fails here as well.
-The benchmark files are read, never written.
+It also installs `bench/tracing.py`'s tracer, which binds pncomp names
+that `src/` itself may no longer call.  The benchmark files are read,
+never written.
 """
 
 import functools
@@ -20,10 +22,9 @@ from pncomp import harness
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def workload():
-    spec = importlib.util.spec_from_file_location("bench_workload",
-                                                  BENCH / "workload.py")
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:  # no bytecode cache under bench/
@@ -31,6 +32,11 @@ def workload():
     finally:
         sys.dont_write_bytecode = keep
     return mod
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return load_bench("workload")
 
 
 def count_calls(monkeypatch, names):
@@ -68,3 +74,24 @@ def test_counts_match_expected(workload, monkeypatch, tmp_path, name,
     counts = count_calls(monkeypatch, expected)
     harness.run_scenario(sc, str(tmp_path / "out.csv"))
     assert counts == expected
+
+
+def test_tracer_installs_and_uninstalls():
+    # --trace 1 wraps every name in tracing.LAYERS (and ToneLayout.data_idx)
+    # by name, so deleting one from pncomp breaks it even when src/ no
+    # longer calls it
+    tracing = load_bench("tracing")
+    modules = {key: m for key, m in sys.modules.items()
+               if key == "pncomp" or key.startswith("pncomp.")}
+    owners = [*modules.values(), sys.modules["pncomp.ofdm"].ToneLayout,
+              sys.modules["pncomp.phase_noise"].PnGenerator]
+    before = [dict(vars(obj)) for obj in owners]
+    run_scenario = harness.run_scenario
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert harness.run_scenario.__wrapped__ is run_scenario
+    finally:
+        tracer.uninstall()
+    for obj, old in zip(owners, before):
+        assert all(vars(obj)[key] is val for key, val in old.items())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pncomp.channel import (ChannelState, NoiseSpec, apply_channel, from_taps,
-                            gen_channel, load_channel_taps)
+                            gen_channel)
 
 from oracles import dft_matrix
 
@@ -72,14 +72,14 @@ class TestApplyChannel:
         ch = from_taps([1.0], 64)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = apply_channel(ch, x, NoiseSpec(snr_db=np.inf))
+        y = apply_channel(ch, x, NoiseSpec(snr_db=np.inf), np.random.default_rng(0))
         np.testing.assert_allclose(y[0], x, atol=1e-12)
 
     def test_matches_circulant_oracle(self):
         ch = gen_channel(8, "uniform", seed=6, n=64)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = apply_channel(ch, x, NoiseSpec(snr_db=np.inf))
+        y = apply_channel(ch, x, NoiseSpec(snr_db=np.inf), np.random.default_rng(0))
         oracle = circulant_multiply_oracle(ch.taps[0], x)
         assert np.max(np.abs(y[0] - oracle)) <= 1e-10
 
@@ -97,8 +97,10 @@ class TestApplyChannel:
     def test_noise_deterministic_by_seed(self):
         ch = from_taps([1.0], 64)
         x = np.ones(64, dtype=complex)
-        a = apply_channel(ch, x, NoiseSpec(snr_db=10.0, seed=3))
-        b = apply_channel(ch, x, NoiseSpec(snr_db=10.0, seed=3))
+        a = apply_channel(ch, x, NoiseSpec(snr_db=10.0),
+                          rng=np.random.default_rng(3))
+        b = apply_channel(ch, x, NoiseSpec(snr_db=10.0),
+                          rng=np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
     def test_branch_noise_uncorrelated(self):
@@ -117,28 +119,5 @@ class TestApplyChannel:
     def test_rejects_wrong_length(self):
         ch = from_taps([1.0], 64)
         with pytest.raises(ValueError):
-            apply_channel(ch, np.zeros(32), NoiseSpec(snr_db=np.inf))
-
-
-class TestTapImport:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        taps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        path = tmp_path / "taps.csv"
-        path.write_text("".join(f"{t.real:.18e},{t.imag:.18e}\n" for t in taps))
-        ch = load_channel_taps(path, n=64)
-        np.testing.assert_allclose(ch.taps[0, :8], taps, atol=1e-15)
-        np.testing.assert_array_equal(ch.taps[0, 8:], np.zeros(56))
-
-    def test_multi_branch(self, tmp_path):
-        path = tmp_path / "taps.csv"
-        path.write_text("1,0\n0,0\n0,1\n0,0\n")
-        ch = load_channel_taps(path, n=16, n_rx=2)
-        assert ch.n_rx == 2
-        assert ch.taps[0, 0] == 1.0 and ch.taps[1, 0] == 1j
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "taps.csv"
-        path.write_text("1,2,3\n")
-        with pytest.raises(ValueError):
-            load_channel_taps(path, n=16)
+            apply_channel(ch, np.zeros(32), NoiseSpec(snr_db=np.inf),
+                          np.random.default_rng(0))

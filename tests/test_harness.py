@@ -1,6 +1,7 @@
 """Tests for configuration parsing, sweeps, CSV output and the CLI."""
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -191,6 +192,15 @@ class TestCsv:
         assert all(r.wall_clock_s != "" for r in rows)
 
 
+def _is_float_key(default) -> bool:
+    first = default[0] if isinstance(default, tuple) and default else default
+    return isinstance(first, float)
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(Scenario)
+              if _is_float_key(f.default)]
+
+
 class TestCli:
     def test_run_ok_and_deterministic(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -226,10 +236,29 @@ class TestCli:
         ("name = mimo_sweep\nn_users = 3\nn_rx = 2\n", []),
         ("name = evm_vs_d\nsnr_db = nan\n", []),
         ("name = evm_vs_d\n", ["--out", "/nonexistent-dir/o.csv"]),
+        ("name = tracking\nbeta = 2\n", []),
+        ("name = custom\nn_taps = 0\n", []),
+        ("name = custom\nkl_cov_symbols = 0\n", []),
+        ("name = custom\nkl_cov_symbols = -3\n", []),
+        ("name = custom\nchannel_profile = foo\n", []),
+        ("name = custom\nchannel_profile = exp_decay(0)\n", []),
+        ("name = custom\npn_cutoff = 0.7\n", []),
+        ("name = custom\npn_order = 40\n", []),
+        ("name = custom\npn_ripple_db = 0\n", []),
+        ("name = custom\nn_rx = 0\n", []),
+        ("name = tracking\ntraining_symbols = -5\n", []),
+        ("name = tracking\nppm = 1\nsample_rate_hz = 0\n", []),
+        ("name = mimo_sweep\nn_users = 0\n", []),
+        ("name = mimo_sweep\ntx_sigma_list = 0, -1\n", []),
+        ("name = evm_vs_sigma\nsigma_list = 1, -2\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
             "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
-            "qam_8", "mimo_users_gt_rx", "snr_nan", "out_unwritable"])
+            "qam_8", "mimo_users_gt_rx", "snr_nan", "out_unwritable",
+            "beta_2", "n_taps_0", "kl_cov_0", "kl_cov_neg", "profile_foo",
+            "profile_tau_0", "pn_cutoff_0.7", "pn_order_40", "pn_ripple_0",
+            "n_rx_0", "training_neg", "sample_rate_0", "mimo_users_0",
+            "tx_sigma_neg", "sigma_list_neg"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -239,6 +268,22 @@ class TestCli:
                     + flags) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_float_keys(self, tmp_path, capsys, key, bad):
+        # every float key and float-list entry; snr_db = inf is no noise
+        cfg = tmp_path / "c.cfg"
+        value = f"1, {bad}" if key.endswith("_list") else bad
+        cfg.write_text(f"name = custom\nbasis_kinds = DFT\nd = 2\n"
+                       f"scale = 0.0034\nn_symbols = 2\n{key} = {value}\n")
+        out = tmp_path / "o.csv"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        if (key, bad) == ("snr_db", "inf"):
+            assert code == 0 and out.exists()
+        else:
+            assert code == 2 and not out.exists()
+            assert f"config error: {key}" in capsys.readouterr().err
 
     def test_exit_2_on_missing_file(self):
         assert main(["run", "--config", "/no/such/file.cfg"]) == 2

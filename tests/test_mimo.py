@@ -128,7 +128,8 @@ class TestZfBeamformer:
         layout = default_layout()
         sys_ = make_system(2)
         refs = [make_symbol(layout, qam, rng_seed=10 + u) for u in range(2)]
-        z = mu_received(sys_, refs, np.ones(64), None, NoiseSpec(snr_db=np.inf))
+        z = mu_received(sys_, refs, np.ones(64), None, NoiseSpec(snr_db=np.inf),
+                        np.random.default_rng(0))
         bf = zf_beamformer(sys_)
         zf = nx.fft(z)  # per-branch frequency domain
         for u in range(2):
@@ -152,7 +153,8 @@ class TestMuCompensate:
                               + 1j * rng.standard_normal(3))
         correction = bas.v @ gamma0
         psi = 1.0 / correction
-        z = mu_received(sys_, [ref], psi, None, NoiseSpec(snr_db=np.inf))
+        z = mu_received(sys_, [ref], psi, None, NoiseSpec(snr_db=np.inf),
+                        np.random.default_rng(0))
         mu_res = mu_comp(sys_, z, bas, [ref])[0]
         rcv = receiver(ch.lam, layout)
         w = build_w(z, rcv, bas)
@@ -164,7 +166,8 @@ class TestMuCompensate:
         layout = default_layout()
         sys_ = make_system(6)
         refs = [make_symbol(layout, qam, rng_seed=20 + u) for u in range(2)]
-        z = mu_received(sys_, refs, np.ones(64), None, NoiseSpec(snr_db=np.inf))
+        z = mu_received(sys_, refs, np.ones(64), None, NoiseSpec(snr_db=np.inf),
+                        np.random.default_rng(0))
         results = mu_comp(sys_, z, dft_basis(64, 4), refs)
         for res, ref in zip(results, refs):
             assert evm_db(res.s_hat, ref) <= -180
@@ -180,7 +183,7 @@ class TestMuCompensate:
         phi *= 0.005 / np.max(np.abs(phi))
         refs = [make_symbol(layout, qam, rng_seed=30 + u) for u in range(2)]
         z = mu_received(sys_, refs, np.exp(1j * phi), None,
-                        NoiseSpec(snr_db=np.inf))
+                        NoiseSpec(snr_db=np.inf), np.random.default_rng(0))
         for res, ref in zip(mu_comp(sys_, z, bas, refs), refs):
             assert evm_db(res.s_hat, ref) <= -80
 

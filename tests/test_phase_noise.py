@@ -189,6 +189,14 @@ class TestPnFiles:
         with pytest.raises(ValueError, match="malformed"):
             list(load_pn_samples(path, 1))
 
+    @pytest.mark.parametrize("line", ["nan", "inf", "-inf", "1.0,nan",
+                                      "inf,0.0"])
+    def test_non_finite_line(self, tmp_path, line):
+        path = tmp_path / "pn.txt"
+        path.write_text("0.0\n" + line + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            list(load_pn_samples(path, 1))
+
     def test_too_short(self, tmp_path):
         path = tmp_path / "pn.txt"
         path.write_text("0.0\n")
