@@ -41,6 +41,17 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.snr_db) or self.snr_db == np.inf):
             raise ValueError("snr_db must be finite or +inf")
+        if self.snr_db != np.inf:
+            try:
+                self.power
+            except OverflowError:
+                raise ValueError(f"snr_db = {self.snr_db} gives a noise "
+                                 f"power beyond the float range") from None
+
+    @property
+    def power(self) -> float:
+        """Noise power per complex sample, 10^(-snr/10)."""
+        return 10.0 ** (-self.snr_db / 10.0)
 
 
 def tap_weights(n_taps: int, profile: str, n: int) -> np.ndarray:
@@ -105,7 +116,7 @@ def awgn(shape: tuple, noise: NoiseSpec,
     """
     if noise.snr_db == np.inf:
         return None
-    sigma = np.sqrt(10.0 ** (-noise.snr_db / 10.0) / 2.0)
+    sigma = np.sqrt(noise.power / 2.0)
     g = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
     return sigma * (g[..., 0, :, :] + 1j * g[..., 1, :, :])
 

@@ -25,8 +25,8 @@ from . import channel as channel_mod
 from . import phase_noise as pn_mod
 from .compensator import (CompConfig, build_w, compensate, equalize_only,
                           fit_gamma, receiver)
-from .mimo import (MuSystem, mu_apply_channel, mu_compensate, mu_receiver,
-                   zf_beamformer)
+from .mimo import (MuSystem, mu_apply_channel, mu_build_w, mu_compensate,
+                   mu_receiver, zf_beamformer)
 from .numerics import ifft
 from .ofdm import (Constellation, FreqSymbol, default_layout, ToneLayout,
                    evm_linear, make_symbol, ratio_to_db, symbol_error_rate)
@@ -146,7 +146,13 @@ class Scenario:
                           *self.tx_sigma_list):
                 self.pn_model(0, sigma)
             if self.name == "tracking":
-                self.offset, init_tracker(self.n, self.d, beta=self.beta)
+                ramp = self.offset.phase_per_sample * self.n_symbols * self.n
+                if not np.isfinite(ramp):
+                    raise ValueError(
+                        f"carrier offset ppm = {self.ppm}, carrier_hz = "
+                        f"{self.carrier_hz}, sample_rate_hz = "
+                        f"{self.sample_rate_hz} overflows the phase ramp")
+                init_tracker(self.n, self.d, beta=self.beta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -282,21 +288,30 @@ class _Acc:
         return self.ser_sum / max(self.count, 1)
 
 
-def _pn_source(sc: Scenario, seed: int, sigma: float):
-    """take(k): the next k symbols of one phase-noise stream, k * N samples."""
-    if sc.pn_file:
+def _pn_source(sc: Scenario, seed: int, sigmas, use_file: bool = True):
+    """take(k): the next k symbols, k * N samples, of one seed's
+    phase-noise stream at every level of sigmas, as one realization with
+    a row per level.  The seed's white noise is filtered once for all
+    levels.  A pn_file, when use_file, replaces the stream and ignores
+    the levels."""
+    if sc.pn_file and use_file:
         windows = itertools.cycle(list(pn_mod.load_pn_samples(sc.pn_file,
                                                               sc.n)))
-        return lambda k: pn_mod.PhaseNoiseRealization.from_phi(
-            np.concatenate([next(windows).phi for _ in range(k)]))
-    gen = pn_mod.PnGenerator(sc.pn_model(seed, sigma))
+        return lambda k: pn_mod.PhaseNoiseRealization.from_phi(np.tile(
+            np.concatenate([next(windows).phi for _ in range(k)]),
+            (len(sigmas), 1)))
+    gen = pn_mod.PnGenerator(sc.pn_model(seed, sigmas[0]), sigmas)
     return lambda k: gen.next(k * sc.n)
 
 
-def _kl_cov(sc: Scenario, ci: int, sigma: float) -> pn_mod.PnCovariance:
-    """Sample covariance that channel ci's KL bases are built from."""
-    take = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigma)
-    return pn_mod.estimate_cov(take(sc.kl_cov_symbols).psi.reshape(-1, sc.n))
+def _kl_covs(sc: Scenario, ci: int, sigmas) -> list[pn_mod.PnCovariance]:
+    """Sample covariances that channel ci's KL bases are built from, one
+    per level of sigmas."""
+    take = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigmas)
+    psi = take(sc.kl_cov_symbols).psi.reshape(len(sigmas), -1, sc.n)
+    # one (levels, N) row per training symbol: every level in one pass
+    r = pn_mod.estimate_cov(np.swapaxes(psi, 0, 1)).r
+    return [pn_mod.PnCovariance(r=r_i) for r_i in r]
 
 
 def _make_basis(sc: Scenario, kind: str, d: int, cov) -> basis_mod.CompBasis:
@@ -315,7 +330,7 @@ def _channel_symbols(sc: Scenario, ci: int, sigma: float,
     ch = channel_mod.gen_channel(sc.n_taps, sc.channel_profile,
                                  child_seed(sc.master_seed, "chan", ci),
                                  n_rx=sc.n_rx, n=sc.n)
-    take_pn = _pn_source(sc, child_seed(sc.master_seed, "pn", ci), sigma)
+    take_pn = _pn_source(sc, child_seed(sc.master_seed, "pn", ci), (sigma,))
     noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
     noise_rng = np.random.default_rng(child_seed(sc.master_seed, "noise", ci))
     layout, const = sc.layout, sc.constellation
@@ -333,13 +348,20 @@ def _channel_symbols(sc: Scenario, ci: int, sigma: float,
     return ch, blocks
 
 
-def _score(s_hat: FreqSymbol, ref: FreqSymbol, const: Constellation,
-           n_eq: int, *accs: _Acc) -> None:
-    """Score one symbol once and add it to every accumulator it feeds."""
-    err, refp = evm_linear(s_hat, ref)
-    ser = symbol_error_rate(s_hat, ref, const)
-    for acc in accs:
-        acc.add(err, refp, ser, n_eq)
+def _score(s_hats, refs: list[FreqSymbol], n_eqs, const: Constellation,
+           accs) -> None:
+    """Score the estimates s_hats (M, N) against refs: one stacked EVM,
+    then each row's SER.  Row i, fit with n_eqs[i] equations, is added to
+    every accumulator of accs[i], in row order."""
+    if not refs:
+        return
+    layout = refs[0].layout
+    err, refp = evm_linear(s_hats, np.array([r.s for r in refs]), layout)
+    for s, ref, e, p, n_eq, feeds in zip(s_hats, refs, err.tolist(),
+                                         refp.tolist(), n_eqs, accs):
+        ser = symbol_error_rate(FreqSymbol(s=s, layout=layout), ref, const)
+        for acc in feeds:
+            acc.add(e, p, ser, n_eq)
 
 
 def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
@@ -348,8 +370,9 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
 
     Each kind's basis is built once per channel at the largest d and W
     once per symbol block; every d fits the whole block at once on their
-    leading d columns.  Every accumulator still sees its symbols in
-    channel, then symbol order."""
+    leading d columns, and each symbol is scored at every point in one
+    stacked EVM.  Every accumulator still sees its symbols in channel, then
+    symbol order."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
@@ -360,10 +383,11 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
         for ci in range(sc.n_channels_eff):
             ch, blocks = _channel_symbols(sc, ci, sigma)
             rcv = receiver(ch.lam, sc.layout, cfg)
-            cov = (_kl_cov(sc, ci, sigma)
+            cov = (_kl_covs(sc, ci, (sigma,))[0]
                    if d_max and "KL" in sc.basis_kinds else None)
             families = {kind: _make_basis(sc, kind, d_max, cov)
                         for kind in sc.basis_kinds} if d_max else {}
+            n_eqs = [len(rcv.tones) if d else 0 for _, d in points]
             for refs, z in blocks:
                 ws = {kind: build_w(z, rcv, fam)
                       for kind, fam in families.items()}
@@ -371,17 +395,15 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
                 gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv,
                                                refs_s)[0]
                           for kind, d in points if d}
+                # symbol by symbol, every point at once: each point
+                # combines the symbol's W while it is in cache
                 for i, ref in enumerate(refs):
-                    for kind, d in points:
-                        if d:
-                            res = compensate(ws[kind][i], rcv,
-                                             gammas[(kind, d)][i], ref)
-                            s_hat, n_eq = res.s_hat, res.n_equations
-                        else:
-                            s_hat = FreqSymbol(s=equalize_only(z[i], rcv),
-                                               layout=ref.layout)
-                            n_eq = 0
-                        _score(s_hat, ref, const, n_eq, accs[(kind, d)])
+                    s_hats = np.array([
+                        compensate(ws[kind][i], rcv, gammas[(kind, d)][i],
+                                   ref).s_hat.s if d
+                        else equalize_only(z[i], rcv) for kind, d in points])
+                    _score(s_hats, [ref] * len(points), n_eqs, const,
+                           [(accs[pt],) for pt in points])
         for kind, d in points:
             acc = accs[(kind, d)]
             rows.append(ResultRow(sc.name, "all", "", 1, kind, d, sigma,
@@ -393,18 +415,20 @@ def _mu_channel_symbols(sc: Scenario, ci: int, sys_: MuSystem):
     """Channel ci's multiuser symbols at every (sigma, tx sigma) point,
     simulated SYMBOL_BLOCK at a time: per block, make_symbol, the users'
     IFFT and the noise draw run once, the channel once per distinct tx
-    sigma and the rx phase noise once per sigma, equal to simulating each
-    point symbol by symbol.  Yields (refs, (i, j), z) per block and point:
-    refs[m][u] is user u's symbol m and z (b, n_rx, N) the block received
-    at sigma_list[i] and tx_sigma_list[j]."""
+    sigma, and the rx and each user's tx phase noise once for all their
+    levels, equal to simulating each point symbol by symbol.  Yields
+    (refs, (i, j), z) per block and point: refs[m][u] is user u's symbol m
+    and z (b, n_rx, N) the block received at sigma_list[i] and
+    tx_sigma_list[j]."""
     seed, n = sc.master_seed, sc.n
     layout, const = sc.layout, sc.constellation
-    take_rx = [_pn_source(sc, child_seed(seed, "pn", ci), sigma)
-               for sigma in sc.sigma_list]
-    tx_gens = {tx: [pn_mod.PnGenerator(
-                        sc.pn_model(child_seed(seed, "txpn", ci, u), tx))
-                    for u in range(sc.n_users)] if tx > 0 else []
-               for tx in dict.fromkeys(sc.tx_sigma_list)}
+    take_rx = _pn_source(sc, child_seed(seed, "pn", ci), sc.sigma_list)
+    # tx sigma 0 leaves the users' signals as they are; the others are
+    # rows of one stream per user, always generated (pn_file is the rx's)
+    tx_levels = [tx for tx in dict.fromkeys(sc.tx_sigma_list) if tx > 0]
+    take_tx = [_pn_source(sc, child_seed(seed, "txpn", ci, u), tx_levels,
+                          use_file=False)
+               for u in range(sc.n_users)] if tx_levels else []
     noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
     noise_rng = np.random.default_rng(child_seed(seed, "noise", ci))
     for m0 in range(0, sc.n_symbols, SYMBOL_BLOCK):
@@ -415,26 +439,26 @@ def _mu_channel_symbols(sc: Scenario, ci: int, sys_: MuSystem):
         x = ifft(np.array([[ref.s for ref in syms] for syms in refs]))
         # the noise is added before the rx phase noise, as at the receiver
         awgn = channel_mod.awgn((b, sc.n_rx, n), noise, noise_rng)
+        # (levels, b, n_users, N)
+        psi_tx = np.stack([take(b).psi.reshape(-1, b, n) for take in take_tx],
+                          axis=2) if take_tx else None
         y = {}
-        for tx, gens in tx_gens.items():
-            x_tx = x
-            if gens:
-                x_tx = np.stack([g.next(b * n).psi.reshape(b, n)
-                                 for g in gens], axis=1) * x
+        for tx in dict.fromkeys(sc.tx_sigma_list):
+            x_tx = psi_tx[tx_levels.index(tx)] * x if tx > 0 else x
             y[tx] = mu_apply_channel(sys_, x_tx)
             if awgn is not None:
                 y[tx] = y[tx] + awgn
-        for i, take in enumerate(take_rx):
-            psi = take(b).psi.reshape(b, 1, n)
+        psi_rx = take_rx(b).psi.reshape(-1, b, 1, n)
+        for i, psi in enumerate(psi_rx):
             for j, tx in enumerate(sc.tx_sigma_list):
                 yield refs, (i, j), psi * y[tx]
 
 
 def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
     """Multiuser sweep over the (sigma, tx sigma) points.  Each channel is
-    simulated once for every point; each point keeps its own accumulator,
-    so repeated values give repeated rows, and sees its symbols in
-    channel, then symbol order."""
+    simulated once for every point, and W built once per symbol block and
+    point; each point keeps its own accumulator, so repeated values give
+    repeated rows, and sees its symbols in channel, then symbol order."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     accs = {pt: _Acc() for pt in itertools.product(
@@ -448,13 +472,16 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
             for u in range(sc.n_users)))
         bf = zf_beamformer(sys_)
         rcv = mu_receiver(bf, sc.layout, cfg)
-        bases = [basis_mod.kl_basis(_kl_cov(sc, ci, sigma), sc.d)
-                 for sigma in sc.sigma_list]
+        bases = [basis_mod.kl_basis(cov, sc.d)
+                 for cov in _kl_covs(sc, ci, sc.sigma_list)]
         for refs, pt, z in _mu_channel_symbols(sc, ci, sys_):
-            for syms, z_m in zip(refs, z):
-                results = mu_compensate(z_m, bases[pt[0]], syms, bf, rcv)
-                for ref, res in zip(syms, results):
-                    _score(res.s_hat, ref, const, res.n_equations, accs[pt])
+            w = mu_build_w(z, bf, bases[pt[0]])
+            results = [res for w_m, syms in zip(w, refs)
+                       for res in mu_compensate(w_m, syms, rcv)]
+            _score(np.array([res.s_hat.s for res in results]),
+                   [ref for syms in refs for ref in syms],
+                   [len(rcv.tones)] * len(results), const,
+                   [(accs[pt],)] * len(results))
     return [ResultRow(sc.name, "all", "", 1,
                       f"KL_tx{sc.tx_sigma_list[j]:g}", sc.d,
                       sc.sigma_list[i], sc.method, acc.evm_db, acc.ser,
@@ -465,7 +492,8 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
 def _run_tracking(sc: Scenario) -> list[ResultRow]:
     """Tracked modes run PAST symbol by symbol; fixed-basis modes fit each
     symbol block at once on one W per block and basis family ("cpe": the
-    DFT family's column 0)."""
+    DFT family's column 0).  One stacked EVM scores each mode's symbol
+    block."""
     const = sc.constellation
     per_symbol = {mode: [_Acc() for _ in range(sc.n_symbols)]
                   for mode in sc.track_modes}
@@ -480,20 +508,31 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
     for ci in range(sc.n_channels_eff):
         ch, blocks = _channel_symbols(sc, ci, sc.sigma_deg, offset=sc.offset)
         rcv = receiver(ch.lam, sc.layout, cfg)
-        cov = _kl_cov(sc, ci, sc.sigma_deg) if "KL" in family_d else None
+        cov = (_kl_covs(sc, ci, (sc.sigma_deg,))[0] if "KL" in family_d
+               else None)
         families = {kind: _make_basis(sc, kind, d, cov)
                     for kind, d in family_d.items()}
+
+        def score(mode, m0, refs, s_hats):
+            _score(s_hats, refs, [len(rcv.tones)] * len(refs), const,
+                   [(acc, totals[mode])
+                    for acc in per_symbol[mode][m0:m0 + len(refs)]])
+
         for b, (refs, z) in enumerate(blocks):
             ws = {kind: build_w(z, rcv, fam) for kind, fam in families.items()}
             refs_s = np.array([ref.s for ref in refs])
             gammas = {mode: fit_gamma(ws[kind][..., :mode_d[mode]], rcv,
                                       refs_s)[0] for mode, kind in fixed}
+            # symbol by symbol, as the sweep; few modes, so each mode's
+            # block is scored in one stack
+            s_hats = np.empty((len(fixed),) + refs_s.shape,
+                              dtype=np.complex128)
             for i, ref in enumerate(refs):
-                for mode, kind in fixed:
-                    res = compensate(ws[kind][i], rcv, gammas[mode][i], ref)
-                    _score(res.s_hat, ref, const, res.n_equations,
-                           per_symbol[mode][b * SYMBOL_BLOCK + i], totals[mode])
-        symbols = [(r, z_i) for refs, z in blocks for r, z_i in zip(refs, z)]
+                for f, (mode, kind) in enumerate(fixed):
+                    s_hats[f, i] = compensate(ws[kind][i], rcv,
+                                              gammas[mode][i], ref).s_hat.s
+            for (mode, _), block in zip(fixed, s_hats):
+                score(mode, b * SYMBOL_BLOCK, refs, block)
         for mode in [m for m in sc.track_modes
                      if m not in _FIXED_TRACK_MODES]:
             freeze = sc.freeze_after if (mode == "frozen"
@@ -501,11 +540,13 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
             tcfg = TrackingConfig(constellation=const, freeze_after=freeze,
                                   training_symbols=sc.training_symbols)
             results, _ = run_tracked(
-                (TrackedSymbol(z=z, rcv=rcv, ref=ref) for ref, z in symbols),
+                (TrackedSymbol(z=z_i, rcv=rcv, ref=ref)
+                 for refs, z in blocks for ref, z_i in zip(refs, z)),
                 init_tracker(sc.n, sc.d, beta=sc.beta), tcfg)
-            for (ref, _z), res, acc in zip(symbols, results, per_symbol[mode]):
-                _score(res.s_hat, ref, const, res.n_equations, acc,
-                       totals[mode])
+            for b, (refs, _z) in enumerate(blocks):
+                m0 = b * SYMBOL_BLOCK
+                score(mode, m0, refs, np.array(
+                    [res.s_hat.s for res in results[m0:m0 + len(refs)]]))
     rows = []
     for mode in sc.track_modes:
         if sc.per_symbol_rows:

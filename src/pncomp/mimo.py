@@ -102,11 +102,15 @@ def mu_received(sys: MuSystem, syms: list[FreqSymbol], psi_rx: CVec,
     return psi_rx[None, :] * add_awgn(mu_apply_channel(sys, x), noise, rng)
 
 
-def mu_build_w(z: CMat, bf: ZfBeamformer, basis: CompBasis) -> np.ndarray:
-    """Per-user W tensor (n_users, N, d) without Kronecker materialization."""
-    g = fft((z[:, :, None] * basis.v[None, :, :]).transpose(0, 2, 1))
-    g = g.transpose(0, 2, 1)  # (n_rx, N, d): F diag(z_r) V
-    return np.einsum("kur,rkd->ukd", bf.b, g)
+def mu_build_w(z, bf: ZfBeamformer, basis: CompBasis) -> np.ndarray:
+    """Per-user W tensor (..., n_users, N, d) without Kronecker
+    materialization; z is (..., n_rx, N): one symbol, or a block of symbols
+    along leading axes."""
+    # (..., n_rx, N, d): F diag(z_r) V, one FFT per (symbol, branch, column)
+    g = np.swapaxes(fft(z[..., None, :] * basis.v.T), -1, -2)
+    # einsum, not a broadcast product summed over r: that sums in another
+    # order and changes the last bits
+    return np.einsum("kur,...rkd->...ukd", bf.b, g)
 
 
 def mu_receiver(bf: ZfBeamformer, layout: ToneLayout,
@@ -119,13 +123,13 @@ def mu_receiver(bf: ZfBeamformer, layout: ToneLayout,
                     per_block_refs=True)
 
 
-def mu_compensate(z: CMat, basis: CompBasis, refs: list[FreqSymbol],
-                  bf: ZfBeamformer, rcv: Receiver) -> list[CompResult]:
+def mu_compensate(w, refs: list[FreqSymbol],
+                  rcv: Receiver) -> list[CompResult]:
     """Joint gamma from all users' pilot rows; per-user equalized symbols.
-    bf and rcv = mu_receiver(bf, ...) are built once per channel."""
-    w = mu_build_w(z, bf, basis)
+    w = mu_build_w(z, bf, basis) is one symbol's (n_users, N, d) and
+    rcv = mu_receiver(bf, ...) is built once per channel."""
     gamma, n_eq = fit_gamma(w, rcv, np.concatenate([r.s for r in refs]))
     return [CompResult(gamma=gamma,
                        s_hat=FreqSymbol(s=w[u] @ gamma, layout=ref.layout),
-                       n_equations=n_eq, underdetermined=n_eq < basis.d)
+                       n_equations=n_eq, underdetermined=n_eq < w.shape[-1])
             for u, ref in enumerate(refs)]

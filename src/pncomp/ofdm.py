@@ -129,7 +129,9 @@ def make_symbol(layout: ToneLayout, constellation: Constellation,
     rng = np.random.default_rng(rng_seed)
     s = np.zeros(layout.n, dtype=np.complex128)
     active = layout.active_arr
-    s[active] = rng.choice(constellation.points, size=len(active))
+    # the labels rng.choice(points, size) would draw, without its overhead
+    s[active] = constellation.points[
+        rng.integers(0, constellation.order, size=len(active))]
     return FreqSymbol(s=s, layout=layout)
 
 
@@ -137,19 +139,23 @@ def evm_db(est: FreqSymbol, ref: FreqSymbol) -> float:
     """Error vector magnitude in dB over the data tones."""
     if est.layout != ref.layout:
         raise ValueError("EVM requires matching tone layouts")
-    num, den = evm_linear(est, ref)
+    num, den = evm_linear(est.s, ref.s, ref.layout)
     if den == 0.0:
         raise ValueError("reference has zero power on the data tones")
     return ratio_to_db(num, den)
 
 
-def evm_linear(est: FreqSymbol, ref: FreqSymbol) -> tuple[float, float]:
+def evm_linear(est, ref, layout: ToneLayout) -> tuple:
     """(error power, reference power) over the data tones, for
-    linear-domain aggregation."""
-    idx = ref.layout.data_arr
-    ref_s = ref.s[idx]
-    return (float((np.abs(est.s[idx] - ref_s) ** 2).sum()),
-            float((np.abs(ref_s) ** 2).sum()))
+    linear-domain aggregation: one pair of sums per symbol of est and ref
+    (..., N), arrays of shape (...).
+
+    np.take keeps the rows C-contiguous: summed along a strided last axis,
+    rows of a block can differ in the last bits from one symbol's sum."""
+    idx = layout.data_arr
+    ref_s = np.take(ref, idx, axis=-1)
+    return ((np.abs(np.take(est, idx, axis=-1) - ref_s) ** 2).sum(axis=-1),
+            (np.abs(ref_s) ** 2).sum(axis=-1))
 
 
 def ratio_to_db(num: float, den: float) -> float:

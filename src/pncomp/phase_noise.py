@@ -55,7 +55,8 @@ class PhaseNoiseRealization:
     @staticmethod
     def from_phi(phi: np.ndarray) -> "PhaseNoiseRealization":
         phi = np.asarray(phi, dtype=np.float64)
-        return PhaseNoiseRealization(psi=np.exp(1j * phi), phi=phi)
+        psi = 1j * phi
+        return PhaseNoiseRealization(psi=np.exp(psi, out=psi), phi=phi)
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,19 @@ def _design_filter(order: int, cutoff: float, ripple_db: float):
 
 
 class PnGenerator:
-    """Stateful generator: one stationary phi process across symbols."""
+    """Stateful generator: one stationary phi process across symbols.
 
-    def __init__(self, model: PnModel):
+    Only the output scale depends on sigma, so one generator can draw its
+    filtered stream at several levels: given sigmas, each phi has one row
+    per level, equal to what a generator of that sigma_deg would draw."""
+
+    def __init__(self, model: PnModel, sigmas=None):
         self._b, self._a, gain = _design_filter(model.order, model.cutoff,
                                                 model.ripple_db)
-        self._scale = np.deg2rad(model.sigma_deg) / gain if gain > 0 else 0.0
+        if sigmas is None:
+            self._scale = _phi_scale(model.sigma_deg, gain)
+        else:
+            self._scale = np.array([[_phi_scale(s, gain)] for s in sigmas])
         self._rng = np.random.default_rng(model.seed)
         self._zi = np.zeros(max(len(self._a), len(self._b)) - 1)
         self._warm_up()
@@ -129,19 +137,27 @@ class PnGenerator:
         return PhaseNoiseRealization.from_phi(self.next_phi(n))
 
 
+def _phi_scale(sigma_deg: float, gain: float) -> float:
+    return np.deg2rad(sigma_deg) / gain if gain > 0 else 0.0
+
+
 def estimate_cov(realizations) -> PnCovariance:
-    """R = (1/M) sum psi psi* over the given realizations (or psi rows)."""
-    rows = [getattr(real, "psi", real) for real in realizations]
+    """R = (1/M) sum psi psi* over the given realizations (or psi rows),
+    summed one outer product at a time in row order.  Rows of shape
+    (..., N) give one covariance per leading index, r of (..., N, N)."""
+    rows = [np.asarray(getattr(real, "psi", real)) for real in realizations]
     if not rows:
         raise ValueError("need at least one realization")
-    n = len(rows[0])
-    r = np.zeros((n, n), dtype=np.complex128)
+    shape = rows[0].shape
+    r = np.zeros(shape + shape[-1:], dtype=np.complex128)
+    term = np.empty_like(r)
     for psi in rows:
-        if len(psi) != n:
+        if psi.shape != shape:
             raise ValueError("realizations must share a common length")
-        r += np.outer(psi, psi.conj())
+        np.multiply(psi[..., :, None], psi.conj()[..., None, :], out=term)
+        r += term
     r /= len(rows)
-    return PnCovariance(r=(r + r.conj().T) / 2)
+    return PnCovariance(r=(r + np.swapaxes(r.conj(), -1, -2)) / 2)
 
 
 def offset_factor(off: CarrierOffset, start_sample: int, n: int) -> CVec:
@@ -152,9 +168,11 @@ def offset_factor(off: CarrierOffset, start_sample: int, n: int) -> CVec:
 
 def apply_offset(psi: PhaseNoiseRealization, off: CarrierOffset,
                  start_sample: int = 0) -> PhaseNoiseRealization:
-    """Multiply by the carrier-offset ramp; start_sample is absolute time."""
-    c = offset_factor(off, start_sample, len(psi.psi))
-    phi = psi.phi + off.phase_per_sample * (start_sample + np.arange(len(psi.psi)))
+    """Multiply by the carrier-offset ramp along the last axis;
+    start_sample is absolute time."""
+    n = psi.psi.shape[-1]
+    c = offset_factor(off, start_sample, n)
+    phi = psi.phi + off.phase_per_sample * (start_sample + np.arange(n))
     return PhaseNoiseRealization(psi=psi.psi * c, phi=phi)
 
 

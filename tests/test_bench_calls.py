@@ -62,14 +62,20 @@ def count_calls(monkeypatch, names):
 
 # sweep_d and mimo_tls: a few symbols; track_offset: past its 300 training
 # symbols, so decision-directed symbols are counted too; sweep_d and
-# mimo_tls also past one symbol block, so a block boundary is crossed
-@pytest.mark.parametrize("name, n_symbols", [
-    ("sweep_d", 5), ("sweep_d", 33), ("track_offset", 310), ("mimo_tls", 3),
-    ("mimo_tls", 33)])
+# mimo_tls also past one symbol block, so a block boundary is crossed;
+# mimo_tls also at sigma 0, a repeated sigma and a third tx sigma
+@pytest.mark.parametrize("name, n_symbols, extra", [
+    ("sweep_d", 5, {}), ("sweep_d", 33, {}), ("track_offset", 310, {}),
+    ("mimo_tls", 3, {}), ("mimo_tls", 33, {}),
+    ("mimo_tls", 33, {"sigma_list": (0.0, 3.0, 3.0),
+                      "tx_sigma_list": (0.0, 1.0, 2.0)})],
+    ids=["sweep_d-5", "sweep_d-33", "track_offset-310", "mimo_tls-3",
+         "mimo_tls-33", "mimo_tls-33-shared_streams"])
 def test_counts_match_expected(workload, monkeypatch, tmp_path, name,
-                               n_symbols):
+                               n_symbols, extra):
     sc = harness.parse_config(str(workload.CONFIG_DIR / f"{name}.cfg"),
-                              {"master_seed": 1, "n_symbols": n_symbols})
+                              {"master_seed": 1, "n_symbols": n_symbols,
+                               **extra})
     expected = workload.expected_calls(sc)
     counts = count_calls(monkeypatch, expected)
     harness.run_scenario(sc, str(tmp_path / "out.csv"))

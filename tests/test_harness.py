@@ -11,7 +11,8 @@ import pytest
 
 from pncomp.channel import gen_channel
 from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
-                            Scenario, _channel_symbols, _mu_channel_symbols,
+                            Scenario, _channel_symbols, _kl_covs,
+                            _mu_channel_symbols,
                             child_seed, main, parse_config, run_scenario,
                             write_csv)
 from pncomp.mimo import MuSystem
@@ -251,6 +252,12 @@ class TestCli:
         ("name = mimo_sweep\nn_users = 0\n", []),
         ("name = mimo_sweep\ntx_sigma_list = 0, -1\n", []),
         ("name = evm_vs_sigma\nsigma_list = 1, -2\n", []),
+        ("name = custom\nsnr_db = -1e308\n", []),
+        ("name = custom\nsnr_db = -3083\n", []),
+        ("name = tracking\nppm = 1e6\ncarrier_hz = 1e308\n"
+         "sample_rate_hz = 1\n", []),
+        ("name = tracking\nppm = 1e6\ncarrier_hz = 1e305\n"
+         "sample_rate_hz = 1\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
             "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
@@ -258,7 +265,9 @@ class TestCli:
             "beta_2", "n_taps_0", "kl_cov_0", "kl_cov_neg", "profile_foo",
             "profile_tau_0", "pn_cutoff_0.7", "pn_order_40", "pn_ripple_0",
             "n_rx_0", "training_neg", "sample_rate_0", "mimo_users_0",
-            "tx_sigma_neg", "sigma_list_neg"])
+            "tx_sigma_neg", "sigma_list_neg", "snr_overflow",
+            "snr_overflow_edge", "offset_inf_per_sample",
+            "offset_ramp_overflow"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -360,6 +369,14 @@ GOLDEN = {
         dict(name="mimo_sweep", sigma_list=(2.0, 2.0),
              tx_sigma_list=(0.0, 1.0, 1.0), d=4, **SMALL),
         "24e6fdab4787279dd4b10a17cc8880fc407b883851239ca57e07e9640f62e1a2"),
+    # sigma 0, a repeated sigma and three tx sigmas, one of them 0, over
+    # 40 symbols (two blocks): each seed's phase-noise stream is shared
+    # by every sigma it is drawn at
+    "mimo_shared_streams": (
+        dict(name="mimo_sweep", sigma_list=(0.0, 3.0, 3.0),
+             tx_sigma_list=(0.0, 1.0, 2.0), d=4, method="TLS",
+             n_symbols=40, scale=1 / 300, kl_cov_symbols=50),
+        "727af1b23e9e26530aebf3429b704a82db0cb65b4921a9774f4ddb8636cf38dd"),
     # three users, 70 symbols: more than two symbol blocks, the last short
     "mimo_blocks": (
         dict(name="mimo_sweep", n_users=3, n_rx=3, n_symbols=70,
@@ -501,6 +518,49 @@ def per_point_mu_stream(sc, ci, sigma, tx_sigma):
     return sys_, out
 
 
+def per_sigma_kl_cov(sc, ci, sigma):
+    """The one-sigma _kl_cov that _kl_covs replaced, kept as the
+    reference: its own generator (or file windows) per sigma, and the
+    np.outer sum that estimate_cov's preallocated product replaced."""
+    seed = child_seed(sc.master_seed, "cov", ci)
+    if sc.pn_file:
+        windows = itertools.cycle(list(load_pn_samples(sc.pn_file, sc.n)))
+        psi = np.concatenate([next(windows).psi
+                              for _ in range(sc.kl_cov_symbols)])
+    else:
+        psi = PnGenerator(sc.pn_model(seed, sigma)).next(
+            sc.kl_cov_symbols * sc.n).psi
+    r = np.zeros((sc.n, sc.n), dtype=np.complex128)
+    for row in psi.reshape(-1, sc.n):
+        r += np.outer(row, row.conj())
+    r /= sc.kl_cov_symbols
+    return (r + r.conj().T) / 2
+
+
+class TestKlCovs:
+    """_kl_covs filters one stream per channel for all its sigmas; each
+    covariance must equal the one-generator-per-sigma reference."""
+
+    @pytest.mark.parametrize("sigmas, pn_file", [
+        ((3.0,), False), ((0.0, 3.0, 3.0), False), ((2.0, 4.0, 6.0), False),
+        ((0.0, 3.0, 3.0), True)],
+        ids=["one", "sigma_0_repeated", "three", "pn_file"])
+    def test_matches_per_sigma_cov(self, tmp_path, sigmas, pn_file):
+        params = dict(name="mimo_sweep", sigma_list=sigmas,
+                      kl_cov_symbols=45, master_seed=78)
+        if pn_file:
+            # 37 windows: the training cycles through the file
+            path = tmp_path / "pn.txt"
+            save_pn_samples(path, PnGenerator(PnModel(3.0, seed=5))
+                            .next_phi(64 * 37))
+            params["pn_file"] = str(path)
+        sc = Scenario(**params)
+        covs = _kl_covs(sc, 2, sc.sigma_list)
+        assert len(covs) == len(sigmas)
+        for cov, sigma in zip(covs, sigmas):
+            assert np.array_equal(cov.r, per_sigma_kl_cov(sc, 2, sigma))
+
+
 class TestMuBlockStream:
     """_mu_channel_symbols simulates each channel once per block for every
     (sigma, tx sigma) point; every point's symbols must equal its own
@@ -515,9 +575,13 @@ class TestMuBlockStream:
         dict(snr_db=float("inf"), n_users=1, tx_sigma_list=(0.0,)),
         dict(pn_file=True),
         dict(sigma_list=(2.0, 2.0), tx_sigma_list=(1.0, 0.0, 1.0)),
+        dict(sigma_list=(0.0, 3.0, 3.0), tx_sigma_list=(0.0, 1.0, 2.0)),
+        dict(pn_file=True, sigma_list=(0.0, 3.0, 3.0),
+             tx_sigma_list=(2.0, 1.0)),
     ], ids=["two_users", "one_user_nrx1", "three_users_snr_inf",
             "one_full_block_tx_off", "one_symbol_tx_on",
-            "snr_inf_tx_off", "pn_file", "repeated_points"])
+            "snr_inf_tx_off", "pn_file", "repeated_points",
+            "sigma_0_repeated", "pn_file_sigma_0_repeated"])
     def test_matches_per_point_stream(self, tmp_path, kw):
         kw = dict(kw)
         if kw.pop("pn_file", False):

@@ -28,9 +28,10 @@ def make_system(seed, n_users=2, n_rx=2, n=64, n_taps=8):
 
 
 def mu_comp(sys_, z, bas, refs):
-    """mu_compensate with the system's beamformer and receiver."""
+    """mu_compensate on z's W with the system's beamformer and receiver."""
     bf = zf_beamformer(sys_)
-    return mu_compensate(z, bas, refs, bf, mu_receiver(bf, refs[0].layout))
+    return mu_compensate(mu_build_w(z, bf, bas), refs,
+                         mu_receiver(bf, refs[0].layout))
 
 
 class TestMuSystem:
@@ -135,6 +136,54 @@ class TestZfBeamformer:
         for u in range(2):
             s_u = np.array([bf.b[k, u] @ zf[:, k] for k in range(64)])
             np.testing.assert_allclose(s_u, refs[u].s, atol=1e-8)
+
+
+def per_symbol_mu_w(z, bf, basis):
+    """The one-symbol mu_build_w that the block version replaced, kept as
+    the reference: W (n_users, N, d) of z (n_rx, N)."""
+    g = nx.fft((z[:, :, None] * basis.v[None, :, :]).transpose(0, 2, 1))
+    g = g.transpose(0, 2, 1)  # (n_rx, N, d): F diag(z_r) V
+    return np.einsum("kur,rkd->ukd", bf.b, g)
+
+
+class TestBlockW:
+    """mu_build_w of a block of symbols must equal the per-symbol W of
+    each of them bit for bit, and so must the fit and combine on it."""
+
+    @pytest.mark.parametrize("chans", [
+        lambda: make_system(40, n_users=1, n_rx=1).channels,
+        lambda: make_system(41, n_users=1, n_rx=2).channels,
+        lambda: make_system(42).channels,
+        lambda: make_system(43, n_users=3, n_rx=3).channels,
+        # the users' columns are parallel on tone 0 only
+        lambda: (from_taps(np.array([[1.0], [1.0]]), 64),
+                 from_taps(np.array([[1.0, 0.0], [0.0, 1.0]]), 64)),
+        # both users are zero on every branch at tone 32
+        lambda: (from_taps(np.array([[1.0, 1.0], [1.0, 1.0]]), 64),
+                 from_taps(np.array([[1.0, 1.0], [2.0, 2.0]]), 64)),
+    ], ids=["1user_1rx", "1user_2rx", "2users", "3users", "parallel_tone",
+            "zero_tone"])
+    @pytest.mark.parametrize("m", [1, 18, 32])
+    def test_matches_per_symbol_w(self, qam, chans, m):
+        sys_ = MuSystem(channels=chans())
+        bf = zf_beamformer(sys_)
+        bas = dft_basis(64, 6)
+        rng = np.random.default_rng(m)
+        z = (rng.standard_normal((m, sys_.n_rx, 64))
+             + 1j * rng.standard_normal((m, sys_.n_rx, 64)))
+        w = mu_build_w(z, bf, bas)
+        assert w.shape == (m, sys_.n_users, 64, 6)
+        layout = default_layout()
+        rcv = mu_receiver(bf, layout)
+        for i in range(m):
+            w_ref = per_symbol_mu_w(z[i], bf, bas)
+            assert np.array_equal(w[i], w_ref)
+            refs = [make_symbol(layout, qam, rng_seed=100 * i + u)
+                    for u in range(sys_.n_users)]
+            for a, e in zip(mu_compensate(w[i], refs, rcv),
+                            mu_compensate(w_ref, refs, rcv)):
+                assert np.array_equal(a.s_hat.s, e.s_hat.s)
+                assert np.array_equal(a.gamma, e.gamma)
 
 
 class TestMuCompensate:

@@ -112,6 +112,20 @@ class TestMakeSymbol:
         assert all(np.round(v, 12) in pts for v in sym.s[active])
 
 
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_labels_as_rng_choice_draws_them(self, layout, order):
+        # make_symbol draws labels with rng.integers; rng.choice(points)
+        # gave the same symbols and left the generator in the same state
+        const = Constellation.qam(order)
+        active = layout.active_arr
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            expected = np.zeros(64, dtype=np.complex128)
+            expected[active] = rng.choice(const.points, size=len(active))
+            assert np.array_equal(make_symbol(layout, const, seed).s,
+                                  expected)
+
+
 class TestModulate:
     def test_delta_tone_zero(self, layout):
         s = np.zeros(64, dtype=complex)
@@ -152,7 +166,7 @@ class TestEvm:
             noise = np.sqrt(1e-3 / 2) * (rng.standard_normal(64)
                                          + 1j * rng.standard_normal(64))
             est = FreqSymbol(s=ref.s + noise, layout=layout)
-            e, r = evm_linear(est, ref)
+            e, r = evm_linear(est.s, ref.s, layout)
             err_acc += e
             ref_acc += r
         assert abs(ratio_to_db(err_acc, ref_acc) - (-30.0)) <= 0.3
@@ -163,6 +177,38 @@ class TestEvm:
         est = FreqSymbol(s=ref.s, layout=other)
         with pytest.raises(ValueError):
             evm_db(est, ref)
+
+
+def per_symbol_evm(est, ref):
+    """The one-symbol evm_linear that the block version replaced, kept as
+    the reference: (error power, reference power) of two FreqSymbols."""
+    idx = ref.layout.data_arr
+    ref_s = ref.s[idx]
+    return (float((np.abs(est.s[idx] - ref_s) ** 2).sum()),
+            float((np.abs(ref_s) ** 2).sum()))
+
+
+class TestBlockEvm:
+    """evm_linear over a block of symbols must give every symbol's sums
+    bit for bit as the one-symbol version did."""
+
+    @pytest.mark.parametrize("nulls", [(), tuple(range(28, 36))],
+                             ids=["no_nulls", "null_tones"])
+    @pytest.mark.parametrize("m", [1, 31, 32])
+    def test_matches_per_symbol(self, qam256, m, nulls):
+        layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                            null_idx=nulls)
+        rng = np.random.default_rng(m)
+        refs = [make_symbol(layout, qam256, rng_seed=500 + i)
+                for i in range(m)]
+        ests = [FreqSymbol(s=ref.s + 0.01 * (rng.standard_normal(64)
+                                             + 1j * rng.standard_normal(64)),
+                           layout=layout) for ref in refs]
+        err, refp = evm_linear(np.array([e.s for e in ests]),
+                               np.array([r.s for r in refs]), layout)
+        assert err.shape == refp.shape == (m,)
+        for i, (est, ref) in enumerate(zip(ests, refs)):
+            assert (err[i], refp[i]) == per_symbol_evm(est, ref)
 
 
 class TestHardDecide:

@@ -64,6 +64,29 @@ class TestGenPn:
             assert np.array_equal(gen.next_phi(200), scale * y)
 
 
+class TestSharedLevels:
+    """One generator drawn at several sigmas gives, row by row, the stream
+    of a separate generator per sigma, bit for bit."""
+
+    @pytest.mark.parametrize("sigmas", [(3.0,), (0.0, 3.0, 3.0),
+                                        (2.0, 4.0, 6.0), (0.0,)],
+                             ids=["one", "zero_repeated", "three", "zero"])
+    def test_rows_match_separate_generators(self, sigmas):
+        shared = PnGenerator(PnModel(sigma_deg=sigmas[0], seed=21), sigmas)
+        separate = [PnGenerator(PnModel(sigma_deg=s, seed=21))
+                    for s in sigmas]
+        for n in (64, 64 * 32, 64 * 5):
+            real = shared.next(n)
+            assert real.phi.shape == real.psi.shape == (len(sigmas), n)
+            for row, phi, gen in zip(real.psi, real.phi, separate):
+                expected = gen.next(n)
+                assert np.array_equal(phi, expected.phi)
+                assert np.array_equal(row, expected.psi)
+                # -0.0 and 0.0 alike: sigma 0 keeps the signs of zero
+                assert np.array_equal(np.signbit(row.imag),
+                                      np.signbit(expected.psi.imag))
+
+
 class TestEstimateCov:
     def test_single_realization_rank_one(self):
         real = gen_pn(PnModel(sigma_deg=3.0, seed=5), 64)
@@ -91,6 +114,31 @@ class TestEstimateCov:
         cov = estimate_cov([gen.next(64) for _ in range(10)])
         eig = nx.herm_eig(cov.r)
         assert np.sum(eig.values[:4]) >= 0.99 * np.sum(eig.values)
+
+    @pytest.mark.parametrize("rows", [1, 7, 500])
+    def test_matches_outer_product_loop(self, rows):
+        # the np.outer loop the preallocated product replaced, kept as the
+        # reference: same terms, same order, same bits
+        psi = PnGenerator(PnModel(sigma_deg=3.0, seed=rows)).next(
+            64 * rows).psi.reshape(rows, 64)
+        r = np.zeros((64, 64), dtype=np.complex128)
+        for row in psi:
+            r += np.outer(row, row.conj())
+        r /= rows
+        expected = (r + r.conj().T) / 2
+        assert np.array_equal(estimate_cov(psi).r, expected)
+        reals = [PhaseNoiseRealization.from_phi(np.angle(row)) for row in psi]
+        assert np.allclose(estimate_cov(reals).r, expected, atol=1e-12)
+
+    def test_stacked_rows_match_each(self):
+        # rows (3, N): one covariance per leading index, each equal to
+        # estimating that index's rows alone
+        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=8), (0.0, 2.0, 5.0))
+        psi = gen.next(64 * 40).psi.reshape(3, 40, 64)
+        r = estimate_cov(np.swapaxes(psi, 0, 1)).r
+        assert r.shape == (3, 64, 64)
+        for r_i, rows in zip(r, psi):
+            assert np.array_equal(r_i, estimate_cov(rows).r)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
