@@ -288,15 +288,14 @@ class _Acc:
         return self.ser_sum / max(self.count, 1)
 
 
-def _pn_source(sc: Scenario, seed: int, sigmas, use_file: bool = True):
+def _pn_source(sc: Scenario, seed: int, sigmas, pn: list | None):
     """take(k): the next k symbols, k * N samples, of one seed's
     phase-noise stream at every level of sigmas, as one realization with
     a row per level.  The seed's white noise is filtered once for all
-    levels.  A pn_file, when use_file, replaces the stream and ignores
-    the levels."""
-    if sc.pn_file and use_file:
-        windows = itertools.cycle(list(pn_mod.load_pn_samples(sc.pn_file,
-                                                              sc.n)))
+    levels.  The pn_file windows pn, if not None, replace the stream,
+    cycled from the first, and ignore the levels."""
+    if pn is not None:
+        windows = itertools.cycle(pn)
         return lambda k: pn_mod.PhaseNoiseRealization.from_phi(np.tile(
             np.concatenate([next(windows).phi for _ in range(k)]),
             (len(sigmas), 1)))
@@ -304,10 +303,10 @@ def _pn_source(sc: Scenario, seed: int, sigmas, use_file: bool = True):
     return lambda k: gen.next(k * sc.n)
 
 
-def _kl_covs(sc: Scenario, ci: int, sigmas) -> list[pn_mod.PnCovariance]:
+def _kl_covs(sc: Scenario, ci: int, sigmas, pn) -> list[pn_mod.PnCovariance]:
     """Sample covariances that channel ci's KL bases are built from, one
     per level of sigmas."""
-    take = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigmas)
+    take = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigmas, pn)
     psi = take(sc.kl_cov_symbols).psi.reshape(len(sigmas), -1, sc.n)
     # one (levels, N) row per training symbol: every level in one pass
     r = pn_mod.estimate_cov(np.swapaxes(psi, 0, 1)).r
@@ -322,30 +321,33 @@ def _make_basis(sc: Scenario, kind: str, d: int, cov) -> basis_mod.CompBasis:
     return basis_mod.dct_basis(sc.n, d)
 
 
-def _channel_symbols(sc: Scenario, ci: int, sigma: float,
+def _channel_symbols(sc: Scenario, ci: int, sigma: float, pn,
                      offset: pn_mod.CarrierOffset | None = None):
     """One channel's symbols, simulated SYMBOL_BLOCK at a time (one PN draw,
     FFT pair and noise draw per block, equal to symbol by symbol); returns
-    (channel, list of (refs, z (b, n_rx, N)))."""
+    (channel, generator of (refs, z (b, n_rx, N))), each block simulated
+    only when it is asked for."""
     ch = channel_mod.gen_channel(sc.n_taps, sc.channel_profile,
                                  child_seed(sc.master_seed, "chan", ci),
                                  n_rx=sc.n_rx, n=sc.n)
-    take_pn = _pn_source(sc, child_seed(sc.master_seed, "pn", ci), (sigma,))
+    take_pn = _pn_source(sc, child_seed(sc.master_seed, "pn", ci), (sigma,),
+                         pn)
     noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
     noise_rng = np.random.default_rng(child_seed(sc.master_seed, "noise", ci))
     layout, const = sc.layout, sc.constellation
-    blocks = []
-    for m0 in range(0, sc.n_symbols, SYMBOL_BLOCK):
-        refs = [make_symbol(layout, const,
-                            child_seed(sc.master_seed, "sym", ci, m))
-                for m in range(m0, min(m0 + SYMBOL_BLOCK, sc.n_symbols))]
-        psi = take_pn(len(refs))
-        if offset is not None and offset.ppm != 0:
-            psi = pn_mod.apply_offset(psi, offset, start_sample=m0 * sc.n)
-        x = ifft(np.array([ref.s for ref in refs]))
-        y = channel_mod.apply_channel(ch, x, noise, rng=noise_rng)
-        blocks.append((refs, psi.psi.reshape(len(refs), 1, sc.n) * y))
-    return ch, blocks
+
+    def blocks():
+        for m0 in range(0, sc.n_symbols, SYMBOL_BLOCK):
+            refs = [make_symbol(layout, const,
+                                child_seed(sc.master_seed, "sym", ci, m))
+                    for m in range(m0, min(m0 + SYMBOL_BLOCK, sc.n_symbols))]
+            psi = take_pn(len(refs))
+            if offset is not None and offset.ppm != 0:
+                psi = pn_mod.apply_offset(psi, offset, start_sample=m0 * sc.n)
+            x = ifft(np.array([ref.s for ref in refs]))
+            y = channel_mod.apply_channel(ch, x, noise, rng=noise_rng)
+            yield refs, psi.psi.reshape(len(refs), 1, sc.n) * y
+    return ch, blocks()
 
 
 def _score(s_hats, refs: list[FreqSymbol], n_eqs, const: Constellation,
@@ -364,7 +366,7 @@ def _score(s_hats, refs: list[FreqSymbol], n_eqs, const: Constellation,
             acc.add(e, p, ser, n_eq)
 
 
-def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
+def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
     """Fixed-basis sweep over sigma x basis kind x d; d = 0 scores
     per-tone equalization without phase-noise correction.
 
@@ -381,9 +383,9 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
     for sigma in sigmas:
         accs = {pt: _Acc() for pt in points}
         for ci in range(sc.n_channels_eff):
-            ch, blocks = _channel_symbols(sc, ci, sigma)
+            ch, blocks = _channel_symbols(sc, ci, sigma, pn)
             rcv = receiver(ch.lam, sc.layout, cfg)
-            cov = (_kl_covs(sc, ci, (sigma,))[0]
+            cov = (_kl_covs(sc, ci, (sigma,), pn)[0]
                    if d_max and "KL" in sc.basis_kinds else None)
             families = {kind: _make_basis(sc, kind, d_max, cov)
                         for kind in sc.basis_kinds} if d_max else {}
@@ -411,7 +413,7 @@ def _run_sweep(sc: Scenario, sigmas, ds) -> list[ResultRow]:
     return rows
 
 
-def _mu_channel_symbols(sc: Scenario, ci: int, sys_: MuSystem):
+def _mu_channel_symbols(sc: Scenario, ci: int, sys_: MuSystem, pn):
     """Channel ci's multiuser symbols at every (sigma, tx sigma) point,
     simulated SYMBOL_BLOCK at a time: per block, make_symbol, the users'
     IFFT and the noise draw run once, the channel once per distinct tx
@@ -422,12 +424,12 @@ def _mu_channel_symbols(sc: Scenario, ci: int, sys_: MuSystem):
     tx_sigma_list[j]."""
     seed, n = sc.master_seed, sc.n
     layout, const = sc.layout, sc.constellation
-    take_rx = _pn_source(sc, child_seed(seed, "pn", ci), sc.sigma_list)
+    take_rx = _pn_source(sc, child_seed(seed, "pn", ci), sc.sigma_list, pn)
     # tx sigma 0 leaves the users' signals as they are; the others are
     # rows of one stream per user, always generated (pn_file is the rx's)
     tx_levels = [tx for tx in dict.fromkeys(sc.tx_sigma_list) if tx > 0]
     take_tx = [_pn_source(sc, child_seed(seed, "txpn", ci, u), tx_levels,
-                          use_file=False)
+                          None)
                for u in range(sc.n_users)] if tx_levels else []
     noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
     noise_rng = np.random.default_rng(child_seed(seed, "noise", ci))
@@ -454,7 +456,7 @@ def _mu_channel_symbols(sc: Scenario, ci: int, sys_: MuSystem):
                 yield refs, (i, j), psi * y[tx]
 
 
-def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
+def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
     """Multiuser sweep over the (sigma, tx sigma) points.  Each channel is
     simulated once for every point, and W built once per symbol block and
     point; each point keeps its own accumulator, so repeated values give
@@ -473,8 +475,8 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
         bf = zf_beamformer(sys_)
         rcv = mu_receiver(bf, sc.layout, cfg)
         bases = [basis_mod.kl_basis(cov, sc.d)
-                 for cov in _kl_covs(sc, ci, sc.sigma_list)]
-        for refs, pt, z in _mu_channel_symbols(sc, ci, sys_):
+                 for cov in _kl_covs(sc, ci, sc.sigma_list, pn)]
+        for refs, pt, z in _mu_channel_symbols(sc, ci, sys_, pn):
             w = mu_build_w(z, bf, bases[pt[0]])
             results = [res for w_m, syms in zip(w, refs)
                        for res in mu_compensate(w_m, syms, rcv)]
@@ -489,11 +491,12 @@ def _run_mimo_sweep(sc: Scenario) -> list[ResultRow]:
             for (i, j), acc in accs.items()]
 
 
-def _run_tracking(sc: Scenario) -> list[ResultRow]:
-    """Tracked modes run PAST symbol by symbol; fixed-basis modes fit each
-    symbol block at once on one W per block and basis family ("cpe": the
-    DFT family's column 0).  One stacked EVM scores each mode's symbol
-    block."""
+def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
+    """Each symbol block is finished before the next is simulated: the
+    fixed-basis modes fit it at once on one W per block and basis family
+    ("cpe": the DFT family's column 0), then the tracked modes run PAST
+    through it symbol by symbol, each carrying its state from block to
+    block.  One stacked EVM scores each mode's symbol block."""
     const = sc.constellation
     per_symbol = {mode: [_Acc() for _ in range(sc.n_symbols)]
                   for mode in sc.track_modes}
@@ -505,13 +508,21 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
     family_d = {}  # each basis family at the largest d of its modes
     for mode, kind in fixed:
         family_d[kind] = max(family_d.get(kind, 0), mode_d[mode])
+    tracked = {mode: TrackingConfig(
+        constellation=const, training_symbols=sc.training_symbols,
+        freeze_after=sc.freeze_after if (mode == "frozen"
+                                         and sc.freeze_after >= 0) else None)
+        for mode in sc.track_modes if mode not in _FIXED_TRACK_MODES}
     for ci in range(sc.n_channels_eff):
-        ch, blocks = _channel_symbols(sc, ci, sc.sigma_deg, offset=sc.offset)
+        ch, blocks = _channel_symbols(sc, ci, sc.sigma_deg, pn,
+                                      offset=sc.offset)
         rcv = receiver(ch.lam, sc.layout, cfg)
-        cov = (_kl_covs(sc, ci, (sc.sigma_deg,))[0] if "KL" in family_d
+        cov = (_kl_covs(sc, ci, (sc.sigma_deg,), pn)[0] if "KL" in family_d
                else None)
         families = {kind: _make_basis(sc, kind, d, cov)
                     for kind, d in family_d.items()}
+        states = {mode: init_tracker(sc.n, sc.d, beta=sc.beta)
+                  for mode in tracked}
 
         def score(mode, m0, refs, s_hats):
             _score(s_hats, refs, [len(rcv.tones)] * len(refs), const,
@@ -519,6 +530,7 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
                     for acc in per_symbol[mode][m0:m0 + len(refs)]])
 
         for b, (refs, z) in enumerate(blocks):
+            m0 = b * SYMBOL_BLOCK
             ws = {kind: build_w(z, rcv, fam) for kind, fam in families.items()}
             refs_s = np.array([ref.s for ref in refs])
             gammas = {mode: fit_gamma(ws[kind][..., :mode_d[mode]], rcv,
@@ -532,21 +544,14 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
                     s_hats[f, i] = compensate(ws[kind][i], rcv,
                                               gammas[mode][i], ref).s_hat.s
             for (mode, _), block in zip(fixed, s_hats):
-                score(mode, b * SYMBOL_BLOCK, refs, block)
-        for mode in [m for m in sc.track_modes
-                     if m not in _FIXED_TRACK_MODES]:
-            freeze = sc.freeze_after if (mode == "frozen"
-                                         and sc.freeze_after >= 0) else None
-            tcfg = TrackingConfig(constellation=const, freeze_after=freeze,
-                                  training_symbols=sc.training_symbols)
-            results, _ = run_tracked(
-                (TrackedSymbol(z=z_i, rcv=rcv, ref=ref)
-                 for refs, z in blocks for ref, z_i in zip(refs, z)),
-                init_tracker(sc.n, sc.d, beta=sc.beta), tcfg)
-            for b, (refs, _z) in enumerate(blocks):
-                m0 = b * SYMBOL_BLOCK
-                score(mode, m0, refs, np.array(
-                    [res.s_hat.s for res in results[m0:m0 + len(refs)]]))
+                score(mode, m0, refs, block)
+            for mode, tcfg in tracked.items():
+                results, states[mode] = run_tracked(
+                    (TrackedSymbol(z=z_i, rcv=rcv, ref=ref)
+                     for ref, z_i in zip(refs, z)), states[mode], tcfg,
+                    start=m0)
+                score(mode, m0, refs,
+                      np.array([res.s_hat.s for res in results]))
     rows = []
     for mode in sc.track_modes:
         if sc.per_symbol_rows:
@@ -561,18 +566,21 @@ def _run_tracking(sc: Scenario) -> list[ResultRow]:
     return rows
 
 
-_RUNNERS = {
-    "evm_vs_d": lambda sc: _run_sweep(sc, (sc.sigma_deg,), sc.d_list),
-    "evm_vs_sigma": lambda sc: _run_sweep(sc, sc.sigma_list, (sc.d,)),
+_RUNNERS = {  # (scenario, pn_file windows or None) -> rows
+    "evm_vs_d": lambda sc, pn: _run_sweep(sc, pn, (sc.sigma_deg,), sc.d_list),
+    "evm_vs_sigma": lambda sc, pn: _run_sweep(sc, pn, sc.sigma_list, (sc.d,)),
     "mimo_sweep": _run_mimo_sweep,
     "tracking": _run_tracking,
-    "custom": lambda sc: _run_sweep(sc, (sc.sigma_deg,), (sc.d,)),
+    "custom": lambda sc, pn: _run_sweep(sc, pn, (sc.sigma_deg,), (sc.d,)),
 }
 
 
 def run_scenario(sc: Scenario, out_path: str, timing: bool = False) -> list[ResultRow]:
     start = time.perf_counter()
-    rows = _RUNNERS[sc.name](sc)
+    # the pn_file is parsed once per run; each stream cycles its windows
+    pn = (list(pn_mod.load_pn_samples(sc.pn_file, sc.n)) if sc.pn_file
+          else None)
+    rows = _RUNNERS[sc.name](sc, pn)
     elapsed = time.perf_counter() - start
     if timing:
         # wall clock varies run to run; only emitted on request so the
@@ -619,6 +627,8 @@ def main(argv=None) -> int:
         overrides["scale"] = 1.0
     try:
         sc = parse_config(args.config, overrides)
+        if sc.pn_file:  # a missing or unreadable file, not its contents
+            open(sc.pn_file).close()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -70,19 +70,17 @@ class Constellation:
     points: CVec = field(repr=False)
 
     def __post_init__(self):
-        # Slicer tables per axis: the inner PAM levels (all but the two
-        # outermost, ascending) and the label bits (I: high, Q: low) of the
-        # levels just below and just above each gap between them.
-        side = int(round(np.sqrt(self.order)))
-        labels = np.arange(self.order)
-        axes = []
-        for coord, bits in ((self.points.real, labels // side * side),
-                            (self.points.imag, labels % side)):
-            levels = np.unique(coord)
-            level_bits = np.empty(len(levels), dtype=np.intp)
-            level_bits[np.searchsorted(levels, coord)] = bits
-            axes.append((levels[1:-1], level_bits[:-1], level_bits[1:]))
-        object.__setattr__(self, "_axes", tuple(axes))
+        # Slicer tables: the inner PAM levels (all but the two outermost,
+        # ascending; the same on both axes) and, per (I gap, Q gap) between
+        # them, the 2 x 2 points around it in ascending label order.
+        levels = np.unique(self.points.real)
+        grid = np.empty((len(levels),) * 2, dtype=np.intp)
+        grid[levels.searchsorted(self.points.real),
+             levels.searchsorted(self.points.imag)] = np.arange(self.order)
+        quads = np.lib.stride_tricks.sliding_window_view(grid, (2, 2))
+        object.__setattr__(self, "_inner", levels[1:-1])
+        object.__setattr__(self, "_quads", self.points[np.sort(
+            quads.reshape(quads.shape[:2] + (4,)), axis=-1)])
 
     @staticmethod
     def qam(order: int) -> "Constellation":
@@ -164,32 +162,23 @@ def ratio_to_db(num: float, den: float) -> float:
     return max(10.0 * np.log10(num / den), EVM_FLOOR_DB)
 
 
-def _bracket(x: np.ndarray, axis) -> np.ndarray:
-    """Label bits of the two adjacent levels around each x, shape (2, n);
-    values beyond the outermost levels get the outermost pair."""
-    inner, lo_bits, hi_bits = axis
-    gap = inner.searchsorted(x)
-    return np.array([lo_bits[gap], hi_bits[gap]])
-
-
 def hard_decide(est: FreqSymbol, constellation: Constellation) -> FreqSymbol:
     """Nearest-point decision on pilot and data tones; null tones stay 0.
 
     A square QAM grid is the product of two PAM axes, so the nearest point
     is one of the 2 x 2 points whose levels bracket the value on each axis:
-    O(N) work instead of O(N * order).  Their distances are computed as a
-    full distance matrix would, and ties go to the smallest bit label.
+    O(N) work instead of O(N * order).  One search over the interleaved
+    real and imaginary parts finds both gaps; the four points' distances
+    are computed as a full distance matrix would, and ties go to the
+    smallest bit label, the first of the four.
     """
-    i_axis, q_axis = constellation._axes
     active = est.layout.active_arr
     vals = est.s[active]
-    labels = (_bracket(vals.real, i_axis)[:, None]
-              + _bracket(vals.imag, q_axis)[None, :]).reshape(4, -1)
-    d2 = np.abs(vals - constellation.points[labels]) ** 2
-    tied = d2 == d2.min(axis=0)
-    label = np.where(tied, labels, constellation.order).min(axis=0)
+    gap = constellation._inner.searchsorted(vals.view(np.float64))
+    cand = constellation._quads[gap[0::2], gap[1::2]]
+    d2 = np.abs(vals[:, None] - cand) ** 2
     out = np.zeros_like(est.s)
-    out[active] = constellation.points[label]
+    out[active] = cand[np.arange(len(vals)), d2.argmin(axis=1)]
     return FreqSymbol(s=out, layout=est.layout)
 
 

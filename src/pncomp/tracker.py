@@ -10,7 +10,7 @@ two spans differ by conjugation of the offset ramp).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .compensator import (CompResult, Receiver, build_w, compensate,
                           fit_gamma, _as_branches)
 from .numerics import CVec, CMat, ifft
 from .ofdm import Constellation, FreqSymbol, hard_decide
+from .phase_noise import PhaseNoiseRealization
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,14 @@ def dd_phase_estimate(z, s_hat: FreqSymbol, lam):
     branch phases are combined coherently.  Samples where the
     reconstruction is negligible inherit the nearest valid estimate.
     """
-    from .phase_noise import PhaseNoiseRealization
-
     z, lam = _as_branches(z), _as_branches(lam)
     y_hat = ifft(lam * s_hat.s[None, :])
-    peak = np.abs(y_hat).max()
+    mag = np.abs(y_hat).max(axis=0)
+    peak = mag.max()
     if peak == 0:
         raise ValueError("all-zero signal reconstruction")
     q = np.sum(z * np.conj(y_hat), axis=0)
-    valid = np.abs(y_hat).max(axis=0) >= 1e-9 * peak
+    valid = mag >= 1e-9 * peak
     phi = np.angle(q)
     if not np.all(valid):
         good = np.flatnonzero(valid)
@@ -81,11 +81,11 @@ def past_update(state: TrackerState, psi_hat) -> TrackerState:
     y = state.v.conj().T @ x
     h = state.p @ y
     g = h / (state.beta + np.vdot(y, h))
-    p = (state.p - np.outer(g, h.conj())) / state.beta
+    p = (state.p - g[:, None] * h.conj()) / state.beta
     p = (p + p.conj().T) / 2
     e = x - state.v @ y
-    v = state.v + np.outer(e, g.conj())
-    return replace(state, v=v, p=p)
+    return TrackerState(v=state.v + e[:, None] * g.conj(), p=p,
+                        beta=state.beta)
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,18 @@ class TrackingConfig:
     freeze_after: int | None = None
 
 
-def run_tracked(stream, state: TrackerState,
-                cfg: TrackingConfig) -> tuple[list[CompResult], TrackerState]:
+def run_tracked(stream, state: TrackerState, cfg: TrackingConfig,
+                start: int = 0) -> tuple[list[CompResult], TrackerState]:
     """Compensate, decide, re-estimate the phase, update the basis.
 
     The first cfg.training_symbols symbols use the true transmitted
     symbols for decision direction; afterwards hard decisions on data
     tones plus the known pilots are used.  Updates stop at freeze_after.
+    The stream's first symbol has index start, so a stream can be run in
+    pieces, each call taking the state the previous one returned.
     """
     results: list[CompResult] = []
-    for m, sym in enumerate(stream):
+    for m, sym in enumerate(stream, start):
         w = build_w(sym.z, sym.rcv, state.basis)
         res = compensate(w, sym.rcv, fit_gamma(w, sym.rcv, sym.ref.s)[0],
                          sym.ref)
@@ -123,11 +125,9 @@ def run_tracked(stream, state: TrackerState,
         if m < cfg.training_symbols:
             s_dd = sym.ref
         else:
-            decided = hard_decide(res.s_hat, cfg.constellation)
-            s = decided.s
+            s_dd = hard_decide(res.s_hat, cfg.constellation)
             p_idx = sym.ref.layout.pilot_arr
-            s[p_idx] = sym.ref.s[p_idx]
-            s_dd = FreqSymbol(s=s, layout=sym.ref.layout)
+            s_dd.s[p_idx] = sym.ref.s[p_idx]
         psi_hat = dd_phase_estimate(sym.z, s_dd, sym.rcv.lam)
         # track the cancellation vector, the quantity the basis must span
         state = past_update(state, np.conj(psi_hat.psi))

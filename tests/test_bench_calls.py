@@ -61,15 +61,20 @@ def count_calls(monkeypatch, names):
 
 
 # sweep_d and mimo_tls: a few symbols; track_offset: past its 300 training
-# symbols, so decision-directed symbols are counted too; sweep_d and
+# symbols, so decision-directed symbols are counted too, and over a short
+# run with every track mode, training ending mid-block; sweep_d and
 # mimo_tls also past one symbol block, so a block boundary is crossed;
 # mimo_tls also at sigma 0, a repeated sigma and a third tx sigma
 @pytest.mark.parametrize("name, n_symbols, extra", [
     ("sweep_d", 5, {}), ("sweep_d", 33, {}), ("track_offset", 310, {}),
+    ("track_offset", 40, {"training_symbols": 10,
+                          "track_modes": ("tracked", "frozen", "dft", "cpe",
+                                          "kl")}),
     ("mimo_tls", 3, {}), ("mimo_tls", 33, {}),
     ("mimo_tls", 33, {"sigma_list": (0.0, 3.0, 3.0),
                       "tx_sigma_list": (0.0, 1.0, 2.0)})],
-    ids=["sweep_d-5", "sweep_d-33", "track_offset-310", "mimo_tls-3",
+    ids=["sweep_d-5", "sweep_d-33", "track_offset-310",
+         "track_offset-40-all_modes", "mimo_tls-3",
          "mimo_tls-33", "mimo_tls-33-shared_streams"])
 def test_counts_match_expected(workload, monkeypatch, tmp_path, name,
                                n_symbols, extra):

@@ -126,6 +126,22 @@ class TestScenarios:
         base_rows = run_scenario(base, str(tmp_path / "b.csv"))
         assert abs(rows[0].evm_db - base_rows[0].evm_db) <= 0.1
 
+    def test_pn_file_parsed_once_per_run(self, tmp_path, monkeypatch):
+        # every channel's rx stream and KL training cycle one parse
+        from pncomp import phase_noise
+        pn_path = tmp_path / "pn.txt"
+        save_pn_samples(pn_path,
+                        PnGenerator(PnModel(3.0, seed=5)).next_phi(64 * 40))
+        parses = []
+        monkeypatch.setattr(phase_noise, "load_pn_samples",
+                            lambda *args: parses.append(args)
+                            or load_pn_samples(*args))
+        sc = Scenario(name="evm_vs_d", d_list=(0, 2), n_channels=3,
+                      scale=1.0, n_symbols=4, kl_cov_symbols=50,
+                      pn_file=str(pn_path))
+        run_scenario(sc, str(tmp_path / "out.csv"))
+        assert parses == [(str(pn_path), sc.n)]
+
     def test_pn_file_ingestion(self, tmp_path):
         from pncomp.phase_noise import PnGenerator, PnModel, save_pn_samples
         pn_path = tmp_path / "pn.txt"
@@ -258,6 +274,8 @@ class TestCli:
          "sample_rate_hz = 1\n", []),
         ("name = tracking\nppm = 1e6\ncarrier_hz = 1e305\n"
          "sample_rate_hz = 1\n", []),
+        ("name = custom\npn_file = /nonexistent-dir/pn.txt\n", []),
+        ("name = custom\npn_file = /\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
             "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
@@ -267,7 +285,7 @@ class TestCli:
             "n_rx_0", "training_neg", "sample_rate_0", "mimo_users_0",
             "tx_sigma_neg", "sigma_list_neg", "snr_overflow",
             "snr_overflow_edge", "offset_inf_per_sample",
-            "offset_ramp_overflow"])
+            "offset_ramp_overflow", "pn_file_missing", "pn_file_dir"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -395,6 +413,15 @@ GOLDEN = {
              basis_kinds=("KL", "DFT", "DCT"), scale=1 / 300, n_symbols=70,
              kl_cov_symbols=50),
         "778b8af74ddb685328a135bb21a3bc116c07476559592d8874dcdc6da6e04126"),
+    # 16-QAM on one branch with null tones, 70 symbols: training ends and
+    # the frozen mode stops updating mid-block, and the decision-directed
+    # tracker makes decision errors
+    "tracking_qam16_nulls": (
+        dict(name="tracking", qam_order=16, method="LS", n_rx=1, **NULLS,
+             n_symbols=70, training_symbols=20, freeze_after=40,
+             track_modes=("tracked", "frozen", "cpe"), ppm=2.0, d=4,
+             scale=1 / 300, kl_cov_symbols=50),
+        "eeadec07c82943955e008d641e439e34ec137b4c46037f9a1c408f74d4edf04d"),
 }
 
 
@@ -404,6 +431,11 @@ def test_golden_csv_digest(case, tmp_path):
     out = tmp_path / "out.csv"
     run_scenario(Scenario(**params), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def pn_windows(sc):
+    """The parsed pn_file windows run_scenario hands its runner, or None."""
+    return list(load_pn_samples(sc.pn_file, sc.n)) if sc.pn_file else None
 
 
 def reference_pn(sc, ci, sigma):
@@ -473,7 +505,9 @@ class TestBlockStream:
         sc = Scenario(**params)
         offset = CarrierOffset(ppm=sc.ppm, carrier_hz=sc.carrier_hz,
                                sample_rate_hz=sc.sample_rate_hz)
-        ch, blocks = _channel_symbols(sc, 1, 3.0, offset=offset)
+        ch, blocks = _channel_symbols(sc, 1, 3.0, pn_windows(sc),
+                                      offset=offset)
+        blocks = list(blocks)  # a generator: it can be consumed only once
         ref_ch, expected = per_symbol_stream(sc, 1, 3.0, offset=offset)
         assert np.array_equal(ch.lam, ref_ch.lam)
         assert all(1 <= len(refs) <= SYMBOL_BLOCK for refs, _ in blocks)
@@ -483,6 +517,18 @@ class TestBlockStream:
             assert np.array_equal(ref.s, ref_e.s)
             assert z.shape == (sc.n_rx, sc.n)
             assert np.array_equal(z, z_e)
+
+    def test_simulates_each_block_when_asked(self, monkeypatch):
+        from pncomp import harness
+        made = []
+        monkeypatch.setattr(harness, "make_symbol",
+                            lambda *args: made.append(args) or make_symbol(
+                                *args))
+        sc = Scenario(name="tracking", n_symbols=2 * SYMBOL_BLOCK + 5)
+        _, blocks = _channel_symbols(sc, 1, 3.0, None)
+        assert made == []
+        refs, _ = next(blocks)
+        assert len(made) == len(refs) == SYMBOL_BLOCK
 
 
 def per_point_mu_stream(sc, ci, sigma, tx_sigma):
@@ -555,7 +601,7 @@ class TestKlCovs:
                             .next_phi(64 * 37))
             params["pn_file"] = str(path)
         sc = Scenario(**params)
-        covs = _kl_covs(sc, 2, sc.sigma_list)
+        covs = _kl_covs(sc, 2, sc.sigma_list, pn_windows(sc))
         assert len(covs) == len(sigmas)
         for cov, sigma in zip(covs, sigmas):
             assert np.array_equal(cov.r, per_sigma_kl_cov(sc, 2, sigma))
@@ -601,7 +647,7 @@ class TestMuBlockStream:
             sys_, expected[(i, j)] = per_point_mu_stream(sc, 1, sigma,
                                                          tx_sigma)
         got = {}
-        for refs, pt, z in _mu_channel_symbols(sc, 1, sys_):
+        for refs, pt, z in _mu_channel_symbols(sc, 1, sys_, pn_windows(sc)):
             assert 1 <= len(refs) <= SYMBOL_BLOCK
             got.setdefault(pt, []).extend(zip(refs, z))
         assert sorted(got) == sorted(expected)

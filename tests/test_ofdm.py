@@ -10,7 +10,7 @@ from pncomp.ofdm import (Constellation, FreqSymbol, ToneLayout, default_layout,
                          evm_db, evm_linear, hard_decide, make_symbol,
                          ratio_to_db, symbol_error_rate, EVM_FLOOR_DB)
 
-from oracles import demodulate, modulate
+from oracles import bracket_decide, demodulate, modulate
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +264,8 @@ def distance_matrix_decide(est, constellation):
 
 
 class TestHardDecideOracle:
-    """The per-axis slicer against the distance-matrix reference."""
+    """The label-table slicer against the distance-matrix reference and the
+    axis-by-axis bracket slicer it replaced."""
 
     @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_random_points(self, order):
@@ -276,22 +277,27 @@ class TestHardDecideOracle:
         lay = ToneLayout(n=n, pilot_idx=tuple(range(0, n, 7)),
                          null_idx=tuple(range(3, n, 7)))
         est = FreqSymbol(s=vals, layout=lay)
-        np.testing.assert_array_equal(hard_decide(est, qam).s,
-                                      distance_matrix_decide(est, qam))
+        got = hard_decide(est, qam).s
+        np.testing.assert_array_equal(got, distance_matrix_decide(est, qam))
+        np.testing.assert_array_equal(got, bracket_decide(est, qam).s)
 
     @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_midpoints_and_ties(self, order):
-        # every level, every midpoint between adjacent levels and points
-        # beyond the edges, on both axes: two- and four-way ties included
+        # every level, every midpoint between adjacent levels, the floats
+        # just below and above each midpoint, -0.0 and points beyond the
+        # edges, on both axes: two- and four-way ties included
         qam = Constellation.qam(order)
         lev = np.unique(qam.points.real)
-        coords = np.concatenate([lev, (lev[1:] + lev[:-1]) / 2,
-                                 [lev[0] - 1, lev[-1] + 1, 0.0]])
+        mid = (lev[1:] + lev[:-1]) / 2
+        coords = np.concatenate([lev, mid, np.nextafter(mid, -np.inf),
+                                 np.nextafter(mid, np.inf),
+                                 [lev[0] - 1, lev[-1] + 1, 0.0, -0.0]])
         vals = (coords[:, None] + 1j * coords[None, :]).ravel()
         lay = ToneLayout(n=len(vals), pilot_idx=(0,))
         est = FreqSymbol(s=vals, layout=lay)
-        np.testing.assert_array_equal(hard_decide(est, qam).s,
-                                      distance_matrix_decide(est, qam))
+        got = hard_decide(est, qam).s
+        np.testing.assert_array_equal(got, distance_matrix_decide(est, qam))
+        np.testing.assert_array_equal(got, bracket_decide(est, qam).s)
 
 
 class TestSer:

@@ -6,13 +6,17 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis, kl_basis
 from pncomp.channel import gen_channel
-from pncomp.compensator import receiver
-from pncomp.ofdm import Constellation, default_layout, evm_db, make_symbol
+from pncomp.compensator import CompConfig, receiver
+from pncomp.harness import SYMBOL_BLOCK
+from pncomp.ofdm import (Constellation, default_layout, evm_db, make_symbol,
+                         symbol_error_rate)
 from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
                                 apply_offset, estimate_cov, offset_factor)
 from pncomp.tracker import (TrackedSymbol, TrackerState, TrackingConfig,
                             dd_phase_estimate, init_tracker, past_update,
                             run_tracked)
+
+import oracles
 
 
 def principal_angle(a, b):
@@ -219,3 +223,57 @@ class TestRunTracked:
         res_tail, _ = run_tracked(iter(syms[20:]), mid, cfg)
         for a, b, s in zip(res_full[20:], res_tail, syms[20:]):
             assert evm_db(a.s_hat, s.ref) == evm_db(b.s_hat, s.ref)
+
+
+class TestBlockByBlockOracle:
+    """run_tracked called once per SYMBOL_BLOCK, with the block's start
+    index and the state the previous call returned, against one
+    whole-stream call of the oracle tracker, bit for bit."""
+
+    @pytest.mark.parametrize("n_rx, method, ppm, training, freeze, zero", [
+        (1, "LS", 2.0, 20, None, False),
+        (3, "TLS", 0.0, 20, 40, True),
+        (1, "TLS", -1.5, 10, 32, True),
+        (3, "LS", 1.0, 36, 40, False),
+        (2, "TLS", 0.0, 0, 32, False),
+    ], ids=["nrx1_ls_ppm_train20", "nrx3_tls_zero_tone_freeze40",
+            "nrx1_tls_ppm_zero_tone_freeze32", "nrx3_ls_ppm_train36_freeze40",
+            "nrx2_tls_no_training_freeze32"])
+    def test_matches_whole_stream(self, layout, n_rx, method, ppm, training,
+                                  freeze, zero):
+        n_symbols, seed = 70, 21
+        qam = Constellation.qam(64)
+        ch = gen_channel(8, "exp_decay(3)", seed=seed, n_rx=n_rx, n=64)
+        lam = ch.lam.copy()
+        if zero:  # pilot tone 3 and data tone 10 of branch 0
+            lam[0, [3, 10]] = 0
+        rcv = receiver(lam, layout, CompConfig(method=method))
+        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=seed))
+        off = CarrierOffset(ppm=ppm, carrier_hz=5e9, sample_rate_hz=20e6)
+        rng = np.random.default_rng(seed)
+        syms = []
+        for m in range(n_symbols):
+            ref = make_symbol(layout, qam, rng_seed=seed * 1000 + m)
+            psi = apply_offset(gen.next(64), off, start_sample=m * 64).psi
+            noise = 0.05 * (rng.standard_normal((n_rx, 64))
+                            + 1j * rng.standard_normal((n_rx, 64)))
+            z = psi * (nx.ifft(lam * ref.s) + noise)
+            syms.append(TrackedSymbol(z=z, rcv=rcv, ref=ref))
+        cfg = TrackingConfig(constellation=qam, training_symbols=training,
+                             freeze_after=freeze)
+        want, want_state = oracles.run_tracked(
+            iter(syms), init_tracker(64, 4, beta=0.9), cfg)
+        got, state = [], init_tracker(64, 4, beta=0.9)
+        for m0 in range(0, n_symbols, SYMBOL_BLOCK):
+            res, state = run_tracked(iter(syms[m0:m0 + SYMBOL_BLOCK]),
+                                     state, cfg, start=m0)
+            got += res
+        assert len(got) == len(want) == n_symbols
+        for a, b in zip(got, want):
+            assert np.array_equal(a.s_hat.s, b.s_hat.s)
+        assert np.array_equal(state.v, want_state.v)
+        assert np.array_equal(state.p, want_state.p)
+        # decision errors occur, so the decided symbols differ from the
+        # references and their bits matter
+        assert any(symbol_error_rate(r.s_hat, s.ref, qam) > 0
+                   for r, s in zip(want[training:], syms[training:]))
