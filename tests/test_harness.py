@@ -414,8 +414,8 @@ GOLDEN = {
              kl_cov_symbols=50),
         "778b8af74ddb685328a135bb21a3bc116c07476559592d8874dcdc6da6e04126"),
     # 16-QAM on one branch with null tones, 70 symbols: training ends and
-    # the frozen mode stops updating mid-block, and the decision-directed
-    # tracker makes decision errors
+    # the frozen mode stops updating mid-block; the cpe mode makes symbol
+    # errors (SER 0.004)
     "tracking_qam16_nulls": (
         dict(name="tracking", qam_order=16, method="LS", n_rx=1, **NULLS,
              n_symbols=70, training_symbols=20, freeze_after=40,

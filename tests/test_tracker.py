@@ -273,7 +273,8 @@ class TestBlockByBlockOracle:
             assert np.array_equal(a.s_hat.s, b.s_hat.s)
         assert np.array_equal(state.v, want_state.v)
         assert np.array_equal(state.p, want_state.p)
-        # decision errors occur, so the decided symbols differ from the
-        # references and their bits matter
+        # decisions that feed the tracker are wrong on some tones, so the
+        # decided symbols differ from the references and their bits matter
+        dd = slice(training, freeze)
         assert any(symbol_error_rate(r.s_hat, s.ref, qam) > 0
-                   for r, s in zip(want[training:], syms[training:]))
+                   for r, s in zip(want[dd], syms[dd]))
