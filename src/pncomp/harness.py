@@ -116,8 +116,10 @@ class Scenario:
             if getattr(self, key) < lo:
                 raise ConfigError(f"{key} must be >= {lo}, "
                                   f"got {getattr(self, key)}")
-        if not self.sigma_list or not self.d_list:
-            raise ConfigError("sweep ranges must be non-empty")
+        for key in ("sigma_list", "d_list", "basis_kinds", "track_modes",
+                    "tx_sigma_list"):
+            if not getattr(self, key):
+                raise ConfigError(f"sweep ranges must be non-empty: {key}")
         if self.scale <= 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
         # d = 0 means equalization only, which the sweeps score but the
@@ -321,33 +323,61 @@ def _make_basis(sc: Scenario, kind: str, d: int, cov) -> basis_mod.CompBasis:
     return basis_mod.dct_basis(sc.n, d)
 
 
-def _channel_symbols(sc: Scenario, ci: int, sigma: float, pn,
-                     offset: pn_mod.CarrierOffset | None = None):
-    """One channel's symbols, simulated SYMBOL_BLOCK at a time (one PN draw,
-    FFT pair and noise draw per block, equal to symbol by symbol); returns
-    (channel, generator of (refs, z (b, n_rx, N))), each block simulated
-    only when it is asked for."""
-    ch = channel_mod.gen_channel(sc.n_taps, sc.channel_profile,
-                                 child_seed(sc.master_seed, "chan", ci),
-                                 n_rx=sc.n_rx, n=sc.n)
-    take_pn = _pn_source(sc, child_seed(sc.master_seed, "pn", ci), (sigma,),
-                         pn)
-    noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
-    noise_rng = np.random.default_rng(child_seed(sc.master_seed, "noise", ci))
+def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
+                     users=((),), offset: pn_mod.CarrierOffset | None = None):
+    """Channel ci's symbols at every (sigma, tx sigma) point, simulated
+    SYMBOL_BLOCK at a time and each block only when it is asked for: per
+    block, make_symbol, the IFFT and the noise draw run once, the channel
+    once per distinct tx sigma, and the rx and each transmitter's tx phase
+    noise once for all their levels, equal to simulating each point symbol
+    by symbol.  users holds each transmitter's seed labels; ((),) is the
+    single-user link.  Returns (MuSystem, generator of (refs, (i, j), z)):
+    refs[m][u] is user u's symbol m and z (b, n_rx, N) the block received
+    at sigmas[i] and tx_sigmas[j], with the carrier offset, if given."""
+    seed, n = sc.master_seed, sc.n
     layout, const = sc.layout, sc.constellation
+    sys_ = MuSystem(channels=tuple(
+        channel_mod.gen_channel(sc.n_taps, sc.channel_profile,
+                                child_seed(seed, "chan", ci, *user),
+                                n_rx=sc.n_rx, n=n)
+        for user in users))
+    take_rx = _pn_source(sc, child_seed(seed, "pn", ci), sigmas, pn)
+    # tx sigma 0 leaves the users' signals as they are; the others are
+    # rows of one stream per user, always generated (pn_file is the rx's)
+    tx_levels = [tx for tx in dict.fromkeys(tx_sigmas) if tx > 0]
+    take_tx = [_pn_source(sc, child_seed(seed, "txpn", ci, *user), tx_levels,
+                          None)
+               for user in users] if tx_levels else []
+    noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
+    noise_rng = np.random.default_rng(child_seed(seed, "noise", ci))
 
     def blocks():
         for m0 in range(0, sc.n_symbols, SYMBOL_BLOCK):
-            refs = [make_symbol(layout, const,
-                                child_seed(sc.master_seed, "sym", ci, m))
+            refs = [[make_symbol(layout, const,
+                                 child_seed(seed, "sym", ci, m, *user))
+                     for user in users]
                     for m in range(m0, min(m0 + SYMBOL_BLOCK, sc.n_symbols))]
-            psi = take_pn(len(refs))
+            b = len(refs)
+            x = ifft(np.array([[ref.s for ref in syms] for syms in refs]))
+            # the noise is added before the rx phase noise, as at the receiver
+            awgn = channel_mod.awgn((b, sc.n_rx, n), noise, noise_rng)
+            # (levels, b, n_users, N)
+            psi_tx = np.stack([take(b).psi.reshape(-1, b, n)
+                               for take in take_tx], axis=2) if take_tx else None
+            y = {}
+            for tx in dict.fromkeys(tx_sigmas):
+                x_tx = psi_tx[tx_levels.index(tx)] * x if tx > 0 else x
+                y[tx] = mu_apply_channel(sys_, x_tx)
+                if awgn is not None:
+                    y[tx] = y[tx] + awgn
+            psi_rx = take_rx(b)
             if offset is not None and offset.ppm != 0:
-                psi = pn_mod.apply_offset(psi, offset, start_sample=m0 * sc.n)
-            x = ifft(np.array([ref.s for ref in refs]))
-            y = channel_mod.apply_channel(ch, x, noise, rng=noise_rng)
-            yield refs, psi.psi.reshape(len(refs), 1, sc.n) * y
-    return ch, blocks()
+                psi_rx = pn_mod.apply_offset(psi_rx, offset,
+                                             start_sample=m0 * n)
+            for i, psi in enumerate(psi_rx.psi.reshape(-1, b, 1, n)):
+                for j, tx in enumerate(tx_sigmas):
+                    yield refs, (i, j), psi * y[tx]
+    return sys_, blocks()
 
 
 def _score(s_hats, refs: list[FreqSymbol], n_eqs, const: Constellation,
@@ -370,90 +400,46 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
     """Fixed-basis sweep over sigma x basis kind x d; d = 0 scores
     per-tone equalization without phase-noise correction.
 
-    Each kind's basis is built once per channel at the largest d and W
-    once per symbol block; every d fits the whole block at once on their
+    Each channel is simulated once for every sigma.  Each kind's basis is
+    built once per channel and sigma at the largest d, and W once per
+    symbol block and sigma; every d fits the whole block at once on their
     leading d columns, and each symbol is scored at every point in one
-    stacked EVM.  Every accumulator still sees its symbols in channel, then
-    symbol order."""
+    stacked EVM.  Every (sigma, kind, d) accumulator sees its symbols in
+    channel, then symbol order, so repeated sigmas give repeated rows."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
     d_max = max(ds)
-    rows = []
-    for sigma in sigmas:
-        accs = {pt: _Acc() for pt in points}
-        for ci in range(sc.n_channels_eff):
-            ch, blocks = _channel_symbols(sc, ci, sigma, pn)
-            rcv = receiver(ch.lam, sc.layout, cfg)
-            cov = (_kl_covs(sc, ci, (sigma,), pn)[0]
-                   if d_max and "KL" in sc.basis_kinds else None)
-            families = {kind: _make_basis(sc, kind, d_max, cov)
-                        for kind in sc.basis_kinds} if d_max else {}
-            n_eqs = [len(rcv.tones) if d else 0 for _, d in points]
-            for refs, z in blocks:
-                ws = {kind: build_w(z, rcv, fam)
-                      for kind, fam in families.items()}
-                refs_s = np.array([ref.s for ref in refs])
-                gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv,
-                                               refs_s)[0]
-                          for kind, d in points if d}
-                # symbol by symbol, every point at once: each point
-                # combines the symbol's W while it is in cache
-                for i, ref in enumerate(refs):
-                    s_hats = np.array([
-                        compensate(ws[kind][i], rcv, gammas[(kind, d)][i],
-                                   ref).s_hat.s if d
-                        else equalize_only(z[i], rcv) for kind, d in points])
-                    _score(s_hats, [ref] * len(points), n_eqs, const,
-                           [(accs[pt],) for pt in points])
-        for kind, d in points:
-            acc = accs[(kind, d)]
-            rows.append(ResultRow(sc.name, "all", "", 1, kind, d, sigma,
-                                  sc.method, acc.evm_db, acc.ser, acc.n_eq))
-    return rows
-
-
-def _mu_channel_symbols(sc: Scenario, ci: int, sys_: MuSystem, pn):
-    """Channel ci's multiuser symbols at every (sigma, tx sigma) point,
-    simulated SYMBOL_BLOCK at a time: per block, make_symbol, the users'
-    IFFT and the noise draw run once, the channel once per distinct tx
-    sigma, and the rx and each user's tx phase noise once for all their
-    levels, equal to simulating each point symbol by symbol.  Yields
-    (refs, (i, j), z) per block and point: refs[m][u] is user u's symbol m
-    and z (b, n_rx, N) the block received at sigma_list[i] and
-    tx_sigma_list[j]."""
-    seed, n = sc.master_seed, sc.n
-    layout, const = sc.layout, sc.constellation
-    take_rx = _pn_source(sc, child_seed(seed, "pn", ci), sc.sigma_list, pn)
-    # tx sigma 0 leaves the users' signals as they are; the others are
-    # rows of one stream per user, always generated (pn_file is the rx's)
-    tx_levels = [tx for tx in dict.fromkeys(sc.tx_sigma_list) if tx > 0]
-    take_tx = [_pn_source(sc, child_seed(seed, "txpn", ci, u), tx_levels,
-                          None)
-               for u in range(sc.n_users)] if tx_levels else []
-    noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
-    noise_rng = np.random.default_rng(child_seed(seed, "noise", ci))
-    for m0 in range(0, sc.n_symbols, SYMBOL_BLOCK):
-        refs = [[make_symbol(layout, const, child_seed(seed, "sym", ci, m, u))
-                 for u in range(sc.n_users)]
-                for m in range(m0, min(m0 + SYMBOL_BLOCK, sc.n_symbols))]
-        b = len(refs)
-        x = ifft(np.array([[ref.s for ref in syms] for syms in refs]))
-        # the noise is added before the rx phase noise, as at the receiver
-        awgn = channel_mod.awgn((b, sc.n_rx, n), noise, noise_rng)
-        # (levels, b, n_users, N)
-        psi_tx = np.stack([take(b).psi.reshape(-1, b, n) for take in take_tx],
-                          axis=2) if take_tx else None
-        y = {}
-        for tx in dict.fromkeys(sc.tx_sigma_list):
-            x_tx = psi_tx[tx_levels.index(tx)] * x if tx > 0 else x
-            y[tx] = mu_apply_channel(sys_, x_tx)
-            if awgn is not None:
-                y[tx] = y[tx] + awgn
-        psi_rx = take_rx(b).psi.reshape(-1, b, 1, n)
-        for i, psi in enumerate(psi_rx):
-            for j, tx in enumerate(sc.tx_sigma_list):
-                yield refs, (i, j), psi * y[tx]
+    accs = [[_Acc() for _ in points] for _ in sigmas]
+    feeds = [[(acc,) for acc in row] for row in accs]
+    for ci in range(sc.n_channels_eff):
+        sys_, blocks = _channel_symbols(sc, ci, pn, sigmas)
+        rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
+        covs = (_kl_covs(sc, ci, sigmas, pn)
+                if d_max and "KL" in sc.basis_kinds else [None] * len(sigmas))
+        families = [{kind: _make_basis(sc, kind, d_max, cov)
+                     for kind in sc.basis_kinds} if d_max else {}
+                    for cov in covs]
+        n_eqs = [len(rcv.tones) if d else 0 for _, d in points]
+        for refs, (i, _), z in blocks:
+            refs = [ref for ref, in refs]
+            ws = {kind: build_w(z, rcv, fam)
+                  for kind, fam in families[i].items()}
+            refs_s = np.array([ref.s for ref in refs])
+            gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv, refs_s)[0]
+                      for kind, d in points if d}
+            # symbol by symbol, every point at once: each point combines
+            # the symbol's W while it is in cache
+            for m, ref in enumerate(refs):
+                s_hats = np.array([
+                    compensate(ws[kind][m], rcv, gammas[(kind, d)][m],
+                               ref).s_hat.s if d
+                    else equalize_only(z[m], rcv) for kind, d in points])
+                _score(s_hats, [ref] * len(points), n_eqs, const, feeds[i])
+    return [ResultRow(sc.name, "all", "", 1, kind, d, sigma, sc.method,
+                      acc.evm_db, acc.ser, acc.n_eq)
+            for sigma, row in zip(sigmas, accs)
+            for (kind, d), acc in zip(points, row)]
 
 
 def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
@@ -465,18 +451,15 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     accs = {pt: _Acc() for pt in itertools.product(
         range(len(sc.sigma_list)), range(len(sc.tx_sigma_list)))}
+    users = tuple((u,) for u in range(sc.n_users))
     for ci in range(sc.n_channels_eff):
-        sys_ = MuSystem(channels=tuple(
-            channel_mod.gen_channel(
-                sc.n_taps, sc.channel_profile,
-                child_seed(sc.master_seed, "chan", ci, u),
-                n_rx=sc.n_rx, n=sc.n)
-            for u in range(sc.n_users)))
+        sys_, blocks = _channel_symbols(sc, ci, pn, sc.sigma_list,
+                                        sc.tx_sigma_list, users)
         bf = zf_beamformer(sys_)
         rcv = mu_receiver(bf, sc.layout, cfg)
         bases = [basis_mod.kl_basis(cov, sc.d)
                  for cov in _kl_covs(sc, ci, sc.sigma_list, pn)]
-        for refs, pt, z in _mu_channel_symbols(sc, ci, sys_, pn):
+        for refs, pt, z in blocks:
             w = mu_build_w(z, bf, bases[pt[0]])
             results = [res for w_m, syms in zip(w, refs)
                        for res in mu_compensate(w_m, syms, rcv)]
@@ -514,9 +497,9 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
                                          and sc.freeze_after >= 0) else None)
         for mode in sc.track_modes if mode not in _FIXED_TRACK_MODES}
     for ci in range(sc.n_channels_eff):
-        ch, blocks = _channel_symbols(sc, ci, sc.sigma_deg, pn,
-                                      offset=sc.offset)
-        rcv = receiver(ch.lam, sc.layout, cfg)
+        sys_, blocks = _channel_symbols(sc, ci, pn, (sc.sigma_deg,),
+                                        offset=sc.offset)
+        rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
         cov = (_kl_covs(sc, ci, (sc.sigma_deg,), pn)[0] if "KL" in family_d
                else None)
         families = {kind: _make_basis(sc, kind, d, cov)
@@ -529,8 +512,9 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
                    [(acc, totals[mode])
                     for acc in per_symbol[mode][m0:m0 + len(refs)]])
 
-        for b, (refs, z) in enumerate(blocks):
+        for b, (refs, _, z) in enumerate(blocks):
             m0 = b * SYMBOL_BLOCK
+            refs = [ref for ref, in refs]
             ws = {kind: build_w(z, rcv, fam) for kind, fam in families.items()}
             refs_s = np.array([ref.s for ref in refs])
             gammas = {mode: fit_gamma(ws[kind][..., :mode_d[mode]], rcv,

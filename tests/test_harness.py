@@ -12,7 +12,6 @@ import pytest
 from pncomp.channel import gen_channel
 from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
                             Scenario, _channel_symbols, _kl_covs,
-                            _mu_channel_symbols,
                             child_seed, main, parse_config, run_scenario,
                             write_csv)
 from pncomp.mimo import MuSystem
@@ -276,6 +275,11 @@ class TestCli:
          "sample_rate_hz = 1\n", []),
         ("name = custom\npn_file = /nonexistent-dir/pn.txt\n", []),
         ("name = custom\npn_file = /\n", []),
+        ("name = evm_vs_d\nbasis_kinds =\n", []),
+        ("name = evm_vs_sigma\nbasis_kinds =\n", []),
+        ("name = custom\nbasis_kinds =\n", []),
+        ("name = tracking\ntrack_modes =\n", []),
+        ("name = mimo_sweep\ntx_sigma_list =\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
             "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
@@ -285,7 +289,10 @@ class TestCli:
             "n_rx_0", "training_neg", "sample_rate_0", "mimo_users_0",
             "tx_sigma_neg", "sigma_list_neg", "snr_overflow",
             "snr_overflow_edge", "offset_inf_per_sample",
-            "offset_ramp_overflow", "pn_file_missing", "pn_file_dir"])
+            "offset_ramp_overflow", "pn_file_missing", "pn_file_dir",
+            "basis_kinds_empty_evm_vs_d", "basis_kinds_empty_evm_vs_sigma",
+            "basis_kinds_empty_custom", "track_modes_empty",
+            "tx_sigma_list_empty"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -358,6 +365,13 @@ GOLDEN = {
         dict(name="evm_vs_sigma", sigma_list=(2.0, 5.0), d=4,
              basis_kinds=("KL", "DFT", "DCT"), **SMALL),
         "4ed172a7ead9893daf4a5a50c6de4df5bf0d996eb5b50fa323578b9d0a9f9f27"),
+    # two channels of 40 symbols (a block boundary each), sigma 0 and a
+    # repeated sigma: each channel is simulated once for every sigma
+    "evm_vs_sigma_repeats": (
+        dict(name="evm_vs_sigma", sigma_list=(0.0, 3.0, 3.0, 6.0), d=4,
+             n_rx=1, method="TLS", basis_kinds=("KL", "DFT", "DCT"),
+             **NULLS, n_symbols=40, scale=2 / 300, kl_cov_symbols=50),
+        "3b77ae9bb1a0908177bfd523fa26c7d4d78c7dc1950a59067e60d9460c7cf6b1"),
     "custom_tls_nulls": (
         dict(name="custom", method="TLS", d=6,
              basis_kinds=("KL", "DFT", "DCT"), **NULLS, **SMALL),
@@ -478,8 +492,9 @@ def per_symbol_stream(sc, ci, sigma, offset=None):
 
 
 class TestBlockStream:
-    """_channel_symbols simulates SYMBOL_BLOCK symbols per step; every
-    symbol must equal the one-at-a-time reference bit for bit."""
+    """_channel_symbols simulates SYMBOL_BLOCK symbols per step for every
+    sigma; every symbol at every sigma must equal that sigma's
+    one-at-a-time reference bit for bit."""
 
     @pytest.mark.parametrize("kw", [
         dict(ppm=2.0),
@@ -489,10 +504,16 @@ class TestBlockStream:
         dict(pn_file=True, n_rx=3, snr_db=float("inf")),
         dict(n_symbols=SYMBOL_BLOCK),
         dict(n_symbols=1, ppm=1.0),
+        dict(sigmas=(0.0, 3.0, 3.0)),
+        dict(sigmas=(0.0, 3.0, 3.0), pn_file=True),
+        dict(sigmas=(0.0, 3.0, 3.0), ppm=-1.3),
+        dict(sigmas=(0.0, 3.0, 3.0), ppm=2.0, snr_db=float("inf")),
     ], ids=["ppm", "ppm_neg_nrx1", "snr_inf_nrx3", "pn_file_ppm",
-            "pn_file_nrx3_snr_inf", "one_full_block", "one_symbol"])
+            "pn_file_nrx3_snr_inf", "one_full_block", "one_symbol",
+            "sigmas", "sigmas_pn_file", "sigmas_ppm", "sigmas_ppm_snr_inf"])
     def test_matches_per_symbol_stream(self, tmp_path, kw):
         kw = dict(kw)
+        sigmas = kw.pop("sigmas", (3.0,))
         if kw.pop("pn_file", False):
             # 37 windows: the stream cycles through the file mid-block
             path = tmp_path / "pn.txt"
@@ -505,18 +526,30 @@ class TestBlockStream:
         sc = Scenario(**params)
         offset = CarrierOffset(ppm=sc.ppm, carrier_hz=sc.carrier_hz,
                                sample_rate_hz=sc.sample_rate_hz)
-        ch, blocks = _channel_symbols(sc, 1, 3.0, pn_windows(sc),
-                                      offset=offset)
+        sys_, blocks = _channel_symbols(sc, 1, pn_windows(sc), sigmas,
+                                        offset=offset)
         blocks = list(blocks)  # a generator: it can be consumed only once
-        ref_ch, expected = per_symbol_stream(sc, 1, 3.0, offset=offset)
-        assert np.array_equal(ch.lam, ref_ch.lam)
-        assert all(1 <= len(refs) <= SYMBOL_BLOCK for refs, _ in blocks)
-        got = [(ref, z_i) for refs, z in blocks for ref, z_i in zip(refs, z)]
-        assert len(got) == len(expected) == sc.n_symbols
-        for (ref, z), (ref_e, z_e) in zip(got, expected):
-            assert np.array_equal(ref.s, ref_e.s)
-            assert z.shape == (sc.n_rx, sc.n)
-            assert np.array_equal(z, z_e)
+        assert sys_.n_users == 1
+        assert all(1 <= len(refs) <= SYMBOL_BLOCK for refs, _, _ in blocks)
+        # every block at every sigma before the next block
+        n_blocks = -(-sc.n_symbols // SYMBOL_BLOCK)
+        assert [pt for _, pt, _ in blocks] == [
+            (i, 0) for i in range(len(sigmas))] * n_blocks
+        for i, sigma in enumerate(sigmas):
+            ref_ch, expected = per_symbol_stream(sc, 1, sigma, offset=offset)
+            assert np.array_equal(sys_.channels[0].lam, ref_ch.lam)
+            got = [(syms, z_i) for refs, pt, z in blocks if pt == (i, 0)
+                   for syms, z_i in zip(refs, z)]
+            assert len(got) == len(expected) == sc.n_symbols
+            for ((ref,), z), (ref_e, z_e) in zip(got, expected):
+                assert np.array_equal(ref.s, ref_e.s)
+                assert z.shape == (sc.n_rx, sc.n)
+                assert np.array_equal(z, z_e)
+                # array_equal takes -0.0 for 0.0; with no noise, a zero's
+                # sign in the channel output would reach z unchanged
+                if sc.snr_db == np.inf:
+                    assert np.array_equal(z.view(np.uint64),
+                                          z_e.view(np.uint64))
 
     def test_simulates_each_block_when_asked(self, monkeypatch):
         from pncomp import harness
@@ -525,14 +558,34 @@ class TestBlockStream:
                             lambda *args: made.append(args) or make_symbol(
                                 *args))
         sc = Scenario(name="tracking", n_symbols=2 * SYMBOL_BLOCK + 5)
-        _, blocks = _channel_symbols(sc, 1, 3.0, None)
+        _, blocks = _channel_symbols(sc, 1, None, (3.0,))
         assert made == []
-        refs, _ = next(blocks)
+        refs, _, _ = next(blocks)
         assert len(made) == len(refs) == SYMBOL_BLOCK
+
+    def test_evm_vs_sigma_simulates_each_channel_once(self, tmp_path,
+                                                      monkeypatch):
+        # one channel, 10 symbols, 8 sigmas: one rx and one KL-training
+        # phase-noise generator and one make_symbol per symbol, not per
+        # symbol and sigma
+        from pncomp import harness
+        inits, made = [], []
+        init = PnGenerator.__init__
+        monkeypatch.setattr(PnGenerator, "__init__",
+                            lambda self, *args: inits.append(args) or init(
+                                self, *args))
+        monkeypatch.setattr(harness, "make_symbol",
+                            lambda *args: made.append(args) or make_symbol(
+                                *args))
+        sc = Scenario(name="evm_vs_sigma", scale=1 / 300, n_symbols=10,
+                      kl_cov_symbols=50)
+        assert len(sc.sigma_list) == 8
+        run_scenario(sc, str(tmp_path / "o.csv"))
+        assert (len(inits), len(made)) == (2, 10)
 
 
 def per_point_mu_stream(sc, ci, sigma, tx_sigma):
-    """Reference for _mu_channel_symbols: channel ci's multiuser stream at
+    """Reference for _channel_symbols with users: channel ci's stream at
     one (sigma, tx sigma) point, simulated one symbol at a time with the
     point's own generators and noise stream; each user's signal is
     transformed, channel-filtered and added from zero in user order."""
@@ -608,7 +661,7 @@ class TestKlCovs:
 
 
 class TestMuBlockStream:
-    """_mu_channel_symbols simulates each channel once per block for every
+    """_channel_symbols simulates each channel once per block for every
     (sigma, tx sigma) point; every point's symbols must equal its own
     one-at-a-time reference bit for bit."""
 
@@ -646,8 +699,13 @@ class TestMuBlockStream:
                 enumerate(sc.sigma_list), enumerate(sc.tx_sigma_list)):
             sys_, expected[(i, j)] = per_point_mu_stream(sc, 1, sigma,
                                                          tx_sigma)
+        got_sys, blocks = _channel_symbols(
+            sc, 1, pn_windows(sc), sc.sigma_list, sc.tx_sigma_list,
+            users=tuple((u,) for u in range(sc.n_users)))
+        assert all(np.array_equal(a.lam, e.lam)
+                   for a, e in zip(got_sys.channels, sys_.channels))
         got = {}
-        for refs, pt, z in _mu_channel_symbols(sc, 1, sys_, pn_windows(sc)):
+        for refs, pt, z in blocks:
             assert 1 <= len(refs) <= SYMBOL_BLOCK
             got.setdefault(pt, []).extend(zip(refs, z))
         assert sorted(got) == sorted(expected)
