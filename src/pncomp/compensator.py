@@ -52,7 +52,7 @@ class Receiver:
     block of W (receive branch or user) may fit on.  rows: (block, tone) of
     each block's usable pilot rows, then null rows if cfg.use_null_tones.
     tones: each row's target in the reference tones (one shared reference,
-    or one per block if per_block_refs) plus a trailing zero for null rows.
+    or one per block if per_block_refs), past their end for the null_rows.
     lam, mrc_w = |lam|^2 and guarded mrc_den = sum mrc_w: MRC, single-user."""
 
     cfg: CompConfig
@@ -72,9 +72,10 @@ class Receiver:
         tone = cand[j]
         target = tone + block * lay.n if self.per_block_refs else tone
         zero = lay.n * (n_blocks if self.per_block_refs else 1)
+        null = j >= len(lay.pilot_arr)
         object.__setattr__(self, "rows", (block, tone))
-        object.__setattr__(self, "tones", np.where(
-            j < len(lay.pilot_arr), target, zero))
+        object.__setattr__(self, "tones", np.where(null, zero, target))
+        object.__setattr__(self, "null_rows", np.flatnonzero(null))
 
 
 def receiver(lam, layout: ToneLayout,
@@ -100,10 +101,12 @@ def build_w(z, rcv: Receiver, basis: CompBasis) -> np.ndarray:
     cannot use (|lambda| below 1e-6 of the branch peak) are zero.
     """
     z = np.asarray(z, dtype=np.complex128)
-    # one unitary FFT per (symbol, branch, column); each W[b] is an (N, d) view
-    fzv = np.swapaxes(fft(z[..., None, :] * basis.v.T), -1, -2)
-    return np.divide(fzv, rcv.lam[..., None], out=np.zeros_like(fzv),
-                     where=rcv.usable[..., None])
+    # one unitary FFT per (symbol, branch, column), (..., n_rx, d, N); each
+    # W[b] is an (N, d) view of it, the layout the combine's bits rely on
+    fzv = fft(z[..., None, :] * basis.v.T)
+    w = np.divide(fzv, rcv.lam[..., None, :], out=np.zeros(fzv.shape, complex),
+                  where=rcv.usable[..., None, :])
+    return w.swapaxes(-1, -2)
 
 
 def solve_ls(w_rows: CMat, s_rows: CVec) -> CVec:
@@ -149,9 +152,9 @@ def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> tuple[CVec, int]:
     block, tone = rcv.rows
     # contiguous rows: a strided right-hand side changes the matmul's bits
     w_rows = np.ascontiguousarray(w[..., block, tone, :])
-    zero = np.zeros(refs_s.shape[:-1] + (1,), dtype=refs_s.dtype)
-    s_rows = np.ascontiguousarray(
-        np.concatenate((refs_s, zero), axis=-1)[..., rcv.tones])
+    s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="clip")
+    if rcv.null_rows.size:
+        s_rows[..., rcv.null_rows] = 0
     solve = solve_tls if rcv.cfg.method == "TLS" else solve_ls
     return solve(w_rows, s_rows), len(block)
 
@@ -168,13 +171,10 @@ def compensate(w, rcv: Receiver, gamma: CVec, ref: FreqSymbol) -> CompResult:
             or w.shape[2] < d):
         raise ValueError(f"W of shape {w.shape} does not fit (n_rx, N) = "
                          f"{rcv.usable.shape} and gamma of shape {gamma.shape}")
-    if ref.layout != rcv.layout:
+    if ref.layout is not rcv.layout and ref.layout != rcv.layout:
         raise ValueError("reference layout differs from the receiver's")
     n_eq = len(rcv.tones)
-    s_mrc = (rcv.mrc_w * (w[:, :, :d] @ gamma)).sum(axis=0) / rcv.mrc_den
-    return CompResult(
-        gamma=gamma,
-        s_hat=FreqSymbol(s=s_mrc, layout=ref.layout),
-        n_equations=n_eq,
-        underdetermined=n_eq < d,
-    )
+    s_mrc = w[:, :, :d] @ gamma
+    s_mrc = np.multiply(rcv.mrc_w, s_mrc, out=s_mrc).sum(axis=0)
+    s_mrc /= rcv.mrc_den
+    return CompResult(gamma, FreqSymbol(s_mrc, ref.layout), n_eq, n_eq < d)

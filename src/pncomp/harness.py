@@ -112,7 +112,8 @@ class Scenario:
                         and f.name != "snr_db"):
                     raise ConfigError(f"{f.name} must be finite, got {v}")
         for key, lo in (("n_rx", 1), ("n_channels", 1), ("n_symbols", 1),
-                        ("kl_cov_symbols", 1), ("training_symbols", 0)):
+                        ("kl_cov_symbols", 1), ("training_symbols", 0),
+                        ("freeze_after", -1)):
             if getattr(self, key) < lo:
                 raise ConfigError(f"{key} must be >= {lo}, "
                                   f"got {getattr(self, key)}")
@@ -315,12 +316,15 @@ def _kl_covs(sc: Scenario, ci: int, sigmas, pn) -> list[pn_mod.PnCovariance]:
     return [pn_mod.PnCovariance(r=r_i) for r_i in r]
 
 
-def _make_basis(sc: Scenario, kind: str, d: int, cov) -> basis_mod.CompBasis:
-    if kind == "KL":
-        return basis_mod.kl_basis(cov, d)
-    if kind == "DFT":
-        return basis_mod.dft_basis(sc.n, d)
-    return basis_mod.dct_basis(sc.n, d)
+def _families(sc: Scenario, family_d: dict):
+    """families(cov): each kind's basis at family_d[kind] columns; the DFT
+    and DCT bases, the same for every channel and sigma, are built once."""
+    fixed = {kind: (basis_mod.dft_basis if kind == "DFT"
+                    else basis_mod.dct_basis)(sc.n, d)
+             for kind, d in family_d.items() if kind != "KL"}
+    return lambda cov: {kind: fixed[kind] if kind in fixed
+                        else basis_mod.kl_basis(cov, d)
+                        for kind, d in family_d.items()}
 
 
 def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
@@ -391,7 +395,7 @@ def _score(s_hats, refs: list[FreqSymbol], n_eqs, const: Constellation,
     err, refp = evm_linear(s_hats, np.array([r.s for r in refs]), layout)
     for s, ref, e, p, n_eq, feeds in zip(s_hats, refs, err.tolist(),
                                          refp.tolist(), n_eqs, accs):
-        ser = symbol_error_rate(FreqSymbol(s=s, layout=layout), ref, const)
+        ser = symbol_error_rate(FreqSymbol(s, layout), ref, const)
         for acc in feeds:
             acc.add(e, p, ser, n_eq)
 
@@ -400,9 +404,9 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
     """Fixed-basis sweep over sigma x basis kind x d; d = 0 scores
     per-tone equalization without phase-noise correction.
 
-    Each channel is simulated once for every sigma.  Each kind's basis is
-    built once per channel and sigma at the largest d, and W once per
-    symbol block and sigma; every d fits the whole block at once on their
+    Each channel is simulated once for every sigma.  The KL basis is built
+    once per channel and sigma at the largest d, the DFT and DCT bases once
+    per run, and W once per symbol block and sigma; every d fits the whole block at once on their
     leading d columns, and each symbol is scored at every point in one
     stacked EVM.  Every (sigma, kind, d) accumulator sees its symbols in
     channel, then symbol order, so repeated sigmas give repeated rows."""
@@ -412,14 +416,14 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
     d_max = max(ds)
     accs = [[_Acc() for _ in points] for _ in sigmas]
     feeds = [[(acc,) for acc in row] for row in accs]
+    make_families = _families(
+        sc, {kind: d_max for kind in sc.basis_kinds} if d_max else {})
     for ci in range(sc.n_channels_eff):
         sys_, blocks = _channel_symbols(sc, ci, pn, sigmas)
         rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
         covs = (_kl_covs(sc, ci, sigmas, pn)
                 if d_max and "KL" in sc.basis_kinds else [None] * len(sigmas))
-        families = [{kind: _make_basis(sc, kind, d_max, cov)
-                     for kind in sc.basis_kinds} if d_max else {}
-                    for cov in covs]
+        families = [make_families(cov) for cov in covs]
         n_eqs = [len(rcv.tones) if d else 0 for _, d in points]
         for refs, (i, _), z in blocks:
             refs = [ref for ref, in refs]
@@ -496,16 +500,16 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
         freeze_after=sc.freeze_after if (mode == "frozen"
                                          and sc.freeze_after >= 0) else None)
         for mode in sc.track_modes if mode not in _FIXED_TRACK_MODES}
+    make_families = _families(sc, family_d)
+    # every PAST step makes a new state, so all channels start from one
+    init = init_tracker(sc.n, sc.d, beta=sc.beta)
     for ci in range(sc.n_channels_eff):
         sys_, blocks = _channel_symbols(sc, ci, pn, (sc.sigma_deg,),
                                         offset=sc.offset)
         rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
-        cov = (_kl_covs(sc, ci, (sc.sigma_deg,), pn)[0] if "KL" in family_d
-               else None)
-        families = {kind: _make_basis(sc, kind, d, cov)
-                    for kind, d in family_d.items()}
-        states = {mode: init_tracker(sc.n, sc.d, beta=sc.beta)
-                  for mode in tracked}
+        families = make_families(_kl_covs(sc, ci, (sc.sigma_deg,), pn)[0]
+                                 if "KL" in family_d else None)
+        states = dict.fromkeys(tracked, init)
 
         def score(mode, m0, refs, s_hats):
             _score(s_hats, refs, [len(rcv.tones)] * len(refs), const,

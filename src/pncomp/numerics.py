@@ -19,25 +19,30 @@ CVec = NDArray[np.complex128]
 CMat = NDArray[np.complex128]
 
 DEFAULT_RCOND = 1e-12
+# sqrt(n), the unitary FFT scale, of every power-of-two length n
+_ROOT_N = {1 << k: np.sqrt(1 << k) for k in range(63)}
 
 
-def _check_pow2(n: int) -> None:
-    if n < 1 or (n & (n - 1)) != 0:
+def _root_n(n: int) -> float:
+    if n not in _ROOT_N:
         raise ValueError(f"length must be a power of two, got {n}")
+    return _ROOT_N[n]
 
 
 def fft(x: CVec) -> CVec:
     """Unitary forward DFT (1/sqrt(N) normalization)."""
     x = np.asarray(x, dtype=np.complex128)
-    _check_pow2(x.shape[-1])
-    return np.fft.fft(x, axis=-1) / np.sqrt(x.shape[-1])
+    y = np.fft.fft(x)
+    y /= _root_n(x.shape[-1])
+    return y
 
 
 def ifft(x: CVec) -> CVec:
     """Unitary inverse DFT; exact inverse of :func:`fft`."""
     x = np.asarray(x, dtype=np.complex128)
-    _check_pow2(x.shape[-1])
-    return np.fft.ifft(x, axis=-1) * np.sqrt(x.shape[-1])
+    y = np.fft.ifft(x)
+    y *= _root_n(x.shape[-1])
+    return y
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ def svd(a: CMat) -> SvdResult:
     u is (..., m, k) and q (..., n, k) with k = min(m, n)."""
     u, s, vh = np.linalg.svd(np.asarray(a, dtype=np.complex128),
                              full_matrices=False)
-    return SvdResult(u, s, np.swapaxes(vh.conj(), -1, -2))
+    return SvdResult(u, s, vh.conj().swapaxes(-1, -2))
 
 
 def pinv(a: CMat) -> CMat:
@@ -98,6 +103,5 @@ def pinv(a: CMat) -> CMat:
     a = np.asarray(a, dtype=np.complex128)
     u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
     large = s > DEFAULT_RCOND * s.max(axis=-1, keepdims=True)
-    s = np.divide(1, s, where=large, out=s)
-    s[~large] = 0
-    return np.swapaxes(vt, -1, -2) @ (s[..., None] * np.swapaxes(u, -1, -2))
+    s = np.divide(1, s, where=large, out=np.zeros(s.shape))
+    return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))

@@ -22,7 +22,8 @@ class ToneLayout:
     """Partition of the N tones into pilot, null and data sets.
 
     The index arrays pilot_arr, null_arr, data_arr and active_arr (pilots,
-    then data) are built once here for the per-symbol hot paths.
+    then data) are built once here for the per-symbol hot paths, as is
+    quad_arr, where each active tone's 4 slicer candidates start.
     """
 
     n: int
@@ -40,9 +41,11 @@ class ToneLayout:
         data = tuple(k for k in range(self.n) if k not in all_idx)
         object.__setattr__(self, "pilot_idx", tuple(sorted(pilots)))
         object.__setattr__(self, "null_idx", tuple(sorted(nulls)))
+        active = self.pilot_idx + data
         for name, idx in (("pilot_arr", self.pilot_idx),
                           ("null_arr", self.null_idx), ("data_arr", data),
-                          ("active_arr", self.pilot_idx + data)):
+                          ("active_arr", active),
+                          ("quad_arr", range(0, 4 * len(active), 4))):
             arr = np.array(idx, dtype=np.intp)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -172,20 +175,21 @@ def hard_decide(est: FreqSymbol, constellation: Constellation) -> FreqSymbol:
     are computed as a full distance matrix would, and ties go to the
     smallest bit label, the first of the four.
     """
-    active = est.layout.active_arr
+    lay, active = est.layout, est.layout.active_arr
     vals = est.s[active]
     gap = constellation._inner.searchsorted(vals.view(np.float64))
     cand = constellation._quads[gap[0::2], gap[1::2]]
-    d2 = np.abs(vals[:, None] - cand) ** 2
-    out = np.zeros_like(est.s)
-    out[active] = cand[np.arange(len(vals)), d2.argmin(axis=1)]
-    return FreqSymbol(s=out, layout=est.layout)
+    d2 = np.abs(vals[:, None] - cand)
+    pick = np.square(d2, out=d2).argmin(axis=1)
+    out = np.zeros(lay.n, dtype=np.complex128)
+    out[active] = cand.ravel()[pick + lay.quad_arr]
+    return FreqSymbol(out, lay)
 
 
 def symbol_error_rate(est: FreqSymbol, ref: FreqSymbol,
                       constellation: Constellation) -> float:
     """Uncoded SER over data tones after hard decisions on est."""
-    decided = hard_decide(est, constellation)
+    err = hard_decide(est, constellation).s
     idx = ref.layout.data_arr
-    errors = np.abs(decided.s[idx] - ref.s[idx]) > 1e-9
-    return np.count_nonzero(errors) / idx.size if idx.size else 0.0
+    err = np.abs(np.subtract(err, ref.s, out=err)[idx])
+    return np.count_nonzero(err > 1e-9) / idx.size if idx.size else 0.0

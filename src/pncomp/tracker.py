@@ -33,12 +33,8 @@ class TrackerState:
             raise ValueError("beta must be in (0, 1]")
 
     @property
-    def d(self) -> int:
-        return self.v.shape[1]
-
-    @property
     def basis(self) -> CompBasis:
-        return CompBasis(v=self.v, kind="PAST")
+        return CompBasis(self.v, "PAST")
 
 
 def init_tracker(n: int, d: int, beta: float = 0.9) -> TrackerState:
@@ -55,15 +51,15 @@ def dd_phase_estimate(z, s_hat: FreqSymbol, lam):
     reconstruction is negligible inherit the nearest valid estimate.
     """
     z, lam = _as_branches(z), _as_branches(lam)
-    y_hat = ifft(lam * s_hat.s[None, :])
+    y_hat = ifft(lam * s_hat.s)
     mag = np.abs(y_hat).max(axis=0)
     peak = mag.max()
     if peak == 0:
         raise ValueError("all-zero signal reconstruction")
-    q = np.sum(z * np.conj(y_hat), axis=0)
+    q = np.multiply(z, np.conj(y_hat, out=y_hat), out=y_hat).sum(axis=0)
     valid = mag >= 1e-9 * peak
-    phi = np.angle(q)
-    if not np.all(valid):
+    phi = np.arctan2(q.imag, q.real)
+    if not valid.all():
         good = np.flatnonzero(valid)
         bad = np.flatnonzero(~valid)
         nearest = good[np.argmin(np.abs(bad[:, None] - good[None, :]), axis=1)]
@@ -115,20 +111,21 @@ def run_tracked(stream, state: TrackerState, cfg: TrackingConfig,
     pieces, each call taking the state the previous one returned.
     """
     results: list[CompResult] = []
+    freeze, training = cfg.freeze_after, cfg.training_symbols
     for m, sym in enumerate(stream, start):
-        w = build_w(sym.z, sym.rcv, state.basis)
-        res = compensate(w, sym.rcv, fit_gamma(w, sym.rcv, sym.ref.s)[0],
-                         sym.ref)
+        rcv, ref = sym.rcv, sym.ref
+        w = build_w(sym.z, rcv, state.basis)
+        res = compensate(w, rcv, fit_gamma(w, rcv, ref.s)[0], ref)
         results.append(res)
-        if cfg.freeze_after is not None and m >= cfg.freeze_after:
+        if freeze is not None and m >= freeze:
             continue
-        if m < cfg.training_symbols:
-            s_dd = sym.ref
+        if m < training:
+            s_dd = ref
         else:
             s_dd = hard_decide(res.s_hat, cfg.constellation)
-            p_idx = sym.ref.layout.pilot_arr
-            s_dd.s[p_idx] = sym.ref.s[p_idx]
-        psi_hat = dd_phase_estimate(sym.z, s_dd, sym.rcv.lam)
+            p_idx = ref.layout.pilot_arr
+            s_dd.s[p_idx] = ref.s[p_idx]
+        psi = dd_phase_estimate(sym.z, s_dd, rcv.lam).psi
         # track the cancellation vector, the quantity the basis must span
-        state = past_update(state, np.conj(psi_hat.psi))
+        state = past_update(state, np.conj(psi, out=psi))
     return results, state

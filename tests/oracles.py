@@ -2,17 +2,20 @@
 
 None of these has a caller in the package: each is the textbook form of
 something pncomp computes another way (the dense DFT matrix for the FFT,
-the implied TLS perturbation for the fit, one-shot phase noise and
-modulation for the block simulation, the axis-by-axis slicer for the
-label-table slicer, the whole-stream tracker for the block-by-block one).
+the implied TLS perturbation for the fit, one pinv or SVD per symbol for
+the stacked fit, one-shot phase noise and modulation for the block
+simulation, the axis-by-axis slicer for the label-table slicer, the
+whole-stream tracker for the block-by-block one).  The tracker oracle
+takes from pncomp only build_w and the Receiver's fit rows; its fit,
+combine, decision, phase estimate and PAST step are its own.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from pncomp.compensator import _as_branches, build_w, compensate, fit_gamma
-from pncomp.numerics import CMat, CVec, fft, ifft
+from pncomp.compensator import CompResult, build_w
+from pncomp.numerics import DEFAULT_RCOND, CMat, CVec, fft, ifft
 from pncomp.ofdm import Constellation, FreqSymbol, ToneLayout
 from pncomp.phase_noise import PhaseNoiseRealization, PnGenerator, PnModel
 from pncomp.tracker import TrackerState, TrackingConfig
@@ -84,12 +87,31 @@ def bracket_decide(est: FreqSymbol, constellation: Constellation) -> FreqSymbol:
     return FreqSymbol(s=out, layout=est.layout)
 
 
+def per_symbol_fit(w, rcv, d, ref):
+    """The per-symbol fit and combine that the block fit replaced: one
+    pinv, or one SVD of [W, s], per symbol on the leading d columns of its
+    W (n_rx, N, >= d).  Returns (gamma, s_hat)."""
+    w = w[:, :, :d]
+    w_rows = w[rcv.rows]
+    s_rows = np.concatenate((ref.s, [0]))[rcv.tones]
+    gamma = None
+    if rcv.cfg.method == "TLS" and len(s_rows) >= d + 1:
+        _, _, vh = np.linalg.svd(np.column_stack([w_rows, s_rows]))
+        q_last = vh.conj().T[:, d]
+        if np.abs(q_last[d]) > 1e-12:
+            gamma = -q_last[:d] / q_last[d]
+    if gamma is None:
+        gamma = np.linalg.pinv(w_rows, rcond=DEFAULT_RCOND) @ s_rows
+    return gamma, (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
+
+
 def dd_phase_estimate(z, s_hat: FreqSymbol, lam) -> PhaseNoiseRealization:
     """Per-sample phase of z against the reconstructed clean signal, the
     branches combined coherently; negligible samples take the nearest
     valid estimate."""
-    z, lam = _as_branches(z), _as_branches(lam)
-    y_hat = ifft(lam * s_hat.s[None, :])
+    z, lam = np.atleast_2d(z), np.atleast_2d(lam)
+    n = lam.shape[-1]
+    y_hat = np.fft.ifft(lam * s_hat.s[None, :], axis=-1) * np.sqrt(n)
     peak = np.abs(y_hat).max()
     if peak == 0:
         raise ValueError("all-zero signal reconstruction")
@@ -123,8 +145,10 @@ def run_tracked(stream, state: TrackerState, cfg: TrackingConfig):
     results = []
     for m, sym in enumerate(stream):
         w = build_w(sym.z, sym.rcv, state.basis)
-        res = compensate(w, sym.rcv, fit_gamma(w, sym.rcv, sym.ref.s)[0],
-                         sym.ref)
+        gamma, s_hat = per_symbol_fit(w, sym.rcv, state.v.shape[1], sym.ref)
+        n_eq = len(sym.rcv.tones)
+        res = CompResult(gamma, FreqSymbol(s=s_hat, layout=sym.ref.layout),
+                         n_eq, n_eq < len(gamma))
         results.append(res)
         if cfg.freeze_after is not None and m >= cfg.freeze_after:
             continue

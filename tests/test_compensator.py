@@ -13,7 +13,7 @@ from pncomp.ofdm import (Constellation, FreqSymbol, ToneLayout, default_layout,
                          evm_db, make_symbol)
 from pncomp.phase_noise import PnGenerator, PnModel, estimate_cov
 
-from oracles import dft_matrix, tls_implied_perturbation
+from oracles import dft_matrix, per_symbol_fit, tls_implied_perturbation
 
 
 @pytest.fixture(scope="module")
@@ -211,24 +211,6 @@ class TestBlockW:
             assert a.n_equations == b.n_equations
 
 
-def per_symbol_fit(w, rcv, d, ref):
-    """The per-symbol fit and combine that the block fit replaced, kept as
-    the reference: one pinv, or one SVD of [W, s], per symbol on the
-    leading d columns of its W.  Returns (gamma, s_hat)."""
-    w = w[:, :, :d]
-    w_rows = w[rcv.rows]
-    s_rows = np.concatenate((ref.s, [0]))[rcv.tones]
-    gamma = None
-    if rcv.cfg.method == "TLS" and len(s_rows) >= d + 1:
-        _, _, vh = np.linalg.svd(np.column_stack([w_rows, s_rows]))
-        q_last = vh.conj().T[:, d]
-        if np.abs(q_last[d]) > 1e-12:
-            gamma = -q_last[:d] / q_last[d]
-    if gamma is None:
-        gamma = np.linalg.pinv(w_rows, rcond=nx.DEFAULT_RCOND) @ s_rows
-    return gamma, (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
-
-
 class TestBlockFit:
     """fit_gamma on a block of M symbols (one stacked pinv or SVD) plus the
     per-symbol compensate against per_symbol_fit: bit-identical."""
@@ -255,6 +237,8 @@ class TestBlockFit:
         ("LS", 2, False, True, 32),
         ("LS", 1, True, False, 31),
         ("LS", 1, False, True, 1),
+        # three branches, null and weak rows: the gather of a strided W
+        ("LS", 3, True, True, 32),
         ("TLS", 2, True, True, 32),
         # 14 usable pilot rows < d + 1 at d = 16: that block fits by LS
         ("TLS", 1, False, True, 31),

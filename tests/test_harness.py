@@ -263,6 +263,7 @@ class TestCli:
         ("name = custom\npn_ripple_db = 0\n", []),
         ("name = custom\nn_rx = 0\n", []),
         ("name = tracking\ntraining_symbols = -5\n", []),
+        ("name = tracking\nfreeze_after = -7\n", []),
         ("name = tracking\nppm = 1\nsample_rate_hz = 0\n", []),
         ("name = mimo_sweep\nn_users = 0\n", []),
         ("name = mimo_sweep\ntx_sigma_list = 0, -1\n", []),
@@ -286,8 +287,8 @@ class TestCli:
             "qam_8", "mimo_users_gt_rx", "snr_nan", "out_unwritable",
             "beta_2", "n_taps_0", "kl_cov_0", "kl_cov_neg", "profile_foo",
             "profile_tau_0", "pn_cutoff_0.7", "pn_order_40", "pn_ripple_0",
-            "n_rx_0", "training_neg", "sample_rate_0", "mimo_users_0",
-            "tx_sigma_neg", "sigma_list_neg", "snr_overflow",
+            "n_rx_0", "training_neg", "freeze_after_neg", "sample_rate_0",
+            "mimo_users_0", "tx_sigma_neg", "sigma_list_neg", "snr_overflow",
             "snr_overflow_edge", "offset_inf_per_sample",
             "offset_ramp_overflow", "pn_file_missing", "pn_file_dir",
             "basis_kinds_empty_evm_vs_d", "basis_kinds_empty_evm_vs_sigma",
@@ -582,6 +583,29 @@ class TestBlockStream:
         assert len(sc.sigma_list) == 8
         run_scenario(sc, str(tmp_path / "o.csv"))
         assert (len(inits), len(made)) == (2, 10)
+
+    @pytest.mark.parametrize("name, expected", [
+        ("evm_vs_sigma", {"dft_basis": 1, "dct_basis": 1, "kl_basis": 6}),
+        ("tracking", {"dft_basis": 1, "kl_basis": 2, "init_tracker": 1}),
+    ])
+    def test_fixed_bases_built_once_per_run(self, tmp_path, monkeypatch,
+                                            name, expected):
+        # 2 channels, 3 sigmas: the DFT and DCT bases and the tracker's
+        # start depend on neither, so each is built once per run; the KL
+        # basis once per (channel, sigma)
+        from pncomp import basis, harness
+        sc = Scenario(name=name, n_channels=2, scale=1.0, n_symbols=4,
+                      kl_cov_symbols=50, sigma_list=(1.0, 2.0, 3.0),
+                      basis_kinds=("KL", "DFT", "DCT"), training_symbols=2,
+                      track_modes=("tracked", "frozen", "dft", "cpe", "kl"))
+        calls = []
+        for mod, fn in ((basis, "dft_basis"), (basis, "dct_basis"),
+                        (basis, "kl_basis"), (harness, "init_tracker")):
+            orig = getattr(mod, fn)
+            monkeypatch.setattr(mod, fn, lambda *a, _f=orig, **k: (
+                calls.append(_f.__name__) or _f(*a, **k)))
+        run_scenario(sc, str(tmp_path / "o.csv"))
+        assert {fn: calls.count(fn) for fn in set(calls)} == expected
 
 
 def per_point_mu_stream(sc, ci, sigma, tx_sigma):

@@ -300,6 +300,40 @@ class TestHardDecideOracle:
         np.testing.assert_array_equal(got, bracket_decide(est, qam).s)
 
 
+class TestHardDecideBits:
+    """hard_decide and symbol_error_rate against the bracket slicer on
+    random values mixed with the levels, the midpoints between them, the
+    floats next to those midpoints, signed zeros and points beyond the
+    edges, with and without null tones: equal bit for bit."""
+
+    @given(st.sampled_from([4, 16, 64, 256]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_bracket_slicer(self, order, nulls, seed):
+        qam = Constellation.qam(order)
+        rng = np.random.default_rng(seed)
+        lev = np.unique(qam.points.real)
+        mid = (lev[1:] + lev[:-1]) / 2
+        special = np.concatenate([lev, mid, np.nextafter(mid, -np.inf),
+                                  np.nextafter(mid, np.inf),
+                                  [0.0, -0.0, lev[0] - 1, lev[-1] + 1]])
+
+        def coords():
+            rand = rng.standard_normal(64) * rng.choice([0.3, 1.0, 3.0], 64)
+            return np.where(rng.random(64) < 0.5, rng.choice(special, 64),
+                            rand)
+
+        lay = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                         null_idx=(28, 29, 30, 31, 32) if nulls else ())
+        est = FreqSymbol(s=coords() + 1j * coords(), layout=lay)
+        want = bracket_decide(est, qam).s
+        assert np.array_equal(hard_decide(est, qam).s, want)
+        ref = make_symbol(lay, qam, rng_seed=seed)
+        errors = np.abs(want[lay.data_arr] - ref.s[lay.data_arr]) > 1e-9
+        assert (symbol_error_rate(est, ref, qam)
+                == np.count_nonzero(errors) / lay.data_arr.size)
+
+
 class TestSer:
     def test_zero_errors(self, layout, qam256):
         sym = make_symbol(layout, qam256, rng_seed=10)
