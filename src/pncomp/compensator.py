@@ -103,9 +103,10 @@ def build_w(z, rcv: Receiver, basis: CompBasis) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     # one unitary FFT per (symbol, branch, column), (..., n_rx, d, N); each
     # W[b] is an (N, d) view of it, the layout the combine's bits rely on
-    fzv = fft(z[..., None, :] * basis.v.T)
-    w = np.divide(fzv, rcv.lam[..., None, :], out=np.zeros(fzv.shape, complex),
-                  where=rcv.usable[..., None, :])
+    w = fft(z[..., None, :] * basis.v.T)
+    keep = rcv.usable[..., None, :]
+    np.divide(w, rcv.lam[..., None, :], out=w, where=keep)
+    np.copyto(w, 0, where=~keep)
     return w.swapaxes(-1, -2)
 
 
