@@ -53,6 +53,7 @@ class Receiver:
     each block's usable pilot rows, then null rows if cfg.use_null_tones.
     tones: each row's target in the reference tones (one shared reference,
     or one per block if per_block_refs), past their end for the null_rows.
+    weak (n_blocks, 1, N): the unusable tones, None if there are none.
     lam, mrc_w = |lam|^2 and guarded mrc_den = sum mrc_w: MRC, single-user."""
 
     cfg: CompConfig
@@ -76,6 +77,8 @@ class Receiver:
         object.__setattr__(self, "rows", (block, tone))
         object.__setattr__(self, "tones", np.where(null, zero, target))
         object.__setattr__(self, "null_rows", np.flatnonzero(null))
+        weak = ~self.usable[:, None, :]
+        object.__setattr__(self, "weak", weak if weak.any() else None)
 
 
 def receiver(lam, layout: ToneLayout,
@@ -101,12 +104,12 @@ def build_w(z, rcv: Receiver, basis: CompBasis) -> np.ndarray:
     cannot use (|lambda| below 1e-6 of the branch peak) are zero.
     """
     z = np.asarray(z, dtype=np.complex128)
-    # one unitary FFT per (symbol, branch, column), (..., n_rx, d, N); each
-    # W[b] is an (N, d) view of it, the layout the combine's bits rely on
+    # one unitary FFT per (symbol, branch, column), laid out as the product
+    # is, so W comes out C-contiguous: the combine's bits rely on that
     w = fft(z[..., None, :] * basis.v.T)
-    keep = rcv.usable[..., None, :]
-    np.divide(w, rcv.lam[..., None, :], out=w, where=keep)
-    np.copyto(w, 0, where=~keep)
+    np.divide(w, rcv.lam[..., None, :], out=w, where=rcv.usable[..., None, :])
+    if rcv.weak is not None:
+        np.copyto(w, 0, where=rcv.weak)
     return w.swapaxes(-1, -2)
 
 

@@ -384,18 +384,18 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
     return sys_, blocks()
 
 
-def _score(s_hats, refs: list[FreqSymbol], n_eqs, const: Constellation,
-           accs) -> None:
-    """Score the estimates s_hats (M, N) against refs: one stacked EVM,
-    then each row's SER.  Row i, fit with n_eqs[i] equations, is added to
-    every accumulator of accs[i], in row order."""
+def _score(s_hats: list[FreqSymbol], refs: list[FreqSymbol], n_eqs,
+           const: Constellation, accs) -> None:
+    """Score the estimates s_hats against refs: one stacked EVM, then each
+    estimate's SER.  Estimate i, fit with n_eqs[i] equations, is added to
+    every accumulator of accs[i], in order."""
     if not refs:
         return
-    layout = refs[0].layout
-    err, refp = evm_linear(s_hats, np.array([r.s for r in refs]), layout)
+    err, refp = evm_linear(np.array([s.s for s in s_hats]),
+                           np.array([r.s for r in refs]), refs[0].layout)
     for s, ref, e, p, n_eq, feeds in zip(s_hats, refs, err.tolist(),
                                          refp.tolist(), n_eqs, accs):
-        ser = symbol_error_rate(FreqSymbol(s, layout), ref, const)
+        ser = symbol_error_rate(s, ref, const)
         for acc in feeds:
             acc.add(e, p, ser, n_eq)
 
@@ -406,10 +406,11 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
 
     Each channel is simulated once for every sigma.  The KL basis is built
     once per channel and sigma at the largest d, the DFT and DCT bases once
-    per run, and W once per symbol block and sigma; every d fits the whole block at once on their
-    leading d columns, and each symbol is scored at every point in one
-    stacked EVM.  Every (sigma, kind, d) accumulator sees its symbols in
-    channel, then symbol order, so repeated sigmas give repeated rows."""
+    per run, and W once per symbol block and sigma; every d fits the whole
+    block at once on their leading d columns, and each symbol is scored at
+    every point in one stacked EVM.  Every (sigma, kind, d) accumulator
+    sees its symbols in channel, then symbol order, so repeated sigmas give
+    repeated rows."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
@@ -435,10 +436,11 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
             # symbol by symbol, every point at once: each point combines
             # the symbol's W while it is in cache
             for m, ref in enumerate(refs):
-                s_hats = np.array([
+                s_hats = [
                     compensate(ws[kind][m], rcv, gammas[(kind, d)][m],
-                               ref).s_hat.s if d
-                    else equalize_only(z[m], rcv) for kind, d in points])
+                               ref).s_hat if d
+                    else FreqSymbol(equalize_only(z[m], rcv), ref.layout)
+                    for kind, d in points]
                 _score(s_hats, [ref] * len(points), n_eqs, const, feeds[i])
     return [ResultRow(sc.name, "all", "", 1, kind, d, sigma, sc.method,
                       acc.evm_db, acc.ser, acc.n_eq)
@@ -467,7 +469,7 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
             w = mu_build_w(z, bf, bases[pt[0]])
             results = [res for w_m, syms in zip(w, refs)
                        for res in mu_compensate(w_m, syms, rcv)]
-            _score(np.array([res.s_hat.s for res in results]),
+            _score([res.s_hat for res in results],
                    [ref for syms in refs for ref in syms],
                    [len(rcv.tones)] * len(results), const,
                    [(accs[pt],)] * len(results))
@@ -525,21 +527,16 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
                                       refs_s)[0] for mode, kind in fixed}
             # symbol by symbol, as the sweep; few modes, so each mode's
             # block is scored in one stack
-            s_hats = np.empty((len(fixed),) + refs_s.shape,
-                              dtype=np.complex128)
-            for i, ref in enumerate(refs):
-                for f, (mode, kind) in enumerate(fixed):
-                    s_hats[f, i] = compensate(ws[kind][i], rcv,
-                                              gammas[mode][i], ref).s_hat.s
-            for (mode, _), block in zip(fixed, s_hats):
+            s_hats = [[compensate(ws[kind][i], rcv, gammas[mode][i], ref).s_hat
+                       for mode, kind in fixed] for i, ref in enumerate(refs)]
+            for (mode, _), block in zip(fixed, zip(*s_hats)):
                 score(mode, m0, refs, block)
             for mode, tcfg in tracked.items():
                 results, states[mode] = run_tracked(
-                    (TrackedSymbol(z=z_i, rcv=rcv, ref=ref)
+                    (TrackedSymbol(z_i, rcv, ref)
                      for ref, z_i in zip(refs, z)), states[mode], tcfg,
                     start=m0)
-                score(mode, m0, refs,
-                      np.array([res.s_hat.s for res in results]))
+                score(mode, m0, refs, [res.s_hat for res in results])
     rows = []
     for mode in sc.track_modes:
         if sc.per_symbol_rows:

@@ -90,8 +90,10 @@ def bracket_decide(est: FreqSymbol, constellation: Constellation) -> FreqSymbol:
 def per_symbol_fit(w, rcv, d, ref):
     """The per-symbol fit and combine that the block fit replaced: one
     pinv, or one SVD of [W, s], per symbol on the leading d columns of its
-    W (n_rx, N, >= d).  Returns (gamma, s_hat)."""
-    w = w[:, :, :d]
+    W (n_rx, N, >= d).  Returns (gamma, s_hat).  The combine's last bits
+    depend on W's memory layout; this one combines a C-contiguous W, the
+    layout build_w gives."""
+    w = np.ascontiguousarray(w)[:, :, :d]
     w_rows = w[rcv.rows]
     s_rows = np.concatenate((ref.s, [0]))[rcv.tones]
     gamma = None
