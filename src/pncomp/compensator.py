@@ -33,14 +33,6 @@ class CompConfig:
             raise ValueError(f"method must be LS or TLS, got {self.method!r}")
 
 
-@dataclass(frozen=True)
-class CompResult:
-    gamma: CVec
-    s_hat: FreqSymbol
-    n_equations: int
-    underdetermined: bool = False
-
-
 def _as_branches(a) -> CMat:
     a = np.asarray(a, dtype=np.complex128)
     return a[None, :] if a.ndim == 1 else a
@@ -163,7 +155,7 @@ def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> tuple[CVec, int]:
     return solve(w_rows, s_rows), len(block)
 
 
-def compensate(w, rcv: Receiver, gamma: CVec, ref: FreqSymbol) -> CompResult:
+def compensate(w, rcv: Receiver, gamma: CVec, ref: FreqSymbol) -> FreqSymbol:
     """Correct and MRC-equalize one symbol with gamma = fit_gamma(w, ...).
 
     w is build_w(z, rcv, B) for the symbol and a basis B whose leading d =
@@ -177,8 +169,7 @@ def compensate(w, rcv: Receiver, gamma: CVec, ref: FreqSymbol) -> CompResult:
                          f"{rcv.usable.shape} and gamma of shape {gamma.shape}")
     if ref.layout is not rcv.layout and ref.layout != rcv.layout:
         raise ValueError("reference layout differs from the receiver's")
-    n_eq = len(rcv.tones)
     s_mrc = w[:, :, :d] @ gamma
     s_mrc = np.multiply(rcv.mrc_w, s_mrc, out=s_mrc).sum(axis=0)
     s_mrc /= rcv.mrc_den
-    return CompResult(gamma, FreqSymbol(s_mrc, ref.layout), n_eq, n_eq < d)
+    return FreqSymbol(s_mrc, ref.layout)

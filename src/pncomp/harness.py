@@ -30,7 +30,7 @@ from .mimo import (MuSystem, mu_apply_channel, mu_build_w, mu_compensate,
 from .numerics import ifft
 from .ofdm import (Constellation, FreqSymbol, default_layout, ToneLayout,
                    evm_linear, make_symbol, ratio_to_db, symbol_error_rate)
-from .tracker import (TrackedSymbol, TrackingConfig, init_tracker, run_tracked)
+from .tracker import TrackingConfig, init_tracker, run_tracked
 
 CSV_COLUMNS = ["scenario", "channel_seed", "symbol_index", "aggregate",
                "basis_kind", "d", "sigma_deg", "method", "evm_db", "ser",
@@ -316,15 +316,23 @@ def _kl_covs(sc: Scenario, ci: int, sigmas, pn) -> list[pn_mod.PnCovariance]:
     return [pn_mod.PnCovariance(r=r_i) for r_i in r]
 
 
-def _families(sc: Scenario, family_d: dict):
-    """families(cov): each kind's basis at family_d[kind] columns; the DFT
-    and DCT bases, the same for every channel and sigma, are built once."""
+def _bases(sc: Scenario, points, sigmas, pn):
+    """bases(ci): channel ci's {kind: basis} at each level of sigmas, for
+    the (kind, d) points, each kind at the largest d it is fit at (d = 0
+    fits none).  The DFT and DCT bases, the same for every channel and
+    sigma, are built once; the KL bases once per channel and sigma, from
+    _kl_covs, and only if some point needs them."""
+    d_max = {}
+    for kind, d in points:
+        if d:
+            d_max[kind] = max(d_max.get(kind, 0), d)
     fixed = {kind: (basis_mod.dft_basis if kind == "DFT"
                     else basis_mod.dct_basis)(sc.n, d)
-             for kind, d in family_d.items() if kind != "KL"}
-    return lambda cov: {kind: fixed[kind] if kind in fixed
-                        else basis_mod.kl_basis(cov, d)
-                        for kind, d in family_d.items()}
+             for kind, d in d_max.items() if kind != "KL"}
+    if "KL" not in d_max:
+        return lambda ci: [fixed] * len(sigmas)
+    return lambda ci: [{**fixed, "KL": basis_mod.kl_basis(cov, d_max["KL"])}
+                       for cov in _kl_covs(sc, ci, sigmas, pn)]
 
 
 def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
@@ -384,64 +392,62 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
     return sys_, blocks()
 
 
-def _score(s_hats: list[FreqSymbol], refs: list[FreqSymbol], n_eqs,
-           const: Constellation, accs) -> None:
-    """Score the estimates s_hats against refs: one stacked EVM, then each
-    estimate's SER.  Estimate i, fit with n_eqs[i] equations, is added to
-    every accumulator of accs[i], in order."""
-    if not refs:
-        return
-    err, refp = evm_linear(np.array([s.s for s in s_hats]),
+def _fixed_block(z, rcv, bases, points, refs) -> list[list[FreqSymbol]]:
+    """est[p][m]: the estimate of symbol m of block z at the fixed-basis
+    point points[p] = (kind, d).  W is built once per kind of bases (see
+    _bases) and gamma fit for the whole block once per distinct point, on
+    W's leading d columns; d = 0 equalizes without correction.  Symbol by
+    symbol, every point combines the symbol's W while it is in cache."""
+    ws = {kind: build_w(z, rcv, basis) for kind, basis in bases.items()}
+    refs_s = np.array([ref.s for ref in refs])
+    gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv, refs_s)[0]
+              for kind, d in points if d}
+    est = [[] for _ in points]
+    for m, ref in enumerate(refs):
+        for row, (kind, d) in zip(est, points):
+            row.append(compensate(ws[kind][m], rcv, gammas[kind, d][m], ref)
+                       if d else FreqSymbol(equalize_only(z[m], rcv),
+                                            ref.layout))
+    return est
+
+
+def _score(est, refs: list[FreqSymbol], n_eqs, const: Constellation,
+           feeds) -> None:
+    """Score est[g][m], group g's estimate of refs[m], in one stacked EVM,
+    then each estimate's SER.  It is added, fit with n_eqs[g] equations,
+    to every accumulator of feeds[g][m], in order."""
+    err, refp = evm_linear(np.array([[s.s for s in row] for row in est]),
                            np.array([r.s for r in refs]), refs[0].layout)
-    for s, ref, e, p, n_eq, feeds in zip(s_hats, refs, err.tolist(),
-                                         refp.tolist(), n_eqs, accs):
-        ser = symbol_error_rate(s, ref, const)
-        for acc in feeds:
-            acc.add(e, p, ser, n_eq)
+    refp = refp.tolist()
+    for row, n_eq, errs, row_feeds in zip(est, n_eqs, err.tolist(), feeds):
+        for s, ref, e, p, accs in zip(row, refs, errs, refp, row_feeds):
+            ser = symbol_error_rate(s, ref, const)
+            for acc in accs:
+                acc.add(e, p, ser, n_eq)
 
 
 def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
     """Fixed-basis sweep over sigma x basis kind x d; d = 0 scores
     per-tone equalization without phase-noise correction.
 
-    Each channel is simulated once for every sigma.  The KL basis is built
-    once per channel and sigma at the largest d, the DFT and DCT bases once
-    per run, and W once per symbol block and sigma; every d fits the whole
-    block at once on their leading d columns, and each symbol is scored at
-    every point in one stacked EVM.  Every (sigma, kind, d) accumulator
-    sees its symbols in channel, then symbol order, so repeated sigmas give
-    repeated rows."""
+    Each channel is simulated once for every sigma, and each symbol block
+    estimated at every (kind, d) point by _fixed_block and scored in one
+    stacked EVM.  Every (sigma, kind, d) accumulator sees its symbols in
+    channel, then symbol order, so repeated sigmas give repeated rows."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
-    d_max = max(ds)
     accs = [[_Acc() for _ in points] for _ in sigmas]
-    feeds = [[(acc,) for acc in row] for row in accs]
-    make_families = _families(
-        sc, {kind: d_max for kind in sc.basis_kinds} if d_max else {})
+    bases = _bases(sc, points, sigmas, pn)
     for ci in range(sc.n_channels_eff):
         sys_, blocks = _channel_symbols(sc, ci, pn, sigmas)
         rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
-        covs = (_kl_covs(sc, ci, sigmas, pn)
-                if d_max and "KL" in sc.basis_kinds else [None] * len(sigmas))
-        families = [make_families(cov) for cov in covs]
+        families = bases(ci)
         n_eqs = [len(rcv.tones) if d else 0 for _, d in points]
         for refs, (i, _), z in blocks:
             refs = [ref for ref, in refs]
-            ws = {kind: build_w(z, rcv, fam)
-                  for kind, fam in families[i].items()}
-            refs_s = np.array([ref.s for ref in refs])
-            gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv, refs_s)[0]
-                      for kind, d in points if d}
-            # symbol by symbol, every point at once: each point combines
-            # the symbol's W while it is in cache
-            for m, ref in enumerate(refs):
-                s_hats = [
-                    compensate(ws[kind][m], rcv, gammas[(kind, d)][m],
-                               ref).s_hat if d
-                    else FreqSymbol(equalize_only(z[m], rcv), ref.layout)
-                    for kind, d in points]
-                _score(s_hats, [ref] * len(points), n_eqs, const, feeds[i])
+            _score(_fixed_block(z, rcv, families[i], points, refs), refs,
+                   n_eqs, const, [[(acc,)] * len(refs) for acc in accs[i]])
     return [ResultRow(sc.name, "all", "", 1, kind, d, sigma, sc.method,
                       acc.evm_db, acc.ser, acc.n_eq)
             for sigma, row in zip(sigmas, accs)
@@ -458,21 +464,19 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
     accs = {pt: _Acc() for pt in itertools.product(
         range(len(sc.sigma_list)), range(len(sc.tx_sigma_list)))}
     users = tuple((u,) for u in range(sc.n_users))
+    bases = _bases(sc, [("KL", sc.d)], sc.sigma_list, pn)
     for ci in range(sc.n_channels_eff):
         sys_, blocks = _channel_symbols(sc, ci, pn, sc.sigma_list,
                                         sc.tx_sigma_list, users)
         bf = zf_beamformer(sys_)
         rcv = mu_receiver(bf, sc.layout, cfg)
-        bases = [basis_mod.kl_basis(cov, sc.d)
-                 for cov in _kl_covs(sc, ci, sc.sigma_list, pn)]
+        families = bases(ci)
         for refs, pt, z in blocks:
-            w = mu_build_w(z, bf, bases[pt[0]])
-            results = [res for w_m, syms in zip(w, refs)
-                       for res in mu_compensate(w_m, syms, rcv)]
-            _score([res.s_hat for res in results],
-                   [ref for syms in refs for ref in syms],
-                   [len(rcv.tones)] * len(results), const,
-                   [(accs[pt],)] * len(results))
+            w = mu_build_w(z, bf, families[pt[0]]["KL"])
+            s_hats = [s for w_m, syms in zip(w, refs)
+                      for s in mu_compensate(w_m, syms, rcv)]
+            _score([s_hats], [ref for syms in refs for ref in syms],
+                   [len(rcv.tones)], const, [[(accs[pt],)] * len(s_hats)])
     return [ResultRow(sc.name, "all", "", 1,
                       f"KL_tx{sc.tx_sigma_list[j]:g}", sc.d,
                       sc.sigma_list[i], sc.method, acc.evm_db, acc.ser,
@@ -482,61 +486,45 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
 
 def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
     """Each symbol block is finished before the next is simulated: the
-    fixed-basis modes fit it at once on one W per block and basis family
-    ("cpe": the DFT family's column 0), then the tracked modes run PAST
-    through it symbol by symbol, each carrying its state from block to
-    block.  One stacked EVM scores each mode's symbol block."""
+    fixed-basis modes are _fixed_block's points ("cpe": the DFT basis's
+    column 0), then the tracked modes run PAST through it symbol by
+    symbol, each carrying its state from block to block.  One stacked EVM
+    scores the block at every mode."""
     const = sc.constellation
     per_symbol = {mode: [_Acc() for _ in range(sc.n_symbols)]
                   for mode in sc.track_modes}
     totals = {mode: _Acc() for mode in sc.track_modes}
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     mode_d = {mode: 1 if mode == "cpe" else sc.d for mode in sc.track_modes}
-    fixed = [(m, _FIXED_TRACK_MODES[m]) for m in sc.track_modes
-             if m in _FIXED_TRACK_MODES]
-    family_d = {}  # each basis family at the largest d of its modes
-    for mode, kind in fixed:
-        family_d[kind] = max(family_d.get(kind, 0), mode_d[mode])
+    fixed = [mode for mode in sc.track_modes if mode in _FIXED_TRACK_MODES]
+    points = [(_FIXED_TRACK_MODES[mode], mode_d[mode]) for mode in fixed]
     tracked = {mode: TrackingConfig(
         constellation=const, training_symbols=sc.training_symbols,
         freeze_after=sc.freeze_after if (mode == "frozen"
                                          and sc.freeze_after >= 0) else None)
         for mode in sc.track_modes if mode not in _FIXED_TRACK_MODES}
-    make_families = _families(sc, family_d)
+    modes = fixed + list(tracked)
+    bases = _bases(sc, points, (sc.sigma_deg,), pn)
     # every PAST step makes a new state, so all channels start from one
     init = init_tracker(sc.n, sc.d, beta=sc.beta)
     for ci in range(sc.n_channels_eff):
         sys_, blocks = _channel_symbols(sc, ci, pn, (sc.sigma_deg,),
                                         offset=sc.offset)
         rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
-        families = make_families(_kl_covs(sc, ci, (sc.sigma_deg,), pn)[0]
-                                 if "KL" in family_d else None)
+        families, = bases(ci)
         states = dict.fromkeys(tracked, init)
-
-        def score(mode, m0, refs, s_hats):
-            _score(s_hats, refs, [len(rcv.tones)] * len(refs), const,
-                   [(acc, totals[mode])
-                    for acc in per_symbol[mode][m0:m0 + len(refs)]])
-
         for b, (refs, _, z) in enumerate(blocks):
             m0 = b * SYMBOL_BLOCK
             refs = [ref for ref, in refs]
-            ws = {kind: build_w(z, rcv, fam) for kind, fam in families.items()}
-            refs_s = np.array([ref.s for ref in refs])
-            gammas = {mode: fit_gamma(ws[kind][..., :mode_d[mode]], rcv,
-                                      refs_s)[0] for mode, kind in fixed}
-            # symbol by symbol, as the sweep; few modes, so each mode's
-            # block is scored in one stack
-            s_hats = [[compensate(ws[kind][i], rcv, gammas[mode][i], ref).s_hat
-                       for mode, kind in fixed] for i, ref in enumerate(refs)]
-            for (mode, _), block in zip(fixed, zip(*s_hats)):
-                score(mode, m0, refs, block)
+            est = _fixed_block(z, rcv, families, points, refs)
             for mode, tcfg in tracked.items():
-                results, states[mode] = run_tracked(
-                    (TrackedSymbol(z_i, rcv, ref)
-                     for ref, z_i in zip(refs, z)), states[mode], tcfg,
-                    start=m0)
-                score(mode, m0, refs, [res.s_hat for res in results])
+                s_hats, states[mode] = run_tracked(z, rcv, refs, states[mode],
+                                                   tcfg, start=m0)
+                est.append(s_hats)
+            _score(est, refs, [len(rcv.tones)] * len(modes), const,
+                   [[(acc, totals[mode])
+                     for acc in per_symbol[mode][m0:m0 + len(refs)]]
+                    for mode in modes])
     rows = []
     for mode in sc.track_modes:
         if sc.per_symbol_rows:

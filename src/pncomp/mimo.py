@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import CompBasis
 from .channel import ChannelState, NoiseSpec, add_awgn
-from .compensator import CompConfig, CompResult, Receiver, fit_gamma
+from .compensator import CompConfig, Receiver, fit_gamma
 from .numerics import CVec, CMat, fft, ifft
 from .ofdm import FreqSymbol, ToneLayout
 
@@ -124,12 +124,10 @@ def mu_receiver(bf: ZfBeamformer, layout: ToneLayout,
 
 
 def mu_compensate(w, refs: list[FreqSymbol],
-                  rcv: Receiver) -> list[CompResult]:
+                  rcv: Receiver) -> list[FreqSymbol]:
     """Joint gamma from all users' pilot rows; per-user equalized symbols.
     w = mu_build_w(z, bf, basis) is one symbol's (n_users, N, d) and
     rcv = mu_receiver(bf, ...) is built once per channel."""
-    gamma, n_eq = fit_gamma(w, rcv, np.concatenate([r.s for r in refs]))
-    return [CompResult(gamma=gamma,
-                       s_hat=FreqSymbol(s=w[u] @ gamma, layout=ref.layout),
-                       n_equations=n_eq, underdetermined=n_eq < w.shape[-1])
+    gamma, _ = fit_gamma(w, rcv, np.concatenate([r.s for r in refs]))
+    return [FreqSymbol(s=w[u] @ gamma, layout=ref.layout)
             for u, ref in enumerate(refs)]

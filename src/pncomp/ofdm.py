@@ -148,8 +148,8 @@ def evm_db(est: FreqSymbol, ref: FreqSymbol) -> float:
 
 def evm_linear(est, ref, layout: ToneLayout) -> tuple:
     """(error power, reference power) over the data tones, for
-    linear-domain aggregation: one pair of sums per symbol of est and ref
-    (..., N), arrays of shape (...).
+    linear-domain aggregation: each symbol's sums of est (..., N) and of
+    ref (..., N), which broadcast against each other.
 
     np.take keeps the rows C-contiguous: summed along a strided last axis,
     rows of a block can differ in the last bits from one symbol's sum."""

@@ -94,8 +94,11 @@ def _design_filter(order: int, cutoff: float, ripple_db: float):
     impulse response (the steady-state output std for unit white input).
     Neither depends on the seed or sigma, so every generator of one
     (order, cutoff, ripple) shares them."""
-    # scipy's Wn is a fraction of the Nyquist rate
-    b, a = signal.cheby1(order, ripple_db, 2.0 * cutoff)
+    try:  # scipy's Wn is a fraction of the Nyquist rate
+        b, a = signal.cheby1(order, ripple_db, 2.0 * cutoff)
+    except ArithmeticError:  # a ripple too small or too large to design
+        raise ValueError(f"no phase-noise filter for ripple_db = "
+                         f"{ripple_db}") from None
     poles = np.roots(a)
     if np.any(np.abs(poles) >= 1.0):
         raise ValueError("unstable phase-noise filter specification")

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CompBasis, dft_basis
-from .compensator import (CompResult, Receiver, build_w, compensate,
-                          fit_gamma, _as_branches)
-from .numerics import CVec, CMat, ifft
+from .compensator import (Receiver, build_w, compensate, fit_gamma,
+                          _as_branches)
+from .numerics import CMat, ifft
 from .ofdm import Constellation, FreqSymbol, hard_decide
 from .phase_noise import PhaseNoiseRealization
 
@@ -85,47 +85,39 @@ def past_update(state: TrackerState, psi_hat) -> TrackerState:
 
 
 @dataclass(frozen=True)
-class TrackedSymbol:
-    """One symbol of the input stream: received z, Receiver, reference."""
-
-    z: CMat
-    rcv: Receiver
-    ref: FreqSymbol
-
-
-@dataclass(frozen=True)
 class TrackingConfig:
     constellation: Constellation
     training_symbols: int = 0
     freeze_after: int | None = None
 
 
-def run_tracked(stream, state: TrackerState, cfg: TrackingConfig,
-                start: int = 0) -> tuple[list[CompResult], TrackerState]:
-    """Compensate, decide, re-estimate the phase, update the basis.
+def run_tracked(z, rcv: Receiver, refs: list[FreqSymbol],
+                state: TrackerState, cfg: TrackingConfig,
+                start: int = 0) -> tuple[list[FreqSymbol], TrackerState]:
+    """Compensate, decide, re-estimate the phase, update the basis, symbol
+    by symbol through the block z (M, n_rx, N) with references refs.
 
     The first cfg.training_symbols symbols use the true transmitted
     symbols for decision direction; afterwards hard decisions on data
     tones plus the known pilots are used.  Updates stop at freeze_after.
-    The stream's first symbol has index start, so a stream can be run in
-    pieces, each call taking the state the previous one returned.
+    The block's first symbol has index start, so a stream can be run in
+    blocks, each call taking the state the previous one returned.
     """
-    results: list[CompResult] = []
+    s_hats: list[FreqSymbol] = []
     freeze, training = cfg.freeze_after, cfg.training_symbols
-    for m, sym in enumerate(stream, start):
-        rcv, ref = sym.rcv, sym.ref
-        w = build_w(sym.z, rcv, state.basis)
-        res = compensate(w, rcv, fit_gamma(w, rcv, ref.s)[0], ref)
-        results.append(res)
+    for m, (z_m, ref) in enumerate(zip(z, refs), start):
+        w = build_w(z_m, rcv, state.basis)
+        s_hat = compensate(w, rcv, fit_gamma(w, rcv, ref.s)[0], ref)
+        s_hats.append(s_hat)
         if freeze is not None and m >= freeze:
             continue
         if m < training:
             s_dd = ref
         else:
-            s_dd = hard_decide(res.s_hat, cfg.constellation)
+            s_dd = hard_decide(s_hat, cfg.constellation)
             p_idx = ref.layout.pilot_arr
             s_dd.s[p_idx] = ref.s[p_idx]
-        psi = dd_phase_estimate(sym.z, s_dd, rcv.lam).psi
+        psi = dd_phase_estimate(z_m, s_dd, rcv.lam).psi
         # track the cancellation vector, the quantity the basis must span
         state = past_update(state, np.conj(psi, out=psi))
-    return results, state
+    return s_hats, state

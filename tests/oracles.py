@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pncomp.compensator import CompResult, build_w
+from pncomp.compensator import build_w
 from pncomp.numerics import DEFAULT_RCOND, CMat, CVec, fft, ifft
 from pncomp.ofdm import Constellation, FreqSymbol, ToneLayout
 from pncomp.phase_noise import PhaseNoiseRealization, PnGenerator, PnModel
@@ -141,27 +141,26 @@ def past_update(state: TrackerState, psi_hat) -> TrackerState:
     return replace(state, v=v, p=p)
 
 
-def run_tracked(stream, state: TrackerState, cfg: TrackingConfig):
+def run_tracked(z, rcv, refs, state: TrackerState, cfg: TrackingConfig):
     """The whole-stream tracker: compensate, decide (bracket_decide),
-    re-estimate the phase and update the basis, symbol by symbol."""
-    results = []
-    for m, sym in enumerate(stream):
-        w = build_w(sym.z, sym.rcv, state.basis)
-        gamma, s_hat = per_symbol_fit(w, sym.rcv, state.v.shape[1], sym.ref)
-        n_eq = len(sym.rcv.tones)
-        res = CompResult(gamma, FreqSymbol(s=s_hat, layout=sym.ref.layout),
-                         n_eq, n_eq < len(gamma))
-        results.append(res)
+    re-estimate the phase and update the basis, symbol by symbol through
+    z (M, n_rx, N).  Returns each symbol's estimate and the last state."""
+    s_hats = []
+    for m, (z_m, ref) in enumerate(zip(z, refs)):
+        w = build_w(z_m, rcv, state.basis)
+        _, s = per_symbol_fit(w, rcv, state.v.shape[1], ref)
+        s_hat = FreqSymbol(s=s, layout=ref.layout)
+        s_hats.append(s_hat)
         if cfg.freeze_after is not None and m >= cfg.freeze_after:
             continue
         if m < cfg.training_symbols:
-            s_dd = sym.ref
+            s_dd = ref
         else:
-            decided = bracket_decide(res.s_hat, cfg.constellation)
+            decided = bracket_decide(s_hat, cfg.constellation)
             s = decided.s
-            p_idx = sym.ref.layout.pilot_arr
-            s[p_idx] = sym.ref.s[p_idx]
-            s_dd = FreqSymbol(s=s, layout=sym.ref.layout)
-        psi_hat = dd_phase_estimate(sym.z, s_dd, sym.rcv.lam)
+            p_idx = ref.layout.pilot_arr
+            s[p_idx] = ref.s[p_idx]
+            s_dd = FreqSymbol(s=s, layout=ref.layout)
+        psi_hat = dd_phase_estimate(z_m, s_dd, rcv.lam)
         state = past_update(state, np.conj(psi_hat.psi))
-    return results, state
+    return s_hats, state

@@ -168,8 +168,8 @@ def test_criterion_04_in_span_exact_recovery():
         for method in ("LS", "TLS"):
             rcv = receiver(ch.lam, layout, CompConfig(method=method))
             w = build_w(z, rcv, bas)
-            res = compensate(w, rcv, fit_gamma(w, rcv, sym.s)[0], sym)
-            worst = max(worst, evm_db(res.s_hat, sym))
+            s_hat = compensate(w, rcv, fit_gamma(w, rcv, sym.s)[0], sym)
+            worst = max(worst, evm_db(s_hat, sym))
     report(4, worst <= -80.0,
            f"worst in-span recovery EVM over 100 trials x {{LS,TLS}} = "
            f"{worst:.1f} dB (need <= -80)")

@@ -9,17 +9,21 @@ import os
 import numpy as np
 import pytest
 
+from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import gen_channel
+from pncomp.compensator import CompConfig, build_w, equalize_only, receiver
 from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
-                            Scenario, _channel_symbols, _kl_covs,
-                            child_seed, main, parse_config, run_scenario,
-                            write_csv)
+                            Scenario, _channel_symbols, _fixed_block,
+                            _kl_covs, child_seed, main, parse_config,
+                            run_scenario, write_csv)
 from pncomp.mimo import MuSystem
 from pncomp.numerics import fft, ifft
-from pncomp.ofdm import make_symbol
+from pncomp.ofdm import Constellation, ToneLayout, default_layout, make_symbol
 from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
-                                apply_offset, load_pn_samples,
+                                apply_offset, estimate_cov, load_pn_samples,
                                 save_pn_samples)
+
+import oracles
 
 
 SMALL = dict(scale=1 / 300, n_symbols=4, kl_cov_symbols=50)
@@ -281,6 +285,8 @@ class TestCli:
         ("name = custom\nbasis_kinds =\n", []),
         ("name = tracking\ntrack_modes =\n", []),
         ("name = mimo_sweep\ntx_sigma_list =\n", []),
+        ("name = tracking\npn_ripple_db = 1e-20\n", []),
+        ("name = tracking\npn_ripple_db = 1e300\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
             "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
@@ -293,7 +299,8 @@ class TestCli:
             "offset_ramp_overflow", "pn_file_missing", "pn_file_dir",
             "basis_kinds_empty_evm_vs_d", "basis_kinds_empty_evm_vs_sigma",
             "basis_kinds_empty_custom", "track_modes_empty",
-            "tx_sigma_list_empty"])
+            "tx_sigma_list_empty", "pn_ripple_underflow",
+            "pn_ripple_overflow"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -587,6 +594,7 @@ class TestBlockStream:
     @pytest.mark.parametrize("name, expected", [
         ("evm_vs_sigma", {"dft_basis": 1, "dct_basis": 1, "kl_basis": 6}),
         ("tracking", {"dft_basis": 1, "kl_basis": 2, "init_tracker": 1}),
+        ("mimo_sweep", {"kl_basis": 6}),
     ])
     def test_fixed_bases_built_once_per_run(self, tmp_path, monkeypatch,
                                             name, expected):
@@ -741,3 +749,61 @@ class TestMuBlockStream:
                            for a, e in zip(syms, syms_e))
                 assert z.shape == (sc.n_rx, sc.n)
                 assert np.array_equal(z, z_e)
+
+
+class TestFixedBlock:
+    """_fixed_block against the plain per-symbol path, bit for bit: every
+    point's estimate of every symbol is oracles.per_symbol_fit's fit and
+    combine on a W built for that symbol alone with the point's own d
+    columns, or equalize_only at d = 0."""
+
+    NULLS = (28, 29, 30, 31, 32, 33, 34, 35)
+    # ("DFT", 1) is the tracker's cpe, a prefix of the DFT basis; the
+    # repeated point is fit once and still combined twice; 15 or 16 pilot
+    # rows < d + 1 at d = 16: TLS falls back to LS there
+    POINTS = [("KL", 0), ("KL", 1), ("KL", 4), ("KL", 8), ("DFT", 0),
+              ("DFT", 1), ("DFT", 4), ("DFT", 4), ("DCT", 16)]
+
+    @pytest.mark.parametrize("method, n_rx, nulls, weak, m", [
+        ("LS", 1, False, False, SYMBOL_BLOCK),
+        ("TLS", 3, True, True, SYMBOL_BLOCK),
+        ("LS", 3, True, True, 5),
+        ("TLS", 1, False, True, 5),
+    ], ids=["ls_nrx1", "tls_nrx3_null_weak", "ls_nrx3_null_weak_partial",
+            "tls_nrx1_weak_partial"])
+    def test_matches_per_symbol_path(self, method, n_rx, nulls, weak, m):
+        layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                            null_idx=self.NULLS if nulls else ())
+        qam = Constellation.qam(256)
+        lam = gen_channel(8, "exp_decay(3)", seed=70 + n_rx, n_rx=n_rx,
+                          n=64).lam.copy()
+        if weak:  # branch 0: a pilot and a null tone weak, a data tone zero
+            lam[0, [3, 30]] = 1e-9 * np.abs(lam[0]).max()
+            lam[0, 40] = 0.0
+        rcv = receiver(lam, layout, CompConfig(method=method,
+                                               use_null_tones=nulls))
+        refs = [make_symbol(layout, qam, 71 + i) for i in range(m)]
+        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=72))
+        rng = np.random.default_rng(73)
+        z = np.array([gen.next(64).psi * ifft(lam * ref.s)
+                      + 1e-3 * (rng.standard_normal(lam.shape)
+                                + 1j * rng.standard_normal(lam.shape))
+                      for ref in refs])
+        train = PnGenerator(PnModel(sigma_deg=3.0, seed=74))
+        cov = estimate_cov([train.next(64) for _ in range(200)])
+        make = {"KL": lambda d: kl_basis(cov, d),
+                "DFT": lambda d: dft_basis(64, d),
+                "DCT": lambda d: dct_basis(64, d)}
+        bases = {"KL": make["KL"](8), "DFT": make["DFT"](4),
+                 "DCT": make["DCT"](16)}
+        est = _fixed_block(z, rcv, bases, self.POINTS, refs)
+        assert [len(row) for row in est] == [m] * len(self.POINTS)
+        for (kind, d), row in zip(self.POINTS, est):
+            for z_i, ref, s_hat in zip(z, refs, row):
+                assert s_hat.layout is ref.layout
+                if d == 0:
+                    want = equalize_only(z_i, rcv)
+                else:
+                    w = build_w(z_i, rcv, make[kind](d))
+                    _, want = oracles.per_symbol_fit(w, rcv, d, ref)
+                assert np.array_equal(s_hat.s, want)

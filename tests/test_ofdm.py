@@ -194,7 +194,8 @@ class TestBlockEvm:
 
     @pytest.mark.parametrize("nulls", [(), tuple(range(28, 36))],
                              ids=["no_nulls", "null_tones"])
-    @pytest.mark.parametrize("m", [1, 31, 32])
+    # 960: every point of a 30-point sweep at one 32-symbol block
+    @pytest.mark.parametrize("m", [1, 31, 32, 960])
     def test_matches_per_symbol(self, qam256, m, nulls):
         layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
                             null_idx=nulls)
@@ -209,6 +210,23 @@ class TestBlockEvm:
         assert err.shape == refp.shape == (m,)
         for i, (est, ref) in enumerate(zip(ests, refs)):
             assert (err[i], refp[i]) == per_symbol_evm(est, ref)
+
+    def test_point_stack_against_shared_refs(self, qam256, layout):
+        # (points, M, N) estimates against one (M, N) block of references,
+        # as the runners score a block at every point at once
+        rng = np.random.default_rng(7)
+        refs = [make_symbol(layout, qam256, rng_seed=700 + i)
+                for i in range(32)]
+        ests = [[FreqSymbol(s=ref.s + 0.01 * (rng.standard_normal(64)
+                                              + 1j * rng.standard_normal(64)),
+                            layout=layout) for ref in refs]
+                for _ in range(30)]
+        err, refp = evm_linear(np.array([[e.s for e in row] for row in ests]),
+                               np.array([r.s for r in refs]), layout)
+        assert err.shape == (30, 32) and refp.shape == (32,)
+        for p, row in enumerate(ests):
+            for i, (est, ref) in enumerate(zip(row, refs)):
+                assert (err[p, i], refp[i]) == per_symbol_evm(est, ref)
 
 
 class TestHardDecide:

@@ -14,9 +14,8 @@ from pncomp.ofdm import (Constellation, FreqSymbol, default_layout, evm_db,
                          make_symbol, symbol_error_rate)
 from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
                                 apply_offset, estimate_cov, offset_factor)
-from pncomp.tracker import (TrackedSymbol, TrackerState, TrackingConfig,
-                            dd_phase_estimate, init_tracker, past_update,
-                            run_tracked)
+from pncomp.tracker import (TrackerState, TrackingConfig, dd_phase_estimate,
+                            init_tracker, past_update, run_tracked)
 
 import oracles
 
@@ -182,35 +181,34 @@ class TestPastUpdate:
 class TestRunTracked:
     def _stream(self, layout, qam, n_symbols, sigma_deg, seed,
                 offset=None, n_rx=1):
+        """(z (n_symbols, n_rx, N), Receiver, references) of one channel."""
         ch = gen_channel(8, "exp_decay(3)", seed=seed, n_rx=n_rx, n=64)
         gen = PnGenerator(PnModel(sigma_deg=sigma_deg, seed=seed))
-        rcv = receiver(ch.lam, layout)
-        syms = []
+        z, refs = [], []
         for m in range(n_symbols):
-            ref = make_symbol(layout, qam, rng_seed=seed * 10_000 + m)
+            refs.append(make_symbol(layout, qam, rng_seed=seed * 10_000 + m))
             psi = gen.next(64)
             if offset is not None:
                 psi = apply_offset(psi, offset, start_sample=m * 64)
-            syms.append(TrackedSymbol(z=received(ch, ref, psi=psi.psi),
-                                      rcv=rcv, ref=ref))
-        return syms
+            z.append(received(ch, refs[-1], psi=psi.psi))
+        return np.array(z), receiver(ch.lam, layout), refs
 
     def test_clean_input_floor(self, layout, qam):
-        syms = self._stream(layout, qam, 20, sigma_deg=0.0, seed=9)
+        z, rcv, refs = self._stream(layout, qam, 20, sigma_deg=0.0, seed=9)
         state = init_tracker(64, 4, beta=0.9)
         cfg = TrackingConfig(constellation=qam, training_symbols=5)
-        results, _ = run_tracked(iter(syms), state, cfg)
-        assert all(evm_db(res.s_hat, s.ref) <= -180
-                   for res, s in zip(results, syms))
+        s_hats, _ = run_tracked(z, rcv, refs, state, cfg)
+        assert all(evm_db(s_hat, ref) <= -180
+                   for s_hat, ref in zip(s_hats, refs))
 
     def test_tracking_improves_over_initial_basis(self, layout, qam):
-        syms = self._stream(layout, qam, 400, sigma_deg=3.0, seed=10)
+        z, rcv, refs = self._stream(layout, qam, 400, sigma_deg=3.0, seed=10)
         d = 4
         state = init_tracker(64, d, beta=0.9)
         cfg = TrackingConfig(constellation=qam, training_symbols=100)
-        results, _ = run_tracked(iter(syms), state, cfg)
-        lin = [10 ** (evm_db(r.s_hat, s.ref) / 10)
-               for r, s in zip(results, syms)]
+        s_hats, _ = run_tracked(z, rcv, refs, state, cfg)
+        lin = [10 ** (evm_db(s_hat, ref) / 10)
+               for s_hat, ref in zip(s_hats, refs)]
         early = np.mean(lin[:20])
         late = np.mean(lin[-100:])
         assert late < early
@@ -220,11 +218,11 @@ class TestRunTracked:
         # conjugate-ramp-modulated covariance eigenvectors
         off = CarrierOffset(ppm=5.0, carrier_hz=5e9, sample_rate_hz=20e6)
         d = 4
-        syms = self._stream(layout, qam, 600, sigma_deg=3.0, seed=11,
-                            offset=off)
+        z, rcv, refs = self._stream(layout, qam, 600, sigma_deg=3.0, seed=11,
+                                    offset=off)
         state = init_tracker(64, d, beta=0.95)
         cfg = TrackingConfig(constellation=qam, training_symbols=100)
-        _, final = run_tracked(iter(syms), state, cfg)
+        _, final = run_tracked(z, rcv, refs, state, cfg)
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=999))
         cov = estimate_cov([gen.next(64) for _ in range(2000)])
         kl = kl_basis(cov, d)
@@ -233,27 +231,27 @@ class TestRunTracked:
         assert principal_angle(final.v, target) < 0.1
 
     def test_freeze_stops_updates(self, layout, qam):
-        syms = self._stream(layout, qam, 30, sigma_deg=3.0, seed=12)
+        z, rcv, refs = self._stream(layout, qam, 30, sigma_deg=3.0, seed=12)
         state = init_tracker(64, 4, beta=0.9)
         cfg = TrackingConfig(constellation=qam, training_symbols=30,
                              freeze_after=10)
-        _, final = run_tracked(iter(syms), state, cfg)
+        _, final = run_tracked(z, rcv, refs, state, cfg)
         # the state after 30 symbols is the one after the first 10
-        _, at_10 = run_tracked(iter(syms[:10]), state, cfg)
+        _, at_10 = run_tracked(z[:10], rcv, refs[:10], state, cfg)
         np.testing.assert_array_equal(final.v, at_10.v)
         np.testing.assert_array_equal(final.p, at_10.p)
 
     def test_warm_start_continues_identically(self, layout, qam):
-        syms = self._stream(layout, qam, 40, sigma_deg=3.0, seed=14)
+        z, rcv, refs = self._stream(layout, qam, 40, sigma_deg=3.0, seed=14)
         cfg = TrackingConfig(constellation=qam, training_symbols=40)
         state = init_tracker(64, 4, beta=0.9)
-        res_full, _ = run_tracked(iter(syms), state, cfg)
+        full, _ = run_tracked(z, rcv, refs, state, cfg)
         # split run, the second half started from the mid-run state
         state = init_tracker(64, 4, beta=0.9)
-        _, mid = run_tracked(iter(syms[:20]), state, cfg)
-        res_tail, _ = run_tracked(iter(syms[20:]), mid, cfg)
-        for a, b, s in zip(res_full[20:], res_tail, syms[20:]):
-            assert evm_db(a.s_hat, s.ref) == evm_db(b.s_hat, s.ref)
+        _, mid = run_tracked(z[:20], rcv, refs[:20], state, cfg)
+        tail, _ = run_tracked(z[20:], rcv, refs[20:], mid, cfg)
+        for a, b, ref in zip(full[20:], tail, refs[20:]):
+            assert evm_db(a, ref) == evm_db(b, ref)
 
 
 class TestBlockByBlockOracle:
@@ -282,30 +280,31 @@ class TestBlockByBlockOracle:
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=seed))
         off = CarrierOffset(ppm=ppm, carrier_hz=5e9, sample_rate_hz=20e6)
         rng = np.random.default_rng(seed)
-        syms = []
+        z, refs = [], []
         for m in range(n_symbols):
-            ref = make_symbol(layout, qam, rng_seed=seed * 1000 + m)
+            refs.append(make_symbol(layout, qam, rng_seed=seed * 1000 + m))
             psi = apply_offset(gen.next(64), off, start_sample=m * 64).psi
             noise = 0.05 * (rng.standard_normal((n_rx, 64))
                             + 1j * rng.standard_normal((n_rx, 64)))
-            z = psi * (nx.ifft(lam * ref.s) + noise)
-            syms.append(TrackedSymbol(z=z, rcv=rcv, ref=ref))
+            z.append(psi * (nx.ifft(lam * refs[-1].s) + noise))
+        z = np.array(z)
         cfg = TrackingConfig(constellation=qam, training_symbols=training,
                              freeze_after=freeze)
         want, want_state = oracles.run_tracked(
-            iter(syms), init_tracker(64, 4, beta=0.9), cfg)
+            z, rcv, refs, init_tracker(64, 4, beta=0.9), cfg)
         got, state = [], init_tracker(64, 4, beta=0.9)
         for m0 in range(0, n_symbols, SYMBOL_BLOCK):
-            res, state = run_tracked(iter(syms[m0:m0 + SYMBOL_BLOCK]),
-                                     state, cfg, start=m0)
-            got += res
+            block = slice(m0, m0 + SYMBOL_BLOCK)
+            s_hats, state = run_tracked(z[block], rcv, refs[block], state,
+                                        cfg, start=m0)
+            got += s_hats
         assert len(got) == len(want) == n_symbols
         for a, b in zip(got, want):
-            assert np.array_equal(a.s_hat.s, b.s_hat.s)
+            assert np.array_equal(a.s, b.s)
         assert np.array_equal(state.v, want_state.v)
         assert np.array_equal(state.p, want_state.p)
         # decisions that feed the tracker are wrong on some tones, so the
         # decided symbols differ from the references and their bits matter
         dd = slice(training, freeze)
-        assert any(symbol_error_rate(r.s_hat, s.ref, qam) > 0
-                   for r, s in zip(want[dd], syms[dd]))
+        assert any(symbol_error_rate(s_hat, ref, qam) > 0
+                   for s_hat, ref in zip(want[dd], refs[dd]))
