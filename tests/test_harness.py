@@ -455,6 +455,58 @@ def test_golden_csv_digest(case, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+# sha256 over the sha256 of every estimate stack harness.evm_linear
+# scores, in order, for each GOLDEN case: the CSVs round evm_db and ser,
+# so they would miss a change in the estimates' last bits
+GOLDEN_BITS = {
+    "custom_tls_nulls":
+        "e98b695588e9b52b217bd60ac88a2b59252b424f648841c2624965fb77b1f417",
+    "evm_vs_d_ls_nrx1":
+        "654e277bb056b46d02ca1b18106ed2dc2a005d23671e301f5d49f9f5d465343e",
+    "evm_vs_d_tls_nrx1":
+        "24b48e46a774125eacdc0c1ad8abd276df8bf6497b8f8aedf21ffd8dd5626265",
+    "evm_vs_d_tls_nulls":
+        "10d674cb87334bf3268a61cebdd17d565edaec859909a3936bf5583ff950a702",
+    "evm_vs_sigma_kl_dft_dct":
+        "1703efba37fe73be82c34504aaffc3e99e073e239138456ef1f257a6469300ee",
+    "evm_vs_sigma_repeats":
+        "6bb1babb79b28e73ba31fd13ab11cab587ca258a0b7cf446c82a94520a9ff62d",
+    "mimo_blocks":
+        "bec236416df69a0960b3b50e42d223d401fa3dfe16e95e52551d13f47681581f",
+    "mimo_dup_points":
+        "6f7fc08e5cb3841e5a3e0a77742efbd27ce0dc7e749a89f6b49b3f413cf57eea",
+    "mimo_ls":
+        "8d78e54c1d02792577de2bddc1a5f0409e045633a44b599761d745134911b446",
+    "mimo_shared_streams":
+        "7c408372d83f31cfabe94091c9cbdad490f9097112e617606f7c4f2462873b90",
+    "mimo_tls_nulls":
+        "af7632f59050e9f78be7128697672e4e8a0848f6e0124f70f9a2fd3ed84959ab",
+    "tracking_all_modes":
+        "75aec1ad5ab463f7219e6067b6805628ef94e945935a2fa8f4782e62d86f23b7",
+    "tracking_all_modes_blocks":
+        "9ff4e4445862de7e30f129b823b33ac19f3999eef33ec8f3c7f74292fc112c68",
+    "tracking_qam16_nulls":
+        "f8a0781b2d33e3c0133823a9581d2e9464a8b9a32cf03d78ab57012c5905ab07",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_estimate_bits(case, tmp_path, monkeypatch):
+    import pncomp.harness as harness_mod
+    digests = []
+    evm_linear = harness_mod.evm_linear
+
+    def hashing(est, ref, layout):
+        digests.append(hashlib.sha256(
+            np.ascontiguousarray(est).tobytes()).hexdigest())
+        return evm_linear(est, ref, layout)
+    monkeypatch.setattr(harness_mod, "evm_linear", hashing)
+    run_scenario(Scenario(**GOLDEN[case][0]), str(tmp_path / "out.csv"))
+    assert digests
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == \
+        GOLDEN_BITS[case]
+
+
 def pn_windows(sc):
     """The parsed pn_file windows run_scenario hands its runner, or None."""
     return list(load_pn_samples(sc.pn_file, sc.n)) if sc.pn_file else None
