@@ -1,29 +1,11 @@
-"""Compensation bases: KL (covariance eigenvectors), DFT and DCT columns."""
+"""Compensation bases, each an (N, d) matrix with columns ordered by
+importance: KL (covariance eigenvectors), DFT and DCT columns."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import CMat, herm_eig
-from .phase_noise import PnCovariance
-
-
-@dataclass(frozen=True)
-class CompBasis:
-    """N x d basis matrix, columns ordered by importance."""
-
-    v: CMat
-    kind: str
-
-    @property
-    def d(self) -> int:
-        return self.v.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.v.shape[0]
 
 
 def _check_d(n: int, d: int) -> None:
@@ -31,12 +13,10 @@ def _check_d(n: int, d: int) -> None:
         raise ValueError(f"d must be in [1, {n}], got {d}")
 
 
-def kl_basis(cov: PnCovariance, d: int) -> CompBasis:
-    """Top-d eigenvectors of the phase-noise covariance, by eigenvalue."""
-    n = cov.r.shape[0]
-    _check_d(n, d)
-    eig = herm_eig(cov.r)
-    return CompBasis(v=eig.vectors[:, :d].copy(), kind="KL")
+def kl_basis(r: CMat, d: int) -> CMat:
+    """Top-d eigenvectors of the phase-noise covariance r, by eigenvalue."""
+    _check_d(r.shape[0], d)
+    return herm_eig(r).vectors[:, :d].copy()
 
 
 def dft_low_freq_order(n: int) -> list[int]:
@@ -49,17 +29,16 @@ def dft_low_freq_order(n: int) -> list[int]:
     return order[:n]
 
 
-def dft_basis(n: int, d: int) -> CompBasis:
+def dft_basis(n: int, d: int) -> CMat:
     """Low-frequency complex exponential columns; column 0 is 1/sqrt(n)."""
     _check_d(n, d)
     cols = dft_low_freq_order(n)[:d]
     m = np.arange(n)
-    v = np.stack([np.exp(2j * np.pi * k * m / n) / np.sqrt(n) for k in cols],
-                 axis=1)
-    return CompBasis(v=v, kind="DFT")
+    return np.stack([np.exp(2j * np.pi * k * m / n) / np.sqrt(n)
+                     for k in cols], axis=1)
 
 
-def dct_basis(n: int, d: int) -> CompBasis:
+def dct_basis(n: int, d: int) -> CMat:
     """Orthonormal type-II DCT columns 0..d-1 (real, stored as complex)."""
     _check_d(n, d)
     m = np.arange(n)
@@ -67,4 +46,4 @@ def dct_basis(n: int, d: int) -> CompBasis:
     for k in range(d):
         c = np.sqrt(1.0 / n) if k == 0 else np.sqrt(2.0 / n)
         v[:, k] = c * np.cos(np.pi * (m + 0.5) * k / n)
-    return CompBasis(v=v.astype(np.complex128), kind="DCT")
+    return v.astype(np.complex128)

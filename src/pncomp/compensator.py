@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CompBasis
 from .numerics import CVec, CMat, fft, pinv, svd
-from .ofdm import FreqSymbol, ToneLayout
+from .ofdm import ToneLayout
 
 WEAK_TONE_REL = 1e-6
 
@@ -88,17 +87,18 @@ def receiver(lam, layout: ToneLayout,
                     lam=lam, mrc_w=mrc_w, mrc_den=np.where(den == 0, 1.0, den))
 
 
-def build_w(z, rcv: Receiver, basis: CompBasis) -> np.ndarray:
+def build_w(z, rcv: Receiver, v: CMat) -> np.ndarray:
     """W = diag(1/lambda) F diag(z) V per receive branch, via the FFT.
 
     z is (..., n_rx, N): one symbol, or a block of symbols along leading
-    axes, giving W of shape (..., n_rx, N, d).  Rows of tones the receiver
-    cannot use (|lambda| below 1e-6 of the branch peak) are zero.
+    axes; with the (N, d) basis v, W has shape (..., n_rx, N, d).  Rows
+    of tones the receiver cannot use (|lambda| below 1e-6 of the branch
+    peak) are zero.
     """
     z = np.asarray(z, dtype=np.complex128)
     # one unitary FFT per (symbol, branch, column), laid out as the product
     # is, so W comes out C-contiguous: the combine's bits rely on that
-    w = fft(z[..., None, :] * basis.v.T)
+    w = fft(z[..., None, :] * v.T)
     np.divide(w, rcv.lam[..., None, :], out=w, where=rcv.usable[..., None, :])
     if rcv.weak is not None:
         np.copyto(w, 0, where=rcv.weak)
@@ -155,10 +155,11 @@ def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> tuple[CVec, int]:
     return solve(w_rows, s_rows), len(block)
 
 
-def compensate(w, rcv: Receiver, gamma: CVec, ref: FreqSymbol) -> FreqSymbol:
-    """Correct and MRC-equalize one symbol with gamma = fit_gamma(w, ...).
+def compensate(w, rcv: Receiver, gamma: CVec) -> CVec:
+    """Correct and MRC-equalize one symbol with gamma = fit_gamma(w, ...);
+    returns the estimate (N,).
 
-    w is build_w(z, rcv, B) for the symbol and a basis B whose leading d =
+    w is build_w(z, rcv, v) for the symbol and a basis v whose leading d =
     len(gamma) columns gamma was fit on, shape (n_rx, N, >= d).
     """
     w, gamma = np.asarray(w), np.asarray(gamma)
@@ -167,9 +168,7 @@ def compensate(w, rcv: Receiver, gamma: CVec, ref: FreqSymbol) -> FreqSymbol:
             or w.shape[2] < d):
         raise ValueError(f"W of shape {w.shape} does not fit (n_rx, N) = "
                          f"{rcv.usable.shape} and gamma of shape {gamma.shape}")
-    if ref.layout is not rcv.layout and ref.layout != rcv.layout:
-        raise ValueError("reference layout differs from the receiver's")
     s_mrc = w[:, :, :d] @ gamma
     s_mrc = np.multiply(rcv.mrc_w, s_mrc, out=s_mrc).sum(axis=0)
     s_mrc /= rcv.mrc_den
-    return FreqSymbol(s_mrc, ref.layout)
+    return s_mrc

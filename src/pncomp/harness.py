@@ -28,8 +28,8 @@ from .compensator import (CompConfig, build_w, compensate, equalize_only,
 from .mimo import (MuSystem, mu_apply_channel, mu_build_w, mu_compensate,
                    mu_receiver, zf_beamformer)
 from .numerics import ifft
-from .ofdm import (Constellation, FreqSymbol, default_layout, ToneLayout,
-                   evm_linear, make_symbol, ratio_to_db, symbol_error_rate)
+from .ofdm import (Constellation, default_layout, ToneLayout, evm_linear,
+                   make_symbol, ratio_to_db, symbol_error_rate)
 from .tracker import TrackingConfig, init_tracker, run_tracked
 
 CSV_COLUMNS = ["scenario", "channel_seed", "symbol_index", "aggregate",
@@ -123,6 +123,9 @@ class Scenario:
                 raise ConfigError(f"sweep ranges must be non-empty: {key}")
         if self.scale <= 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
+        bad = [t for t in self.null_tones if t != int(t)]
+        if bad:
+            raise ConfigError(f"null_tones: {bad[0]} is not a tone index")
         # d = 0 means equalization only, which the sweeps score but the
         # tracker and the multiuser fit cannot run
         d_min = 1 if self.name in ("tracking", "mimo_sweep") else 0
@@ -142,7 +145,9 @@ class Scenario:
             raise ConfigError(f"n_users must be in [1, n_rx = {self.n_rx}], "
                               f"got {self.n_users}")
         try:  # what a run resolves from the config, before any simulation
-            self.layout, self.constellation, CompConfig(method=self.method)
+            if not self.layout.data_arr.size:
+                raise ValueError("null_tones leave no data tones to score")
+            self.constellation, CompConfig(method=self.method)
             channel_mod.NoiseSpec(snr_db=self.snr_db)
             channel_mod.tap_weights(self.n_taps, self.channel_profile, self.n)
             for sigma in (self.sigma_deg, *self.sigma_list,
@@ -306,14 +311,13 @@ def _pn_source(sc: Scenario, seed: int, sigmas, pn: list | None):
     return lambda k: gen.next(k * sc.n)
 
 
-def _kl_covs(sc: Scenario, ci: int, sigmas, pn) -> list[pn_mod.PnCovariance]:
-    """Sample covariances that channel ci's KL bases are built from, one
-    per level of sigmas."""
+def _kl_covs(sc: Scenario, ci: int, sigmas, pn) -> np.ndarray:
+    """Sample covariances (levels, N, N) that channel ci's KL bases are
+    built from, one per level of sigmas."""
     take = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigmas, pn)
     psi = take(sc.kl_cov_symbols).psi.reshape(len(sigmas), -1, sc.n)
     # one (levels, N) row per training symbol: every level in one pass
-    r = pn_mod.estimate_cov(np.swapaxes(psi, 0, 1)).r
-    return [pn_mod.PnCovariance(r=r_i) for r_i in r]
+    return pn_mod.estimate_cov(np.swapaxes(psi, 0, 1))
 
 
 def _bases(sc: Scenario, points, sigmas, pn):
@@ -331,8 +335,8 @@ def _bases(sc: Scenario, points, sigmas, pn):
              for kind, d in d_max.items() if kind != "KL"}
     if "KL" not in d_max:
         return lambda ci: [fixed] * len(sigmas)
-    return lambda ci: [{**fixed, "KL": basis_mod.kl_basis(cov, d_max["KL"])}
-                       for cov in _kl_covs(sc, ci, sigmas, pn)]
+    return lambda ci: [{**fixed, "KL": basis_mod.kl_basis(r, d_max["KL"])}
+                       for r in _kl_covs(sc, ci, sigmas, pn)]
 
 
 def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
@@ -344,8 +348,9 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
     noise once for all their levels, equal to simulating each point symbol
     by symbol.  users holds each transmitter's seed labels; ((),) is the
     single-user link.  Returns (MuSystem, generator of (refs, (i, j), z)):
-    refs[m][u] is user u's symbol m and z (b, n_rx, N) the block received
-    at sigmas[i] and tx_sigmas[j], with the carrier offset, if given."""
+    refs[m, u] is user u's symbol m, refs (b, n_users, N), and z
+    (b, n_rx, N) the block received at sigmas[i] and tx_sigmas[j], with the
+    carrier offset, if given."""
     seed, n = sc.master_seed, sc.n
     layout, const = sc.layout, sc.constellation
     sys_ = MuSystem(channels=tuple(
@@ -365,12 +370,11 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
 
     def blocks():
         for m0 in range(0, sc.n_symbols, SYMBOL_BLOCK):
-            refs = [[make_symbol(layout, const,
-                                 child_seed(seed, "sym", ci, m, *user))
-                     for user in users]
-                    for m in range(m0, min(m0 + SYMBOL_BLOCK, sc.n_symbols))]
-            b = len(refs)
-            x = ifft(np.array([[ref.s for ref in syms] for syms in refs]))
+            b = min(SYMBOL_BLOCK, sc.n_symbols - m0)
+            refs = np.array([[make_symbol(layout, const,
+                                          child_seed(seed, "sym", ci, m, *u))
+                              for u in users] for m in range(m0, m0 + b)])
+            x = ifft(refs)
             # the noise is added before the rx phase noise, as at the receiver
             awgn = channel_mod.awgn((b, sc.n_rx, n), noise, noise_rng)
             # (levels, b, n_users, N)
@@ -392,36 +396,35 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
     return sys_, blocks()
 
 
-def _fixed_block(z, rcv, bases, points, refs) -> list[list[FreqSymbol]]:
-    """est[p][m]: the estimate of symbol m of block z at the fixed-basis
-    point points[p] = (kind, d).  W is built once per kind of bases (see
-    _bases) and gamma fit for the whole block once per distinct point, on
-    W's leading d columns; d = 0 equalizes without correction.  Symbol by
-    symbol, every point combines the symbol's W while it is in cache."""
-    ws = {kind: build_w(z, rcv, basis) for kind, basis in bases.items()}
-    refs_s = np.array([ref.s for ref in refs])
-    gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv, refs_s)[0]
+def _fixed_block(z, rcv, bases, points, refs) -> np.ndarray:
+    """est[p, m]: the estimate of symbol m of block z, with references refs
+    (M, N), at the fixed-basis point points[p] = (kind, d).  W is built
+    once per kind of bases (see _bases) and gamma fit for the whole block
+    once per distinct point, on W's leading d columns; d = 0 equalizes
+    without correction.  Symbol by symbol, every point combines the
+    symbol's W while it is in cache."""
+    ws = {kind: build_w(z, rcv, v) for kind, v in bases.items()}
+    gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv, refs)[0]
               for kind, d in points if d}
-    est = [[] for _ in points]
-    for m, ref in enumerate(refs):
-        for row, (kind, d) in zip(est, points):
-            row.append(compensate(ws[kind][m], rcv, gammas[kind, d][m], ref)
-                       if d else FreqSymbol(equalize_only(z[m], rcv),
-                                            ref.layout))
+    est = np.empty((len(points),) + refs.shape, dtype=np.complex128)
+    for m in range(len(refs)):
+        for p, (kind, d) in enumerate(points):
+            est[p, m] = (compensate(ws[kind][m], rcv, gammas[kind, d][m])
+                         if d else equalize_only(z[m], rcv))
     return est
 
 
-def _score(est, refs: list[FreqSymbol], n_eqs, const: Constellation,
+def _score(est, refs, layout: ToneLayout, n_eqs, const: Constellation,
            feeds) -> None:
-    """Score est[g][m], group g's estimate of refs[m], in one stacked EVM,
-    then each estimate's SER.  It is added, fit with n_eqs[g] equations,
-    to every accumulator of feeds[g][m], in order."""
-    err, refp = evm_linear(np.array([[s.s for s in row] for row in est]),
-                           np.array([r.s for r in refs]), refs[0].layout)
+    """Score est[g, m], group g's estimate of refs[m], in one stacked EVM
+    of est (groups, M, N) against refs (M, N), then each estimate's SER.
+    It is added, fit with n_eqs[g] equations, to every accumulator of
+    feeds[g][m], in order."""
+    err, refp = evm_linear(est, refs, layout)
     refp = refp.tolist()
     for row, n_eq, errs, row_feeds in zip(est, n_eqs, err.tolist(), feeds):
         for s, ref, e, p, accs in zip(row, refs, errs, refp, row_feeds):
-            ser = symbol_error_rate(s, ref, const)
+            ser = symbol_error_rate(s, ref, layout, const)
             for acc in accs:
                 acc.add(e, p, ser, n_eq)
 
@@ -445,9 +448,10 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
         families = bases(ci)
         n_eqs = [len(rcv.tones) if d else 0 for _, d in points]
         for refs, (i, _), z in blocks:
-            refs = [ref for ref, in refs]
+            refs = refs[:, 0]
             _score(_fixed_block(z, rcv, families[i], points, refs), refs,
-                   n_eqs, const, [[(acc,)] * len(refs) for acc in accs[i]])
+                   rcv.layout, n_eqs, const,
+                   [[(acc,)] * len(refs) for acc in accs[i]])
     return [ResultRow(sc.name, "all", "", 1, kind, d, sigma, sc.method,
                       acc.evm_db, acc.ser, acc.n_eq)
             for sigma, row in zip(sigmas, accs)
@@ -473,10 +477,11 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
         families = bases(ci)
         for refs, pt, z in blocks:
             w = mu_build_w(z, bf, families[pt[0]]["KL"])
-            s_hats = [s for w_m, syms in zip(w, refs)
-                      for s in mu_compensate(w_m, syms, rcv)]
-            _score([s_hats], [ref for syms in refs for ref in syms],
-                   [len(rcv.tones)], const, [[(accs[pt],)] * len(s_hats)])
+            s_hats = np.array([mu_compensate(w_m, syms, rcv)
+                               for w_m, syms in zip(w, refs)])
+            refs = refs.reshape(-1, sc.n)
+            _score(s_hats.reshape(1, -1, sc.n), refs, rcv.layout,
+                   [len(rcv.tones)], const, [[(accs[pt],)] * len(refs)])
     return [ResultRow(sc.name, "all", "", 1,
                       f"KL_tx{sc.tx_sigma_list[j]:g}", sc.d,
                       sc.sigma_list[i], sc.method, acc.evm_db, acc.ser,
@@ -515,13 +520,14 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
         states = dict.fromkeys(tracked, init)
         for b, (refs, _, z) in enumerate(blocks):
             m0 = b * SYMBOL_BLOCK
-            refs = [ref for ref, in refs]
-            est = _fixed_block(z, rcv, families, points, refs)
+            refs = refs[:, 0]
+            est = [_fixed_block(z, rcv, families, points, refs)]
             for mode, tcfg in tracked.items():
                 s_hats, states[mode] = run_tracked(z, rcv, refs, states[mode],
                                                    tcfg, start=m0)
-                est.append(s_hats)
-            _score(est, refs, [len(rcv.tones)] * len(modes), const,
+                est.append(s_hats[None])
+            _score(np.concatenate(est), refs, rcv.layout,
+                   [len(rcv.tones)] * len(modes), const,
                    [[(acc, totals[mode])
                      for acc in per_symbol[mode][m0:m0 + len(refs)]]
                     for mode in modes])

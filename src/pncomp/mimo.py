@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CompBasis
 from .channel import ChannelState, NoiseSpec, add_awgn
 from .compensator import CompConfig, Receiver, fit_gamma
 from .numerics import CVec, CMat, fft, ifft
-from .ofdm import FreqSymbol, ToneLayout
+from .ofdm import ToneLayout
 
 RANK_TOL = 1e-9
 
@@ -92,22 +91,23 @@ def mu_apply_channel(sys: MuSystem, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def mu_received(sys: MuSystem, syms: list[FreqSymbol], psi_rx: CVec,
+def mu_received(sys: MuSystem, syms: CMat, psi_rx: CVec,
                 tx_psi: list[CVec] | None, noise: NoiseSpec,
                 rng: np.random.Generator) -> CMat:
-    """One symbol's received time-domain signal per rx branch, (n_rx, N)."""
-    x = ifft(np.array([sym.s for sym in syms]))
+    """One symbol's received time-domain signal per rx branch, (n_rx, N),
+    for the users' symbols syms (n_users, N)."""
+    x = ifft(syms)
     if tx_psi is not None:
         x = np.array(tx_psi) * x
     return psi_rx[None, :] * add_awgn(mu_apply_channel(sys, x), noise, rng)
 
 
-def mu_build_w(z, bf: ZfBeamformer, basis: CompBasis) -> np.ndarray:
-    """Per-user W tensor (..., n_users, N, d) without Kronecker
-    materialization; z is (..., n_rx, N): one symbol, or a block of symbols
-    along leading axes."""
+def mu_build_w(z, bf: ZfBeamformer, v: CMat) -> np.ndarray:
+    """Per-user W tensor (..., n_users, N, d) of the (N, d) basis v without
+    Kronecker materialization; z is (..., n_rx, N): one symbol, or a block
+    of symbols along leading axes."""
     # (..., n_rx, N, d): F diag(z_r) V, one FFT per (symbol, branch, column)
-    g = np.swapaxes(fft(z[..., None, :] * basis.v.T), -1, -2)
+    g = np.swapaxes(fft(z[..., None, :] * v.T), -1, -2)
     # einsum, not a broadcast product summed over r: that sums in another
     # order and changes the last bits
     return np.einsum("kur,...rkd->...ukd", bf.b, g)
@@ -123,11 +123,10 @@ def mu_receiver(bf: ZfBeamformer, layout: ToneLayout,
                     per_block_refs=True)
 
 
-def mu_compensate(w, refs: list[FreqSymbol],
-                  rcv: Receiver) -> list[FreqSymbol]:
-    """Joint gamma from all users' pilot rows; per-user equalized symbols.
-    w = mu_build_w(z, bf, basis) is one symbol's (n_users, N, d) and
+def mu_compensate(w, refs: CMat, rcv: Receiver) -> CMat:
+    """Joint gamma from all users' pilot rows against their references
+    refs (n_users, N); returns the per-user equalized symbols (n_users, N).
+    w = mu_build_w(z, bf, v) is one symbol's (n_users, N, d) and
     rcv = mu_receiver(bf, ...) is built once per channel."""
-    gamma, _ = fit_gamma(w, rcv, np.concatenate([r.s for r in refs]))
-    return [FreqSymbol(s=w[u] @ gamma, layout=ref.layout)
-            for u, ref in enumerate(refs)]
+    gamma, _ = fit_gamma(w, rcv, np.ravel(refs))
+    return w @ gamma

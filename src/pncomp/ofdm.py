@@ -110,37 +110,22 @@ def _qam_cached(order: int) -> Constellation:
     return Constellation(order=order, points=points.astype(np.complex128))
 
 
-@dataclass(frozen=True)
-class FreqSymbol:
-    """Frequency-domain OFDM symbol with its tone layout."""
-
-    s: CVec
-    layout: ToneLayout
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.complex128)
-        if s.shape != (self.layout.n,):
-            raise ValueError(f"symbol length {s.shape} != layout {self.layout.n}")
-        object.__setattr__(self, "s", s)
-
-
 def make_symbol(layout: ToneLayout, constellation: Constellation,
-                rng_seed: int) -> FreqSymbol:
-    """Random payload: i.i.d. constellation points on pilot and data tones."""
+                rng_seed: int) -> CVec:
+    """Random payload (N,): i.i.d. constellation points on pilot and data
+    tones."""
     rng = np.random.default_rng(rng_seed)
     s = np.zeros(layout.n, dtype=np.complex128)
     active = layout.active_arr
     # the labels rng.choice(points, size) would draw, without its overhead
     s[active] = constellation.points[
         rng.integers(0, constellation.order, size=len(active))]
-    return FreqSymbol(s=s, layout=layout)
+    return s
 
 
-def evm_db(est: FreqSymbol, ref: FreqSymbol) -> float:
+def evm_db(est: CVec, ref: CVec, layout: ToneLayout) -> float:
     """Error vector magnitude in dB over the data tones."""
-    if est.layout != ref.layout:
-        raise ValueError("EVM requires matching tone layouts")
-    num, den = evm_linear(est.s, ref.s, ref.layout)
+    num, den = evm_linear(est, ref, layout)
     if den == 0.0:
         raise ValueError("reference has zero power on the data tones")
     return ratio_to_db(num, den)
@@ -165,8 +150,9 @@ def ratio_to_db(num: float, den: float) -> float:
     return max(10.0 * np.log10(num / den), EVM_FLOOR_DB)
 
 
-def hard_decide(est: FreqSymbol, constellation: Constellation) -> FreqSymbol:
-    """Nearest-point decision on pilot and data tones; null tones stay 0.
+def hard_decide(est: CVec, layout: ToneLayout,
+                constellation: Constellation) -> CVec:
+    """Nearest-point decision on est's pilot and data tones; nulls stay 0.
 
     A square QAM grid is the product of two PAM axes, so the nearest point
     is one of the 2 x 2 points whose levels bracket the value on each axis:
@@ -175,21 +161,21 @@ def hard_decide(est: FreqSymbol, constellation: Constellation) -> FreqSymbol:
     are computed as a full distance matrix would, and ties go to the
     smallest bit label, the first of the four.
     """
-    lay, active = est.layout, est.layout.active_arr
-    vals = est.s[active]
+    active = layout.active_arr
+    vals = est[active]
     gap = constellation._inner.searchsorted(vals.view(np.float64))
     cand = constellation._quads[gap[0::2], gap[1::2]]
     d2 = np.abs(vals[:, None] - cand)
     pick = np.square(d2, out=d2).argmin(axis=1)
-    out = np.zeros(lay.n, dtype=np.complex128)
-    out[active] = cand.ravel()[pick + lay.quad_arr]
-    return FreqSymbol(out, lay)
+    out = np.zeros(layout.n, dtype=np.complex128)
+    out[active] = cand.ravel()[pick + layout.quad_arr]
+    return out
 
 
-def symbol_error_rate(est: FreqSymbol, ref: FreqSymbol,
+def symbol_error_rate(est: CVec, ref: CVec, layout: ToneLayout,
                       constellation: Constellation) -> float:
     """Uncoded SER over data tones after hard decisions on est."""
-    err = hard_decide(est, constellation).s
-    idx = ref.layout.data_arr
-    err = np.abs(np.subtract(err, ref.s, out=err)[idx])
+    err = hard_decide(est, layout, constellation)
+    idx = layout.data_arr
+    err = np.abs(np.subtract(err, ref, out=err)[idx])
     return np.count_nonzero(err > 1e-9) / idx.size if idx.size else 0.0

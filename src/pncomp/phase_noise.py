@@ -60,13 +60,6 @@ class PhaseNoiseRealization:
 
 
 @dataclass(frozen=True)
-class PnCovariance:
-    """Sample covariance R = (1/M) sum psi psi*; Hermitian PSD, unit diagonal."""
-
-    r: CMat
-
-
-@dataclass(frozen=True)
 class CarrierOffset:
     """Residual carrier offset: delta_f = ppm * 1e-6 * carrier_hz."""
 
@@ -144,10 +137,11 @@ def _phi_scale(sigma_deg: float, gain: float) -> float:
     return np.deg2rad(sigma_deg) / gain if gain > 0 else 0.0
 
 
-def estimate_cov(realizations) -> PnCovariance:
-    """R = (1/M) sum psi psi* over the given realizations (or psi rows),
-    summed one outer product at a time in row order.  Rows of shape
-    (..., N) give one covariance per leading index, r of (..., N, N)."""
+def estimate_cov(realizations) -> CMat:
+    """Sample covariance R = (1/M) sum psi psi* over the given realizations
+    (or psi rows), summed one outer product at a time in row order:
+    Hermitian PSD, unit diagonal.  Rows of shape (..., N) give one
+    covariance per leading index, R of (..., N, N)."""
     rows = [np.asarray(getattr(real, "psi", real)) for real in realizations]
     if not rows:
         raise ValueError("need at least one realization")
@@ -160,7 +154,7 @@ def estimate_cov(realizations) -> PnCovariance:
         np.multiply(psi[..., :, None], psi.conj()[..., None, :], out=term)
         r += term
     r /= len(rows)
-    return PnCovariance(r=(r + np.swapaxes(r.conj(), -1, -2)) / 2)
+    return (r + np.swapaxes(r.conj(), -1, -2)) / 2
 
 
 def offset_factor(off: CarrierOffset, start_sample: int, n: int) -> CVec:

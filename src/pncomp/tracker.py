@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CompBasis, dft_basis
+from .basis import dft_basis
 from .compensator import (Receiver, build_w, compensate, fit_gamma,
                           _as_branches)
 from .numerics import CMat, ifft
-from .ofdm import Constellation, FreqSymbol, hard_decide
+from .ofdm import Constellation, hard_decide
 from .phase_noise import PhaseNoiseRealization
 
 
@@ -32,26 +32,23 @@ class TrackerState:
         if not 0 < self.beta <= 1:
             raise ValueError("beta must be in (0, 1]")
 
-    @property
-    def basis(self) -> CompBasis:
-        return CompBasis(self.v, "PAST")
-
 
 def init_tracker(n: int, d: int, beta: float = 0.9) -> TrackerState:
     """Start from the d low-frequency DFT columns."""
-    return TrackerState(v=dft_basis(n, d).v,
+    return TrackerState(v=dft_basis(n, d),
                         p=np.eye(d, dtype=np.complex128), beta=beta)
 
 
-def dd_phase_estimate(z, s_hat: FreqSymbol, lam):
-    """Per-sample phase of z against the reconstructed clean signal.
+def dd_phase_estimate(z, s_hat, lam):
+    """Per-sample phase of z against the clean signal reconstructed from
+    the symbol s_hat (N,).
 
     z and lam may carry several receive branches (shape (n_rx, N)); the
     branch phases are combined coherently.  Samples where the
     reconstruction is negligible inherit the nearest valid estimate.
     """
     z, lam = _as_branches(z), _as_branches(lam)
-    y_hat = ifft(lam * s_hat.s)
+    y_hat = ifft(lam * s_hat)
     mag = np.abs(y_hat).max(axis=0)
     peak = mag.max()
     if peak == 0:
@@ -67,13 +64,12 @@ def dd_phase_estimate(z, s_hat: FreqSymbol, lam):
     return PhaseNoiseRealization.from_phi(phi)
 
 
-def past_update(state: TrackerState, psi_hat) -> TrackerState:
-    """One PAST recursion with input vector x = psi_hat.
+def past_update(state: TrackerState, x) -> TrackerState:
+    """One PAST recursion with input vector x (N,).
 
     y = V* x; h = P y; g = h / (beta + y* h); P <- (P - g h*)/beta;
     e = x - V y; V <- V + e g*.  O(N d) per update.
     """
-    x = np.asarray(getattr(psi_hat, "psi", psi_hat), dtype=np.complex128)
     y = state.v.conj().T @ x
     h = state.p @ y
     g = h / (state.beta + np.vdot(y, h))
@@ -91,11 +87,12 @@ class TrackingConfig:
     freeze_after: int | None = None
 
 
-def run_tracked(z, rcv: Receiver, refs: list[FreqSymbol],
-                state: TrackerState, cfg: TrackingConfig,
-                start: int = 0) -> tuple[list[FreqSymbol], TrackerState]:
+def run_tracked(z, rcv: Receiver, refs: CMat, state: TrackerState,
+                cfg: TrackingConfig,
+                start: int = 0) -> tuple[CMat, TrackerState]:
     """Compensate, decide, re-estimate the phase, update the basis, symbol
-    by symbol through the block z (M, n_rx, N) with references refs.
+    by symbol through the block z (M, n_rx, N) with references refs
+    (M, N).  Returns the estimates (M, N) and the last state.
 
     The first cfg.training_symbols symbols use the true transmitted
     symbols for decision direction; afterwards hard decisions on data
@@ -103,20 +100,19 @@ def run_tracked(z, rcv: Receiver, refs: list[FreqSymbol],
     The block's first symbol has index start, so a stream can be run in
     blocks, each call taking the state the previous one returned.
     """
-    s_hats: list[FreqSymbol] = []
+    s_hats = np.empty(refs.shape, dtype=np.complex128)
     freeze, training = cfg.freeze_after, cfg.training_symbols
-    for m, (z_m, ref) in enumerate(zip(z, refs), start):
-        w = build_w(z_m, rcv, state.basis)
-        s_hat = compensate(w, rcv, fit_gamma(w, rcv, ref.s)[0], ref)
-        s_hats.append(s_hat)
+    lay, p_idx = rcv.layout, rcv.layout.pilot_arr
+    for m, (z_m, ref, s_hat) in enumerate(zip(z, refs, s_hats), start):
+        w = build_w(z_m, rcv, state.v)
+        s_hat[:] = compensate(w, rcv, fit_gamma(w, rcv, ref)[0])
         if freeze is not None and m >= freeze:
             continue
         if m < training:
             s_dd = ref
         else:
-            s_dd = hard_decide(s_hat, cfg.constellation)
-            p_idx = ref.layout.pilot_arr
-            s_dd.s[p_idx] = ref.s[p_idx]
+            s_dd = hard_decide(s_hat, lay, cfg.constellation)
+            s_dd[p_idx] = ref[p_idx]
         psi = dd_phase_estimate(z_m, s_dd, rcv.lam).psi
         # track the cancellation vector, the quantity the basis must span
         state = past_update(state, np.conj(psi, out=psi))

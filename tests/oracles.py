@@ -16,7 +16,7 @@ import numpy as np
 
 from pncomp.compensator import build_w
 from pncomp.numerics import DEFAULT_RCOND, CMat, CVec, fft, ifft
-from pncomp.ofdm import Constellation, FreqSymbol, ToneLayout
+from pncomp.ofdm import Constellation, ToneLayout
 from pncomp.phase_noise import PhaseNoiseRealization, PnGenerator, PnModel
 from pncomp.tracker import TrackerState, TrackingConfig
 
@@ -39,13 +39,13 @@ def gen_pn(model: PnModel, n: int) -> PhaseNoiseRealization:
     return PnGenerator(model).next(n)
 
 
-def modulate(sym: FreqSymbol) -> CVec:
+def modulate(s: CVec) -> CVec:
     """Time-domain symbol x = F* s (unitary inverse DFT)."""
-    return ifft(sym.s)
+    return ifft(s)
 
 
-def demodulate(x: CVec, layout: ToneLayout) -> FreqSymbol:
-    return FreqSymbol(s=fft(x), layout=layout)
+def demodulate(x: CVec) -> CVec:
+    return fft(x)
 
 
 def _slicer_axes(constellation: Constellation):
@@ -71,20 +71,21 @@ def _bracket(x: np.ndarray, axis) -> np.ndarray:
     return np.array([lo_bits[gap], hi_bits[gap]])
 
 
-def bracket_decide(est: FreqSymbol, constellation: Constellation) -> FreqSymbol:
+def bracket_decide(est: CVec, layout: ToneLayout,
+                   constellation: Constellation) -> CVec:
     """Per-axis slicer: the 2 x 2 points whose levels bracket the value on
     each axis, searched one axis at a time, ties to the smallest label."""
     i_axis, q_axis = _slicer_axes(constellation)
-    active = est.layout.active_arr
-    vals = est.s[active]
+    active = layout.active_arr
+    vals = est[active]
     labels = (_bracket(vals.real, i_axis)[:, None]
               + _bracket(vals.imag, q_axis)[None, :]).reshape(4, -1)
     d2 = np.abs(vals - constellation.points[labels]) ** 2
     tied = d2 == d2.min(axis=0)
     label = np.where(tied, labels, constellation.order).min(axis=0)
-    out = np.zeros_like(est.s)
+    out = np.zeros_like(est)
     out[active] = constellation.points[label]
-    return FreqSymbol(s=out, layout=est.layout)
+    return out
 
 
 def per_symbol_fit(w, rcv, d, ref):
@@ -95,7 +96,7 @@ def per_symbol_fit(w, rcv, d, ref):
     layout build_w gives."""
     w = np.ascontiguousarray(w)[:, :, :d]
     w_rows = w[rcv.rows]
-    s_rows = np.concatenate((ref.s, [0]))[rcv.tones]
+    s_rows = np.concatenate((ref, [0]))[rcv.tones]
     gamma = None
     if rcv.cfg.method == "TLS" and len(s_rows) >= d + 1:
         _, _, vh = np.linalg.svd(np.column_stack([w_rows, s_rows]))
@@ -107,13 +108,13 @@ def per_symbol_fit(w, rcv, d, ref):
     return gamma, (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
 
 
-def dd_phase_estimate(z, s_hat: FreqSymbol, lam) -> PhaseNoiseRealization:
+def dd_phase_estimate(z, s_hat: CVec, lam) -> PhaseNoiseRealization:
     """Per-sample phase of z against the reconstructed clean signal, the
     branches combined coherently; negligible samples take the nearest
     valid estimate."""
     z, lam = np.atleast_2d(z), np.atleast_2d(lam)
     n = lam.shape[-1]
-    y_hat = np.fft.ifft(lam * s_hat.s[None, :], axis=-1) * np.sqrt(n)
+    y_hat = np.fft.ifft(lam * s_hat[None, :], axis=-1) * np.sqrt(n)
     peak = np.abs(y_hat).max()
     if peak == 0:
         raise ValueError("all-zero signal reconstruction")
@@ -128,9 +129,8 @@ def dd_phase_estimate(z, s_hat: FreqSymbol, lam) -> PhaseNoiseRealization:
     return PhaseNoiseRealization.from_phi(phi)
 
 
-def past_update(state: TrackerState, psi_hat) -> TrackerState:
-    """One PAST recursion (Yang, IEEE TSP 1995) with input x = psi_hat."""
-    x = np.asarray(getattr(psi_hat, "psi", psi_hat), dtype=np.complex128)
+def past_update(state: TrackerState, x: CVec) -> TrackerState:
+    """One PAST recursion (Yang, IEEE TSP 1995) with input x."""
     y = state.v.conj().T @ x
     h = state.p @ y
     g = h / (state.beta + np.vdot(y, h))
@@ -144,23 +144,21 @@ def past_update(state: TrackerState, psi_hat) -> TrackerState:
 def run_tracked(z, rcv, refs, state: TrackerState, cfg: TrackingConfig):
     """The whole-stream tracker: compensate, decide (bracket_decide),
     re-estimate the phase and update the basis, symbol by symbol through
-    z (M, n_rx, N).  Returns each symbol's estimate and the last state."""
+    z (M, n_rx, N) against refs (M, N).  Returns each symbol's estimate,
+    (M, N), and the last state."""
     s_hats = []
+    p_idx = rcv.layout.pilot_arr
     for m, (z_m, ref) in enumerate(zip(z, refs)):
-        w = build_w(z_m, rcv, state.basis)
-        _, s = per_symbol_fit(w, rcv, state.v.shape[1], ref)
-        s_hat = FreqSymbol(s=s, layout=ref.layout)
+        w = build_w(z_m, rcv, state.v)
+        _, s_hat = per_symbol_fit(w, rcv, state.v.shape[1], ref)
         s_hats.append(s_hat)
         if cfg.freeze_after is not None and m >= cfg.freeze_after:
             continue
         if m < cfg.training_symbols:
             s_dd = ref
         else:
-            decided = bracket_decide(s_hat, cfg.constellation)
-            s = decided.s
-            p_idx = ref.layout.pilot_arr
-            s[p_idx] = ref.s[p_idx]
-            s_dd = FreqSymbol(s=s, layout=ref.layout)
+            s_dd = bracket_decide(s_hat, rcv.layout, cfg.constellation)
+            s_dd[p_idx] = ref[p_idx]
         psi_hat = dd_phase_estimate(z_m, s_dd, rcv.lam)
         state = past_update(state, np.conj(psi_hat.psi))
-    return s_hats, state
+    return np.array(s_hats), state

@@ -27,11 +27,11 @@ def make_system(seed, n_users=2, n_rx=2, n=64, n_taps=8):
     return MuSystem(channels=chans)
 
 
-def mu_comp(sys_, z, bas, refs):
+def mu_comp(sys_, z, bas, refs, layout):
     """mu_compensate on z's W with the system's beamformer and receiver."""
     bf = zf_beamformer(sys_)
     return mu_compensate(mu_build_w(z, bf, bas), refs,
-                         mu_receiver(bf, refs[0].layout))
+                         mu_receiver(bf, layout))
 
 
 class TestMuSystem:
@@ -128,27 +128,29 @@ class TestZfBeamformer:
         # absent PN and noise, per-tone beamforming reproduces all users
         layout = default_layout()
         sys_ = make_system(2)
-        refs = [make_symbol(layout, qam, rng_seed=10 + u) for u in range(2)]
+        refs = np.array([make_symbol(layout, qam, rng_seed=10 + u)
+                         for u in range(2)])
         z = mu_received(sys_, refs, np.ones(64), None, NoiseSpec(snr_db=np.inf),
                         np.random.default_rng(0))
         bf = zf_beamformer(sys_)
         zf = nx.fft(z)  # per-branch frequency domain
         for u in range(2):
             s_u = np.array([bf.b[k, u] @ zf[:, k] for k in range(64)])
-            np.testing.assert_allclose(s_u, refs[u].s, atol=1e-8)
+            np.testing.assert_allclose(s_u, refs[u], atol=1e-8)
 
 
 def per_symbol_mu_w(z, bf, basis):
     """The one-symbol mu_build_w that the block version replaced, kept as
     the reference: W (n_users, N, d) of z (n_rx, N)."""
-    g = nx.fft((z[:, :, None] * basis.v[None, :, :]).transpose(0, 2, 1))
+    g = nx.fft((z[:, :, None] * basis[None, :, :]).transpose(0, 2, 1))
     g = g.transpose(0, 2, 1)  # (n_rx, N, d): F diag(z_r) V
     return np.einsum("kur,rkd->ukd", bf.b, g)
 
 
 class TestBlockW:
     """mu_build_w of a block of symbols must equal the per-symbol W of
-    each of them bit for bit, and so must the fit and combine on it."""
+    each of them bit for bit, and so must the fit and combine on it; the
+    combine of all users at once equals each user's own w[u] @ gamma."""
 
     @pytest.mark.parametrize("chans", [
         lambda: make_system(40, n_users=1, n_rx=1).channels,
@@ -178,14 +180,16 @@ class TestBlockW:
         for i in range(m):
             w_ref = per_symbol_mu_w(z[i], bf, bas)
             assert np.array_equal(w[i], w_ref)
-            refs = [make_symbol(layout, qam, rng_seed=100 * i + u)
-                    for u in range(sys_.n_users)]
-            for a, e in zip(mu_compensate(w[i], refs, rcv),
-                            mu_compensate(w_ref, refs, rcv)):
-                assert np.array_equal(a.s, e.s)
-            refs_s = np.concatenate([r.s for r in refs])
-            assert np.array_equal(fit_gamma(w[i], rcv, refs_s)[0],
-                                  fit_gamma(w_ref, rcv, refs_s)[0])
+            refs = np.array([make_symbol(layout, qam, rng_seed=100 * i + u)
+                             for u in range(sys_.n_users)])
+            s_hats = mu_compensate(w[i], refs, rcv)
+            assert s_hats.shape == (sys_.n_users, 64)
+            assert np.array_equal(s_hats, mu_compensate(w_ref, refs, rcv))
+            refs_s = np.concatenate(refs)
+            gamma = fit_gamma(w[i], rcv, refs_s)[0]
+            assert np.array_equal(gamma, fit_gamma(w_ref, rcv, refs_s)[0])
+            for u in range(sys_.n_users):
+                assert np.array_equal(s_hats[u], w[i][u] @ gamma)
 
 
 class TestMuCompensate:
@@ -202,27 +206,28 @@ class TestMuCompensate:
         gamma0 = 8.0 * np.eye(4, dtype=complex)[:, 0]
         gamma0[1:] += 0.05 * (rng.standard_normal(3)
                               + 1j * rng.standard_normal(3))
-        correction = bas.v @ gamma0
+        correction = bas @ gamma0
         psi = 1.0 / correction
-        z = mu_received(sys_, [ref], psi, None, NoiseSpec(snr_db=np.inf),
+        z = mu_received(sys_, ref[None], psi, None, NoiseSpec(snr_db=np.inf),
                         np.random.default_rng(0))
         bf = zf_beamformer(sys_)
         mu_gamma, _ = fit_gamma(mu_build_w(z, bf, bas),
-                                mu_receiver(bf, layout), ref.s)
+                                mu_receiver(bf, layout), ref)
         rcv = receiver(ch.lam, layout)
-        simo_gamma, _ = fit_gamma(build_w(z, rcv, bas), rcv, ref.s)
+        simo_gamma, _ = fit_gamma(build_w(z, rcv, bas), rcv, ref)
         np.testing.assert_allclose(mu_gamma, simo_gamma,
                                    atol=1e-9 * np.linalg.norm(simo_gamma))
 
     def test_clean_input_exact(self, qam):
         layout = default_layout()
         sys_ = make_system(6)
-        refs = [make_symbol(layout, qam, rng_seed=20 + u) for u in range(2)]
+        refs = np.array([make_symbol(layout, qam, rng_seed=20 + u)
+                         for u in range(2)])
         z = mu_received(sys_, refs, np.ones(64), None, NoiseSpec(snr_db=np.inf),
                         np.random.default_rng(0))
-        results = mu_comp(sys_, z, dft_basis(64, 4), refs)
+        results = mu_comp(sys_, z, dft_basis(64, 4), refs, layout)
         for s_hat, ref in zip(results, refs):
-            assert evm_db(s_hat, ref) <= -180
+            assert evm_db(s_hat, ref, layout) <= -180
 
     def test_joint_in_span_recovery(self, qam):
         # phi in span(V), no noise, no tx PN: every user below -80 dB
@@ -231,13 +236,14 @@ class TestMuCompensate:
         bas = dft_basis(64, 5)
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        phi = (bas.v @ coeffs).real
+        phi = (bas @ coeffs).real
         phi *= 0.005 / np.max(np.abs(phi))
-        refs = [make_symbol(layout, qam, rng_seed=30 + u) for u in range(2)]
+        refs = np.array([make_symbol(layout, qam, rng_seed=30 + u)
+                         for u in range(2)])
         z = mu_received(sys_, refs, np.exp(1j * phi), None,
                         NoiseSpec(snr_db=np.inf), np.random.default_rng(0))
-        for s_hat, ref in zip(mu_comp(sys_, z, bas, refs), refs):
-            assert evm_db(s_hat, ref) <= -80
+        for s_hat, ref in zip(mu_comp(sys_, z, bas, refs, layout), refs):
+            assert evm_db(s_hat, ref, layout) <= -80
 
     def test_kron_free_matches_dense_oracle(self, qam):
         # N=8, 2 users x 2 rx: the per-tone realization equals the stacked
@@ -261,7 +267,7 @@ class TestMuCompensate:
         z_big = np.zeros((n_r * n, n_r * n), dtype=complex)
         for r in range(n_r):
             z_big[r * n:(r + 1) * n, r * n:(r + 1) * n] = np.diag(z[r])
-        v_rep = np.vstack([bas.v] * n_r)  # (1_{n_r} (x) V)
+        v_rep = np.vstack([bas] * n_r)  # (1_{n_r} (x) V)
         w_dense = big @ z_big @ v_rep     # (n_u * n, d)
 
         w_fast = mu_build_w(z, bf, bas)
@@ -283,15 +289,16 @@ class TestMuCompensate:
         rng_b = np.random.default_rng(70)
         clean = noisy = 0.0
         for m in range(40):
-            refs = [make_symbol(layout, qam, rng_seed=1000 + 2 * m + u)
-                    for u in range(2)]
+            refs = np.array([make_symbol(layout, qam,
+                                         rng_seed=1000 + 2 * m + u)
+                             for u in range(2)])
             psi = rx_gen.next(64).psi
             z0 = mu_received(sys_, refs, psi, None, noise, rng=rng_a)
             tx_psi = [g.next(64).psi for g in tx_gens]
             z1 = mu_received(sys_, refs, psi, tx_psi, noise, rng=rng_b)
-            for s_hat, ref in zip(mu_comp(sys_, z0, bas, refs), refs):
-                clean += 10 ** (evm_db(s_hat, ref) / 10)
-            for s_hat, ref in zip(mu_comp(sys_, z1, bas, refs), refs):
-                noisy += 10 ** (evm_db(s_hat, ref) / 10)
+            for s_hat, ref in zip(mu_comp(sys_, z0, bas, refs, layout), refs):
+                clean += 10 ** (evm_db(s_hat, ref, layout) / 10)
+            for s_hat, ref in zip(mu_comp(sys_, z1, bas, refs, layout), refs):
+                noisy += 10 ** (evm_db(s_hat, ref, layout) / 10)
         gap = abs(10 * np.log10(noisy / clean))
         assert gap <= 1.5

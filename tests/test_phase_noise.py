@@ -91,28 +91,28 @@ class TestEstimateCov:
     def test_single_realization_rank_one(self):
         real = gen_pn(PnModel(sigma_deg=3.0, seed=5), 64)
         cov = estimate_cov([real])
-        eig = nx.herm_eig(cov.r)
+        eig = nx.herm_eig(cov)
         assert abs(eig.values[0] - 64) <= 1e-9
         assert np.max(np.abs(eig.values[1:])) <= 1e-9
 
     def test_zero_phase_gives_all_ones(self):
         reals = [PhaseNoiseRealization.from_phi(np.zeros(16))] * 3
         cov = estimate_cov(reals)
-        np.testing.assert_allclose(cov.r, np.ones((16, 16)), atol=1e-14)
+        np.testing.assert_allclose(cov, np.ones((16, 16)), atol=1e-14)
 
     def test_unit_diagonal_and_psd(self):
         gen = PnGenerator(PnModel(sigma_deg=4.0, seed=6))
         cov = estimate_cov([gen.next(64) for _ in range(50)])
-        np.testing.assert_allclose(np.diag(cov.r).real, np.ones(64), atol=1e-6)
-        assert np.max(np.abs(np.diag(cov.r).imag)) <= 1e-12
-        eig = nx.herm_eig(cov.r)
-        assert eig.values[-1] >= -1e-9 * np.trace(cov.r).real / 64
+        np.testing.assert_allclose(np.diag(cov).real, np.ones(64), atol=1e-6)
+        assert np.max(np.abs(np.diag(cov).imag)) <= 1e-12
+        eig = nx.herm_eig(cov)
+        assert eig.values[-1] >= -1e-9 * np.trace(cov).real / 64
 
     def test_spectrum_concentration(self):
         # ten symbols at 3 degrees: four eigenvectors carry >= 99% of trace
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=7))
         cov = estimate_cov([gen.next(64) for _ in range(10)])
-        eig = nx.herm_eig(cov.r)
+        eig = nx.herm_eig(cov)
         assert np.sum(eig.values[:4]) >= 0.99 * np.sum(eig.values)
 
     @pytest.mark.parametrize("rows", [1, 7, 500])
@@ -126,19 +126,19 @@ class TestEstimateCov:
             r += np.outer(row, row.conj())
         r /= rows
         expected = (r + r.conj().T) / 2
-        assert np.array_equal(estimate_cov(psi).r, expected)
+        assert np.array_equal(estimate_cov(psi), expected)
         reals = [PhaseNoiseRealization.from_phi(np.angle(row)) for row in psi]
-        assert np.allclose(estimate_cov(reals).r, expected, atol=1e-12)
+        assert np.allclose(estimate_cov(reals), expected, atol=1e-12)
 
     def test_stacked_rows_match_each(self):
         # rows (3, N): one covariance per leading index, each equal to
         # estimating that index's rows alone
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=8), (0.0, 2.0, 5.0))
         psi = gen.next(64 * 40).psi.reshape(3, 40, 64)
-        r = estimate_cov(np.swapaxes(psi, 0, 1)).r
+        r = estimate_cov(np.swapaxes(psi, 0, 1))
         assert r.shape == (3, 64, 64)
         for r_i, rows in zip(r, psi):
-            assert np.array_equal(r_i, estimate_cov(rows).r)
+            assert np.array_equal(r_i, estimate_cov(rows))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -182,8 +182,8 @@ class TestCarrierOffset:
         reals = [gen.next(n) for _ in range(20)]
         # same start sample for every window so one common ramp factors out
         shifted = [apply_offset(r, off, start_sample=0) for r in reals]
-        r_plain = estimate_cov(reals).r
-        r_shift = estimate_cov(shifted).r
+        r_plain = estimate_cov(reals)
+        r_shift = estimate_cov(shifted)
         c = offset_factor(off, 0, n)
         np.testing.assert_allclose(r_shift, np.diag(c) @ r_plain @ np.diag(c).conj().T,
                                    atol=1e-10)
