@@ -6,8 +6,8 @@ the implied TLS perturbation for the fit, one pinv or SVD per symbol for
 the stacked fit, one-shot phase noise and modulation for the block
 simulation, the axis-by-axis slicer for the label-table slicer, the
 whole-stream tracker for the block-by-block one).  The tracker oracle
-takes from pncomp only build_w and the Receiver's fit rows; its fit,
-combine, decision, phase estimate and PAST step are its own.
+takes from pncomp only build_w and the Receiver's fit rows and layout;
+its fit, combine, decision, phase estimate and PAST step are its own.
 """
 
 from dataclasses import replace

@@ -27,6 +27,9 @@ import oracles
 
 
 SMALL = dict(scale=1 / 300, n_symbols=4, kl_cov_symbols=50)
+# every tone of the default layout that is not a pilot
+NO_DATA_NULLS = tuple(k for k in range(64)
+                      if k not in default_layout().pilot_idx)
 
 
 def rows_by(rows, **kv):
@@ -107,13 +110,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(None, overrides={"nope": 1})
 
-    @pytest.mark.parametrize("tones", [
-        (31.5, 32.0), (-0.5,),
-        tuple(k for k in range(64) if k not in default_layout().pilot_idx)],
-        ids=["fraction", "negative_fraction", "no_data"])
+    @pytest.mark.parametrize("tones", [(31.5, 32.0), (-0.5,), NO_DATA_NULLS],
+                             ids=["fraction", "negative_fraction", "no_data"])
     def test_null_tones_error_names_key(self, tones):
-        # a fractional tone was truncated (31.5 ran as 31), and nulling
-        # every data tone scored nothing as a perfect -300 dB
+        # a tone index must be integral, not truncated, and a layout with
+        # no data tones has nothing to score
         with pytest.raises(ConfigError, match="null_tones"):
             Scenario(name="custom", null_tones=tones)
 
@@ -299,9 +300,8 @@ class TestCli:
         ("name = tracking\npn_ripple_db = 1e300\n", []),
         ("name = custom\nnull_tones = 31.5, 32\n", []),
         ("name = custom\nnull_tones = -0.5\n", []),
-        ("name = custom\nnull_tones = " + ", ".join(
-            str(k) for k in range(64)
-            if k not in default_layout().pilot_idx) + "\n", []),
+        ("name = custom\nnull_tones = "
+         + ", ".join(map(str, NO_DATA_NULLS)) + "\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
             "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
@@ -508,15 +508,15 @@ GOLDEN_BITS = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_estimate_bits(case, tmp_path, monkeypatch):
-    import pncomp.harness as harness_mod
+    from pncomp import harness
     digests = []
-    evm_linear = harness_mod.evm_linear
+    evm_linear = harness.evm_linear
 
     def hashing(est, ref, layout):
         digests.append(hashlib.sha256(
             np.ascontiguousarray(est).tobytes()).hexdigest())
         return evm_linear(est, ref, layout)
-    monkeypatch.setattr(harness_mod, "evm_linear", hashing)
+    monkeypatch.setattr(harness, "evm_linear", hashing)
     run_scenario(Scenario(**GOLDEN[case][0]), str(tmp_path / "out.csv"))
     assert digests
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == \
