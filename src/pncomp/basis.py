@@ -16,7 +16,8 @@ def _check_d(n: int, d: int) -> None:
 def kl_basis(r: CMat, d: int) -> CMat:
     """Top-d eigenvectors of the phase-noise covariance r, by eigenvalue."""
     _check_d(r.shape[0], d)
-    return herm_eig(r).vectors[:, :d].copy()
+    _, vectors = herm_eig(r)
+    return vectors[:, :d].copy()
 
 
 def dft_low_freq_order(n: int) -> list[int]:

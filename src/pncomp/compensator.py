@@ -32,11 +32,6 @@ class CompConfig:
             raise ValueError(f"method must be LS or TLS, got {self.method!r}")
 
 
-def _as_branches(a) -> CMat:
-    a = np.asarray(a, dtype=np.complex128)
-    return a[None, :] if a.ndim == 1 else a
-
-
 @dataclass(frozen=True, eq=False)
 class Receiver:
     """A channel's fit constants.  usable (n_blocks, N): the tones each
@@ -76,7 +71,6 @@ def receiver(lam, layout: ToneLayout,
              cfg: CompConfig = CompConfig()) -> Receiver:
     """The Receiver of a channel with per-tone response lam, (n_rx, N);
     tones within 1e-6 of their branch's peak |lambda| are usable."""
-    lam = _as_branches(lam)
     mag = np.abs(lam)
     peak = mag.max(axis=-1, keepdims=True)
     if (peak == 0).any():
@@ -124,7 +118,8 @@ def solve_tls(w_rows: CMat, s_rows: CVec) -> CVec:
     if m < d + 1:
         return solve_ls(w_rows, s_rows)
     ws = np.concatenate((w_rows, s_rows[..., None]), axis=-1)
-    q_last = svd(ws).q[..., d]
+    _, _, q = svd(ws)
+    q_last = q[..., d]
     q22 = q_last[..., d]
     weak = np.abs(q22) <= 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):  # weak: refit
@@ -135,16 +130,17 @@ def solve_tls(w_rows: CMat, s_rows: CVec) -> CVec:
 
 
 def equalize_only(z, rcv: Receiver) -> CVec:
-    """MRC-combined per-tone equalization with no phase-noise correction."""
-    fz = fft(_as_branches(z))
+    """MRC-combined per-tone equalization of one symbol z (n_rx, N) with
+    no phase-noise correction."""
+    fz = fft(z)
     return np.sum(np.conj(rcv.lam) * fz, axis=0) / rcv.mrc_den
 
 
-def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> tuple[CVec, int]:
-    """Fit gamma on rcv's pilot (and null) rows of w (..., n_blocks, N, d),
-    one stacked fit per leading index (symbol); refs_s (..., n_refs): the
-    reference tones (per block concatenated if per_block_refs).
-    Returns (gamma (..., d), number of rows per fit)."""
+def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> CVec:
+    """Fit gamma (..., d) on rcv's pilot (and null) rows of w
+    (..., n_blocks, N, d), one stacked fit of len(rcv.tones) rows per
+    leading index (symbol); refs_s (..., n_refs): the reference tones (per
+    block concatenated if per_block_refs)."""
     block, tone = rcv.rows
     # contiguous rows: a strided right-hand side changes the matmul's bits
     w_rows = np.ascontiguousarray(w[..., block, tone, :])
@@ -152,7 +148,7 @@ def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> tuple[CVec, int]:
     if rcv.null_rows.size:
         s_rows[..., rcv.null_rows] = 0
     solve = solve_tls if rcv.cfg.method == "TLS" else solve_ls
-    return solve(w_rows, s_rows), len(block)
+    return solve(w_rows, s_rows)
 
 
 def compensate(w, rcv: Receiver, gamma: CVec) -> CVec:

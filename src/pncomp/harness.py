@@ -296,17 +296,16 @@ class _Acc:
         return self.ser_sum / max(self.count, 1)
 
 
-def _pn_source(sc: Scenario, seed: int, sigmas, pn: list | None):
-    """take(k): the next k symbols, k * N samples, of one seed's
-    phase-noise stream at every level of sigmas, as one realization with
-    a row per level.  The seed's white noise is filtered once for all
-    levels.  The pn_file windows pn, if not None, replace the stream,
-    cycled from the first, and ignore the levels."""
+def _pn_source(sc: Scenario, seed: int, sigmas, pn: np.ndarray | None):
+    """take(k): psi = exp(j*phi) of the next k symbols, k * N samples, of
+    one seed's phase-noise stream at every level of sigmas, (levels, k * N).
+    The seed's white noise is filtered once for all levels.  The pn_file
+    angle windows pn (windows, N), if not None, replace the stream, cycled
+    from the first, and ignore the levels: each level's row is the same."""
     if pn is not None:
         windows = itertools.cycle(pn)
-        return lambda k: pn_mod.PhaseNoiseRealization.from_phi(np.tile(
-            np.concatenate([next(windows).phi for _ in range(k)]),
-            (len(sigmas), 1)))
+        return lambda k: np.exp(1j * np.tile(np.concatenate(
+            [next(windows) for _ in range(k)]), (len(sigmas), 1)))
     gen = pn_mod.PnGenerator(sc.pn_model(seed, sigmas[0]), sigmas)
     return lambda k: gen.next(k * sc.n)
 
@@ -315,7 +314,7 @@ def _kl_covs(sc: Scenario, ci: int, sigmas, pn) -> np.ndarray:
     """Sample covariances (levels, N, N) that channel ci's KL bases are
     built from, one per level of sigmas."""
     take = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigmas, pn)
-    psi = take(sc.kl_cov_symbols).psi.reshape(len(sigmas), -1, sc.n)
+    psi = take(sc.kl_cov_symbols).reshape(len(sigmas), -1, sc.n)
     # one (levels, N) row per training symbol: every level in one pass
     return pn_mod.estimate_cov(np.swapaxes(psi, 0, 1))
 
@@ -378,7 +377,7 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
             # the noise is added before the rx phase noise, as at the receiver
             awgn = channel_mod.awgn((b, sc.n_rx, n), noise, noise_rng)
             # (levels, b, n_users, N)
-            psi_tx = np.stack([take(b).psi.reshape(-1, b, n)
+            psi_tx = np.stack([take(b).reshape(-1, b, n)
                                for take in take_tx], axis=2) if take_tx else None
             y = {}
             for tx in dict.fromkeys(tx_sigmas):
@@ -390,7 +389,7 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
             if offset is not None and offset.ppm != 0:
                 psi_rx = pn_mod.apply_offset(psi_rx, offset,
                                              start_sample=m0 * n)
-            for i, psi in enumerate(psi_rx.psi.reshape(-1, b, 1, n)):
+            for i, psi in enumerate(psi_rx.reshape(-1, b, 1, n)):
                 for j, tx in enumerate(tx_sigmas):
                     yield refs, (i, j), psi * y[tx]
     return sys_, blocks()
@@ -404,7 +403,7 @@ def _fixed_block(z, rcv, bases, points, refs) -> np.ndarray:
     without correction.  Symbol by symbol, every point combines the
     symbol's W while it is in cache."""
     ws = {kind: build_w(z, rcv, v) for kind, v in bases.items()}
-    gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv, refs)[0]
+    gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv, refs)
               for kind, d in points if d}
     est = np.empty((len(points),) + refs.shape, dtype=np.complex128)
     for m in range(len(refs)):
@@ -557,8 +556,7 @@ _RUNNERS = {  # (scenario, pn_file windows or None) -> rows
 def run_scenario(sc: Scenario, out_path: str, timing: bool = False) -> list[ResultRow]:
     start = time.perf_counter()
     # the pn_file is parsed once per run; each stream cycles its windows
-    pn = (list(pn_mod.load_pn_samples(sc.pn_file, sc.n)) if sc.pn_file
-          else None)
+    pn = pn_mod.load_pn_samples(sc.pn_file, sc.n) if sc.pn_file else None
     rows = _RUNNERS[sc.name](sc, pn)
     elapsed = time.perf_counter() - start
     if timing:

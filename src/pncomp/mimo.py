@@ -128,5 +128,4 @@ def mu_compensate(w, refs: CMat, rcv: Receiver) -> CMat:
     refs (n_users, N); returns the per-user equalized symbols (n_users, N).
     w = mu_build_w(z, bf, v) is one symbol's (n_users, N, d) and
     rcv = mu_receiver(bf, ...) is built once per channel."""
-    gamma, _ = fit_gamma(w, rcv, np.ravel(refs))
-    return w @ gamma
+    return w @ fit_gamma(w, rcv, np.ravel(refs))

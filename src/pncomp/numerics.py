@@ -10,8 +10,6 @@ phase_noise.load_pn_samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -45,23 +43,6 @@ def ifft(x: CVec) -> CVec:
     return y
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Eigenvalues sorted descending; vectors[:, i] pairs with values[i]."""
-
-    values: NDArray[np.float64]
-    vectors: CMat
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """A = u @ diag(sigma) @ q.conj().T with sigma sorted descending."""
-
-    u: CMat
-    sigma: NDArray[np.float64]
-    q: CMat
-
-
 def _phase_normalize(vectors: CMat) -> CMat:
     """Rotate each column so its largest-magnitude entry is real positive."""
     out = vectors.copy()
@@ -73,8 +54,9 @@ def _phase_normalize(vectors: CMat) -> CMat:
     return out
 
 
-def herm_eig(a: CMat) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix, descending eigenvalues.
+def herm_eig(a: CMat) -> tuple[NDArray[np.float64], CMat]:
+    """Eigendecomposition (values, vectors) of a Hermitian matrix: values
+    sorted descending, vectors[:, i] pairs with values[i].
 
     The input is symmetrized as (A + A*)/2 so callers may pass sample
     covariances with round-off asymmetry.
@@ -85,15 +67,16 @@ def herm_eig(a: CMat) -> EigResult:
     a = (a + a.conj().T) / 2
     values, vectors = np.linalg.eigh(a)
     order = np.arange(len(values))[::-1]  # eigh is ascending; stable reverse
-    return EigResult(values[order].real, _phase_normalize(vectors[:, order]))
+    return values[order].real, _phase_normalize(vectors[:, order])
 
 
-def svd(a: CMat) -> SvdResult:
-    """Reduced SVD of a matrix, or of each matrix of a stack (..., m, n):
-    u is (..., m, k) and q (..., n, k) with k = min(m, n)."""
+def svd(a: CMat) -> tuple[CMat, NDArray[np.float64], CMat]:
+    """Reduced SVD (u, sigma, q) of a matrix, or of each matrix of a stack
+    (..., m, n): A = u @ diag(sigma) @ q.conj().T with sigma descending,
+    u (..., m, k) and q (..., n, k) with k = min(m, n)."""
     u, s, vh = np.linalg.svd(np.asarray(a, dtype=np.complex128),
                              full_matrices=False)
-    return SvdResult(u, s, vh.conj().swapaxes(-1, -2))
+    return u, s, vh.conj().swapaxes(-1, -2)
 
 
 def pinv(a: CMat) -> CMat:

@@ -46,20 +46,6 @@ class PnModel:
 
 
 @dataclass(frozen=True)
-class PhaseNoiseRealization:
-    """One OFDM symbol's worth of unit-modulus samples psi = exp(j*phi)."""
-
-    psi: CVec
-    phi: np.ndarray
-
-    @staticmethod
-    def from_phi(phi: np.ndarray) -> "PhaseNoiseRealization":
-        phi = np.asarray(phi, dtype=np.float64)
-        psi = 1j * phi
-        return PhaseNoiseRealization(psi=np.exp(psi, out=psi), phi=phi)
-
-
-@dataclass(frozen=True)
 class CarrierOffset:
     """Residual carrier offset: delta_f = ppm * 1e-6 * carrier_hz."""
 
@@ -129,28 +115,28 @@ class PnGenerator:
             self._b, self._a, self._rng.standard_normal(n), zi=self._zi)
         return self._scale * y
 
-    def next(self, n: int) -> PhaseNoiseRealization:
-        return PhaseNoiseRealization.from_phi(self.next_phi(n))
+    def next(self, n: int) -> CVec:
+        """psi = exp(j*phi) of the next n samples, shaped as next_phi's."""
+        psi = 1j * self.next_phi(n)
+        return np.exp(psi, out=psi)
 
 
 def _phi_scale(sigma_deg: float, gain: float) -> float:
     return np.deg2rad(sigma_deg) / gain if gain > 0 else 0.0
 
 
-def estimate_cov(realizations) -> CMat:
-    """Sample covariance R = (1/M) sum psi psi* over the given realizations
-    (or psi rows), summed one outer product at a time in row order:
+def estimate_cov(rows) -> CMat:
+    """Sample covariance R = (1/M) sum psi psi* over the M rows psi of
+    rows (M, ..., N), summed one outer product at a time in row order
+    (one matmul would sum in another order and change the last bits):
     Hermitian PSD, unit diagonal.  Rows of shape (..., N) give one
     covariance per leading index, R of (..., N, N)."""
-    rows = [np.asarray(getattr(real, "psi", real)) for real in realizations]
-    if not rows:
-        raise ValueError("need at least one realization")
-    shape = rows[0].shape
-    r = np.zeros(shape + shape[-1:], dtype=np.complex128)
+    rows = np.asarray(rows)
+    if rows.ndim < 2 or not len(rows):
+        raise ValueError(f"need rows (M >= 1, ..., N), got {rows.shape}")
+    r = np.zeros(rows.shape[1:] + rows.shape[-1:], dtype=np.complex128)
     term = np.empty_like(r)
     for psi in rows:
-        if psi.shape != shape:
-            raise ValueError("realizations must share a common length")
         np.multiply(psi[..., :, None], psi.conj()[..., None, :], out=term)
         r += term
     r /= len(rows)
@@ -163,26 +149,28 @@ def offset_factor(off: CarrierOffset, start_sample: int, n: int) -> CVec:
     return np.exp(1j * off.phase_per_sample * m)
 
 
-def apply_offset(psi: PhaseNoiseRealization, off: CarrierOffset,
-                 start_sample: int = 0) -> PhaseNoiseRealization:
-    """Multiply by the carrier-offset ramp along the last axis;
-    start_sample is absolute time."""
-    n = psi.psi.shape[-1]
-    c = offset_factor(off, start_sample, n)
-    phi = psi.phi + off.phase_per_sample * (start_sample + np.arange(n))
-    return PhaseNoiseRealization(psi=psi.psi * c, phi=phi)
+def apply_offset(psi: CVec, off: CarrierOffset,
+                 start_sample: int = 0) -> CVec:
+    """psi times the carrier-offset ramp along the last axis; start_sample
+    is absolute time."""
+    return psi * offset_factor(off, start_sample, psi.shape[-1])
 
 
 def save_pn_samples(path, phi: np.ndarray) -> None:
-    """One phase angle (radians) per line; the load format below."""
-    np.savetxt(path, np.asarray(phi, dtype=np.float64), fmt="%.18e")
+    """One phase angle (radians) per line; the load format below.  phi is
+    one stream (n,): a (levels, n) draw has no one-column form."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.ndim != 1:
+        raise ValueError(f"phi must be one stream (n,), got {phi.shape}")
+    np.savetxt(path, phi, fmt="%.18e")
 
 
-def load_pn_samples(path, n: int):
-    """Yield consecutive non-overlapping length-n realizations from a file.
+def load_pn_samples(path, n: int) -> np.ndarray:
+    """The consecutive non-overlapping length-n windows of phase angles in
+    a file, (windows, n); samples past the last whole window are dropped.
 
-    Each line is either one angle in radians or a 're,im' pair (projected
-    to the unit circle).
+    Each line is either one angle in radians or a 're,im' pair, projected
+    to the unit circle; a zero pair has no phase and is rejected.
     """
     phi = []
     with open(path) as fh:
@@ -198,10 +186,10 @@ def load_pn_samples(path, n: int):
                 raise ValueError(f"{path}:{lineno}: malformed sample line")
             if not np.isfinite(vals).all():
                 raise ValueError(f"{path}:{lineno}: non-finite sample")
+            if vals == [0.0, 0.0]:
+                raise ValueError(f"{path}:{lineno}: zero sample has no phase")
             phi.append(vals[0] if len(vals) == 1
                        else float(np.angle(complex(*vals))))
     if len(phi) < n:
         raise ValueError(f"{path}: {len(phi)} samples, need at least {n}")
-    phi = np.asarray(phi)
-    for i in range(len(phi) // n):
-        yield PhaseNoiseRealization.from_phi(phi[i * n:(i + 1) * n])
+    return np.reshape(phi[:len(phi) // n * n], (-1, n))

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import dft_basis
-from .compensator import (Receiver, build_w, compensate, fit_gamma,
-                          _as_branches)
-from .numerics import CMat, ifft
+from .compensator import Receiver, build_w, compensate, fit_gamma
+from .numerics import CMat, CVec, ifft
 from .ofdm import Constellation, hard_decide
-from .phase_noise import PhaseNoiseRealization
 
 
 @dataclass(frozen=True)
@@ -39,15 +37,13 @@ def init_tracker(n: int, d: int, beta: float = 0.9) -> TrackerState:
                         p=np.eye(d, dtype=np.complex128), beta=beta)
 
 
-def dd_phase_estimate(z, s_hat, lam):
-    """Per-sample phase of z against the clean signal reconstructed from
-    the symbol s_hat (N,).
-
-    z and lam may carry several receive branches (shape (n_rx, N)); the
-    branch phases are combined coherently.  Samples where the
-    reconstruction is negligible inherit the nearest valid estimate.
+def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:
+    """Per-sample phase phi (N,) of the received z (n_rx, N) against the
+    clean signal reconstructed from the symbol s_hat (N,) through the
+    channel lam (n_rx, N); the branch phases are combined coherently.
+    Samples where the reconstruction is negligible inherit the nearest
+    valid estimate.
     """
-    z, lam = _as_branches(z), _as_branches(lam)
     y_hat = ifft(lam * s_hat)
     mag = np.abs(y_hat).max(axis=0)
     peak = mag.max()
@@ -61,7 +57,7 @@ def dd_phase_estimate(z, s_hat, lam):
         bad = np.flatnonzero(~valid)
         nearest = good[np.argmin(np.abs(bad[:, None] - good[None, :]), axis=1)]
         phi[bad] = phi[nearest]
-    return PhaseNoiseRealization.from_phi(phi)
+    return phi
 
 
 def past_update(state: TrackerState, x) -> TrackerState:
@@ -105,7 +101,7 @@ def run_tracked(z, rcv: Receiver, refs: CMat, state: TrackerState,
     lay, p_idx = rcv.layout, rcv.layout.pilot_arr
     for m, (z_m, ref, s_hat) in enumerate(zip(z, refs, s_hats), start):
         w = build_w(z_m, rcv, state.v)
-        s_hat[:] = compensate(w, rcv, fit_gamma(w, rcv, ref)[0])
+        s_hat[:] = compensate(w, rcv, fit_gamma(w, rcv, ref))
         if freeze is not None and m >= freeze:
             continue
         if m < training:
@@ -113,7 +109,8 @@ def run_tracked(z, rcv: Receiver, refs: CMat, state: TrackerState,
         else:
             s_dd = hard_decide(s_hat, lay, cfg.constellation)
             s_dd[p_idx] = ref[p_idx]
-        psi = dd_phase_estimate(z_m, s_dd, rcv.lam).psi
-        # track the cancellation vector, the quantity the basis must span
-        state = past_update(state, np.conj(psi, out=psi))
+        x = 1j * dd_phase_estimate(z_m, s_dd, rcv.lam)
+        # track the cancellation vector exp(-j*phi_hat), the quantity the
+        # basis must span
+        state = past_update(state, np.conj(np.exp(x, out=x), out=x))
     return s_hats, state

@@ -17,7 +17,7 @@ import numpy as np
 from pncomp.compensator import build_w
 from pncomp.numerics import DEFAULT_RCOND, CMat, CVec, fft, ifft
 from pncomp.ofdm import Constellation, ToneLayout
-from pncomp.phase_noise import PhaseNoiseRealization, PnGenerator, PnModel
+from pncomp.phase_noise import PnGenerator, PnModel
 from pncomp.tracker import TrackerState, TrackingConfig
 
 
@@ -34,8 +34,8 @@ def tls_implied_perturbation(w_rows: CMat, s_rows: CVec, gamma: CVec) -> CMat:
     return -np.outer(r, g.conj()) / (np.linalg.norm(g) ** 2)
 
 
-def gen_pn(model: PnModel, n: int) -> PhaseNoiseRealization:
-    """One-shot realization; deterministic given model.seed."""
+def gen_pn(model: PnModel, n: int) -> CVec:
+    """One-shot psi = exp(j*phi), (n,); deterministic given model.seed."""
     return PnGenerator(model).next(n)
 
 
@@ -108,10 +108,10 @@ def per_symbol_fit(w, rcv, d, ref):
     return gamma, (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
 
 
-def dd_phase_estimate(z, s_hat: CVec, lam) -> PhaseNoiseRealization:
-    """Per-sample phase of z against the reconstructed clean signal, the
-    branches combined coherently; negligible samples take the nearest
-    valid estimate."""
+def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:
+    """Per-sample phase phi (N,) of z against the reconstructed clean
+    signal, the branches combined coherently; negligible samples take the
+    nearest valid estimate."""
     z, lam = np.atleast_2d(z), np.atleast_2d(lam)
     n = lam.shape[-1]
     y_hat = np.fft.ifft(lam * s_hat[None, :], axis=-1) * np.sqrt(n)
@@ -126,7 +126,7 @@ def dd_phase_estimate(z, s_hat: CVec, lam) -> PhaseNoiseRealization:
         bad = np.flatnonzero(~valid)
         nearest = good[np.argmin(np.abs(bad[:, None] - good[None, :]), axis=1)]
         phi[bad] = phi[nearest]
-    return PhaseNoiseRealization.from_phi(phi)
+    return phi
 
 
 def past_update(state: TrackerState, x: CVec) -> TrackerState:
@@ -159,6 +159,6 @@ def run_tracked(z, rcv, refs, state: TrackerState, cfg: TrackingConfig):
         else:
             s_dd = bracket_decide(s_hat, rcv.layout, cfg.constellation)
             s_dd[p_idx] = ref[p_idx]
-        psi_hat = dd_phase_estimate(z_m, s_dd, rcv.lam)
-        state = past_update(state, np.conj(psi_hat.psi))
+        phi_hat = dd_phase_estimate(z_m, s_dd, rcv.lam)
+        state = past_update(state, np.conj(np.exp(1j * phi_hat)))
     return np.array(s_hats), state

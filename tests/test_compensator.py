@@ -35,13 +35,13 @@ def comp(z, lam, bas, ref, layout, cfg=CompConfig()):
 def comp_w(w, rcv, d, ref):
     """Fit gamma on the leading d columns of one symbol's w, then
     compensate: (gamma, number of fit rows, estimate)."""
-    gamma, rows = fit_gamma(w[..., :d], rcv, ref)
-    return gamma, rows, compensate(w, rcv, gamma)
+    gamma = fit_gamma(w[..., :d], rcv, ref)
+    return gamma, len(rcv.tones), compensate(w, rcv, gamma)
 
 
 def w_one(z, lam, bas):
-    """The (N, d) W of one receive branch."""
-    return build_w(np.atleast_2d(z), receiver(lam, default_layout()), bas)[0]
+    """The (N, d) W of one receive branch: z and lam (N,)."""
+    return build_w(z[None], receiver(lam[None], default_layout()), bas)[0]
 
 
 def received(ch, sym, psi=None):
@@ -81,11 +81,11 @@ class TestBuildW:
         z = np.ones(64, dtype=complex)
         w = w_one(z, lam, dft_basis(64, 3))
         np.testing.assert_array_equal(w[5], np.zeros(3))
-        assert not receiver(lam, default_layout()).usable[0, 5]
+        assert not receiver(lam[None], default_layout()).usable[0, 5]
 
     def test_rejects_all_zero_channel(self):
         with pytest.raises(ValueError):
-            receiver(np.zeros(64), default_layout())
+            receiver(np.zeros((1, 64)), default_layout())
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ class TestPrefixW:
         if weak:  # a pilot and a null tone drop out of branch 0's rows
             lam[0, [3, 30]] = 1e-9 * np.abs(lam[0]).max()
         sym = make_symbol(layout, qam, rng_seed=42)
-        psi = PnGenerator(PnModel(sigma_deg=3.0, seed=43)).next(64).psi
+        psi = PnGenerator(PnModel(sigma_deg=3.0, seed=43)).next(64)
         rng = np.random.default_rng(44)
         z = (psi[None, :] * nx.ifft(lam * nx.fft(nx.ifft(sym))[None, :])
              + 1e-3 * (rng.standard_normal(lam.shape)
@@ -165,7 +165,7 @@ class TestBlockW:
                 for m in range(n_sym)]
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=52))
         rng = np.random.default_rng(53)
-        z = np.array([gen.next(64).psi[None, :] * received(ch, s)
+        z = np.array([gen.next(64)[None, :] * received(ch, s)
                       + 1e-3 * (rng.standard_normal(lam.shape)
                                 + 1j * rng.standard_normal(lam.shape))
                       for s in syms])
@@ -226,7 +226,7 @@ class TestBlockFit:
                 for m in range(n_sym)]
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=62))
         rng = np.random.default_rng(63)
-        z = np.array([gen.next(64).psi[None, :]
+        z = np.array([gen.next(64)[None, :]
                       * nx.ifft(lam * nx.fft(nx.ifft(s))[None, :])
                       + 1e-3 * (rng.standard_normal(lam.shape)
                                 + 1j * rng.standard_normal(lam.shape))
@@ -255,18 +255,17 @@ class TestBlockFit:
                                    cfg)
         refs_s = np.array(syms)
         for d in (1, 4, 16):
-            gamma, n_eq = fit_gamma(w[..., :d], rcv, refs_s)
+            gamma = fit_gamma(w[..., :d], rcv, refs_s)
             assert gamma.shape == (n_sym, d)
-            assert n_eq == (16 + 8 * nulls) * n_rx - 2 * weak
+            assert len(rcv.tones) == (16 + 8 * nulls) * n_rx - 2 * weak
             for i, sym in enumerate(syms):
                 s_hat = compensate(w[i], rcv, gamma[i])
                 g_ref, s_ref = per_symbol_fit(w[i], rcv, d, sym)
                 assert np.array_equal(gamma[i], g_ref)
                 assert np.array_equal(s_hat, s_ref)
                 # one symbol without a leading axis, as the tracker fits
-                g_one, rows_one = fit_gamma(w[i][..., :d], rcv, sym)
+                g_one = fit_gamma(w[i][..., :d], rcv, sym)
                 assert np.array_equal(g_one, g_ref)
-                assert rows_one == n_eq
 
     def test_vanishing_q22_refits_only_those_symbols(self, layout, qam,
                                                      kl_cov):
@@ -277,7 +276,7 @@ class TestBlockFit:
                                    CompConfig(method="TLS"))
         w = w[..., :4].copy()
         w[::3, :, :, 2] = 0
-        gamma, _ = fit_gamma(w, rcv, np.array(syms))
+        gamma = fit_gamma(w, rcv, np.array(syms))
         for i, sym in enumerate(syms):
             g_ref, s_ref = per_symbol_fit(w[i], rcv, 4, sym)
             assert np.array_equal(gamma[i], g_ref)
@@ -432,7 +431,7 @@ class TestCompensate:
         for i in range(30):
             sym = make_symbol(layout, qam, rng_seed=200 + i)
             ch = gen_channel(8, "exp_decay(3)", seed=300 + i, n_rx=2, n=64)
-            psi = gen2.next(64).psi
+            psi = gen2.next(64)
             z = received(ch, sym, psi=psi)
             _, _, s1 = comp(z[:1], ch.lam[:1], bas, sym, layout)
             _, _, s2 = comp(z, ch.lam, bas, sym, layout)
@@ -447,7 +446,7 @@ class TestCompensate:
         bas = dft_basis(64, 6)
         sym = make_symbol(layout, qam, rng_seed=18)
         ch = gen_channel(8, "exp_decay(3)", seed=18, n=64)
-        z = received(ch, sym, psi=gen.next(64).psi)[0]
+        z = received(ch, sym, psi=gen.next(64))[0]
         w = w_one(z, ch.lam[0], bas)
         p = list(layout.pilot_idx)
         w_p, s_p = w[p], sym[p]

@@ -375,11 +375,23 @@ class TestCli:
                      "--out", str(out)]) == 0
 
 
+def write_pn_file(path, windows: int = 37) -> str:
+    """A pn_file of `windows` 64-sample windows of a 3-degree stream; 37
+    windows make a 40-symbol run cycle through the file mid-block, and a
+    50-symbol KL training cycle through it too."""
+    save_pn_samples(path, PnGenerator(PnModel(3.0, seed=5))
+                    .next_phi(64 * windows))
+    return str(path)
+
+
 # sha256 of tiny one-channel CSVs on the paths the benchmark's reference
 # digests do not cover; a refactor of the sweep, scoring, estimation or
 # noise code must leave every byte of these unchanged.  Like those digests
-# they hold for the numpy/BLAS build they were recorded with.
+# they hold for the numpy/BLAS build they were recorded with.  A case with
+# pn_file=True reads the file write_pn_file writes.
 NULLS = dict(null_tones=(28, 29, 30, 31, 32, 33, 34, 35), use_null_tones=True)
+PN_FILE_RUN = dict(pn_file=True, n_symbols=40, scale=1 / 300,
+                   kl_cov_symbols=50)
 GOLDEN = {
     "evm_vs_d_tls_nulls": (
         dict(name="evm_vs_d", d_list=(0, 1, 3, 6), method="TLS",
@@ -460,15 +472,36 @@ GOLDEN = {
              track_modes=("tracked", "frozen", "cpe"), ppm=2.0, d=4,
              scale=1 / 300, kl_cov_symbols=50),
         "eeadec07c82943955e008d641e439e34ec137b4c46037f9a1c408f74d4edf04d"),
+    "evm_vs_d_tls_pn_file": (
+        dict(name="evm_vs_d", d_list=(0, 1, 4), method="TLS",
+             basis_kinds=("KL", "DFT"), **PN_FILE_RUN),
+        "7b6eec533010299e898a12c5cb970b287732e294c85e328959c568be400a3273"),
+    # training ends and the frozen mode stops updating in the second block
+    "tracking_pn_file": (
+        dict(name="tracking", track_modes=("tracked", "frozen", "dft", "cpe",
+                                           "kl"),
+             freeze_after=35, training_symbols=20, ppm=2.0, d=4,
+             **PN_FILE_RUN),
+        "949d9a4187da65dbcb37b3a5cd9ef16535decc3064e2eb66344556544e2146d3"),
+    "mimo_pn_file": (
+        dict(name="mimo_sweep", sigma_list=(3.0,), tx_sigma_list=(0.0, 1.0),
+             d=4, **PN_FILE_RUN),
+        "a437d88f6ad0bd5fabad7ca4c7f23b6c627eb49807354116686708c3f2f399f4"),
 }
+
+
+def golden_scenario(case, tmp_path) -> Scenario:
+    params = dict(GOLDEN[case][0])
+    if params.get("pn_file") is True:
+        params["pn_file"] = write_pn_file(tmp_path / "pn.txt")
+    return Scenario(**params)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_csv_digest(case, tmp_path):
-    params, expected = GOLDEN[case]
     out = tmp_path / "out.csv"
-    run_scenario(Scenario(**params), str(out))
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+    run_scenario(golden_scenario(case, tmp_path), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case][1]
 
 
 # sha256 over the sha256 of every estimate stack harness.evm_linear
@@ -483,6 +516,8 @@ GOLDEN_BITS = {
         "24b48e46a774125eacdc0c1ad8abd276df8bf6497b8f8aedf21ffd8dd5626265",
     "evm_vs_d_tls_nulls":
         "10d674cb87334bf3268a61cebdd17d565edaec859909a3936bf5583ff950a702",
+    "evm_vs_d_tls_pn_file":
+        "e7a29ee9477cda8f04fd3f65fa31f5a9312bc782acf7df782a94d775f7b69e22",
     "evm_vs_sigma_kl_dft_dct":
         "1703efba37fe73be82c34504aaffc3e99e073e239138456ef1f257a6469300ee",
     "evm_vs_sigma_repeats":
@@ -493,6 +528,8 @@ GOLDEN_BITS = {
         "6f7fc08e5cb3841e5a3e0a77742efbd27ce0dc7e749a89f6b49b3f413cf57eea",
     "mimo_ls":
         "8d78e54c1d02792577de2bddc1a5f0409e045633a44b599761d745134911b446",
+    "mimo_pn_file":
+        "5345f22fc2c5fae19efca2382ec93100447f3a6f07e1a6182d1218acc9f64279",
     "mimo_shared_streams":
         "7c408372d83f31cfabe94091c9cbdad490f9097112e617606f7c4f2462873b90",
     "mimo_tls_nulls":
@@ -501,6 +538,8 @@ GOLDEN_BITS = {
         "75aec1ad5ab463f7219e6067b6805628ef94e945935a2fa8f4782e62d86f23b7",
     "tracking_all_modes_blocks":
         "9ff4e4445862de7e30f129b823b33ac19f3999eef33ec8f3c7f74292fc112c68",
+    "tracking_pn_file":
+        "d3bcd156b77f2e4f6d4322096c76830ec574977e2f45d54c8ee8315ace1baed9",
     "tracking_qam16_nulls":
         "f8a0781b2d33e3c0133823a9581d2e9464a8b9a32cf03d78ab57012c5905ab07",
 }
@@ -517,22 +556,22 @@ def test_golden_estimate_bits(case, tmp_path, monkeypatch):
             np.ascontiguousarray(est).tobytes()).hexdigest())
         return evm_linear(est, ref, layout)
     monkeypatch.setattr(harness, "evm_linear", hashing)
-    run_scenario(Scenario(**GOLDEN[case][0]), str(tmp_path / "out.csv"))
+    run_scenario(golden_scenario(case, tmp_path), str(tmp_path / "out.csv"))
     assert digests
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == \
         GOLDEN_BITS[case]
 
 
 def pn_windows(sc):
-    """The parsed pn_file windows run_scenario hands its runner, or None."""
-    return list(load_pn_samples(sc.pn_file, sc.n)) if sc.pn_file else None
+    """The pn_file angle windows run_scenario hands its runner, or None."""
+    return load_pn_samples(sc.pn_file, sc.n) if sc.pn_file else None
 
 
 def reference_pn(sc, ci, sigma):
-    """next(): channel ci's next one-symbol rx phase-noise realization."""
+    """next(): channel ci's next one-symbol rx psi = exp(j*phi), (N,)."""
     if sc.pn_file:
-        windows = itertools.cycle(list(load_pn_samples(sc.pn_file, sc.n)))
-        return lambda: next(windows)
+        windows = itertools.cycle(load_pn_samples(sc.pn_file, sc.n))
+        return lambda: np.exp(1j * next(windows))
     gen = PnGenerator(sc.pn_model(child_seed(sc.master_seed, "pn", ci), sigma))
     return lambda: gen.next(sc.n)
 
@@ -563,7 +602,7 @@ def per_symbol_stream(sc, ci, sigma, offset=None):
         y = ifft(ch.lam * fft(ifft(ref))[None, :])
         if sc.snr_db != np.inf:
             y = y + reference_noise(sc, rng, y.shape)
-        out.append((ref, psi.psi[None, :] * y))
+        out.append((ref, psi[None, :] * y))
     return ch, out
 
 
@@ -591,11 +630,7 @@ class TestBlockStream:
         kw = dict(kw)
         sigmas = kw.pop("sigmas", (3.0,))
         if kw.pop("pn_file", False):
-            # 37 windows: the stream cycles through the file mid-block
-            path = tmp_path / "pn.txt"
-            save_pn_samples(path, PnGenerator(PnModel(3.0, seed=5))
-                            .next_phi(64 * 37))
-            kw["pn_file"] = str(path)
+            kw["pn_file"] = write_pn_file(tmp_path / "pn.txt")
         params = dict(name="tracking", n_symbols=2 * SYMBOL_BLOCK + 5,
                       master_seed=77)
         params.update(kw)
@@ -704,12 +739,12 @@ def per_point_mu_stream(sc, ci, sigma, tx_sigma):
         refs = [make_symbol(sc.layout, sc.constellation,
                             child_seed(seed, "sym", ci, m, u))
                 for u in range(sc.n_users)]
-        psi = next_pn().psi
+        psi = next_pn()
         y = np.zeros((sc.n_rx, sc.n), dtype=np.complex128)
         for u, ref in enumerate(refs):
             x = ifft(ref)
             if tx_gens:
-                x = tx_gens[u].next(sc.n).psi * x
+                x = tx_gens[u].next(sc.n) * x
             y += ifft(sys_.channels[u].lam * fft(x)[None, :])
         if sc.snr_db != np.inf:
             y = y + reference_noise(sc, rng, y.shape)
@@ -723,12 +758,12 @@ def per_sigma_kl_cov(sc, ci, sigma):
     np.outer sum that estimate_cov's preallocated product replaced."""
     seed = child_seed(sc.master_seed, "cov", ci)
     if sc.pn_file:
-        windows = itertools.cycle(list(load_pn_samples(sc.pn_file, sc.n)))
-        psi = np.concatenate([next(windows).psi
-                              for _ in range(sc.kl_cov_symbols)])
+        windows = itertools.cycle(load_pn_samples(sc.pn_file, sc.n))
+        psi = np.exp(1j * np.concatenate([next(windows)
+                                          for _ in range(sc.kl_cov_symbols)]))
     else:
         psi = PnGenerator(sc.pn_model(seed, sigma)).next(
-            sc.kl_cov_symbols * sc.n).psi
+            sc.kl_cov_symbols * sc.n)
     r = np.zeros((sc.n, sc.n), dtype=np.complex128)
     for row in psi.reshape(-1, sc.n):
         r += np.outer(row, row.conj())
@@ -748,11 +783,7 @@ class TestKlCovs:
         params = dict(name="mimo_sweep", sigma_list=sigmas,
                       kl_cov_symbols=45, master_seed=78)
         if pn_file:
-            # 37 windows: the training cycles through the file
-            path = tmp_path / "pn.txt"
-            save_pn_samples(path, PnGenerator(PnModel(3.0, seed=5))
-                            .next_phi(64 * 37))
-            params["pn_file"] = str(path)
+            params["pn_file"] = write_pn_file(tmp_path / "pn.txt")
         sc = Scenario(**params)
         covs = _kl_covs(sc, 2, sc.sigma_list, pn_windows(sc))
         assert covs.shape == (len(sigmas), sc.n, sc.n)
@@ -784,11 +815,7 @@ class TestMuBlockStream:
     def test_matches_per_point_stream(self, tmp_path, kw):
         kw = dict(kw)
         if kw.pop("pn_file", False):
-            # 37 windows: the stream cycles through the file mid-block
-            path = tmp_path / "pn.txt"
-            save_pn_samples(path, PnGenerator(PnModel(3.0, seed=5))
-                            .next_phi(64 * 37))
-            kw["pn_file"] = str(path)
+            kw["pn_file"] = write_pn_file(tmp_path / "pn.txt")
         params = dict(name="mimo_sweep", n_symbols=2 * SYMBOL_BLOCK + 5,
                       sigma_list=(2.0, 4.0), tx_sigma_list=(0.0, 1.5),
                       master_seed=77)
@@ -853,7 +880,7 @@ class TestFixedBlock:
         refs = np.array([make_symbol(layout, qam, 71 + i) for i in range(m)])
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=72))
         rng = np.random.default_rng(73)
-        z = np.array([gen.next(64).psi * ifft(lam * ref)
+        z = np.array([gen.next(64) * ifft(lam * ref)
                       + 1e-3 * (rng.standard_normal(lam.shape)
                                 + 1j * rng.standard_normal(lam.shape))
                       for ref in refs])

@@ -186,8 +186,8 @@ class TestBlockW:
             assert s_hats.shape == (sys_.n_users, 64)
             assert np.array_equal(s_hats, mu_compensate(w_ref, refs, rcv))
             refs_s = np.concatenate(refs)
-            gamma = fit_gamma(w[i], rcv, refs_s)[0]
-            assert np.array_equal(gamma, fit_gamma(w_ref, rcv, refs_s)[0])
+            gamma = fit_gamma(w[i], rcv, refs_s)
+            assert np.array_equal(gamma, fit_gamma(w_ref, rcv, refs_s))
             for u in range(sys_.n_users):
                 assert np.array_equal(s_hats[u], w[i][u] @ gamma)
 
@@ -211,10 +211,10 @@ class TestMuCompensate:
         z = mu_received(sys_, ref[None], psi, None, NoiseSpec(snr_db=np.inf),
                         np.random.default_rng(0))
         bf = zf_beamformer(sys_)
-        mu_gamma, _ = fit_gamma(mu_build_w(z, bf, bas),
-                                mu_receiver(bf, layout), ref)
+        mu_gamma = fit_gamma(mu_build_w(z, bf, bas),
+                             mu_receiver(bf, layout), ref)
         rcv = receiver(ch.lam, layout)
-        simo_gamma, _ = fit_gamma(build_w(z, rcv, bas), rcv, ref)
+        simo_gamma = fit_gamma(build_w(z, rcv, bas), rcv, ref)
         np.testing.assert_allclose(mu_gamma, simo_gamma,
                                    atol=1e-9 * np.linalg.norm(simo_gamma))
 
@@ -292,9 +292,9 @@ class TestMuCompensate:
             refs = np.array([make_symbol(layout, qam,
                                          rng_seed=1000 + 2 * m + u)
                              for u in range(2)])
-            psi = rx_gen.next(64).psi
+            psi = rx_gen.next(64)
             z0 = mu_received(sys_, refs, psi, None, noise, rng=rng_a)
-            tx_psi = [g.next(64).psi for g in tx_gens]
+            tx_psi = [g.next(64) for g in tx_gens]
             z1 = mu_received(sys_, refs, psi, tx_psi, noise, rng=rng_b)
             for s_hat, ref in zip(mu_comp(sys_, z0, bas, refs, layout), refs):
                 clean += 10 ** (evm_db(s_hat, ref, layout) / 10)

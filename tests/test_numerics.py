@@ -58,58 +58,58 @@ class TestFFT:
 
 class TestHermEig:
     def test_identity(self):
-        res = nx.herm_eig(np.eye(3))
-        np.testing.assert_allclose(res.values, [1, 1, 1], atol=1e-14)
+        values, _ = nx.herm_eig(np.eye(3))
+        np.testing.assert_allclose(values, [1, 1, 1], atol=1e-14)
 
     def test_analytic_2x2(self):
-        res = nx.herm_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(res.values, [3, 1], atol=1e-12)
+        values, vectors = nx.herm_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(values, [3, 1], atol=1e-12)
         v = np.array([1, 1]) / np.sqrt(2)
-        assert abs(abs(np.vdot(res.vectors[:, 0], v)) - 1) < 1e-12
+        assert abs(abs(np.vdot(vectors[:, 0], v)) - 1) < 1e-12
         w = np.array([1, -1]) / np.sqrt(2)
-        assert abs(abs(np.vdot(res.vectors[:, 1], w)) - 1) < 1e-12
+        assert abs(abs(np.vdot(vectors[:, 1], w)) - 1) < 1e-12
 
     def test_rank_one(self):
         rng = np.random.default_rng(2)
         u = rand_cvec(rng, 5)
         u *= 2.0 / np.linalg.norm(u)
-        res = nx.herm_eig(np.outer(u, u.conj()))
-        np.testing.assert_allclose(res.values, [4, 0, 0, 0, 0], atol=1e-12)
+        values, _ = nx.herm_eig(np.outer(u, u.conj()))
+        np.testing.assert_allclose(values, [4, 0, 0, 0, 0], atol=1e-12)
 
     def test_reconstruction_and_residual(self):
         rng = np.random.default_rng(3)
         a = rand_cmat(rng, 8, 8)
         a = a + a.conj().T
-        res = nx.herm_eig(a)
+        values, vectors = nx.herm_eig(a)
         fro = np.linalg.norm(a)
-        recon = (res.vectors * res.values) @ res.vectors.conj().T
+        recon = (vectors * values) @ vectors.conj().T
         assert np.linalg.norm(a - recon) <= 1e-9 * fro
         for i in range(8):
-            v = res.vectors[:, i]
+            v = vectors[:, i]
             assert abs(np.linalg.norm(v) - 1) < 1e-10
-            assert np.linalg.norm(a @ v - res.values[i] * v) <= 1e-9 * fro
+            assert np.linalg.norm(a @ v - values[i] * v) <= 1e-9 * fro
 
     def test_descending_order(self):
         rng = np.random.default_rng(4)
         a = rand_cmat(rng, 10, 10)
-        res = nx.herm_eig(a @ a.conj().T)
-        assert np.all(np.diff(res.values) <= 1e-12)
+        values, _ = nx.herm_eig(a @ a.conj().T)
+        assert np.all(np.diff(values) <= 1e-12)
 
     def test_sample_covariance_is_psd(self):
         rng = np.random.default_rng(5)
         x = rand_cmat(rng, 6, 40)
-        res = nx.herm_eig(x @ x.conj().T / 40)
-        assert np.all(res.values >= -1e-10)
+        values, _ = nx.herm_eig(x @ x.conj().T / 40)
+        assert np.all(values >= -1e-10)
 
     def test_phase_convention_deterministic(self):
         rng = np.random.default_rng(6)
         a = rand_cmat(rng, 6, 6)
         a = a @ a.conj().T
-        r1, r2 = nx.herm_eig(a), nx.herm_eig(a.copy())
-        np.testing.assert_array_equal(r1.vectors, r2.vectors)
+        (_, v1), (_, v2) = nx.herm_eig(a), nx.herm_eig(a.copy())
+        np.testing.assert_array_equal(v1, v2)
         # pivot entries are real positive
         for j in range(6):
-            piv = r1.vectors[np.argmax(np.abs(r1.vectors[:, j])), j]
+            piv = v1[np.argmax(np.abs(v1[:, j])), j]
             assert piv.real > 0 and abs(piv.imag) < 1e-12
 
     def test_rejects_non_square(self):
@@ -119,34 +119,34 @@ class TestHermEig:
 
 class TestSvd:
     def test_diag_entries(self):
-        res = nx.svd(np.diag([3.0, -4.0]).astype(complex))
-        np.testing.assert_allclose(res.sigma, [4, 3], atol=1e-12)
+        _, sigma, _ = nx.svd(np.diag([3.0, -4.0]).astype(complex))
+        np.testing.assert_allclose(sigma, [4, 3], atol=1e-12)
 
     def test_zero_matrix(self):
-        res = nx.svd(np.zeros((3, 2), dtype=complex))
-        np.testing.assert_allclose(res.sigma, [0, 0], atol=0)
+        _, sigma, _ = nx.svd(np.zeros((3, 2), dtype=complex))
+        np.testing.assert_allclose(sigma, [0, 0], atol=0)
 
     def test_reconstruction_and_orthonormality(self):
         # reduced: u is m x k and q is n x k, k = min(m, n)
         rng = np.random.default_rng(7)
         for m, n in ((16, 5), (5, 16)):
             a = rand_cmat(rng, m, n)
-            res = nx.svd(a)
+            u, sigma, q = nx.svd(a)
             k = min(m, n)
-            assert res.u.shape == (m, k) and res.q.shape == (n, k)
-            recon = res.u @ np.diag(res.sigma) @ res.q.conj().T
+            assert u.shape == (m, k) and q.shape == (n, k)
+            recon = u @ np.diag(sigma) @ q.conj().T
             assert np.linalg.norm(a - recon) <= 1e-10 * np.linalg.norm(a)
-            assert np.linalg.norm(res.u.conj().T @ res.u - np.eye(k)) < 1e-10
-            assert np.linalg.norm(res.q.conj().T @ res.q - np.eye(k)) < 1e-10
+            assert np.linalg.norm(u.conj().T @ u - np.eye(k)) < 1e-10
+            assert np.linalg.norm(q.conj().T @ q - np.eye(k)) < 1e-10
 
     def test_against_gram_eig_oracle(self):
         # singular values are the square roots of the A*A eigenvalues
         rng = np.random.default_rng(8)
         a = rand_cmat(rng, 16, 5)
-        res = nx.svd(a)
-        gram = nx.herm_eig(a.conj().T @ a)
-        np.testing.assert_allclose(res.sigma,
-                                   np.sqrt(np.maximum(gram.values, 0)),
+        _, sigma, _ = nx.svd(a)
+        gram_values, _ = nx.herm_eig(a.conj().T @ a)
+        np.testing.assert_allclose(sigma,
+                                   np.sqrt(np.maximum(gram_values, 0)),
                                    atol=1e-10)
 
 

@@ -5,9 +5,8 @@ import pytest
 from scipy import signal
 
 from pncomp import numerics as nx
-from pncomp.phase_noise import (CarrierOffset, PhaseNoiseRealization,
-                                PnGenerator, PnModel, apply_offset,
-                                estimate_cov, load_pn_samples,
+from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
+                                apply_offset, estimate_cov, load_pn_samples,
                                 offset_factor, save_pn_samples)
 
 from oracles import gen_pn
@@ -15,17 +14,17 @@ from oracles import gen_pn
 
 class TestGenPn:
     def test_sigma_zero_gives_ones(self):
-        real = gen_pn(PnModel(sigma_deg=0.0, seed=1), 64)
-        np.testing.assert_allclose(real.psi, np.ones(64), atol=1e-14)
+        psi = gen_pn(PnModel(sigma_deg=0.0, seed=1), 64)
+        np.testing.assert_allclose(psi, np.ones(64), atol=1e-14)
 
     def test_deterministic(self):
         a = gen_pn(PnModel(sigma_deg=3.0, seed=2), 64)
         b = gen_pn(PnModel(sigma_deg=3.0, seed=2), 64)
-        np.testing.assert_array_equal(a.phi, b.phi)
+        np.testing.assert_array_equal(a, b)
 
     def test_unit_modulus(self):
-        real = gen_pn(PnModel(sigma_deg=5.0, seed=3), 256)
-        assert np.max(np.abs(np.abs(real.psi) - 1.0)) <= 1e-12
+        psi = gen_pn(PnModel(sigma_deg=5.0, seed=3), 256)
+        assert np.max(np.abs(np.abs(psi) - 1.0)) <= 1e-12
 
     def test_std_calibration(self):
         # long-run empirical std of phi matches the target within 2%
@@ -66,38 +65,42 @@ class TestGenPn:
 
 class TestSharedLevels:
     """One generator drawn at several sigmas gives, row by row, the stream
-    of a separate generator per sigma, bit for bit."""
+    of a separate generator per sigma, bit for bit; next(n) is
+    psi = exp(j*phi) of the draw next_phi(n) would make."""
 
     @pytest.mark.parametrize("sigmas", [(3.0,), (0.0, 3.0, 3.0),
                                         (2.0, 4.0, 6.0), (0.0,)],
                              ids=["one", "zero_repeated", "three", "zero"])
     def test_rows_match_separate_generators(self, sigmas):
-        shared = PnGenerator(PnModel(sigma_deg=sigmas[0], seed=21), sigmas)
-        separate = [PnGenerator(PnModel(sigma_deg=s, seed=21))
-                    for s in sigmas]
+        def gens():
+            return (PnGenerator(PnModel(sigma_deg=sigmas[0], seed=21),
+                                sigmas),
+                    [PnGenerator(PnModel(sigma_deg=s, seed=21))
+                     for s in sigmas])
+        (shared, separate), (shared_phi, separate_phi) = gens(), gens()
         for n in (64, 64 * 32, 64 * 5):
-            real = shared.next(n)
-            assert real.phi.shape == real.psi.shape == (len(sigmas), n)
-            for row, phi, gen in zip(real.psi, real.phi, separate):
+            psi, phi = shared.next(n), shared_phi.next_phi(n)
+            assert psi.shape == phi.shape == (len(sigmas), n)
+            assert np.array_equal(psi, np.exp(1j * phi))
+            for row, phi_row, gen, gen_phi in zip(psi, phi, separate,
+                                                  separate_phi):
                 expected = gen.next(n)
-                assert np.array_equal(phi, expected.phi)
-                assert np.array_equal(row, expected.psi)
+                assert np.array_equal(phi_row, gen_phi.next_phi(n))
+                assert np.array_equal(row, expected)
                 # -0.0 and 0.0 alike: sigma 0 keeps the signs of zero
                 assert np.array_equal(np.signbit(row.imag),
-                                      np.signbit(expected.psi.imag))
+                                      np.signbit(expected.imag))
 
 
 class TestEstimateCov:
     def test_single_realization_rank_one(self):
-        real = gen_pn(PnModel(sigma_deg=3.0, seed=5), 64)
-        cov = estimate_cov([real])
-        eig = nx.herm_eig(cov)
-        assert abs(eig.values[0] - 64) <= 1e-9
-        assert np.max(np.abs(eig.values[1:])) <= 1e-9
+        psi = gen_pn(PnModel(sigma_deg=3.0, seed=5), 64)
+        values, _ = nx.herm_eig(estimate_cov([psi]))
+        assert abs(values[0] - 64) <= 1e-9
+        assert np.max(np.abs(values[1:])) <= 1e-9
 
     def test_zero_phase_gives_all_ones(self):
-        reals = [PhaseNoiseRealization.from_phi(np.zeros(16))] * 3
-        cov = estimate_cov(reals)
+        cov = estimate_cov(np.ones((3, 16), dtype=complex))
         np.testing.assert_allclose(cov, np.ones((16, 16)), atol=1e-14)
 
     def test_unit_diagonal_and_psd(self):
@@ -105,36 +108,36 @@ class TestEstimateCov:
         cov = estimate_cov([gen.next(64) for _ in range(50)])
         np.testing.assert_allclose(np.diag(cov).real, np.ones(64), atol=1e-6)
         assert np.max(np.abs(np.diag(cov).imag)) <= 1e-12
-        eig = nx.herm_eig(cov)
-        assert eig.values[-1] >= -1e-9 * np.trace(cov).real / 64
+        values, _ = nx.herm_eig(cov)
+        assert values[-1] >= -1e-9 * np.trace(cov).real / 64
 
     def test_spectrum_concentration(self):
         # ten symbols at 3 degrees: four eigenvectors carry >= 99% of trace
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=7))
         cov = estimate_cov([gen.next(64) for _ in range(10)])
-        eig = nx.herm_eig(cov)
-        assert np.sum(eig.values[:4]) >= 0.99 * np.sum(eig.values)
+        values, _ = nx.herm_eig(cov)
+        assert np.sum(values[:4]) >= 0.99 * np.sum(values)
 
     @pytest.mark.parametrize("rows", [1, 7, 500])
     def test_matches_outer_product_loop(self, rows):
         # the np.outer loop the preallocated product replaced, kept as the
         # reference: same terms, same order, same bits
         psi = PnGenerator(PnModel(sigma_deg=3.0, seed=rows)).next(
-            64 * rows).psi.reshape(rows, 64)
+            64 * rows).reshape(rows, 64)
         r = np.zeros((64, 64), dtype=np.complex128)
         for row in psi:
             r += np.outer(row, row.conj())
         r /= rows
         expected = (r + r.conj().T) / 2
         assert np.array_equal(estimate_cov(psi), expected)
-        reals = [PhaseNoiseRealization.from_phi(np.angle(row)) for row in psi]
-        assert np.allclose(estimate_cov(reals), expected, atol=1e-12)
+        # a list of rows is the same rows
+        assert np.array_equal(estimate_cov(list(psi)), expected)
 
     def test_stacked_rows_match_each(self):
         # rows (3, N): one covariance per leading index, each equal to
         # estimating that index's rows alone
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=8), (0.0, 2.0, 5.0))
-        psi = gen.next(64 * 40).psi.reshape(3, 40, 64)
+        psi = gen.next(64 * 40).reshape(3, 40, 64)
         r = estimate_cov(np.swapaxes(psi, 0, 1))
         assert r.shape == (3, 64, 64)
         for r_i, rows in zip(r, psi):
@@ -146,33 +149,32 @@ class TestEstimateCov:
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
-            estimate_cov([PhaseNoiseRealization.from_phi(np.zeros(8)),
-                          PhaseNoiseRealization.from_phi(np.zeros(16))])
+            estimate_cov([np.ones(8, dtype=complex),
+                          np.ones(16, dtype=complex)])
 
 
 class TestCarrierOffset:
     def test_ppm_zero_unchanged(self):
-        real = gen_pn(PnModel(sigma_deg=3.0, seed=8), 64)
+        psi = gen_pn(PnModel(sigma_deg=3.0, seed=8), 64)
         off = CarrierOffset(ppm=0.0, carrier_hz=5e9, sample_rate_hz=20e6)
-        out = apply_offset(real, off, start_sample=100)
-        np.testing.assert_array_equal(out.psi, real.psi)
+        out = apply_offset(psi, off, start_sample=100)
+        np.testing.assert_array_equal(out, psi)
 
     def test_full_ramp(self):
         # delta_f * Ts = 1/N turns all-ones into one full phase ramp
         n = 64
-        real = PhaseNoiseRealization.from_phi(np.zeros(n))
         off = CarrierOffset(ppm=1.0, carrier_hz=1e6 / n, sample_rate_hz=1.0)
-        out = apply_offset(real, off, start_sample=0)
+        out = apply_offset(np.ones(n, dtype=complex), off, start_sample=0)
         expected = np.exp(2j * np.pi * np.arange(n) / n)
-        np.testing.assert_allclose(out.psi, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_absolute_sample_counter(self):
-        real = gen_pn(PnModel(sigma_deg=2.0, seed=9), 64)
+        psi = gen_pn(PnModel(sigma_deg=2.0, seed=9), 64)
         off = CarrierOffset(ppm=5.0, carrier_hz=5e9, sample_rate_hz=20e6)
-        a = apply_offset(real, off, start_sample=64)
-        b = apply_offset(real, off, start_sample=0)
+        a = apply_offset(psi, off, start_sample=64)
+        b = apply_offset(psi, off, start_sample=0)
         ramp = np.exp(1j * off.phase_per_sample * 64)
-        np.testing.assert_allclose(a.psi, b.psi * ramp, atol=1e-12)
+        np.testing.assert_allclose(a, b * ramp, atol=1e-12)
 
     def test_covariance_modulation_identity(self):
         # R built from offset realizations equals diag(c) R diag(c)*
@@ -194,12 +196,13 @@ class TestCarrierOffset:
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         r = a @ a.conj().T
         c = np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
-        e_plain = nx.herm_eig(r)
-        e_mod = nx.herm_eig(np.diag(c) @ r @ np.diag(c).conj().T)
-        np.testing.assert_allclose(e_mod.values, e_plain.values, atol=1e-9)
+        values, vectors = nx.herm_eig(r)
+        values_mod, vectors_mod = nx.herm_eig(np.diag(c) @ r
+                                              @ np.diag(c).conj().T)
+        np.testing.assert_allclose(values_mod, values, atol=1e-9)
         for i in range(16):
-            u_expect = c * e_plain.vectors[:, i]
-            overlap = np.abs(np.vdot(e_mod.vectors[:, i], u_expect))
+            u_expect = c * vectors[:, i]
+            overlap = np.abs(np.vdot(vectors_mod[:, i], u_expect))
             assert abs(overlap - 1.0) <= 1e-9
 
 
@@ -207,35 +210,53 @@ class TestPnFiles:
     def test_zeros_file(self, tmp_path):
         path = tmp_path / "pn.txt"
         path.write_text("0.0\n" * 32)
-        reals = list(load_pn_samples(path, 16))
-        assert len(reals) == 2
-        np.testing.assert_array_equal(reals[0].psi, np.ones(16))
+        np.testing.assert_array_equal(load_pn_samples(path, 16),
+                                      np.zeros((2, 16)))
 
     def test_round_trip_bit_identical(self, tmp_path):
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=12))
         phi = gen.next_phi(128)
         path = tmp_path / "pn.txt"
         save_pn_samples(path, phi)
-        loaded = np.concatenate([r.phi for r in load_pn_samples(path, 64)])
-        np.testing.assert_array_equal(loaded, phi)
+        loaded = load_pn_samples(path, 64)
+        assert loaded.shape == (2, 64)
+        np.testing.assert_array_equal(loaded.ravel(), phi)
 
     def test_window_count(self, tmp_path):
         path = tmp_path / "pn.txt"
         save_pn_samples(path, np.linspace(0, 1, 5 * 16 + 7))
-        assert len(list(load_pn_samples(path, 16))) == 5
+        assert load_pn_samples(path, 16).shape == (5, 16)
 
     def test_re_im_pairs_projected(self, tmp_path):
         path = tmp_path / "pn.txt"
         path.write_text("2.0,0.0\n" + "0.0,3.0\n" * 15)
-        (real,) = load_pn_samples(path, 16)
-        assert np.max(np.abs(np.abs(real.psi) - 1.0)) <= 1e-12
-        assert abs(real.phi[1] - np.pi / 2) <= 1e-12
+        (phi,) = load_pn_samples(path, 16)
+        np.testing.assert_allclose(phi, [0.0] + [np.pi / 2] * 15, atol=1e-12)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "pn.txt"
         path.write_text("0.0\nnot-a-number\n")
         with pytest.raises(ValueError, match="malformed"):
-            list(load_pn_samples(path, 1))
+            load_pn_samples(path, 1)
+
+    @pytest.mark.parametrize("line", ["0,0", "-0.0,0.0", "0.0,-0.0"])
+    def test_zero_pair(self, tmp_path, line):
+        # a zero sample has no phase to project onto the unit circle
+        path = tmp_path / "pn.txt"
+        path.write_text("0.0\n" + line + "\n0.0\n")
+        with pytest.raises(ValueError, match=r"pn.txt:2: zero sample"):
+            load_pn_samples(path, 1)
+
+    def test_save_rejects_levels(self, tmp_path):
+        # a (levels, n) draw would be written as multi-column lines that
+        # the loader rejects; raveling it would interleave the levels
+        path = tmp_path / "pn.txt"
+        phi = PnGenerator(PnModel(3.0, seed=1), (1.0, 2.0)).next_phi(32)
+        with pytest.raises(ValueError, match=r"\(2, 32\)"):
+            save_pn_samples(path, phi)
+        assert not path.exists()
+        save_pn_samples(path, phi[1])
+        np.testing.assert_array_equal(load_pn_samples(path, 32), phi[1:])
 
     @pytest.mark.parametrize("line", ["nan", "inf", "-inf", "1.0,nan",
                                       "inf,0.0"])
@@ -243,10 +264,10 @@ class TestPnFiles:
         path = tmp_path / "pn.txt"
         path.write_text("0.0\n" + line + "\n")
         with pytest.raises(ValueError, match="non-finite"):
-            list(load_pn_samples(path, 1))
+            load_pn_samples(path, 1)
 
     def test_too_short(self, tmp_path):
         path = tmp_path / "pn.txt"
         path.write_text("0.0\n")
         with pytest.raises(ValueError):
-            list(load_pn_samples(path, 16))
+            load_pn_samples(path, 16)
