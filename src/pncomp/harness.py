@@ -270,32 +270,6 @@ class ResultRow:
                 self.n_equations, self.wall_clock_s]
 
 
-@dataclass
-class _Acc:
-    """Linear-domain EVM accumulator: dB of the mean error ratio."""
-
-    err: float = 0.0
-    ref: float = 0.0
-    ser_sum: float = 0.0
-    count: int = 0
-    n_eq: int = 0
-
-    def add(self, err: float, ref: float, ser: float, n_eq: int) -> None:
-        self.err += err
-        self.ref += ref
-        self.ser_sum += ser
-        self.count += 1
-        self.n_eq = n_eq
-
-    @property
-    def evm_db(self) -> float:
-        return ratio_to_db(self.err, self.ref)
-
-    @property
-    def ser(self) -> float:
-        return self.ser_sum / max(self.count, 1)
-
-
 def _pn_source(sc: Scenario, seed: int, sigmas, pn: np.ndarray | None):
     """take(k): psi = exp(j*phi) of the next k symbols, k * N samples, of
     one seed's phase-noise stream at every level of sigmas, (levels, k * N).
@@ -312,11 +286,15 @@ def _pn_source(sc: Scenario, seed: int, sigmas, pn: np.ndarray | None):
 
 def _kl_covs(sc: Scenario, ci: int, sigmas, pn) -> np.ndarray:
     """Sample covariances (levels, N, N) that channel ci's KL bases are
-    built from, one per level of sigmas."""
+    built from, one per level of sigmas.  The training symbols are drawn
+    SYMBOL_BLOCK at a time, so memory does not grow with kl_cov_symbols."""
     take = _pn_source(sc, child_seed(sc.master_seed, "cov", ci), sigmas, pn)
-    psi = take(sc.kl_cov_symbols).reshape(len(sigmas), -1, sc.n)
+    blocks = (take(min(SYMBOL_BLOCK, sc.kl_cov_symbols - m0))
+              .reshape(len(sigmas), -1, sc.n)
+              for m0 in range(0, sc.kl_cov_symbols, SYMBOL_BLOCK))
     # one (levels, N) row per training symbol: every level in one pass
-    return pn_mod.estimate_cov(np.swapaxes(psi, 0, 1))
+    return pn_mod.estimate_cov(row for psi in blocks
+                               for row in np.swapaxes(psi, 0, 1))
 
 
 def _bases(sc: Scenario, points, sigmas, pn):
@@ -413,19 +391,33 @@ def _fixed_block(z, rcv, bases, points, refs) -> np.ndarray:
     return est
 
 
-def _score(est, refs, layout: ToneLayout, n_eqs, const: Constellation,
-           feeds) -> None:
-    """Score est[g, m], group g's estimate of refs[m], in one stacked EVM
-    of est (groups, M, N) against refs (M, N), then each estimate's SER.
-    It is added, fit with n_eqs[g] equations, to every accumulator of
-    feeds[g][m], in order."""
+def _score(est, refs, layout: ToneLayout, const: Constellation) -> np.ndarray:
+    """Scores (groups, M, 3) of est[g, m], group g's estimate of refs[m]:
+    its error power and reference power, from one stacked EVM of est
+    (groups, M, N) against refs (M, N), and its SER."""
     err, refp = evm_linear(est, refs, layout)
-    refp = refp.tolist()
-    for row, n_eq, errs, row_feeds in zip(est, n_eqs, err.tolist(), feeds):
-        for s, ref, e, p, accs in zip(row, refs, errs, refp, row_feeds):
-            ser = symbol_error_rate(s, ref, layout, const)
-            for acc in accs:
-                acc.add(e, p, ser, n_eq)
+    ser = [[symbol_error_rate(s, ref, layout, const)
+            for s, ref in zip(row, refs)] for row in est]
+    return np.stack(np.broadcast_arrays(err, refp, ser), axis=-1)
+
+
+def _fold(total, scores) -> None:
+    """Add scores (..., M, 3) into the running total (..., 3) one symbol
+    at a time, in order: the sequential sum, which np.sum, summing
+    pairwise, is not in the last bits."""
+    for score in np.moveaxis(scores, -2, 0):
+        total += score
+
+
+def _row(sc: Scenario, total, count: int, n_eq: int, kind: str, d: int,
+         sigma: float, symbol: int | str = "") -> ResultRow:
+    """The row of total, the (error power, reference power, SER) sums of
+    count symbols: EVM as dB of the linear-domain mean error ratio, and
+    the mean SER.  symbol is a per-symbol row's index; "" aggregates."""
+    err, ref, ser = total.tolist()
+    return ResultRow(sc.name, "all", symbol, int(symbol == ""), kind, d,
+                     sigma, sc.method, ratio_to_db(err, ref), ser / count,
+                     n_eq)
 
 
 def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
@@ -434,38 +426,37 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
 
     Each channel is simulated once for every sigma, and each symbol block
     estimated at every (kind, d) point by _fixed_block and scored in one
-    stacked EVM.  Every (sigma, kind, d) accumulator sees its symbols in
+    stacked EVM.  Every (sigma, kind, d) total adds its symbols in
     channel, then symbol order, so repeated sigmas give repeated rows."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
-    accs = [[_Acc() for _ in points] for _ in sigmas]
+    totals = np.zeros((len(sigmas), len(points), 3))
     bases = _bases(sc, points, sigmas, pn)
     for ci in range(sc.n_channels_eff):
         sys_, blocks = _channel_symbols(sc, ci, pn, sigmas)
         rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
         families = bases(ci)
-        n_eqs = [len(rcv.tones) if d else 0 for _, d in points]
         for refs, (i, _), z in blocks:
             refs = refs[:, 0]
-            _score(_fixed_block(z, rcv, families[i], points, refs), refs,
-                   rcv.layout, n_eqs, const,
-                   [[(acc,)] * len(refs) for acc in accs[i]])
-    return [ResultRow(sc.name, "all", "", 1, kind, d, sigma, sc.method,
-                      acc.evm_db, acc.ser, acc.n_eq)
-            for sigma, row in zip(sigmas, accs)
-            for (kind, d), acc in zip(points, row)]
+            est = _fixed_block(z, rcv, families[i], points, refs)
+            _fold(totals[i], _score(est, refs, rcv.layout, const))
+    count = sc.n_channels_eff * sc.n_symbols
+    # n_equations: the last channel's fit rows
+    return [_row(sc, total, count, len(rcv.tones) if d else 0, kind, d,
+                 sigma)
+            for sigma, row in zip(sigmas, totals)
+            for (kind, d), total in zip(points, row)]
 
 
 def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
     """Multiuser sweep over the (sigma, tx sigma) points.  Each channel is
     simulated once for every point, and W built once per symbol block and
-    point; each point keeps its own accumulator, so repeated values give
-    repeated rows, and sees its symbols in channel, then symbol order."""
+    point; each point keeps its own total, so repeated values give
+    repeated rows, and adds its symbols in channel, then symbol order."""
     const = sc.constellation
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
-    accs = {pt: _Acc() for pt in itertools.product(
-        range(len(sc.sigma_list)), range(len(sc.tx_sigma_list)))}
+    totals = np.zeros((len(sc.sigma_list), len(sc.tx_sigma_list), 3))
     users = tuple((u,) for u in range(sc.n_users))
     bases = _bases(sc, [("KL", sc.d)], sc.sigma_list, pn)
     for ci in range(sc.n_channels_eff):
@@ -474,18 +465,18 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
         bf = zf_beamformer(sys_)
         rcv = mu_receiver(bf, sc.layout, cfg)
         families = bases(ci)
-        for refs, pt, z in blocks:
-            w = mu_build_w(z, bf, families[pt[0]]["KL"])
+        for refs, (i, j), z in blocks:
+            w = mu_build_w(z, bf, families[i]["KL"])
             s_hats = np.array([mu_compensate(w_m, syms, rcv)
                                for w_m, syms in zip(w, refs)])
             refs = refs.reshape(-1, sc.n)
-            _score(s_hats.reshape(1, -1, sc.n), refs, rcv.layout,
-                   [len(rcv.tones)], const, [[(accs[pt],)] * len(refs)])
-    return [ResultRow(sc.name, "all", "", 1,
-                      f"KL_tx{sc.tx_sigma_list[j]:g}", sc.d,
-                      sc.sigma_list[i], sc.method, acc.evm_db, acc.ser,
-                      acc.n_eq)
-            for (i, j), acc in accs.items()]
+            _fold(totals[i, j], _score(s_hats.reshape(1, -1, sc.n), refs,
+                                       rcv.layout, const)[0])
+    count = sc.n_channels_eff * sc.n_symbols * sc.n_users
+    return [_row(sc, totals[i, j], count, len(rcv.tones), f"KL_tx{tx:g}",
+                 sc.d, sigma)
+            for i, sigma in enumerate(sc.sigma_list)
+            for j, tx in enumerate(sc.tx_sigma_list)]
 
 
 def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
@@ -493,11 +484,9 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
     fixed-basis modes are _fixed_block's points ("cpe": the DFT basis's
     column 0), then the tracked modes run PAST through it symbol by
     symbol, each carrying its state from block to block.  One stacked EVM
-    scores the block at every mode."""
+    scores the block at every mode; the per-symbol totals exist only if
+    their rows are written."""
     const = sc.constellation
-    per_symbol = {mode: [_Acc() for _ in range(sc.n_symbols)]
-                  for mode in sc.track_modes}
-    totals = {mode: _Acc() for mode in sc.track_modes}
     cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     mode_d = {mode: 1 if mode == "cpe" else sc.d for mode in sc.track_modes}
     fixed = [mode for mode in sc.track_modes if mode in _FIXED_TRACK_MODES]
@@ -508,6 +497,9 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
                                          and sc.freeze_after >= 0) else None)
         for mode in sc.track_modes if mode not in _FIXED_TRACK_MODES}
     modes = fixed + list(tracked)
+    totals = np.zeros((len(modes), 3))
+    per_symbol = (np.zeros((len(modes), sc.n_symbols, 3))
+                  if sc.per_symbol_rows else None)
     bases = _bases(sc, points, (sc.sigma_deg,), pn)
     # every PAST step makes a new state, so all channels start from one
     init = init_tracker(sc.n, sc.d, beta=sc.beta)
@@ -525,22 +517,19 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
                 s_hats, states[mode] = run_tracked(z, rcv, refs, states[mode],
                                                    tcfg, start=m0)
                 est.append(s_hats[None])
-            _score(np.concatenate(est), refs, rcv.layout,
-                   [len(rcv.tones)] * len(modes), const,
-                   [[(acc, totals[mode])
-                     for acc in per_symbol[mode][m0:m0 + len(refs)]]
-                    for mode in modes])
+            scores = _score(np.concatenate(est), refs, rcv.layout, const)
+            _fold(totals, scores)
+            if per_symbol is not None:
+                per_symbol[:, m0:m0 + len(refs)] += scores
     rows = []
     for mode in sc.track_modes:
-        if sc.per_symbol_rows:
-            for m, acc in enumerate(per_symbol[mode]):
-                rows.append(ResultRow(sc.name, "all", m, 0, mode, mode_d[mode],
-                                      sc.sigma_deg, sc.method, acc.evm_db,
-                                      acc.ser, acc.n_eq))
-        acc = totals[mode]
-        rows.append(ResultRow(sc.name, "all", "", 1, mode, mode_d[mode],
-                              sc.sigma_deg, sc.method, acc.evm_db, acc.ser,
-                              acc.n_eq))
+        k, d = modes.index(mode), mode_d[mode]
+        if per_symbol is not None:
+            rows += [_row(sc, total, sc.n_channels_eff, len(rcv.tones), mode,
+                          d, sc.sigma_deg, m)
+                     for m, total in enumerate(per_symbol[k])]
+        rows.append(_row(sc, totals[k], sc.n_channels_eff * sc.n_symbols,
+                         len(rcv.tones), mode, d, sc.sigma_deg))
     return rows
 
 
@@ -622,6 +611,9 @@ def main(argv=None) -> int:
         run_scenario(sc, out, timing=args.timing)
     except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # raised mid-run, like the failures above
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

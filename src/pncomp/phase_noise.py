@@ -126,20 +126,24 @@ def _phi_scale(sigma_deg: float, gain: float) -> float:
 
 
 def estimate_cov(rows) -> CMat:
-    """Sample covariance R = (1/M) sum psi psi* over the M rows psi of
-    rows (M, ..., N), summed one outer product at a time in row order
-    (one matmul would sum in another order and change the last bits):
-    Hermitian PSD, unit diagonal.  Rows of shape (..., N) give one
-    covariance per leading index, R of (..., N, N)."""
-    rows = np.asarray(rows)
-    if rows.ndim < 2 or not len(rows):
-        raise ValueError(f"need rows (M >= 1, ..., N), got {rows.shape}")
-    r = np.zeros(rows.shape[1:] + rows.shape[-1:], dtype=np.complex128)
-    term = np.empty_like(r)
-    for psi in rows:
+    """Sample covariance R = (1/M) sum psi psi* over the M rows psi that
+    rows yields, each (..., N), summed one outer product at a time in row
+    order (one matmul would sum in another order and change the last
+    bits): Hermitian PSD, unit diagonal, one per leading index, R of
+    (..., N, N).  rows is iterated once: an array (M, ..., N) or a
+    generator that makes each row when it is asked for."""
+    r = None
+    for m, psi in enumerate(map(np.asarray, rows), 1):
+        if r is None:
+            r = np.zeros(psi.shape + psi.shape[-1:], dtype=np.complex128)
+            term = np.empty_like(r)
+        if psi.ndim < 1 or psi.shape != r.shape[:-1]:
+            raise ValueError(f"row {m} is {psi.shape}, need row 1's (..., N)")
         np.multiply(psi[..., :, None], psi.conj()[..., None, :], out=term)
         r += term
-    r /= len(rows)
+    if r is None:
+        raise ValueError("need at least one row")
+    r /= m
     return (r + np.swapaxes(r.conj(), -1, -2)) / 2
 
 

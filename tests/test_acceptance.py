@@ -15,7 +15,7 @@ import pytest
 
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
-from pncomp.channel import NoiseSpec, gen_channel
+from pncomp.channel import gen_channel
 from pncomp.compensator import (CompConfig, build_w, compensate, fit_gamma,
                                 receiver, solve_ls, solve_tls)
 from pncomp.harness import Scenario, run_scenario

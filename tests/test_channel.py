@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pncomp.channel import (ChannelState, NoiseSpec, apply_channel, from_taps,
+from pncomp.channel import (NoiseSpec, apply_channel, from_taps,
                             gen_channel)
 
 from oracles import dft_matrix

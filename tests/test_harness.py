@@ -4,7 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import itertools
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from pncomp.compensator import CompConfig, build_w, equalize_only, receiver
 from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
                             Scenario, _channel_symbols, _fixed_block,
                             _kl_covs, child_seed, main, parse_config,
-                            run_scenario, write_csv)
+                            run_scenario)
 from pncomp.mimo import MuSystem
 from pncomp.numerics import fft, ifft
 from pncomp.ofdm import Constellation, ToneLayout, default_layout, make_symbol
@@ -357,6 +357,19 @@ class TestCli:
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 3
 
+    def test_exit_3_on_memory_error(self, tmp_path, monkeypatch, capsys):
+        # an allocation failure mid-run: one line, no traceback, no CSV
+        from pncomp import harness
+
+        def out_of_memory(sc, pn):
+            raise MemoryError("Unable to allocate 47.7 GiB")
+        monkeypatch.setitem(harness._RUNNERS, "custom", out_of_memory)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--scenario", "custom", "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 47.7 GiB\n"
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PNCOMP_OUT_DIR", str(tmp_path))
         cfg = tmp_path / "c.cfg"
@@ -487,6 +500,73 @@ GOLDEN = {
         dict(name="mimo_sweep", sigma_list=(3.0,), tx_sigma_list=(0.0, 1.0),
              d=4, **PN_FILE_RUN),
         "a437d88f6ad0bd5fabad7ca4c7f23b6c627eb49807354116686708c3f2f399f4"),
+    # three channels: every total and per-symbol row adds its scores in
+    # channel, then symbol order; the frozen mode stops updating mid-block
+    "tracking_channels": (
+        dict(name="tracking", n_symbols=70, scale=3 / 300, kl_cov_symbols=50,
+             track_modes=("tracked", "frozen", "dft", "cpe", "kl"),
+             freeze_after=30, training_symbols=20, ppm=2.0, d=4),
+        "d4d0ce1bf70cf5ba628ea2de8f4d62ba92a36b41fdf91ad7315c9dba2fdea7dc"),
+    # totals only, with the tracked modes listed before the fixed ones
+    "tracking_channels_totals": (
+        dict(name="tracking", per_symbol_rows=False, n_symbols=40,
+             scale=3 / 300, kl_cov_symbols=50,
+             track_modes=("frozen", "tracked", "cpe", "dft"),
+             freeze_after=25, training_symbols=10, method="TLS", d=4),
+        "cae519ea12a897045f5eef43225ff0dbf7758add22f89d0e561d84e4f24a4bdf"),
+    "mimo_channels_repeats": (
+        dict(name="mimo_sweep", sigma_list=(3.0, 1.0, 3.0),
+             tx_sigma_list=(0.0, 1.0), d=4, n_symbols=40, scale=3 / 300,
+             kl_cov_symbols=50),
+        "2d43c7e37ba5e2ddfc3f25923d1993757c0994e4f5d396ef2a891187edeee79f"),
+}
+
+
+# sha256 over the unrounded evm_db and ser of every row, for each GOLDEN
+# case: the CSVs round them, so they would miss a change in the order the
+# scores are summed in (np.sum's pairwise sum in place of the sequential
+# one changes 10 of these and no CSV digest)
+GOLDEN_SCORES = {
+    "custom_tls_nulls":
+        "c13abef8a2d984629f14a364177300065fa016f5cb223e81ec8fadbe86a5a455",
+    "evm_vs_d_ls_nrx1":
+        "5c948174c06872c75414cf00e8e1cd31b8987fa0ba9e477a7936100db3ad75ea",
+    "evm_vs_d_tls_nrx1":
+        "a851df529775c94dfc66d19ac55f1b397a613ec80eb420a431d02049f515babe",
+    "evm_vs_d_tls_nulls":
+        "520339be70157935d2bafd0f3d6de802b0c0a654a5208d7342092bc97fcf6e8f",
+    "evm_vs_d_tls_pn_file":
+        "837ef1351bf80db9490633f2b0e54afc6538dd1f89437d418a38d8fd2d7bec57",
+    "evm_vs_sigma_kl_dft_dct":
+        "309398c21e73ce955259a9b48fad0992c73c2db50ccf097910b9667defe2120c",
+    "evm_vs_sigma_repeats":
+        "3cede335e67627d396298b0424e82f68453c871be5547d8d25d9f93560c6614c",
+    "mimo_blocks":
+        "93d617da4a6117a2ef9a83b05ec5c019d418df1ac1798ef36081a94a37e629e4",
+    "mimo_channels_repeats":
+        "c7a32c1091b214eac2785fbb804865e6849e26839d9b9c8d85eadc799cb6f7df",
+    "mimo_dup_points":
+        "ffecfaca4b36b26fa9b3c63a0b782a56592d3acebb7724aa661bf1799ffae3c4",
+    "mimo_ls":
+        "026483b5de42783079c02d897765bf2ed348b818dc12532b948d470fc49b4e55",
+    "mimo_pn_file":
+        "332501ba9bccb0673a76a27f0001c7548487647116def4eb78b35d6347b1ee5e",
+    "mimo_shared_streams":
+        "e39c7fbd1eb2f1996d346019e5c6a15ae789daf9615968e1f091d7ee3cdac450",
+    "mimo_tls_nulls":
+        "5d70c41d40eafc4f52baf7bebcc9e599f1c51188072352fe51172a2560427ae2",
+    "tracking_all_modes":
+        "867b61c0587a56609ba75b152f86355cc6185ed7da4a97a208244c6371c4beb3",
+    "tracking_all_modes_blocks":
+        "927b8a8c4274ccfac668fffae1120c35bab201dbc99a6541f8083413be2a5ae7",
+    "tracking_channels":
+        "447d6b32ad4d366d6e5abf9ccce90a1fa1def1c5128972f9924e1796574b9f6f",
+    "tracking_channels_totals":
+        "53c161acc410d9321ec65e891b029bcd016a9d19ae0503bf61f268c8d5a75be7",
+    "tracking_pn_file":
+        "11c48e413180480e6d83f9cd345a9587d8c28821abf14466e7e15507312ffb22",
+    "tracking_qam16_nulls":
+        "edbdc6ea05b2d68155cfa5bf35dfdcb63ee70f247b3728494058abda681ed422",
 }
 
 
@@ -500,8 +580,10 @@ def golden_scenario(case, tmp_path) -> Scenario:
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_csv_digest(case, tmp_path):
     out = tmp_path / "out.csv"
-    run_scenario(golden_scenario(case, tmp_path), str(out))
+    rows = run_scenario(golden_scenario(case, tmp_path), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case][1]
+    text = "".join(f"{float(r.evm_db)!r},{float(r.ser)!r}\n" for r in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SCORES[case]
 
 
 # sha256 over the sha256 of every estimate stack harness.evm_linear
@@ -528,6 +610,8 @@ GOLDEN_BITS = {
         "6f7fc08e5cb3841e5a3e0a77742efbd27ce0dc7e749a89f6b49b3f413cf57eea",
     "mimo_ls":
         "8d78e54c1d02792577de2bddc1a5f0409e045633a44b599761d745134911b446",
+    "mimo_channels_repeats":
+        "5e26289ad1c7c08b7877842ac7bcf0239b503303b536f68712f75e8326a073b5",
     "mimo_pn_file":
         "5345f22fc2c5fae19efca2382ec93100447f3a6f07e1a6182d1218acc9f64279",
     "mimo_shared_streams":
@@ -542,6 +626,10 @@ GOLDEN_BITS = {
         "d3bcd156b77f2e4f6d4322096c76830ec574977e2f45d54c8ee8315ace1baed9",
     "tracking_qam16_nulls":
         "f8a0781b2d33e3c0133823a9581d2e9464a8b9a32cf03d78ab57012c5905ab07",
+    "tracking_channels":
+        "d8fd4baa3c8f974a689a83bf4492c0b55e6c343bff28c0782175129b8b0feef3",
+    "tracking_channels_totals":
+        "0df5d0ae2090124e2a876ce93ed466f3f50e2dec1991d4943dcd0468ed31a3cc",
 }
 
 
@@ -789,6 +877,24 @@ class TestKlCovs:
         assert covs.shape == (len(sigmas), sc.n, sc.n)
         for cov, sigma in zip(covs, sigmas):
             assert np.array_equal(cov, per_sigma_kl_cov(sc, 2, sigma))
+
+    def test_memory_bounded_by_block(self):
+        # the training symbols are drawn SYMBOL_BLOCK at a time, so the
+        # traced peak does not grow with kl_cov_symbols (all of them at
+        # once took 18 MB more at 2,000 symbols x 8 sigmas than at 500)
+        _kl_covs(Scenario(name="evm_vs_sigma", kl_cov_symbols=1), 0,
+                 (3.0,), None)  # the filter design is cached on first use
+        peaks = []
+        for symbols in (500, 2000):
+            sc = Scenario(name="evm_vs_sigma", kl_cov_symbols=symbols)
+            assert len(sc.sigma_list) == 8
+            tracemalloc.start()
+            try:
+                _kl_covs(sc, 0, sc.sigma_list, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
 
 
 class TestMuBlockStream:

@@ -7,11 +7,9 @@ from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import NoiseSpec, from_taps, gen_channel
 from pncomp.compensator import build_w, fit_gamma, receiver
-from pncomp.mimo import (RANK_TOL, MuSystem, ZfBeamformer, mu_build_w,
-                         mu_compensate, mu_receiver, mu_received,
-                         zf_beamformer)
-from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
-                         make_symbol)
+from pncomp.mimo import (RANK_TOL, MuSystem, mu_build_w, mu_compensate,
+                         mu_receiver, mu_received, zf_beamformer)
+from pncomp.ofdm import Constellation, default_layout, evm_db, make_symbol
 
 from oracles import dft_matrix
 

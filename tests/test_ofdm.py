@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncomp import numerics as nx
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          evm_linear, hard_decide, make_symbol, ratio_to_db,
                          symbol_error_rate, EVM_FLOOR_DB)

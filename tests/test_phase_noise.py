@@ -152,6 +152,13 @@ class TestEstimateCov:
             estimate_cov([np.ones(8, dtype=complex),
                           np.ones(16, dtype=complex)])
 
+    def test_rejects_rows_unlike_the_first(self):
+        # a (N,) row would broadcast against (2, N) rows; it is refused
+        rows = (r for r in [np.ones((2, 8), dtype=complex),
+                            np.ones(8, dtype=complex)])
+        with pytest.raises(ValueError, match="row 2"):
+            estimate_cov(rows)
+
 
 class TestCarrierOffset:
     def test_ppm_zero_unchanged(self):

@@ -1,4 +1,5 @@
-"""Source checks on src/pncomp: no module imports a name it never uses.
+"""Source checks on src/pncomp and tests: no module imports a name it
+never uses.
 
 No linter is part of the toolchain, so this is a small `ast` check.  Every
 name an `import` or `from ... import` binds must be read somewhere in the
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pncomp"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted([*(ROOT / "src" / "pncomp").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,7 +49,6 @@ def test_checker_finds_leftovers():
     assert unused_imports(source) == ["dataclass", "os"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncomp import numerics as nx
-from pncomp.basis import dft_basis, kl_basis
+from pncomp.basis import kl_basis
 from pncomp.channel import gen_channel
 from pncomp.compensator import CompConfig, receiver
 from pncomp.harness import SYMBOL_BLOCK
@@ -14,8 +14,8 @@ from pncomp.ofdm import (Constellation, default_layout, evm_db, make_symbol,
                          symbol_error_rate)
 from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
                                 apply_offset, estimate_cov, offset_factor)
-from pncomp.tracker import (TrackerState, TrackingConfig, dd_phase_estimate,
-                            init_tracker, past_update, run_tracked)
+from pncomp.tracker import (TrackingConfig, dd_phase_estimate, init_tracker,
+                            past_update, run_tracked)
 
 import oracles
 
