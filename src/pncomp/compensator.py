@@ -22,38 +22,32 @@ from .ofdm import ToneLayout
 WEAK_TONE_REL = 1e-6
 
 
-@dataclass(frozen=True)
-class CompConfig:
-    method: str = "LS"
-    use_null_tones: bool = False
-
-    def __post_init__(self):
-        if self.method not in ("LS", "TLS"):
-            raise ValueError(f"method must be LS or TLS, got {self.method!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Receiver:
     """A channel's fit constants.  usable (n_blocks, N): the tones each
-    block of W (receive branch or user) may fit on.  rows: (block, tone) of
-    each block's usable pilot rows, then null rows if cfg.use_null_tones.
-    tones: each row's target in the reference tones (one shared reference,
-    or one per block if per_block_refs), past their end for the null_rows.
-    weak (n_blocks, 1, N): the unusable tones, None if there are none.
+    block of W (receive branch or user) may fit on.  method: "LS" or
+    "TLS".  rows: (block, tone) of each block's usable pilot rows, then
+    null rows if use_null_tones.  tones: each row's target in the
+    reference tones (one shared reference, or one per block if
+    per_block_refs), past their end for the null_rows.  weak
+    (n_blocks, 1, N): the unusable tones, None if there are none.
     lam, mrc_w = |lam|^2 and guarded mrc_den = sum mrc_w: MRC, single-user."""
 
-    cfg: CompConfig
     layout: ToneLayout
     usable: np.ndarray
+    method: str
+    use_null_tones: bool
     per_block_refs: bool = False
     lam: CMat | None = None
     mrc_w: np.ndarray | None = None
     mrc_den: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.method not in ("LS", "TLS"):
+            raise ValueError(f"method must be LS or TLS, got {self.method!r}")
         lay, n_blocks = self.layout, self.usable.shape[0]
         cand = lay.pilot_arr
-        if self.cfg.use_null_tones:
+        if self.use_null_tones:
             cand = np.concatenate((cand, lay.null_arr))
         block, j = np.nonzero(self.usable[:, cand])  # block-major order
         tone = cand[j]
@@ -67,8 +61,8 @@ class Receiver:
         object.__setattr__(self, "weak", weak if weak.any() else None)
 
 
-def receiver(lam, layout: ToneLayout,
-             cfg: CompConfig = CompConfig()) -> Receiver:
+def receiver(lam, layout: ToneLayout, method: str = "LS",
+             use_null_tones: bool = False) -> Receiver:
     """The Receiver of a channel with per-tone response lam, (n_rx, N);
     tones within 1e-6 of their branch's peak |lambda| are usable."""
     mag = np.abs(lam)
@@ -77,8 +71,9 @@ def receiver(lam, layout: ToneLayout,
         raise ValueError("all-zero channel response")
     mrc_w = mag ** 2
     den = mrc_w.sum(axis=0)
-    return Receiver(cfg=cfg, layout=layout, usable=mag >= WEAK_TONE_REL * peak,
-                    lam=lam, mrc_w=mrc_w, mrc_den=np.where(den == 0, 1.0, den))
+    return Receiver(layout=layout, usable=mag >= WEAK_TONE_REL * peak,
+                    method=method, use_null_tones=use_null_tones, lam=lam,
+                    mrc_w=mrc_w, mrc_den=np.where(den == 0, 1.0, den))
 
 
 def build_w(z, rcv: Receiver, v: CMat) -> np.ndarray:
@@ -147,7 +142,7 @@ def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> CVec:
     s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="clip")
     if rcv.null_rows.size:
         s_rows[..., rcv.null_rows] = 0
-    solve = solve_tls if rcv.cfg.method == "TLS" else solve_ls
+    solve = solve_tls if rcv.method == "TLS" else solve_ls
     return solve(w_rows, s_rows)
 
 

@@ -23,14 +23,14 @@ import numpy as np
 from . import basis as basis_mod
 from . import channel as channel_mod
 from . import phase_noise as pn_mod
-from .compensator import (CompConfig, build_w, compensate, equalize_only,
-                          fit_gamma, receiver)
-from .mimo import (MuSystem, mu_apply_channel, mu_build_w, mu_compensate,
-                   mu_receiver, zf_beamformer)
+from .compensator import (build_w, compensate, equalize_only, fit_gamma,
+                          receiver)
+from .mimo import (mu_apply_channel, mu_build_w, mu_compensate, mu_receiver,
+                   zf_beamformer)
 from .numerics import ifft
 from .ofdm import (Constellation, default_layout, ToneLayout, evm_linear,
                    make_symbol, ratio_to_db, symbol_error_rate)
-from .tracker import TrackingConfig, init_tracker, run_tracked
+from .tracker import init_tracker, run_tracked
 
 CSV_COLUMNS = ["scenario", "channel_seed", "symbol_index", "aggregate",
                "basis_kind", "d", "sigma_deg", "method", "evm_db", "ser",
@@ -104,13 +104,20 @@ class Scenario:
         if self.name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {self.name!r}")
         # NaN and inf are stopped here, where they enter: no FFT or solver
-        # scans its input (snr_db = inf, no noise, is NoiseSpec's to judge)
+        # scans its input (snr_db = inf means no noise)
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             for v in value if isinstance(value, tuple) else (value,):
                 if (isinstance(v, float) and not np.isfinite(v)
-                        and f.name != "snr_db"):
+                        and (f.name, v) != ("snr_db", np.inf)):
                     raise ConfigError(f"{f.name} must be finite, got {v}")
+        try:  # the noise power channel.awgn draws at
+            10.0 ** (-self.snr_db / 10.0)
+        except OverflowError:
+            raise ConfigError(f"snr_db = {self.snr_db} gives a noise power "
+                              f"beyond the float range") from None
+        if self.method not in ("LS", "TLS"):
+            raise ConfigError(f"method must be LS or TLS, got {self.method!r}")
         for key, lo in (("n_rx", 1), ("n_channels", 1), ("n_symbols", 1),
                         ("kl_cov_symbols", 1), ("training_symbols", 0),
                         ("freeze_after", -1)):
@@ -147,14 +154,16 @@ class Scenario:
         try:  # what a run resolves from the config, before any simulation
             if not self.layout.data_arr.size:
                 raise ValueError("null_tones leave no data tones to score")
-            self.constellation, CompConfig(method=self.method)
-            channel_mod.NoiseSpec(snr_db=self.snr_db)
+            self.constellation  # raises for an unsupported qam_order
             channel_mod.tap_weights(self.n_taps, self.channel_profile, self.n)
             for sigma in (self.sigma_deg, *self.sigma_list,
                           *self.tx_sigma_list):
                 self.pn_model(0, sigma)
             if self.name == "tracking":
-                ramp = self.offset.phase_per_sample * self.n_symbols * self.n
+                if not self.sample_rate_hz > 0:
+                    raise ValueError(f"sample_rate_hz must be > 0, "
+                                     f"got {self.sample_rate_hz}")
+                ramp = self.phase_per_sample * self.n_symbols * self.n
                 if not np.isfinite(ramp):
                     raise ValueError(
                         f"carrier offset ppm = {self.ppm}, carrier_hz = "
@@ -181,9 +190,10 @@ class Scenario:
         return Constellation.qam(self.qam_order)
 
     @property
-    def offset(self) -> pn_mod.CarrierOffset:
-        return pn_mod.CarrierOffset(ppm=self.ppm, carrier_hz=self.carrier_hz,
-                                    sample_rate_hz=self.sample_rate_hz)
+    def phase_per_sample(self) -> float:
+        """2*pi*delta_f*Ts of the offset ramp, delta_f = ppm*1e-6*carrier_hz."""
+        return (2.0 * np.pi * (self.ppm * 1e-6 * self.carrier_hz)
+                / self.sample_rate_hz)
 
     def pn_model(self, seed: int, sigma_deg: float) -> pn_mod.PnModel:
         return pn_mod.PnModel(
@@ -317,24 +327,23 @@ def _bases(sc: Scenario, points, sigmas, pn):
 
 
 def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
-                     users=((),), offset: pn_mod.CarrierOffset | None = None):
+                     users=((),), offset: bool = False):
     """Channel ci's symbols at every (sigma, tx sigma) point, simulated
     SYMBOL_BLOCK at a time and each block only when it is asked for: per
     block, make_symbol, the IFFT and the noise draw run once, the channel
     once per distinct tx sigma, and the rx and each transmitter's tx phase
     noise once for all their levels, equal to simulating each point symbol
     by symbol.  users holds each transmitter's seed labels; ((),) is the
-    single-user link.  Returns (MuSystem, generator of (refs, (i, j), z)):
-    refs[m, u] is user u's symbol m, refs (b, n_users, N), and z
-    (b, n_rx, N) the block received at sigmas[i] and tx_sigmas[j], with the
-    carrier offset, if given."""
+    single-user link.  Returns (lam, generator of (refs, (i, j), z)): lam
+    (n_users, n_rx, N) holds the users' channels, refs[m, u] is user u's
+    symbol m, refs (b, n_users, N), and z (b, n_rx, N) the block received
+    at sigmas[i] and tx_sigmas[j], with sc's carrier offset if offset and
+    sc.ppm != 0."""
     seed, n = sc.master_seed, sc.n
     layout, const = sc.layout, sc.constellation
-    sys_ = MuSystem(channels=tuple(
-        channel_mod.gen_channel(sc.n_taps, sc.channel_profile,
-                                child_seed(seed, "chan", ci, *user),
-                                n_rx=sc.n_rx, n=n)
-        for user in users))
+    lam = np.stack([channel_mod.gen_channel(
+        sc.n_taps, sc.channel_profile, child_seed(seed, "chan", ci, *user),
+        n_rx=sc.n_rx, n=n) for user in users])
     take_rx = _pn_source(sc, child_seed(seed, "pn", ci), sigmas, pn)
     # tx sigma 0 leaves the users' signals as they are; the others are
     # rows of one stream per user, always generated (pn_file is the rx's)
@@ -342,7 +351,7 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
     take_tx = [_pn_source(sc, child_seed(seed, "txpn", ci, *user), tx_levels,
                           None)
                for user in users] if tx_levels else []
-    noise = channel_mod.NoiseSpec(snr_db=sc.snr_db)
+    ramp = sc.phase_per_sample if offset and sc.ppm != 0 else None
     noise_rng = np.random.default_rng(child_seed(seed, "noise", ci))
 
     def blocks():
@@ -353,24 +362,23 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
                               for u in users] for m in range(m0, m0 + b)])
             x = ifft(refs)
             # the noise is added before the rx phase noise, as at the receiver
-            awgn = channel_mod.awgn((b, sc.n_rx, n), noise, noise_rng)
+            awgn = channel_mod.awgn((b, sc.n_rx, n), sc.snr_db, noise_rng)
             # (levels, b, n_users, N)
             psi_tx = np.stack([take(b).reshape(-1, b, n)
                                for take in take_tx], axis=2) if take_tx else None
             y = {}
             for tx in dict.fromkeys(tx_sigmas):
                 x_tx = psi_tx[tx_levels.index(tx)] * x if tx > 0 else x
-                y[tx] = mu_apply_channel(sys_, x_tx)
+                y[tx] = mu_apply_channel(lam, x_tx)
                 if awgn is not None:
                     y[tx] = y[tx] + awgn
             psi_rx = take_rx(b)
-            if offset is not None and offset.ppm != 0:
-                psi_rx = pn_mod.apply_offset(psi_rx, offset,
-                                             start_sample=m0 * n)
+            if ramp is not None:
+                psi_rx = pn_mod.apply_offset(psi_rx, ramp, start_sample=m0 * n)
             for i, psi in enumerate(psi_rx.reshape(-1, b, 1, n)):
                 for j, tx in enumerate(tx_sigmas):
                     yield refs, (i, j), psi * y[tx]
-    return sys_, blocks()
+    return lam, blocks()
 
 
 def _fixed_block(z, rcv, bases, points, refs) -> np.ndarray:
@@ -429,13 +437,12 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
     stacked EVM.  Every (sigma, kind, d) total adds its symbols in
     channel, then symbol order, so repeated sigmas give repeated rows."""
     const = sc.constellation
-    cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
     totals = np.zeros((len(sigmas), len(points), 3))
     bases = _bases(sc, points, sigmas, pn)
     for ci in range(sc.n_channels_eff):
-        sys_, blocks = _channel_symbols(sc, ci, pn, sigmas)
-        rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
+        lam, blocks = _channel_symbols(sc, ci, pn, sigmas)
+        rcv = receiver(lam[0], sc.layout, sc.method, sc.use_null_tones)
         families = bases(ci)
         for refs, (i, _), z in blocks:
             refs = refs[:, 0]
@@ -455,18 +462,18 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
     point; each point keeps its own total, so repeated values give
     repeated rows, and adds its symbols in channel, then symbol order."""
     const = sc.constellation
-    cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     totals = np.zeros((len(sc.sigma_list), len(sc.tx_sigma_list), 3))
     users = tuple((u,) for u in range(sc.n_users))
     bases = _bases(sc, [("KL", sc.d)], sc.sigma_list, pn)
     for ci in range(sc.n_channels_eff):
-        sys_, blocks = _channel_symbols(sc, ci, pn, sc.sigma_list,
-                                        sc.tx_sigma_list, users)
-        bf = zf_beamformer(sys_)
-        rcv = mu_receiver(bf, sc.layout, cfg)
+        lam, blocks = _channel_symbols(sc, ci, pn, sc.sigma_list,
+                                       sc.tx_sigma_list, users)
+        b, ok = zf_beamformer(lam)
+        rcv = mu_receiver(ok, sc.n_users, sc.layout, sc.method,
+                          sc.use_null_tones)
         families = bases(ci)
         for refs, (i, j), z in blocks:
-            w = mu_build_w(z, bf, families[i]["KL"])
+            w = mu_build_w(z, b, families[i]["KL"])
             s_hats = np.array([mu_compensate(w_m, syms, rcv)
                                for w_m, syms in zip(w, refs)])
             refs = refs.reshape(-1, sc.n)
@@ -487,15 +494,12 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
     scores the block at every mode; the per-symbol totals exist only if
     their rows are written."""
     const = sc.constellation
-    cfg = CompConfig(method=sc.method, use_null_tones=sc.use_null_tones)
     mode_d = {mode: 1 if mode == "cpe" else sc.d for mode in sc.track_modes}
     fixed = [mode for mode in sc.track_modes if mode in _FIXED_TRACK_MODES]
     points = [(_FIXED_TRACK_MODES[mode], mode_d[mode]) for mode in fixed]
-    tracked = {mode: TrackingConfig(
-        constellation=const, training_symbols=sc.training_symbols,
-        freeze_after=sc.freeze_after if (mode == "frozen"
-                                         and sc.freeze_after >= 0) else None)
-        for mode in sc.track_modes if mode not in _FIXED_TRACK_MODES}
+    tracked = {mode: sc.freeze_after if (mode == "frozen"
+                                         and sc.freeze_after >= 0) else None
+               for mode in sc.track_modes if mode not in _FIXED_TRACK_MODES}
     modes = fixed + list(tracked)
     totals = np.zeros((len(modes), 3))
     per_symbol = (np.zeros((len(modes), sc.n_symbols, 3))
@@ -504,18 +508,19 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
     # every PAST step makes a new state, so all channels start from one
     init = init_tracker(sc.n, sc.d, beta=sc.beta)
     for ci in range(sc.n_channels_eff):
-        sys_, blocks = _channel_symbols(sc, ci, pn, (sc.sigma_deg,),
-                                        offset=sc.offset)
-        rcv = receiver(sys_.channels[0].lam, sc.layout, cfg)
+        lam, blocks = _channel_symbols(sc, ci, pn, (sc.sigma_deg,),
+                                       offset=True)
+        rcv = receiver(lam[0], sc.layout, sc.method, sc.use_null_tones)
         families, = bases(ci)
         states = dict.fromkeys(tracked, init)
         for b, (refs, _, z) in enumerate(blocks):
             m0 = b * SYMBOL_BLOCK
             refs = refs[:, 0]
             est = [_fixed_block(z, rcv, families, points, refs)]
-            for mode, tcfg in tracked.items():
-                s_hats, states[mode] = run_tracked(z, rcv, refs, states[mode],
-                                                   tcfg, start=m0)
+            for mode, freeze in tracked.items():
+                s_hats, states[mode] = run_tracked(
+                    z, rcv, refs, states[mode], const, sc.training_symbols,
+                    freeze, start=m0)
                 est.append(s_hats[None])
             scores = _score(np.concatenate(est), refs, rcv.layout, const)
             _fold(totals, scores)

@@ -45,28 +45,6 @@ class PnModel:
         _design_filter(self.order, self.cutoff, self.ripple_db)
 
 
-@dataclass(frozen=True)
-class CarrierOffset:
-    """Residual carrier offset: delta_f = ppm * 1e-6 * carrier_hz."""
-
-    ppm: float
-    carrier_hz: float
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be > 0, "
-                             f"got {self.sample_rate_hz}")
-
-    @property
-    def delta_f(self) -> float:
-        return self.ppm * 1e-6 * self.carrier_hz
-
-    @property
-    def phase_per_sample(self) -> float:
-        return 2.0 * np.pi * self.delta_f / self.sample_rate_hz
-
-
 @functools.lru_cache(maxsize=16)
 def _design_filter(order: int, cutoff: float, ripple_db: float):
     """Chebyshev-I coefficients (b, a), read-only, and the gain of their
@@ -147,17 +125,17 @@ def estimate_cov(rows) -> CMat:
     return (r + np.swapaxes(r.conj(), -1, -2)) / 2
 
 
-def offset_factor(off: CarrierOffset, start_sample: int, n: int) -> CVec:
-    """exp(j*2*pi*delta_f*(start+m)*Ts) for m = 0..n-1."""
-    m = start_sample + np.arange(n)
-    return np.exp(1j * off.phase_per_sample * m)
+def offset_factor(phase_per_sample: float, start: int, n: int) -> CVec:
+    """exp(j*phase_per_sample*(start+m)) for m = 0..n-1."""
+    m = start + np.arange(n)
+    return np.exp(1j * phase_per_sample * m)
 
 
-def apply_offset(psi: CVec, off: CarrierOffset,
+def apply_offset(psi: CVec, phase_per_sample: float,
                  start_sample: int = 0) -> CVec:
-    """psi times the carrier-offset ramp along the last axis; start_sample
-    is absolute time."""
-    return psi * offset_factor(off, start_sample, psi.shape[-1])
+    """psi times the carrier-offset ramp along the last axis, with
+    phase_per_sample = 2*pi*delta_f*Ts; start_sample is absolute time."""
+    return psi * offset_factor(phase_per_sample, start_sample, psi.shape[-1])
 
 
 def save_pn_samples(path, phi: np.ndarray) -> None:

@@ -76,28 +76,21 @@ def past_update(state: TrackerState, x) -> TrackerState:
                         beta=state.beta)
 
 
-@dataclass(frozen=True)
-class TrackingConfig:
-    constellation: Constellation
-    training_symbols: int = 0
-    freeze_after: int | None = None
-
-
 def run_tracked(z, rcv: Receiver, refs: CMat, state: TrackerState,
-                cfg: TrackingConfig,
+                const: Constellation, training: int = 0,
+                freeze: int | None = None,
                 start: int = 0) -> tuple[CMat, TrackerState]:
     """Compensate, decide, re-estimate the phase, update the basis, symbol
     by symbol through the block z (M, n_rx, N) with references refs
     (M, N).  Returns the estimates (M, N) and the last state.
 
-    The first cfg.training_symbols symbols use the true transmitted
-    symbols for decision direction; afterwards hard decisions on data
-    tones plus the known pilots are used.  Updates stop at freeze_after.
-    The block's first symbol has index start, so a stream can be run in
-    blocks, each call taking the state the previous one returned.
+    The first training symbols use the true transmitted symbols for
+    decision direction; afterwards hard decisions in const on data tones
+    plus the known pilots are used.  Updates stop at symbol freeze, if
+    given.  The block's first symbol has index start, so a stream can be
+    run in blocks, each call taking the state the previous one returned.
     """
     s_hats = np.empty(refs.shape, dtype=np.complex128)
-    freeze, training = cfg.freeze_after, cfg.training_symbols
     lay, p_idx = rcv.layout, rcv.layout.pilot_arr
     for m, (z_m, ref, s_hat) in enumerate(zip(z, refs, s_hats), start):
         w = build_w(z_m, rcv, state.v)
@@ -107,7 +100,7 @@ def run_tracked(z, rcv: Receiver, refs: CMat, state: TrackerState,
         if m < training:
             s_dd = ref
         else:
-            s_dd = hard_decide(s_hat, lay, cfg.constellation)
+            s_dd = hard_decide(s_hat, lay, const)
             s_dd[p_idx] = ref[p_idx]
         x = 1j * dd_phase_estimate(z_m, s_dd, rcv.lam)
         # track the cancellation vector exp(-j*phi_hat), the quantity the

@@ -18,7 +18,7 @@ from pncomp.compensator import build_w
 from pncomp.numerics import DEFAULT_RCOND, CMat, CVec, fft, ifft
 from pncomp.ofdm import Constellation, ToneLayout
 from pncomp.phase_noise import PnGenerator, PnModel
-from pncomp.tracker import TrackerState, TrackingConfig
+from pncomp.tracker import TrackerState
 
 
 def dft_matrix(n: int) -> CMat:
@@ -98,7 +98,7 @@ def per_symbol_fit(w, rcv, d, ref):
     w_rows = w[rcv.rows]
     s_rows = np.concatenate((ref, [0]))[rcv.tones]
     gamma = None
-    if rcv.cfg.method == "TLS" and len(s_rows) >= d + 1:
+    if rcv.method == "TLS" and len(s_rows) >= d + 1:
         _, _, vh = np.linalg.svd(np.column_stack([w_rows, s_rows]))
         q_last = vh.conj().T[:, d]
         if np.abs(q_last[d]) > 1e-12:
@@ -141,23 +141,25 @@ def past_update(state: TrackerState, x: CVec) -> TrackerState:
     return replace(state, v=v, p=p)
 
 
-def run_tracked(z, rcv, refs, state: TrackerState, cfg: TrackingConfig):
-    """The whole-stream tracker: compensate, decide (bracket_decide),
-    re-estimate the phase and update the basis, symbol by symbol through
-    z (M, n_rx, N) against refs (M, N).  Returns each symbol's estimate,
-    (M, N), and the last state."""
+def run_tracked(z, rcv, refs, state: TrackerState, const: Constellation,
+                training: int = 0, freeze: int | None = None):
+    """The whole-stream tracker: compensate, decide (bracket_decide in
+    const, after the first training symbols), re-estimate the phase and
+    update the basis, symbol by symbol through z (M, n_rx, N) against refs
+    (M, N), with no update from symbol freeze on, if given.  Returns each
+    symbol's estimate, (M, N), and the last state."""
     s_hats = []
     p_idx = rcv.layout.pilot_arr
     for m, (z_m, ref) in enumerate(zip(z, refs)):
         w = build_w(z_m, rcv, state.v)
         _, s_hat = per_symbol_fit(w, rcv, state.v.shape[1], ref)
         s_hats.append(s_hat)
-        if cfg.freeze_after is not None and m >= cfg.freeze_after:
+        if freeze is not None and m >= freeze:
             continue
-        if m < cfg.training_symbols:
+        if m < training:
             s_dd = ref
         else:
-            s_dd = bracket_decide(s_hat, rcv.layout, cfg.constellation)
+            s_dd = bracket_decide(s_hat, rcv.layout, const)
             s_dd[p_idx] = ref[p_idx]
         phi_hat = dd_phase_estimate(z_m, s_dd, rcv.lam)
         state = past_update(state, np.conj(np.exp(1j * phi_hat)))

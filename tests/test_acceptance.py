@@ -16,10 +16,10 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import gen_channel
-from pncomp.compensator import (CompConfig, build_w, compensate, fit_gamma,
-                                receiver, solve_ls, solve_tls)
+from pncomp.compensator import (build_w, compensate, fit_gamma, receiver,
+                                solve_ls, solve_tls)
 from pncomp.harness import Scenario, run_scenario
-from pncomp.mimo import MuSystem, mu_build_w, zf_beamformer
+from pncomp.mimo import mu_build_w, zf_beamformer
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol)
 from pncomp.tracker import init_tracker, past_update
@@ -163,10 +163,10 @@ def test_criterion_04_in_span_exact_recovery():
         sym = make_symbol(layout, qam, rng_seed=5000 + trial)
         ch = gen_channel(8, "exp_decay(3)", seed=6000 + trial,
                          n_rx=1 + trial % 2, n=64)
-        y = nx.ifft(ch.lam * nx.fft(nx.ifft(sym))[None, :])
+        y = nx.ifft(ch * nx.fft(nx.ifft(sym))[None, :])
         z = np.exp(1j * phi)[None, :] * y
         for method in ("LS", "TLS"):
-            rcv = receiver(ch.lam, layout, CompConfig(method=method))
+            rcv = receiver(ch, layout, method)
             w = build_w(z, rcv, bas)
             s_hat = compensate(w, rcv, fit_gamma(w, rcv, sym))
             worst = max(worst, evm_db(s_hat, sym, layout))
@@ -298,10 +298,10 @@ def test_criterion_11_complexity_scaling():
         sym = make_symbol(layout, qam, rng_seed=n + d)
         ch = gen_channel(8, "exp_decay(3)", seed=n + d, n=n)
         psi = np.exp(0.05j * rng.standard_normal(n))
-        z = psi[None, :] * nx.ifft(ch.lam * nx.fft(nx.ifft(sym))[None, :])
+        z = psi[None, :] * nx.ifft(ch * nx.fft(nx.ifft(sym))[None, :])
         bas = dft_basis(n, d)
         def run():
-            rcv = receiver(ch.lam, layout)
+            rcv = receiver(ch, layout)
             w = build_w(z, rcv, bas)
             compensate(w, rcv, fit_gamma(w, rcv, sym))
         return run
@@ -340,14 +340,14 @@ def test_criterion_12_oracle_equivalences():
     ch = gen_channel(8, "exp_decay(3)", seed=1, n=64)
     bas = dft_basis(64, 6)
     z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    dense = np.diag(1 / ch.lam[0]) @ dft_matrix(64) @ np.diag(z) @ bas
-    w = build_w(z[None], receiver(ch.lam, default_layout()), bas)[0]
+    dense = np.diag(1 / ch[0]) @ dft_matrix(64) @ np.diag(z) @ bas
+    w = build_w(z[None], receiver(ch, default_layout()), bas)[0]
     errs["build_w"] = (float(np.max(np.abs(w - dense))), 1e-10)
     # multiuser stacked operator vs materialized dense oracle at N=8
     n, n_u, n_r, d = 8, 2, 2, 3
-    chans = tuple(gen_channel(3, "uniform", seed=2 + u, n_rx=n_r, n=n)
-                  for u in range(n_u))
-    bf = zf_beamformer(MuSystem(channels=chans))
+    lam = np.stack([gen_channel(3, "uniform", seed=2 + u, n_rx=n_r, n=n)
+                    for u in range(n_u)])
+    b, _ = zf_beamformer(lam)
     zm = rng.standard_normal((n_r, n)) + 1j * rng.standard_normal((n_r, n))
     bas8 = dft_basis(n, d)
     f = dft_matrix(n)
@@ -355,12 +355,12 @@ def test_criterion_12_oracle_equivalences():
     for k in range(n):
         for u in range(n_u):
             for r in range(n_r):
-                big[u * n + k, r * n:(r + 1) * n] += bf.b[k, u, r] * f[k]
+                big[u * n + k, r * n:(r + 1) * n] += b[k, u, r] * f[k]
     z_big = np.zeros((n_r * n, n_r * n), dtype=complex)
     for r in range(n_r):
         z_big[r * n:(r + 1) * n, r * n:(r + 1) * n] = np.diag(zm[r])
     w_dense = big @ z_big @ np.vstack([bas8] * n_r)
-    w_fast = mu_build_w(zm, bf, bas8)
+    w_fast = mu_build_w(zm, b, bas8)
     errs["mimo"] = (float(max(np.max(np.abs(w_fast[u]
                                             - w_dense[u * n:(u + 1) * n]))
                               for u in range(n_u))), 1e-9)

@@ -6,9 +6,8 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import from_taps, gen_channel
-from pncomp.compensator import (CompConfig, build_w, compensate,
-                                equalize_only, fit_gamma, receiver, solve_ls,
-                                solve_tls)
+from pncomp.compensator import (build_w, compensate, equalize_only,
+                                fit_gamma, receiver, solve_ls, solve_tls)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol)
 from pncomp.phase_noise import PnGenerator, PnModel, estimate_cov
@@ -26,9 +25,10 @@ def qam():
     return Constellation.qam(256)
 
 
-def comp(z, lam, bas, ref, layout, cfg=CompConfig()):
-    """comp_w on the W of (z, lam) built with bas itself."""
-    rcv = receiver(lam, layout, cfg)
+def comp(z, lam, bas, ref, layout, **kw):
+    """comp_w on the W of (z, lam) built with bas itself; kw go to
+    receiver."""
+    rcv = receiver(lam, layout, **kw)
     return comp_w(build_w(z, rcv, bas), rcv, bas.shape[1], ref)
 
 
@@ -45,8 +45,9 @@ def w_one(z, lam, bas):
 
 
 def received(ch, sym, psi=None):
-    """Noiseless received time-domain signal per branch, shape (n_rx, N)."""
-    y = nx.ifft(ch.lam * nx.fft(nx.ifft(sym))[None, :])
+    """Noiseless received time-domain signal per branch, shape (n_rx, N),
+    through the channel response ch (n_rx, N)."""
+    y = nx.ifft(ch * nx.fft(nx.ifft(sym))[None, :])
     if psi is not None:
         y = psi[None, :] * y
     return y
@@ -57,12 +58,12 @@ class TestBuildW:
         sym = make_symbol(layout, qam, rng_seed=1)
         ch = from_taps([1.0], 64)
         z = received(ch, sym)[0]
-        w = w_one(z, ch.lam[0], dft_basis(64, 1))
+        w = w_one(z, ch[0], dft_basis(64, 1))
         np.testing.assert_allclose(w[:, 0], sym / 8.0, atol=1e-12)
 
     def test_zero_input(self, layout):
         ch = gen_channel(4, "uniform", seed=2, n=64)
-        w = w_one(np.zeros(64), ch.lam[0], dft_basis(64, 4))
+        w = w_one(np.zeros(64), ch[0], dft_basis(64, 4))
         np.testing.assert_array_equal(w, np.zeros((64, 4)))
 
     def test_matches_dense_oracle(self, layout, qam):
@@ -71,8 +72,8 @@ class TestBuildW:
         z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         bas = dft_basis(64, 6)
         f = dft_matrix(64)
-        oracle = np.diag(1.0 / ch.lam[0]) @ f @ np.diag(z) @ bas
-        np.testing.assert_allclose(w_one(z, ch.lam[0], bas), oracle,
+        oracle = np.diag(1.0 / ch[0]) @ f @ np.diag(z) @ bas
+        np.testing.assert_allclose(w_one(z, ch[0], bas), oracle,
                                    atol=1e-10)
 
     def test_weak_tone_rows_zeroed(self):
@@ -86,6 +87,11 @@ class TestBuildW:
     def test_rejects_all_zero_channel(self):
         with pytest.raises(ValueError):
             receiver(np.zeros((1, 64)), default_layout())
+
+    def test_rejects_unknown_method(self):
+        # fit_gamma would fit any method but TLS by LS
+        with pytest.raises(ValueError, match="LS or TLS"):
+            receiver(np.ones((1, 64)), default_layout(), method="XLS")
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +123,7 @@ class TestPrefixW:
                       "DFT": lambda d: dft_basis(64, d),
                       "DCT": lambda d: dct_basis(64, d)}[kind]
         ch = gen_channel(8, "exp_decay(3)", seed=41 + n_rx, n_rx=n_rx, n=64)
-        lam = ch.lam.copy()
+        lam = ch.copy()
         if weak:  # a pilot and a null tone drop out of branch 0's rows
             lam[0, [3, 30]] = 1e-9 * np.abs(lam[0]).max()
         sym = make_symbol(layout, qam, rng_seed=42)
@@ -126,8 +132,7 @@ class TestPrefixW:
         z = (psi[None, :] * nx.ifft(lam * nx.fft(nx.ifft(sym))[None, :])
              + 1e-3 * (rng.standard_normal(lam.shape)
                        + 1j * rng.standard_normal(lam.shape)))
-        cfg = CompConfig(method=method, use_null_tones=nulls)
-        rcv = receiver(lam, layout, cfg)
+        rcv = receiver(lam, layout, method, nulls)
         family = make_basis(16)
         w_family = build_w(z, rcv, family)
         for d in (1, 2, 3, 5, 8, 12, 15, 16):
@@ -144,7 +149,7 @@ class TestPrefixW:
     def test_rejects_too_few_columns(self, layout, qam):
         ch = gen_channel(8, "uniform", seed=45, n=64)
         sym = make_symbol(layout, qam, rng_seed=45)
-        rcv = receiver(ch.lam, layout)
+        rcv = receiver(ch, layout)
         w = build_w(received(ch, sym), rcv, dft_basis(64, 3))
         with pytest.raises(ValueError):  # a gamma of a d = 4 fit
             compensate(w, rcv, np.ones(4, dtype=complex))
@@ -157,7 +162,7 @@ class TestBlockW:
 
     def _block(self, layout, qam, n_rx, n_sym, weak):
         ch = gen_channel(8, "exp_decay(3)", seed=50 + n_rx, n_rx=n_rx, n=64)
-        lam = ch.lam.copy()
+        lam = ch.copy()
         if weak:  # a pilot tone drops out and a tone of branch 0 is zero
             lam[0, 3] = 1e-9 * np.abs(lam[0]).max()
             lam[0, 40] = 0.0
@@ -184,8 +189,7 @@ class TestBlockW:
         bas = {"KL": kl_basis(kl_cov, 8), "DFT": dft_basis(64, 8),
                "DCT": dct_basis(64, 8)}[kind]
         lam, syms, z = self._block(layout, qam, n_rx, 7, weak)
-        rcv = receiver(lam, layout, CompConfig(method=method,
-                                               use_null_tones=nulls))
+        rcv = receiver(lam, layout, method, nulls)
         w_block = build_w(z, rcv, bas)
         assert w_block.shape == (7, n_rx, 64, 8)
         for i, sym in enumerate(syms):
@@ -201,7 +205,7 @@ class TestBlockW:
         ("LS", 2, False), ("TLS", 2, True), ("TLS", 1, False)])
     def test_cpe_from_dft_family(self, layout, qam, method, n_rx, weak):
         lam, syms, z = self._block(layout, qam, n_rx, 5, weak)
-        rcv = receiver(lam, layout, CompConfig(method=method))
+        rcv = receiver(lam, layout, method)
         w_family = build_w(z, rcv, dft_basis(64, 4))
         cpe = dft_basis(64, 1)
         for i, sym in enumerate(syms):
@@ -216,9 +220,10 @@ class TestBlockFit:
     """fit_gamma on a block of M symbols (one stacked pinv or SVD) plus the
     per-symbol compensate against per_symbol_fit: bit-identical."""
 
-    def _block(self, layout, qam, kl_cov, n_rx, n_sym, weak, cfg):
+    def _block(self, layout, qam, kl_cov, n_rx, n_sym, weak, method,
+               nulls=False):
         ch = gen_channel(8, "exp_decay(3)", seed=60 + n_rx, n_rx=n_rx, n=64)
-        lam = ch.lam.copy()
+        lam = ch.copy()
         if weak:  # one pilot tone is weak, another zero, on branch 0
             lam[0, 3] = 1e-9 * np.abs(lam[0]).max()
             lam[0, 20] = 0.0
@@ -231,7 +236,7 @@ class TestBlockFit:
                       + 1e-3 * (rng.standard_normal(lam.shape)
                                 + 1j * rng.standard_normal(lam.shape))
                       for s in syms])
-        rcv = receiver(lam, layout, cfg)
+        rcv = receiver(lam, layout, method, nulls)
         return rcv, syms, build_w(z, rcv, kl_basis(kl_cov, 16))
 
     @pytest.mark.parametrize("method, n_rx, nulls, weak, n_sym", [
@@ -250,9 +255,8 @@ class TestBlockFit:
                                       weak, n_sym):
         layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
                             null_idx=TestPrefixW.NULLS if nulls else ())
-        cfg = CompConfig(method=method, use_null_tones=nulls)
         rcv, syms, w = self._block(layout, qam, kl_cov, n_rx, n_sym, weak,
-                                   cfg)
+                                   method, nulls)
         refs_s = np.array(syms)
         for d in (1, 4, 16):
             gamma = fit_gamma(w[..., :d], rcv, refs_s)
@@ -272,8 +276,7 @@ class TestBlockFit:
         # a zero column makes [W, s] singular with a last right singular
         # vector whose final entry vanishes: those symbols take LS, the
         # rest of the block keeps TLS
-        rcv, syms, w = self._block(layout, qam, kl_cov, 2, 9, False,
-                                   CompConfig(method="TLS"))
+        rcv, syms, w = self._block(layout, qam, kl_cov, 2, 9, False, "TLS")
         w = w[..., :4].copy()
         w[::3, :, :, 2] = 0
         gamma = fit_gamma(w, rcv, np.array(syms))
@@ -387,7 +390,7 @@ class TestCompensate:
         ch = gen_channel(8, "exp_decay(3)", seed=12, n=64)
         z = received(ch, sym)
         bas = dft_basis(64, 1)
-        gamma, _, s_hat = comp(z, ch.lam, bas, sym, layout)
+        gamma, _, s_hat = comp(z, ch, bas, sym, layout)
         assert abs(gamma[0] - 8.0) <= 1e-9
         np.testing.assert_allclose(bas @ gamma, np.ones(64), atol=1e-9)
         np.testing.assert_allclose(s_hat, sym, atol=1e-9)
@@ -399,7 +402,7 @@ class TestCompensate:
         ch = gen_channel(8, "uniform", seed=13, n=64)
         z = received(ch, sym, psi=np.exp(1j * theta) * np.ones(64))
         bas = dft_basis(64, 1)
-        gamma, _, s_hat = comp(z, ch.lam, bas, sym, layout)
+        gamma, _, s_hat = comp(z, ch, bas, sym, layout)
         np.testing.assert_allclose(bas @ gamma,
                                    np.exp(-1j * theta) * np.ones(64),
                                    atol=1e-9)
@@ -417,8 +420,7 @@ class TestCompensate:
         ch = gen_channel(8, "exp_decay(3)", seed=14, n=64)
         z = received(ch, sym, psi=np.exp(1j * phi))
         for method in ("LS", "TLS"):
-            _, _, s_hat = comp(z, ch.lam, bas, sym, layout,
-                               CompConfig(method=method))
+            _, _, s_hat = comp(z, ch, bas, sym, layout, method=method)
             assert evm_db(s_hat, sym, layout) <= -80
 
     def test_two_branches_beat_one(self, layout, qam):
@@ -433,8 +435,8 @@ class TestCompensate:
             ch = gen_channel(8, "exp_decay(3)", seed=300 + i, n_rx=2, n=64)
             psi = gen2.next(64)
             z = received(ch, sym, psi=psi)
-            _, _, s1 = comp(z[:1], ch.lam[:1], bas, sym, layout)
-            _, _, s2 = comp(z, ch.lam, bas, sym, layout)
+            _, _, s1 = comp(z[:1], ch[:1], bas, sym, layout)
+            _, _, s2 = comp(z, ch, bas, sym, layout)
             one += 10 ** (evm_db(s1, sym, layout) / 10)
             two += 10 ** (evm_db(s2, sym, layout) / 10)
         assert two <= one
@@ -447,7 +449,7 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=18)
         ch = gen_channel(8, "exp_decay(3)", seed=18, n=64)
         z = received(ch, sym, psi=gen.next(64))[0]
-        w = w_one(z, ch.lam[0], bas)
+        w = w_one(z, ch[0], bas)
         p = list(layout.pilot_idx)
         w_p, s_p = w[p], sym[p]
         gamma = solve_ls(w_p, s_p)
@@ -469,8 +471,8 @@ class TestCompensate:
             sym = make_symbol(layout, qam, rng_seed=400 + i)
             ch = gen_channel(8, "exp_decay(3)", seed=500 + i, n=64)
             z = received(ch, sym, psi=np.exp(1j * phi))
-            _, _, s_hat = comp(z, ch.lam, bas, sym, layout)
-            base = equalize_only(z, receiver(ch.lam, layout))
+            _, _, s_hat = comp(z, ch, bas, sym, layout)
+            base = equalize_only(z, receiver(ch, layout))
             assert (evm_db(s_hat, sym, layout)
                     <= evm_db(base, sym, layout) + 0.1)
 
@@ -480,9 +482,9 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=20)
         ch = gen_channel(8, "uniform", seed=20, n=64)
         z = received(ch, sym)
-        _, with_null, _ = comp(z, ch.lam, dft_basis(64, 4), sym, layout,
-                               CompConfig(use_null_tones=True))
-        _, without, _ = comp(z, ch.lam, dft_basis(64, 4), sym, layout)
+        _, with_null, _ = comp(z, ch, dft_basis(64, 4), sym, layout,
+                               use_null_tones=True)
+        _, without, _ = comp(z, ch, dft_basis(64, 4), sym, layout)
         assert with_null == without + 2
 
     def test_underdetermined_flagged(self, qam):
@@ -490,6 +492,6 @@ class TestCompensate:
         sym = make_symbol(layout, qam, rng_seed=21)
         ch = gen_channel(8, "uniform", seed=21, n=64)
         z = received(ch, sym)
-        gamma, rows, _ = comp(z, ch.lam, dft_basis(64, 8), sym, layout)
+        gamma, rows, _ = comp(z, ch, dft_basis(64, 8), sym, layout)
         assert rows < len(gamma)  # underdetermined: fewer rows than d
         assert rows == 2

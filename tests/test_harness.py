@@ -11,16 +11,15 @@ import pytest
 
 from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import gen_channel
-from pncomp.compensator import CompConfig, build_w, equalize_only, receiver
+from pncomp.compensator import build_w, equalize_only, receiver
 from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
                             Scenario, _channel_symbols, _fixed_block,
                             _kl_covs, child_seed, main, parse_config,
                             run_scenario)
-from pncomp.mimo import MuSystem
 from pncomp.numerics import fft, ifft
 from pncomp.ofdm import Constellation, ToneLayout, default_layout, make_symbol
-from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
-                                apply_offset, estimate_cov, load_pn_samples,
+from pncomp.phase_noise import (PnGenerator, PnModel, apply_offset,
+                                estimate_cov, load_pn_samples,
                                 save_pn_samples)
 
 import oracles
@@ -117,6 +116,13 @@ class TestParseConfig:
         # no data tones has nothing to score
         with pytest.raises(ConfigError, match="null_tones"):
             Scenario(name="custom", null_tones=tones)
+
+    def test_phase_per_sample(self):
+        # delta_f * Ts = 1/N: one full turn of the offset ramp per symbol
+        sc = Scenario(name="tracking", ppm=1.0, carrier_hz=1e6 / 64,
+                      sample_rate_hz=1.0)
+        assert sc.phase_per_sample == 2.0 * np.pi * (1e-6 * (1e6 / 64))
+        assert abs(sc.phase_per_sample - 2.0 * np.pi / 64) <= 1e-15
 
 
 class TestScenarios:
@@ -302,6 +308,10 @@ class TestCli:
         ("name = custom\nnull_tones = -0.5\n", []),
         ("name = custom\nnull_tones = "
          + ", ".join(map(str, NO_DATA_NULLS)) + "\n", []),
+        ("name = custom\nchannel_profile = exp_decay_foo\n", []),
+        ("name = custom\nchannel_profile = exp_decay(2)junk\n", []),
+        ("name = custom\nchannel_profile = exp_decay(inf)\n", []),
+        ("name = custom\nchannel_profile = exp_decay(3\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
             "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
@@ -316,7 +326,9 @@ class TestCli:
             "basis_kinds_empty_custom", "track_modes_empty",
             "tx_sigma_list_empty", "pn_ripple_underflow",
             "pn_ripple_overflow", "null_tones_fraction",
-            "null_tones_negative_fraction", "null_tones_no_data"])
+            "null_tones_negative_fraction", "null_tones_no_data",
+            "profile_suffix", "profile_trailing_junk", "profile_tau_inf",
+            "profile_unclosed"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -671,13 +683,14 @@ def reference_noise(sc, rng, shape):
                       + 1j * rng.standard_normal(shape))
 
 
-def per_symbol_stream(sc, ci, sigma, offset=None):
-    """Reference for _channel_symbols: channel ci's (ref, z) stream
-    simulated one symbol at a time, with its own PN draw, offset ramp,
-    FFT pair and real-then-imaginary noise draw per symbol."""
+def per_symbol_stream(sc, ci, sigma, offset=False):
+    """Reference for _channel_symbols: channel ci's response and (ref, z)
+    stream simulated one symbol at a time, with its own PN draw, offset
+    ramp (if offset and sc.ppm != 0), FFT pair and real-then-imaginary
+    noise draw per symbol."""
     seed = sc.master_seed
-    ch = gen_channel(sc.n_taps, sc.channel_profile,
-                     child_seed(seed, "chan", ci), n_rx=sc.n_rx, n=sc.n)
+    lam = gen_channel(sc.n_taps, sc.channel_profile,
+                      child_seed(seed, "chan", ci), n_rx=sc.n_rx, n=sc.n)
     next_pn = reference_pn(sc, ci, sigma)
     rng = np.random.default_rng(child_seed(seed, "noise", ci))
     out = []
@@ -685,13 +698,13 @@ def per_symbol_stream(sc, ci, sigma, offset=None):
         ref = make_symbol(sc.layout, sc.constellation,
                           child_seed(seed, "sym", ci, m))
         psi = next_pn()
-        if offset is not None and offset.ppm != 0:
-            psi = apply_offset(psi, offset, start_sample=m * sc.n)
-        y = ifft(ch.lam * fft(ifft(ref))[None, :])
+        if offset and sc.ppm != 0:
+            psi = apply_offset(psi, sc.phase_per_sample, start_sample=m * sc.n)
+        y = ifft(lam * fft(ifft(ref))[None, :])
         if sc.snr_db != np.inf:
             y = y + reference_noise(sc, rng, y.shape)
         out.append((ref, psi[None, :] * y))
-    return ch, out
+    return lam, out
 
 
 class TestBlockStream:
@@ -723,20 +736,18 @@ class TestBlockStream:
                       master_seed=77)
         params.update(kw)
         sc = Scenario(**params)
-        offset = CarrierOffset(ppm=sc.ppm, carrier_hz=sc.carrier_hz,
-                               sample_rate_hz=sc.sample_rate_hz)
-        sys_, blocks = _channel_symbols(sc, 1, pn_windows(sc), sigmas,
-                                        offset=offset)
+        lam, blocks = _channel_symbols(sc, 1, pn_windows(sc), sigmas,
+                                       offset=True)
         blocks = list(blocks)  # a generator: it can be consumed only once
-        assert sys_.n_users == 1
+        assert lam.shape == (1, sc.n_rx, sc.n)
         assert all(1 <= len(refs) <= SYMBOL_BLOCK for refs, _, _ in blocks)
         # every block at every sigma before the next block
         n_blocks = -(-sc.n_symbols // SYMBOL_BLOCK)
         assert [pt for _, pt, _ in blocks] == [
             (i, 0) for i in range(len(sigmas))] * n_blocks
         for i, sigma in enumerate(sigmas):
-            ref_ch, expected = per_symbol_stream(sc, 1, sigma, offset=offset)
-            assert np.array_equal(sys_.channels[0].lam, ref_ch.lam)
+            ref_lam, expected = per_symbol_stream(sc, 1, sigma, offset=True)
+            assert np.array_equal(lam[0], ref_lam)
             got = [(syms, z_i) for refs, pt, z in blocks if pt == (i, 0)
                    for syms, z_i in zip(refs, z)]
             assert len(got) == len(expected) == sc.n_symbols
@@ -808,15 +819,16 @@ class TestBlockStream:
 
 
 def per_point_mu_stream(sc, ci, sigma, tx_sigma):
-    """Reference for _channel_symbols with users: channel ci's stream at
-    one (sigma, tx sigma) point, simulated one symbol at a time with the
-    point's own generators and noise stream; each user's signal is
-    transformed, channel-filtered and added from zero in user order."""
+    """Reference for _channel_symbols with users: channel ci's users'
+    responses lam (n_users, n_rx, N) and its stream at one (sigma, tx
+    sigma) point, simulated one symbol at a time with the point's own
+    generators and noise stream; each user's signal is transformed,
+    channel-filtered and added from zero in user order."""
     seed = sc.master_seed
-    sys_ = MuSystem(channels=tuple(
-        gen_channel(sc.n_taps, sc.channel_profile,
-                    child_seed(seed, "chan", ci, u), n_rx=sc.n_rx, n=sc.n)
-        for u in range(sc.n_users)))
+    lam = np.stack([gen_channel(sc.n_taps, sc.channel_profile,
+                                child_seed(seed, "chan", ci, u),
+                                n_rx=sc.n_rx, n=sc.n)
+                    for u in range(sc.n_users)])
     next_pn = reference_pn(sc, ci, sigma)
     tx_gens = [PnGenerator(sc.pn_model(child_seed(seed, "txpn", ci, u),
                                        tx_sigma))
@@ -833,11 +845,11 @@ def per_point_mu_stream(sc, ci, sigma, tx_sigma):
             x = ifft(ref)
             if tx_gens:
                 x = tx_gens[u].next(sc.n) * x
-            y += ifft(sys_.channels[u].lam * fft(x)[None, :])
+            y += ifft(lam[u] * fft(x)[None, :])
         if sc.snr_db != np.inf:
             y = y + reference_noise(sc, rng, y.shape)
         out.append((refs, psi[None, :] * y))
-    return sys_, out
+    return lam, out
 
 
 def per_sigma_kl_cov(sc, ci, sigma):
@@ -930,13 +942,13 @@ class TestMuBlockStream:
         expected = {}
         for (i, sigma), (j, tx_sigma) in itertools.product(
                 enumerate(sc.sigma_list), enumerate(sc.tx_sigma_list)):
-            sys_, expected[(i, j)] = per_point_mu_stream(sc, 1, sigma,
-                                                         tx_sigma)
-        got_sys, blocks = _channel_symbols(
+            lam, expected[(i, j)] = per_point_mu_stream(sc, 1, sigma,
+                                                        tx_sigma)
+        got_lam, blocks = _channel_symbols(
             sc, 1, pn_windows(sc), sc.sigma_list, sc.tx_sigma_list,
             users=tuple((u,) for u in range(sc.n_users)))
-        assert all(np.array_equal(a.lam, e.lam)
-                   for a, e in zip(got_sys.channels, sys_.channels))
+        assert got_lam.shape == (sc.n_users, sc.n_rx, sc.n)
+        assert np.array_equal(got_lam, lam)
         got = {}
         for refs, pt, z in blocks:
             assert 1 <= len(refs) <= SYMBOL_BLOCK
@@ -976,13 +988,11 @@ class TestFixedBlock:
         layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
                             null_idx=self.NULLS if nulls else ())
         qam = Constellation.qam(256)
-        lam = gen_channel(8, "exp_decay(3)", seed=70 + n_rx, n_rx=n_rx,
-                          n=64).lam.copy()
+        lam = gen_channel(8, "exp_decay(3)", seed=70 + n_rx, n_rx=n_rx, n=64)
         if weak:  # branch 0: a pilot and a null tone weak, a data tone zero
             lam[0, [3, 30]] = 1e-9 * np.abs(lam[0]).max()
             lam[0, 40] = 0.0
-        rcv = receiver(lam, layout, CompConfig(method=method,
-                                               use_null_tones=nulls))
+        rcv = receiver(lam, layout, method, nulls)
         refs = np.array([make_symbol(layout, qam, 71 + i) for i in range(m)])
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=72))
         rng = np.random.default_rng(73)

@@ -5,9 +5,9 @@ import pytest
 from scipy import signal
 
 from pncomp import numerics as nx
-from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
-                                apply_offset, estimate_cov, load_pn_samples,
-                                offset_factor, save_pn_samples)
+from pncomp.phase_noise import (PnGenerator, PnModel, apply_offset,
+                                estimate_cov, load_pn_samples, offset_factor,
+                                save_pn_samples)
 
 from oracles import gen_pn
 
@@ -160,40 +160,41 @@ class TestEstimateCov:
             estimate_cov(rows)
 
 
+# the ramp step 2*pi*delta_f*Ts of 5 ppm on a 5 GHz carrier at 20 MHz
+PHASE_5PPM = 2.0 * np.pi * (5.0 * 1e-6 * 5e9) / 20e6
+
+
 class TestCarrierOffset:
     def test_ppm_zero_unchanged(self):
         psi = gen_pn(PnModel(sigma_deg=3.0, seed=8), 64)
-        off = CarrierOffset(ppm=0.0, carrier_hz=5e9, sample_rate_hz=20e6)
-        out = apply_offset(psi, off, start_sample=100)
+        out = apply_offset(psi, 0.0, start_sample=100)
         np.testing.assert_array_equal(out, psi)
 
     def test_full_ramp(self):
         # delta_f * Ts = 1/N turns all-ones into one full phase ramp
         n = 64
-        off = CarrierOffset(ppm=1.0, carrier_hz=1e6 / n, sample_rate_hz=1.0)
-        out = apply_offset(np.ones(n, dtype=complex), off, start_sample=0)
+        out = apply_offset(np.ones(n, dtype=complex), 2.0 * np.pi / n,
+                           start_sample=0)
         expected = np.exp(2j * np.pi * np.arange(n) / n)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_absolute_sample_counter(self):
         psi = gen_pn(PnModel(sigma_deg=2.0, seed=9), 64)
-        off = CarrierOffset(ppm=5.0, carrier_hz=5e9, sample_rate_hz=20e6)
-        a = apply_offset(psi, off, start_sample=64)
-        b = apply_offset(psi, off, start_sample=0)
-        ramp = np.exp(1j * off.phase_per_sample * 64)
+        a = apply_offset(psi, PHASE_5PPM, start_sample=64)
+        b = apply_offset(psi, PHASE_5PPM, start_sample=0)
+        ramp = np.exp(1j * PHASE_5PPM * 64)
         np.testing.assert_allclose(a, b * ramp, atol=1e-12)
 
     def test_covariance_modulation_identity(self):
         # R built from offset realizations equals diag(c) R diag(c)*
         n = 64
-        off = CarrierOffset(ppm=5.0, carrier_hz=5e9, sample_rate_hz=20e6)
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=10))
         reals = [gen.next(n) for _ in range(20)]
         # same start sample for every window so one common ramp factors out
-        shifted = [apply_offset(r, off, start_sample=0) for r in reals]
+        shifted = [apply_offset(r, PHASE_5PPM, start_sample=0) for r in reals]
         r_plain = estimate_cov(reals)
         r_shift = estimate_cov(shifted)
-        c = offset_factor(off, 0, n)
+        c = offset_factor(PHASE_5PPM, 0, n)
         np.testing.assert_allclose(r_shift, np.diag(c) @ r_plain @ np.diag(c).conj().T,
                                    atol=1e-10)
 

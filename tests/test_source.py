@@ -1,20 +1,22 @@
-"""Source checks on src/pncomp and tests: no module imports a name it
-never uses.
+"""Source checks on src/pncomp, tests and the README: no module imports
+a name it never uses, and every pncomp name the README cites exists.
 
-No linter is part of the toolchain, so this is a small `ast` check.  Every
-name an `import` or `from ... import` binds must be read somewhere in the
-module: as a name, the root of an attribute chain, or an entry of
+No linter is part of the toolchain, so the first is a small `ast` check.
+Every name an `import` or `from ... import` binds must be read somewhere
+in the module: as a name, the root of an attribute chain, or an entry of
 `__all__`.  `from __future__ import ...` binds nothing and is skipped.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "pncomp").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = ROOT / "src" / "pncomp"
+MODULES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +54,37 @@ def test_checker_finds_leftovers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def readme_references(text: str) -> list[str]:
+    """Each inline code span of Markdown text that starts with
+    `module.name`, module one of pncomp's, as "module.name", in order.
+    Fenced blocks are skipped; a span may wrap across lines."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    refs = [re.match(r"(\w+)\.(\w+)", span) for span in spans]
+    return [ref[0] for ref in refs if ref and ref[1] in modules]
+
+
+def unresolved(refs: list[str]) -> list[str]:
+    """The "module.name" references that name nothing in pncomp."""
+    return [ref for ref in refs if not hasattr(
+        importlib.import_module("pncomp." + ref.split(".")[0]),
+        ref.split(".")[1])]
+
+
+def test_reference_checker_finds_stale_names():
+    text = ("`mimo.MuSystem` and `mimo.zf_beamformer(lam)` of\n"
+            "`np.sum` and `pncomp.mimo`; `harness._channel_symbols` wraps\n"
+            "`ofdm.evm_db(est,\nref)`\n```sh\nx = `channel.Gone`\n```\n")
+    refs = readme_references(text)
+    assert refs == ["mimo.MuSystem", "mimo.zf_beamformer",
+                    "harness._channel_symbols", "ofdm.evm_db"]
+    assert unresolved(refs) == ["mimo.MuSystem"]
+
+
+def test_readme_references_resolve():
+    refs = readme_references((ROOT / "README.md").read_text())
+    assert refs, "no module.name reference found"
+    assert unresolved(refs) == []

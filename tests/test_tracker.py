@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from pncomp import numerics as nx
 from pncomp.basis import kl_basis
 from pncomp.channel import gen_channel
-from pncomp.compensator import CompConfig, receiver
-from pncomp.harness import SYMBOL_BLOCK
+from pncomp.compensator import receiver
+from pncomp.harness import SYMBOL_BLOCK, Scenario
 from pncomp.ofdm import (Constellation, default_layout, evm_db, make_symbol,
                          symbol_error_rate)
-from pncomp.phase_noise import (CarrierOffset, PnGenerator, PnModel,
-                                apply_offset, estimate_cov, offset_factor)
-from pncomp.tracker import (TrackingConfig, dd_phase_estimate, init_tracker,
-                            past_update, run_tracked)
+from pncomp.phase_noise import (PnGenerator, PnModel, apply_offset,
+                                estimate_cov, offset_factor)
+from pncomp.tracker import (dd_phase_estimate, init_tracker, past_update,
+                            run_tracked)
 
 import oracles
 
@@ -38,8 +38,14 @@ def qam():
     return Constellation.qam(256)
 
 
-def received(ch, sym, psi=None):
-    y = nx.ifft(ch.lam * nx.fft(nx.ifft(sym))[None, :])
+def phase_per_sample(ppm):
+    """The offset ramp's step of ppm on a 5 GHz carrier at 20 MHz."""
+    return Scenario(name="tracking", ppm=ppm, carrier_hz=5e9,
+                    sample_rate_hz=20e6).phase_per_sample
+
+
+def received(lam, sym, psi=None):
+    y = nx.ifft(lam * nx.fft(nx.ifft(sym))[None, :])
     if psi is not None:
         y = psi[None, :] * y
     return y
@@ -48,43 +54,43 @@ def received(ch, sym, psi=None):
 class TestDdPhaseEstimate:
     def test_exact_signal_gives_ones(self, layout, qam):
         sym = make_symbol(layout, qam, rng_seed=1)
-        ch = gen_channel(8, "exp_decay(3)", seed=1, n=64)
-        z = received(ch, sym)
-        phi = dd_phase_estimate(z, sym, ch.lam)
+        lam = gen_channel(8, "exp_decay(3)", seed=1, n=64)
+        z = received(lam, sym)
+        phi = dd_phase_estimate(z, sym, lam)
         np.testing.assert_allclose(phi, np.zeros(64), atol=1e-10)
 
     def test_constant_rotation(self, layout, qam):
         sym = make_symbol(layout, qam, rng_seed=2)
-        ch = gen_channel(8, "exp_decay(3)", seed=2, n=64)
-        z = np.exp(0.4j) * received(ch, sym)
-        phi = dd_phase_estimate(z, sym, ch.lam)
+        lam = gen_channel(8, "exp_decay(3)", seed=2, n=64)
+        z = np.exp(0.4j) * received(lam, sym)
+        phi = dd_phase_estimate(z, sym, lam)
         np.testing.assert_allclose(phi, np.full(64, 0.4), atol=1e-10)
 
     def test_recovers_true_psi(self, layout, qam):
         sym = make_symbol(layout, qam, rng_seed=3)
-        ch = gen_channel(8, "exp_decay(3)", seed=3, n_rx=2, n=64)
+        lam = gen_channel(8, "exp_decay(3)", seed=3, n_rx=2, n=64)
         phi_true = PnGenerator(PnModel(sigma_deg=4.0, seed=3)).next_phi(64)
-        z = received(ch, sym, psi=np.exp(1j * phi_true))
-        phi = dd_phase_estimate(z, sym, ch.lam)
+        z = received(lam, sym, psi=np.exp(1j * phi_true))
+        phi = dd_phase_estimate(z, sym, lam)
         np.testing.assert_allclose(phi, phi_true, atol=1e-10)
 
     def test_unit_modulus_always(self, layout, qam):
         # a real phase in [-pi, pi] makes the tracked exp(-j*phi) unit modulus
         rng = np.random.default_rng(4)
         sym = make_symbol(layout, qam, rng_seed=4)
-        ch = gen_channel(8, "exp_decay(3)", seed=4, n=64)
-        z = received(ch, sym) + 0.3 * (rng.standard_normal((1, 64))
+        lam = gen_channel(8, "exp_decay(3)", seed=4, n=64)
+        z = received(lam, sym) + 0.3 * (rng.standard_normal((1, 64))
                                        + 1j * rng.standard_normal((1, 64)))
-        phi = dd_phase_estimate(z, sym, ch.lam)
+        phi = dd_phase_estimate(z, sym, lam)
         assert phi.shape == (64,) and phi.dtype == np.float64
         assert np.all(np.abs(phi) <= np.pi)
         assert np.max(np.abs(np.abs(np.exp(1j * phi)) - 1.0)) <= 1e-12
 
     def test_rejects_zero_reconstruction(self, layout, qam):
-        ch = gen_channel(8, "uniform", seed=5, n=64)
+        lam = gen_channel(8, "uniform", seed=5, n=64)
         zero = np.zeros(64, dtype=complex)
         with pytest.raises(ValueError):
-            dd_phase_estimate(np.ones((1, 64)), zero, ch.lam)
+            dd_phase_estimate(np.ones((1, 64)), zero, lam)
 
 
 class TestDdPhaseEstimateBits:
@@ -182,8 +188,8 @@ class TestRunTracked:
     def _stream(self, layout, qam, n_symbols, sigma_deg, seed,
                 offset=None, n_rx=1):
         """(z (n_symbols, n_rx, N), Receiver, references (n_symbols, N))
-        of one channel."""
-        ch = gen_channel(8, "exp_decay(3)", seed=seed, n_rx=n_rx, n=64)
+        of one channel, with the offset ramp of step offset, if given."""
+        lam = gen_channel(8, "exp_decay(3)", seed=seed, n_rx=n_rx, n=64)
         gen = PnGenerator(PnModel(sigma_deg=sigma_deg, seed=seed))
         z, refs = [], []
         for m in range(n_symbols):
@@ -191,14 +197,13 @@ class TestRunTracked:
             psi = gen.next(64)
             if offset is not None:
                 psi = apply_offset(psi, offset, start_sample=m * 64)
-            z.append(received(ch, refs[-1], psi=psi))
-        return np.array(z), receiver(ch.lam, layout), np.array(refs)
+            z.append(received(lam, refs[-1], psi=psi))
+        return np.array(z), receiver(lam, layout), np.array(refs)
 
     def test_clean_input_floor(self, layout, qam):
         z, rcv, refs = self._stream(layout, qam, 20, sigma_deg=0.0, seed=9)
         state = init_tracker(64, 4, beta=0.9)
-        cfg = TrackingConfig(constellation=qam, training_symbols=5)
-        s_hats, _ = run_tracked(z, rcv, refs, state, cfg)
+        s_hats, _ = run_tracked(z, rcv, refs, state, qam, training=5)
         assert all(evm_db(s_hat, ref, layout) <= -180
                    for s_hat, ref in zip(s_hats, refs))
 
@@ -206,8 +211,7 @@ class TestRunTracked:
         z, rcv, refs = self._stream(layout, qam, 400, sigma_deg=3.0, seed=10)
         d = 4
         state = init_tracker(64, d, beta=0.9)
-        cfg = TrackingConfig(constellation=qam, training_symbols=100)
-        s_hats, _ = run_tracked(z, rcv, refs, state, cfg)
+        s_hats, _ = run_tracked(z, rcv, refs, state, qam, training=100)
         lin = [10 ** (evm_db(s_hat, ref, layout) / 10)
                for s_hat, ref in zip(s_hats, refs)]
         early = np.mean(lin[:20])
@@ -217,13 +221,12 @@ class TestRunTracked:
     def test_offset_span_matches_modulated_kl(self, layout, qam):
         # with a residual carrier the converged span equals the span of the
         # conjugate-ramp-modulated covariance eigenvectors
-        off = CarrierOffset(ppm=5.0, carrier_hz=5e9, sample_rate_hz=20e6)
+        off = phase_per_sample(5.0)
         d = 4
         z, rcv, refs = self._stream(layout, qam, 600, sigma_deg=3.0, seed=11,
                                     offset=off)
         state = init_tracker(64, d, beta=0.95)
-        cfg = TrackingConfig(constellation=qam, training_symbols=100)
-        _, final = run_tracked(z, rcv, refs, state, cfg)
+        _, final = run_tracked(z, rcv, refs, state, qam, training=100)
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=999))
         cov = estimate_cov([gen.next(64) for _ in range(2000)])
         kl = kl_basis(cov, d)
@@ -234,23 +237,21 @@ class TestRunTracked:
     def test_freeze_stops_updates(self, layout, qam):
         z, rcv, refs = self._stream(layout, qam, 30, sigma_deg=3.0, seed=12)
         state = init_tracker(64, 4, beta=0.9)
-        cfg = TrackingConfig(constellation=qam, training_symbols=30,
-                             freeze_after=10)
-        _, final = run_tracked(z, rcv, refs, state, cfg)
+        kw = dict(training=30, freeze=10)
+        _, final = run_tracked(z, rcv, refs, state, qam, **kw)
         # the state after 30 symbols is the one after the first 10
-        _, at_10 = run_tracked(z[:10], rcv, refs[:10], state, cfg)
+        _, at_10 = run_tracked(z[:10], rcv, refs[:10], state, qam, **kw)
         np.testing.assert_array_equal(final.v, at_10.v)
         np.testing.assert_array_equal(final.p, at_10.p)
 
     def test_warm_start_continues_identically(self, layout, qam):
         z, rcv, refs = self._stream(layout, qam, 40, sigma_deg=3.0, seed=14)
-        cfg = TrackingConfig(constellation=qam, training_symbols=40)
         state = init_tracker(64, 4, beta=0.9)
-        full, _ = run_tracked(z, rcv, refs, state, cfg)
+        full, _ = run_tracked(z, rcv, refs, state, qam, training=40)
         # split run, the second half started from the mid-run state
         state = init_tracker(64, 4, beta=0.9)
-        _, mid = run_tracked(z[:20], rcv, refs[:20], state, cfg)
-        tail, _ = run_tracked(z[20:], rcv, refs[20:], mid, cfg)
+        _, mid = run_tracked(z[:20], rcv, refs[:20], state, qam, training=40)
+        tail, _ = run_tracked(z[20:], rcv, refs[20:], mid, qam, training=40)
         for a, b, ref in zip(full[20:], tail, refs[20:]):
             assert evm_db(a, ref, layout) == evm_db(b, ref, layout)
 
@@ -273,13 +274,12 @@ class TestBlockByBlockOracle:
                                   freeze, zero):
         n_symbols, seed = 70, 21
         qam = Constellation.qam(64)
-        ch = gen_channel(8, "exp_decay(3)", seed=seed, n_rx=n_rx, n=64)
-        lam = ch.lam.copy()
+        lam = gen_channel(8, "exp_decay(3)", seed=seed, n_rx=n_rx, n=64)
         if zero:  # pilot tone 3 and data tone 10 of branch 0
             lam[0, [3, 10]] = 0
-        rcv = receiver(lam, layout, CompConfig(method=method))
+        rcv = receiver(lam, layout, method)
         gen = PnGenerator(PnModel(sigma_deg=3.0, seed=seed))
-        off = CarrierOffset(ppm=ppm, carrier_hz=5e9, sample_rate_hz=20e6)
+        off = phase_per_sample(ppm)
         rng = np.random.default_rng(seed)
         z, refs = [], []
         for m in range(n_symbols):
@@ -289,15 +289,13 @@ class TestBlockByBlockOracle:
                             + 1j * rng.standard_normal((n_rx, 64)))
             z.append(psi * (nx.ifft(lam * refs[-1]) + noise))
         z, refs = np.array(z), np.array(refs)
-        cfg = TrackingConfig(constellation=qam, training_symbols=training,
-                             freeze_after=freeze)
         want, want_state = oracles.run_tracked(
-            z, rcv, refs, init_tracker(64, 4, beta=0.9), cfg)
+            z, rcv, refs, init_tracker(64, 4, beta=0.9), qam, training, freeze)
         got, state = [], init_tracker(64, 4, beta=0.9)
         for m0 in range(0, n_symbols, SYMBOL_BLOCK):
             block = slice(m0, m0 + SYMBOL_BLOCK)
             s_hats, state = run_tracked(z[block], rcv, refs[block], state,
-                                        cfg, start=m0)
+                                        qam, training, freeze, start=m0)
             got.append(s_hats)
         got = np.concatenate(got)
         assert got.shape == want.shape == (n_symbols, 64)
