@@ -156,9 +156,14 @@ class Scenario:
                 raise ValueError("null_tones leave no data tones to score")
             self.constellation  # raises for an unsupported qam_order
             channel_mod.tap_weights(self.n_taps, self.channel_profile, self.n)
-            for sigma in (self.sigma_deg, *self.sigma_list,
-                          *self.tx_sigma_list):
-                self.pn_model(0, sigma)
+            for key, values in (("sigma_deg", (self.sigma_deg,)),
+                                ("sigma_list", self.sigma_list),
+                                ("tx_sigma_list", self.tx_sigma_list)):
+                bad = [s for s in values if s < 0]
+                if bad:
+                    raise ValueError(f"{key} must be >= 0, got {bad[0]}")
+            pn_mod.design_filter(self.pn_order, self.pn_cutoff,
+                                 self.pn_ripple_db)
             if self.name == "tracking":
                 if not self.sample_rate_hz > 0:
                     raise ValueError(f"sample_rate_hz must be > 0, "
@@ -169,7 +174,9 @@ class Scenario:
                         f"carrier offset ppm = {self.ppm}, carrier_hz = "
                         f"{self.carrier_hz}, sample_rate_hz = "
                         f"{self.sample_rate_hz} overflows the phase ramp")
-                init_tracker(self.n, self.d, beta=self.beta)
+                if not 0 < self.beta <= 1:
+                    raise ValueError(f"beta must be in (0, 1], "
+                                     f"got {self.beta}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -194,11 +201,6 @@ class Scenario:
         """2*pi*delta_f*Ts of the offset ramp, delta_f = ppm*1e-6*carrier_hz."""
         return (2.0 * np.pi * (self.ppm * 1e-6 * self.carrier_hz)
                 / self.sample_rate_hz)
-
-    def pn_model(self, seed: int, sigma_deg: float) -> pn_mod.PnModel:
-        return pn_mod.PnModel(
-            sigma_deg=sigma_deg, seed=seed, order=self.pn_order,
-            cutoff=self.pn_cutoff, ripple_db=self.pn_ripple_db)
 
 
 def _coerce(key: str, raw: str, ref):
@@ -290,7 +292,8 @@ def _pn_source(sc: Scenario, seed: int, sigmas, pn: np.ndarray | None):
         windows = itertools.cycle(pn)
         return lambda k: np.exp(1j * np.tile(np.concatenate(
             [next(windows) for _ in range(k)]), (len(sigmas), 1)))
-    gen = pn_mod.PnGenerator(sc.pn_model(seed, sigmas[0]), sigmas)
+    gen = pn_mod.PnGenerator(seed, sigmas, sc.pn_order, sc.pn_cutoff,
+                             sc.pn_ripple_db)
     return lambda k: gen.next(k * sc.n)
 
 
@@ -506,7 +509,7 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
                   if sc.per_symbol_rows else None)
     bases = _bases(sc, points, (sc.sigma_deg,), pn)
     # every PAST step makes a new state, so all channels start from one
-    init = init_tracker(sc.n, sc.d, beta=sc.beta)
+    init = init_tracker(sc.n, sc.d)
     for ci in range(sc.n_channels_eff):
         lam, blocks = _channel_symbols(sc, ci, pn, (sc.sigma_deg,),
                                        offset=True)
@@ -519,8 +522,8 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
             est = [_fixed_block(z, rcv, families, points, refs)]
             for mode, freeze in tracked.items():
                 s_hats, states[mode] = run_tracked(
-                    z, rcv, refs, states[mode], const, sc.training_symbols,
-                    freeze, start=m0)
+                    z, rcv, refs, states[mode], const, sc.beta,
+                    sc.training_symbols, freeze, start=m0)
                 est.append(s_hats[None])
             scores = _score(np.concatenate(est), refs, rcv.layout, const)
             _fold(totals, scores)

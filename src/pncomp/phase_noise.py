@@ -9,7 +9,6 @@ OFDM symbols of a run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -18,39 +17,26 @@ from .numerics import CVec, CMat
 
 _IMPULSE_LEN = 1 << 15
 _WARMUP = 20_000
-
-
-@dataclass(frozen=True)
-class PnModel:
-    """Second-order Chebyshev-I lowpass shaping by default.
-
-    cutoff is a fraction of the sample rate; sigma_deg is the target
-    standard deviation of phi in degrees.
-    """
-
-    sigma_deg: float
-    seed: int = 0
-    order: int = 2
-    cutoff: float = 0.005
-    ripple_db: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma_deg < 0:
-            raise ValueError(f"sigma_deg must be >= 0, got {self.sigma_deg}")
-        if not 0 < self.cutoff < 0.5:
-            raise ValueError("cutoff must be in (0, 0.5) of the sample rate")
-        if not self.ripple_db > 0:
-            raise ValueError(f"ripple_db must be > 0, got {self.ripple_db}")
-        # raises for an order, cutoff and ripple that give no stable filter
-        _design_filter(self.order, self.cutoff, self.ripple_db)
+# the share of the impulse response's energy it may hold past the warm-up
+_TAIL_ENERGY = 1e-12
 
 
 @functools.lru_cache(maxsize=16)
-def _design_filter(order: int, cutoff: float, ripple_db: float):
-    """Chebyshev-I coefficients (b, a), read-only, and the gain of their
-    impulse response (the steady-state output std for unit white input).
-    Neither depends on the seed or sigma, so every generator of one
-    (order, cutoff, ripple) shares them."""
+def design_filter(order: int, cutoff: float, ripple_db: float):
+    """Chebyshev-I lowpass of the given order, cutoff (a fraction of the
+    sample rate) and passband ripple: its coefficients (b, a), read-only,
+    and the gain of its impulse response (the steady-state output std for
+    unit white input).  Neither depends on the seed or sigma, so every
+    generator of one (order, cutoff, ripple) shares them.
+
+    Raises ValueError for a cutoff outside (0, 0.5), a ripple <= 0, no
+    stable filter, or an impulse response that holds more than
+    _TAIL_ENERGY of its energy past the _WARMUP samples a generator warms
+    up for: the gain and the warm-up would both miss sigma_deg."""
+    if not 0 < cutoff < 0.5:
+        raise ValueError("cutoff must be in (0, 0.5) of the sample rate")
+    if not ripple_db > 0:
+        raise ValueError(f"ripple_db must be > 0, got {ripple_db}")
     try:  # scipy's Wn is a fraction of the Nyquist rate
         b, a = signal.cheby1(order, ripple_db, 2.0 * cutoff)
     except ArithmeticError:  # a ripple too small or too large to design
@@ -60,47 +46,47 @@ def _design_filter(order: int, cutoff: float, ripple_db: float):
     if np.any(np.abs(poles) >= 1.0):
         raise ValueError("unstable phase-noise filter specification")
     h = signal.lfilter(b, a, np.r_[1.0, np.zeros(_IMPULSE_LEN - 1)])
+    energy = np.sum(h * h)
+    if not energy > 0:  # b underflowed: the filter passes nothing
+        raise ValueError(f"no phase-noise filter for ripple_db = "
+                         f"{ripple_db}")
+    if not np.sum(h[_WARMUP:] ** 2) <= _TAIL_ENERGY * energy:
+        raise ValueError(f"the phase-noise filter of order {order}, cutoff "
+                         f"{cutoff} and ripple_db {ripple_db} does not "
+                         f"settle within its {_WARMUP}-sample warm-up")
     b.flags.writeable = a.flags.writeable = False
-    return b, a, float(np.sqrt(np.sum(h * h)))
+    return b, a, float(np.sqrt(energy))
 
 
 class PnGenerator:
-    """Stateful generator: one stationary phi process across symbols.
+    """Stateful generator: one stationary phi process across symbols, at
+    every level of sigmas (degrees).  Only the output scale depends on
+    sigma, so the seed's white noise is filtered once: each draw has one
+    row per level, equal to what a generator of that sigma alone would
+    draw.  The filter is design_filter(order, cutoff, ripple_db)."""
 
-    Only the output scale depends on sigma, so one generator can draw its
-    filtered stream at several levels: given sigmas, each phi has one row
-    per level, equal to what a generator of that sigma_deg would draw."""
-
-    def __init__(self, model: PnModel, sigmas=None):
-        self._b, self._a, gain = _design_filter(model.order, model.cutoff,
-                                                model.ripple_db)
-        if sigmas is None:
-            self._scale = _phi_scale(model.sigma_deg, gain)
-        else:
-            self._scale = np.array([[_phi_scale(s, gain)] for s in sigmas])
-        self._rng = np.random.default_rng(model.seed)
-        self._zi = np.zeros(max(len(self._a), len(self._b)) - 1)
-        self._warm_up()
-
-    def _warm_up(self):
+    def __init__(self, seed: int, sigmas, order: int = 2,
+                 cutoff: float = 0.005, ripple_db: float = 1.0):
+        self._b, self._a, gain = design_filter(order, cutoff, ripple_db)
+        self._scale = np.deg2rad(sigmas)[:, None] / gain
+        self._rng = np.random.default_rng(seed)
+        # the first draw starts _WARMUP samples into the stream
         _, self._zi = signal.lfilter(
-            self._b, self._a, self._rng.standard_normal(_WARMUP), zi=self._zi)
+            self._b, self._a, self._rng.standard_normal(_WARMUP),
+            zi=np.zeros(max(len(self._a), len(self._b)) - 1))
 
     def next_phi(self, n: int) -> np.ndarray:
+        """The angles phi (levels, n) of the next n samples."""
         if n < 1:
             raise ValueError("n must be >= 1")
         y, self._zi = signal.lfilter(
             self._b, self._a, self._rng.standard_normal(n), zi=self._zi)
         return self._scale * y
 
-    def next(self, n: int) -> CVec:
-        """psi = exp(j*phi) of the next n samples, shaped as next_phi's."""
+    def next(self, n: int) -> CMat:
+        """psi = exp(j*phi) of the next n samples, (levels, n)."""
         psi = 1j * self.next_phi(n)
         return np.exp(psi, out=psi)
-
-
-def _phi_scale(sigma_deg: float, gain: float) -> float:
-    return np.deg2rad(sigma_deg) / gain if gain > 0 else 0.0
 
 
 def estimate_cov(rows) -> CMat:
@@ -125,17 +111,13 @@ def estimate_cov(rows) -> CMat:
     return (r + np.swapaxes(r.conj(), -1, -2)) / 2
 
 
-def offset_factor(phase_per_sample: float, start: int, n: int) -> CVec:
-    """exp(j*phase_per_sample*(start+m)) for m = 0..n-1."""
-    m = start + np.arange(n)
-    return np.exp(1j * phase_per_sample * m)
-
-
 def apply_offset(psi: CVec, phase_per_sample: float,
                  start_sample: int = 0) -> CVec:
-    """psi times the carrier-offset ramp along the last axis, with
-    phase_per_sample = 2*pi*delta_f*Ts; start_sample is absolute time."""
-    return psi * offset_factor(phase_per_sample, start_sample, psi.shape[-1])
+    """psi times the carrier-offset ramp exp(j*phase_per_sample*t) along
+    the last axis, with phase_per_sample = 2*pi*delta_f*Ts and t the
+    absolute sample time, from start_sample on."""
+    m = start_sample + np.arange(psi.shape[-1])
+    return psi * np.exp(1j * phase_per_sample * m)
 
 
 def save_pn_samples(path, phi: np.ndarray) -> None:

@@ -10,8 +10,6 @@ two spans differ by conjugation of the offset ramp).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import dft_basis
@@ -20,21 +18,10 @@ from .numerics import CMat, CVec, ifft
 from .ofdm import Constellation, hard_decide
 
 
-@dataclass(frozen=True)
-class TrackerState:
-    v: CMat
-    p: CMat
-    beta: float = 0.9
-
-    def __post_init__(self):
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must be in (0, 1]")
-
-
-def init_tracker(n: int, d: int, beta: float = 0.9) -> TrackerState:
-    """Start from the d low-frequency DFT columns."""
-    return TrackerState(v=dft_basis(n, d),
-                        p=np.eye(d, dtype=np.complex128), beta=beta)
+def init_tracker(n: int, d: int) -> tuple[CMat, CMat]:
+    """The start (V, P): the d low-frequency DFT columns (N, d) and the
+    identity (d, d)."""
+    return dft_basis(n, d), np.eye(d, dtype=np.complex128)
 
 
 def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:
@@ -60,29 +47,31 @@ def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:
     return phi
 
 
-def past_update(state: TrackerState, x) -> TrackerState:
-    """One PAST recursion with input vector x (N,).
+def past_update(v: CMat, p: CMat, x, beta: float) -> tuple[CMat, CMat]:
+    """One PAST recursion of the basis v (N, d) and the inverse
+    correlation p (d, d) with input vector x (N,) and forgetting factor
+    beta in (0, 1]; returns the new (v, p) and writes to neither input.
 
     y = V* x; h = P y; g = h / (beta + y* h); P <- (P - g h*)/beta;
     e = x - V y; V <- V + e g*.  O(N d) per update.
     """
-    y = state.v.conj().T @ x
-    h = state.p @ y
-    g = h / (state.beta + np.vdot(y, h))
-    p = (state.p - g[:, None] * h.conj()) / state.beta
+    y = v.conj().T @ x
+    h = p @ y
+    g = h / (beta + np.vdot(y, h))
+    p = (p - g[:, None] * h.conj()) / beta
     p = (p + p.conj().T) / 2
-    e = x - state.v @ y
-    return TrackerState(v=state.v + e[:, None] * g.conj(), p=p,
-                        beta=state.beta)
+    e = x - v @ y
+    return v + e[:, None] * g.conj(), p
 
 
-def run_tracked(z, rcv: Receiver, refs: CMat, state: TrackerState,
-                const: Constellation, training: int = 0,
+def run_tracked(z, rcv: Receiver, refs: CMat, state: tuple[CMat, CMat],
+                const: Constellation, beta: float, training: int = 0,
                 freeze: int | None = None,
-                start: int = 0) -> tuple[CMat, TrackerState]:
+                start: int = 0) -> tuple[CMat, tuple[CMat, CMat]]:
     """Compensate, decide, re-estimate the phase, update the basis, symbol
     by symbol through the block z (M, n_rx, N) with references refs
-    (M, N).  Returns the estimates (M, N) and the last state.
+    (M, N), starting from state = (v, p) and updating with forgetting
+    factor beta.  Returns the estimates (M, N) and the last (v, p).
 
     The first training symbols use the true transmitted symbols for
     decision direction; afterwards hard decisions in const on data tones
@@ -90,10 +79,11 @@ def run_tracked(z, rcv: Receiver, refs: CMat, state: TrackerState,
     given.  The block's first symbol has index start, so a stream can be
     run in blocks, each call taking the state the previous one returned.
     """
+    v, p = state
     s_hats = np.empty(refs.shape, dtype=np.complex128)
     lay, p_idx = rcv.layout, rcv.layout.pilot_arr
     for m, (z_m, ref, s_hat) in enumerate(zip(z, refs, s_hats), start):
-        w = build_w(z_m, rcv, state.v)
+        w = build_w(z_m, rcv, v)
         s_hat[:] = compensate(w, rcv, fit_gamma(w, rcv, ref))
         if freeze is not None and m >= freeze:
             continue
@@ -105,5 +95,5 @@ def run_tracked(z, rcv: Receiver, refs: CMat, state: TrackerState,
         x = 1j * dd_phase_estimate(z_m, s_dd, rcv.lam)
         # track the cancellation vector exp(-j*phi_hat), the quantity the
         # basis must span
-        state = past_update(state, np.conj(np.exp(x, out=x), out=x))
-    return s_hats, state
+        v, p = past_update(v, p, np.conj(np.exp(x, out=x), out=x), beta)
+    return s_hats, (v, p)

@@ -3,22 +3,18 @@
 None of these has a caller in the package: each is the textbook form of
 something pncomp computes another way (the dense DFT matrix for the FFT,
 the implied TLS perturbation for the fit, one pinv or SVD per symbol for
-the stacked fit, one-shot phase noise and modulation for the block
-simulation, the axis-by-axis slicer for the label-table slicer, the
-whole-stream tracker for the block-by-block one).  The tracker oracle
+the stacked fit, modulation for the block simulation, the axis-by-axis
+slicer for the label-table slicer, the whole-stream tracker for the
+block-by-block one).  The tracker oracle
 takes from pncomp only build_w and the Receiver's fit rows and layout;
 its fit, combine, decision, phase estimate and PAST step are its own.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
 from pncomp.compensator import build_w
 from pncomp.numerics import DEFAULT_RCOND, CMat, CVec, fft, ifft
 from pncomp.ofdm import Constellation, ToneLayout
-from pncomp.phase_noise import PnGenerator, PnModel
-from pncomp.tracker import TrackerState
 
 
 def dft_matrix(n: int) -> CMat:
@@ -32,11 +28,6 @@ def tls_implied_perturbation(w_rows: CMat, s_rows: CVec, gamma: CVec) -> CMat:
     r = w_rows @ gamma - s_rows
     g = np.concatenate([gamma, [-1.0 + 0j]])
     return -np.outer(r, g.conj()) / (np.linalg.norm(g) ** 2)
-
-
-def gen_pn(model: PnModel, n: int) -> CVec:
-    """One-shot psi = exp(j*phi), (n,); deterministic given model.seed."""
-    return PnGenerator(model).next(n)
 
 
 def modulate(s: CVec) -> CVec:
@@ -129,30 +120,32 @@ def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:
     return phi
 
 
-def past_update(state: TrackerState, x: CVec) -> TrackerState:
-    """One PAST recursion (Yang, IEEE TSP 1995) with input x."""
-    y = state.v.conj().T @ x
-    h = state.p @ y
-    g = h / (state.beta + np.vdot(y, h))
-    p = (state.p - np.outer(g, h.conj())) / state.beta
-    p = (p + p.conj().T) / 2
-    e = x - state.v @ y
-    v = state.v + np.outer(e, g.conj())
-    return replace(state, v=v, p=p)
+def past_update(v: CMat, p: CMat, x: CVec, beta: float):
+    """One PAST recursion (Yang, IEEE TSP 1995) of (V, P) with input x;
+    returns the new (V, P)."""
+    y = v.conj().T @ x
+    h = p @ y
+    g = h / (beta + np.vdot(y, h))
+    p_new = (p - np.outer(g, h.conj())) / beta
+    p_new = (p_new + p_new.conj().T) / 2
+    e = x - v @ y
+    return v + np.outer(e, g.conj()), p_new
 
 
-def run_tracked(z, rcv, refs, state: TrackerState, const: Constellation,
+def run_tracked(z, rcv, refs, state, const: Constellation, beta: float,
                 training: int = 0, freeze: int | None = None):
     """The whole-stream tracker: compensate, decide (bracket_decide in
     const, after the first training symbols), re-estimate the phase and
     update the basis, symbol by symbol through z (M, n_rx, N) against refs
-    (M, N), with no update from symbol freeze on, if given.  Returns each
-    symbol's estimate, (M, N), and the last state."""
+    (M, N) from state = (V, P) with forgetting factor beta, with no update
+    from symbol freeze on, if given.  Returns each symbol's estimate,
+    (M, N), and the last (V, P)."""
+    v, p = state
     s_hats = []
     p_idx = rcv.layout.pilot_arr
     for m, (z_m, ref) in enumerate(zip(z, refs)):
-        w = build_w(z_m, rcv, state.v)
-        _, s_hat = per_symbol_fit(w, rcv, state.v.shape[1], ref)
+        w = build_w(z_m, rcv, v)
+        _, s_hat = per_symbol_fit(w, rcv, v.shape[1], ref)
         s_hats.append(s_hat)
         if freeze is not None and m >= freeze:
             continue
@@ -162,5 +155,5 @@ def run_tracked(z, rcv, refs, state: TrackerState, const: Constellation,
             s_dd = bracket_decide(s_hat, rcv.layout, const)
             s_dd[p_idx] = ref[p_idx]
         phi_hat = dd_phase_estimate(z_m, s_dd, rcv.lam)
-        state = past_update(state, np.conj(np.exp(1j * phi_hat)))
-    return np.array(s_hats), state
+        v, p = past_update(v, p, np.conj(np.exp(1j * phi_hat)), beta)
+    return np.array(s_hats), (v, p)

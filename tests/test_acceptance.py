@@ -231,13 +231,13 @@ def test_criterion_07_past_convergence():
         rng = np.random.default_rng(seed)
         u, _ = np.linalg.qr(rng.standard_normal((n, d))
                             + 1j * rng.standard_normal((n, d)))
-        state = init_tracker(n, d, beta=0.99)
+        v, p = init_tracker(n, d)
         scales = np.array([3.0, 2.0, 1.0])
         for _ in range(2000):
             coeff = scales * (rng.standard_normal(d)
                               + 1j * rng.standard_normal(d))
-            state = past_update(state, u @ coeff)
-        qa, _ = np.linalg.qr(state.v)
+            v, p = past_update(v, p, u @ coeff, 0.99)
+        qa, _ = np.linalg.qr(v)
         cos = np.linalg.svd(qa.conj().T @ u, compute_uv=False).min()
         angle = float(np.arccos(np.clip(cos, -1, 1)))
         worst = max(worst, angle)
@@ -313,10 +313,10 @@ def test_criterion_11_complexity_scaling():
     n_ratio, d_ratio = t128 / t64, td8 / td4
 
     def past_timer(n):
-        state = init_tracker(n, 4, beta=0.9)
+        v, p = init_tracker(n, 4)
         x = np.exp(0.05j * rng.standard_normal(n))
         def run():
-            past_update(state, x)
+            past_update(v, p, x, 0.9)
         return run
 
     p64 = _min_time(past_timer(64), reps=200)

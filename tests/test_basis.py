@@ -5,13 +5,13 @@ import pytest
 
 from pncomp import numerics as nx
 from pncomp.basis import dct_basis, dft_basis, dft_low_freq_order, kl_basis
-from pncomp.phase_noise import PnGenerator, PnModel, estimate_cov
+from pncomp.phase_noise import PnGenerator, estimate_cov
 
 
 @pytest.fixture(scope="module")
 def cov_3deg():
-    gen = PnGenerator(PnModel(sigma_deg=3.0, seed=0))
-    return estimate_cov([gen.next(64) for _ in range(10_000)])
+    gen = PnGenerator(0, (3.0,))
+    return estimate_cov([gen.next(64)[0] for _ in range(10_000)])
 
 
 def mean_residual(v, rows):
@@ -36,8 +36,8 @@ class TestKlBasis:
 
     def test_fresh_realization_residual(self, cov_3deg):
         bas = kl_basis(cov_3deg, 8)
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=99))
-        fresh = [gen.next(64) for _ in range(200)]
+        gen = PnGenerator(99, (3.0,))
+        fresh = [gen.next(64)[0] for _ in range(200)]
         assert mean_residual(bas, fresh) < 0.01
 
     def test_d_range(self, cov_3deg):
@@ -64,8 +64,8 @@ class TestKlBasis:
             assert rand_cap <= captured + 1e-9 * captured
 
     def test_kl_beats_dft_residual(self, cov_3deg):
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=77))
-        fresh = [gen.next(64) for _ in range(200)]
+        gen = PnGenerator(77, (3.0,))
+        fresh = [gen.next(64)[0] for _ in range(200)]
         for d in (4, 6, 8):
             kl = mean_residual(kl_basis(cov_3deg, d), fresh)
             dft = mean_residual(dft_basis(64, d), fresh)

@@ -10,7 +10,7 @@ from pncomp.compensator import (build_w, compensate, equalize_only,
                                 fit_gamma, receiver, solve_ls, solve_tls)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol)
-from pncomp.phase_noise import PnGenerator, PnModel, estimate_cov
+from pncomp.phase_noise import PnGenerator, estimate_cov
 
 from oracles import dft_matrix, per_symbol_fit, tls_implied_perturbation
 
@@ -96,8 +96,8 @@ class TestBuildW:
 
 @pytest.fixture(scope="module")
 def kl_cov():
-    gen = PnGenerator(PnModel(sigma_deg=3.0, seed=40))
-    return estimate_cov([gen.next(64) for _ in range(300)])
+    gen = PnGenerator(40, (3.0,))
+    return estimate_cov([gen.next(64)[0] for _ in range(300)])
 
 
 class TestPrefixW:
@@ -127,7 +127,7 @@ class TestPrefixW:
         if weak:  # a pilot and a null tone drop out of branch 0's rows
             lam[0, [3, 30]] = 1e-9 * np.abs(lam[0]).max()
         sym = make_symbol(layout, qam, rng_seed=42)
-        psi = PnGenerator(PnModel(sigma_deg=3.0, seed=43)).next(64)
+        psi = PnGenerator(43, (3.0,)).next(64)[0]
         rng = np.random.default_rng(44)
         z = (psi[None, :] * nx.ifft(lam * nx.fft(nx.ifft(sym))[None, :])
              + 1e-3 * (rng.standard_normal(lam.shape)
@@ -168,9 +168,9 @@ class TestBlockW:
             lam[0, 40] = 0.0
         syms = [make_symbol(layout, qam, rng_seed=51 + m)
                 for m in range(n_sym)]
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=52))
+        gen = PnGenerator(52, (3.0,))
         rng = np.random.default_rng(53)
-        z = np.array([gen.next(64)[None, :] * received(ch, s)
+        z = np.array([gen.next(64) * received(ch, s)
                       + 1e-3 * (rng.standard_normal(lam.shape)
                                 + 1j * rng.standard_normal(lam.shape))
                       for s in syms])
@@ -229,9 +229,9 @@ class TestBlockFit:
             lam[0, 20] = 0.0
         syms = [make_symbol(layout, qam, rng_seed=61 + m)
                 for m in range(n_sym)]
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=62))
+        gen = PnGenerator(62, (3.0,))
         rng = np.random.default_rng(63)
-        z = np.array([gen.next(64)[None, :]
+        z = np.array([gen.next(64)
                       * nx.ifft(lam * nx.fft(nx.ifft(s))[None, :])
                       + 1e-3 * (rng.standard_normal(lam.shape)
                                 + 1j * rng.standard_normal(lam.shape))
@@ -425,15 +425,15 @@ class TestCompensate:
 
     def test_two_branches_beat_one(self, layout, qam):
         # doubled pilot-row count: mean EVM no worse with 2 rx branches
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=15))
-        cov = estimate_cov([gen.next(64) for _ in range(500)])
+        gen = PnGenerator(15, (3.0,))
+        cov = estimate_cov([gen.next(64)[0] for _ in range(500)])
         bas = kl_basis(cov, 8)
-        gen2 = PnGenerator(PnModel(sigma_deg=3.0, seed=16))
+        gen2 = PnGenerator(16, (3.0,))
         one = two = 0.0
         for i in range(30):
             sym = make_symbol(layout, qam, rng_seed=200 + i)
             ch = gen_channel(8, "exp_decay(3)", seed=300 + i, n_rx=2, n=64)
-            psi = gen2.next(64)
+            psi = gen2.next(64)[0]
             z = received(ch, sym, psi=psi)
             _, _, s1 = comp(z[:1], ch[:1], bas, sym, layout)
             _, _, s2 = comp(z, ch, bas, sym, layout)
@@ -444,11 +444,11 @@ class TestCompensate:
     def test_ls_beats_cpe_baseline_residual(self, layout, qam):
         # the fitted residual on pilot rows is no larger than the pure-CPE
         # coefficient vector's residual
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=17))
+        gen = PnGenerator(17, (3.0,))
         bas = dft_basis(64, 6)
         sym = make_symbol(layout, qam, rng_seed=18)
         ch = gen_channel(8, "exp_decay(3)", seed=18, n=64)
-        z = received(ch, sym, psi=gen.next(64))[0]
+        z = received(ch, sym, psi=gen.next(64)[0])[0]
         w = w_one(z, ch[0], bas)
         p = list(layout.pilot_idx)
         w_p, s_p = w[p], sym[p]

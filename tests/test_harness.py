@@ -18,9 +18,8 @@ from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
                             run_scenario)
 from pncomp.numerics import fft, ifft
 from pncomp.ofdm import Constellation, ToneLayout, default_layout, make_symbol
-from pncomp.phase_noise import (PnGenerator, PnModel, apply_offset,
-                                estimate_cov, load_pn_samples,
-                                save_pn_samples)
+from pncomp.phase_noise import (PnGenerator, apply_offset, estimate_cov,
+                                load_pn_samples, save_pn_samples)
 
 import oracles
 
@@ -150,8 +149,7 @@ class TestScenarios:
         # every channel's rx stream and KL training cycle one parse
         from pncomp import phase_noise
         pn_path = tmp_path / "pn.txt"
-        save_pn_samples(pn_path,
-                        PnGenerator(PnModel(3.0, seed=5)).next_phi(64 * 40))
+        save_pn_samples(pn_path, PnGenerator(5, (3.0,)).next_phi(64 * 40)[0])
         parses = []
         monkeypatch.setattr(phase_noise, "load_pn_samples",
                             lambda *args: parses.append(args)
@@ -163,10 +161,8 @@ class TestScenarios:
         assert parses == [(str(pn_path), sc.n)]
 
     def test_pn_file_ingestion(self, tmp_path):
-        from pncomp.phase_noise import PnGenerator, PnModel, save_pn_samples
         pn_path = tmp_path / "pn.txt"
-        save_pn_samples(pn_path,
-                        PnGenerator(PnModel(3.0, seed=5)).next_phi(64 * 60))
+        save_pn_samples(pn_path, PnGenerator(5, (3.0,)).next_phi(64 * 60)[0])
         sc = Scenario(name="custom", basis_kinds=("DFT",), d=4,
                       pn_file=str(pn_path), **SMALL)
         rows = run_scenario(sc, str(tmp_path / "out.csv"))
@@ -312,6 +308,10 @@ class TestCli:
         ("name = custom\nchannel_profile = exp_decay(2)junk\n", []),
         ("name = custom\nchannel_profile = exp_decay(inf)\n", []),
         ("name = custom\nchannel_profile = exp_decay(3\n", []),
+        ("name = custom\npn_cutoff = 1e-6\n", []),
+        ("name = custom\nsigma_deg = -1\n", []),
+        ("name = tracking\nbeta = 0\n", []),
+        ("name = custom\npn_cutoff = 0\n", []),
     ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
             "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
             "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
@@ -328,7 +328,8 @@ class TestCli:
             "pn_ripple_overflow", "null_tones_fraction",
             "null_tones_negative_fraction", "null_tones_no_data",
             "profile_suffix", "profile_trailing_junk", "profile_tau_inf",
-            "profile_unclosed"])
+            "profile_unclosed", "pn_cutoff_1e-6", "sigma_deg_neg", "beta_0",
+            "pn_cutoff_0"])
     def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
@@ -404,8 +405,7 @@ def write_pn_file(path, windows: int = 37) -> str:
     """A pn_file of `windows` 64-sample windows of a 3-degree stream; 37
     windows make a 40-symbol run cycle through the file mid-block, and a
     50-symbol KL training cycle through it too."""
-    save_pn_samples(path, PnGenerator(PnModel(3.0, seed=5))
-                    .next_phi(64 * windows))
+    save_pn_samples(path, PnGenerator(5, (3.0,)).next_phi(64 * windows)[0])
     return str(path)
 
 
@@ -667,13 +667,19 @@ def pn_windows(sc):
     return load_pn_samples(sc.pn_file, sc.n) if sc.pn_file else None
 
 
+def sc_generator(sc, seed, sigma):
+    """A one-level generator of sc's phase-noise filter."""
+    return PnGenerator(seed, (sigma,), sc.pn_order, sc.pn_cutoff,
+                       sc.pn_ripple_db)
+
+
 def reference_pn(sc, ci, sigma):
     """next(): channel ci's next one-symbol rx psi = exp(j*phi), (N,)."""
     if sc.pn_file:
         windows = itertools.cycle(load_pn_samples(sc.pn_file, sc.n))
         return lambda: np.exp(1j * next(windows))
-    gen = PnGenerator(sc.pn_model(child_seed(sc.master_seed, "pn", ci), sigma))
-    return lambda: gen.next(sc.n)
+    gen = sc_generator(sc, child_seed(sc.master_seed, "pn", ci), sigma)
+    return lambda: gen.next(sc.n)[0]
 
 
 def reference_noise(sc, rng, shape):
@@ -830,8 +836,7 @@ def per_point_mu_stream(sc, ci, sigma, tx_sigma):
                                 n_rx=sc.n_rx, n=sc.n)
                     for u in range(sc.n_users)])
     next_pn = reference_pn(sc, ci, sigma)
-    tx_gens = [PnGenerator(sc.pn_model(child_seed(seed, "txpn", ci, u),
-                                       tx_sigma))
+    tx_gens = [sc_generator(sc, child_seed(seed, "txpn", ci, u), tx_sigma)
                for u in range(sc.n_users)] if tx_sigma > 0 else None
     rng = np.random.default_rng(child_seed(seed, "noise", ci))
     out = []
@@ -844,7 +849,7 @@ def per_point_mu_stream(sc, ci, sigma, tx_sigma):
         for u, ref in enumerate(refs):
             x = ifft(ref)
             if tx_gens:
-                x = tx_gens[u].next(sc.n) * x
+                x = tx_gens[u].next(sc.n)[0] * x
             y += ifft(lam[u] * fft(x)[None, :])
         if sc.snr_db != np.inf:
             y = y + reference_noise(sc, rng, y.shape)
@@ -862,8 +867,7 @@ def per_sigma_kl_cov(sc, ci, sigma):
         psi = np.exp(1j * np.concatenate([next(windows)
                                           for _ in range(sc.kl_cov_symbols)]))
     else:
-        psi = PnGenerator(sc.pn_model(seed, sigma)).next(
-            sc.kl_cov_symbols * sc.n)
+        psi = sc_generator(sc, seed, sigma).next(sc.kl_cov_symbols * sc.n)
     r = np.zeros((sc.n, sc.n), dtype=np.complex128)
     for row in psi.reshape(-1, sc.n):
         r += np.outer(row, row.conj())
@@ -994,14 +998,14 @@ class TestFixedBlock:
             lam[0, 40] = 0.0
         rcv = receiver(lam, layout, method, nulls)
         refs = np.array([make_symbol(layout, qam, 71 + i) for i in range(m)])
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=72))
+        gen = PnGenerator(72, (3.0,))
         rng = np.random.default_rng(73)
         z = np.array([gen.next(64) * ifft(lam * ref)
                       + 1e-3 * (rng.standard_normal(lam.shape)
                                 + 1j * rng.standard_normal(lam.shape))
                       for ref in refs])
-        train = PnGenerator(PnModel(sigma_deg=3.0, seed=74))
-        cov = estimate_cov([train.next(64) for _ in range(200)])
+        train = PnGenerator(74, (3.0,))
+        cov = estimate_cov([train.next(64)[0] for _ in range(200)])
         make = {"KL": lambda d: kl_basis(cov, d),
                 "DFT": lambda d: dft_basis(64, d),
                 "DCT": lambda d: dct_basis(64, d)}

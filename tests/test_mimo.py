@@ -281,13 +281,12 @@ class TestMuCompensate:
 
     def test_tx_pn_close_to_none(self, qam):
         # small residual transmitter PN barely moves the EVM
-        from pncomp.phase_noise import PnGenerator, PnModel
+        from pncomp.phase_noise import PnGenerator
         layout = default_layout()
         lam = make_system(10)
         bas = dft_basis(64, 8)
-        rx_gen = PnGenerator(PnModel(sigma_deg=3.0, seed=50))
-        tx_gens = [PnGenerator(PnModel(sigma_deg=1.0, seed=60 + u))
-                   for u in range(2)]
+        rx_gen = PnGenerator(50, (3.0,))
+        tx_gens = [PnGenerator(60 + u, (1.0,)) for u in range(2)]
         snr_db = 35.0
         rng_a = np.random.default_rng(70)
         rng_b = np.random.default_rng(70)
@@ -296,9 +295,9 @@ class TestMuCompensate:
             refs = np.array([make_symbol(layout, qam,
                                          rng_seed=1000 + 2 * m + u)
                              for u in range(2)])
-            psi = rx_gen.next(64)
+            psi = rx_gen.next(64)[0]
             z0 = mu_received(lam, refs, psi, None, snr_db, rng=rng_a)
-            tx_psi = [g.next(64) for g in tx_gens]
+            tx_psi = [g.next(64)[0] for g in tx_gens]
             z1 = mu_received(lam, refs, psi, tx_psi, snr_db, rng=rng_b)
             for s_hat, ref in zip(mu_comp(lam, z0, bas, refs, layout), refs):
                 clean += 10 ** (evm_db(s_hat, ref, layout) / 10)

@@ -5,52 +5,43 @@ import pytest
 from scipy import signal
 
 from pncomp import numerics as nx
-from pncomp.phase_noise import (PnGenerator, PnModel, apply_offset,
-                                estimate_cov, load_pn_samples, offset_factor,
+from pncomp.phase_noise import (PnGenerator, apply_offset, design_filter,
+                                estimate_cov, load_pn_samples,
                                 save_pn_samples)
-
-from oracles import gen_pn
 
 
 class TestGenPn:
     def test_sigma_zero_gives_ones(self):
-        psi = gen_pn(PnModel(sigma_deg=0.0, seed=1), 64)
-        np.testing.assert_allclose(psi, np.ones(64), atol=1e-14)
+        psi = PnGenerator(1, (0.0,)).next(64)
+        np.testing.assert_allclose(psi, np.ones((1, 64)), atol=1e-14)
 
     def test_deterministic(self):
-        a = gen_pn(PnModel(sigma_deg=3.0, seed=2), 64)
-        b = gen_pn(PnModel(sigma_deg=3.0, seed=2), 64)
+        a = PnGenerator(2, (3.0,)).next(64)
+        b = PnGenerator(2, (3.0,)).next(64)
         np.testing.assert_array_equal(a, b)
 
     def test_unit_modulus(self):
-        psi = gen_pn(PnModel(sigma_deg=5.0, seed=3), 256)
+        psi = PnGenerator(3, (5.0,)).next(256)
         assert np.max(np.abs(np.abs(psi) - 1.0)) <= 1e-12
 
     def test_std_calibration(self):
         # long-run empirical std of phi matches the target within 2%
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=3))
-        phi = gen.next_phi(100_000)
+        phi = PnGenerator(3, (3.0,)).next_phi(100_000)[0]
         assert abs(np.rad2deg(np.std(phi)) - 3.0) <= 0.06
 
     def test_continuity_across_symbols(self):
         # one generator streaming two symbols equals one longer draw
-        a = PnGenerator(PnModel(sigma_deg=3.0, seed=4))
-        b = PnGenerator(PnModel(sigma_deg=3.0, seed=4))
-        two = np.concatenate([a.next_phi(64), a.next_phi(64)])
+        a = PnGenerator(4, (3.0,))
+        b = PnGenerator(4, (3.0,))
+        two = np.concatenate([a.next_phi(64), a.next_phi(64)], axis=1)
         one = b.next_phi(128)
         np.testing.assert_allclose(two, one, atol=1e-14)
-
-    def test_rejects_bad_model(self):
-        with pytest.raises(ValueError):
-            PnModel(sigma_deg=-1.0)
-        with pytest.raises(ValueError):
-            PnModel(sigma_deg=1.0, cutoff=0.7)
 
     def test_filter_designed_once_per_shape(self):
         # generators that differ only in seed and sigma share one filter
         # design, and draw what a freshly designed filter gives bit for bit
-        a = PnGenerator(PnModel(sigma_deg=3.0, seed=11, cutoff=0.004))
-        b = PnGenerator(PnModel(sigma_deg=5.0, seed=12, cutoff=0.004))
+        a = PnGenerator(11, (3.0,), cutoff=0.004)
+        b = PnGenerator(12, (5.0,), 2, 0.004, 1.0)
         assert a._b is b._b and a._a is b._a
         for sigma, seed, gen in ((3.0, 11, a), (5.0, 12, b)):
             fb, fa = signal.cheby1(2, 1.0, 2.0 * 0.004)
@@ -60,7 +51,35 @@ class TestGenPn:
             _, zi = signal.lfilter(fb, fa, rng.standard_normal(20_000),
                                    zi=np.zeros(2))
             y, _ = signal.lfilter(fb, fa, rng.standard_normal(200), zi=zi)
-            assert np.array_equal(gen.next_phi(200), scale * y)
+            assert np.array_equal(gen.next_phi(200), scale * y[None])
+
+
+class TestDesignFilter:
+    @pytest.mark.parametrize("cutoff", [0.005, 0.001])
+    def test_designs_cutoffs(self, cutoff):
+        b, a, gain = design_filter(2, cutoff, 1.0)
+        assert len(b) == len(a) == 3 and gain > 0
+        assert not b.flags.writeable and not a.flags.writeable
+
+    @pytest.mark.parametrize("order, cutoff, ripple_db, match", [
+        (2, 0.7, 1.0, "cutoff"),
+        (2, 0.0, 1.0, "cutoff"),
+        (2, 0.005, 0.0, "ripple_db"),
+        (2, 0.005, 1e-20, "no phase-noise filter"),
+        (40, 0.005, 1.0, "unstable"),
+        # b underflows to zero: the filter passes nothing
+        (0, 0.005, 7000.0, "no phase-noise filter"),
+        # share of the impulse response's energy past the warm-up: 1.8e-12
+        # at cutoff 2e-4, 0.45 at 1e-5 and 0.76 at 1e-6
+        (2, 2e-4, 1.0, "settle"),
+        (2, 1e-5, 1.0, "settle"),
+        (2, 1e-6, 1.0, "settle"),
+    ], ids=["cutoff_0.7", "cutoff_0", "ripple_0", "ripple_underflow",
+            "order_40", "no_energy", "cutoff_2e-4", "cutoff_1e-5",
+            "cutoff_1e-6"])
+    def test_rejects(self, order, cutoff, ripple_db, match):
+        with pytest.raises(ValueError, match=match):
+            design_filter(order, cutoff, ripple_db)
 
 
 class TestSharedLevels:
@@ -73,10 +92,8 @@ class TestSharedLevels:
                              ids=["one", "zero_repeated", "three", "zero"])
     def test_rows_match_separate_generators(self, sigmas):
         def gens():
-            return (PnGenerator(PnModel(sigma_deg=sigmas[0], seed=21),
-                                sigmas),
-                    [PnGenerator(PnModel(sigma_deg=s, seed=21))
-                     for s in sigmas])
+            return (PnGenerator(21, sigmas),
+                    [PnGenerator(21, (s,)) for s in sigmas])
         (shared, separate), (shared_phi, separate_phi) = gens(), gens()
         for n in (64, 64 * 32, 64 * 5):
             psi, phi = shared.next(n), shared_phi.next_phi(n)
@@ -84,8 +101,8 @@ class TestSharedLevels:
             assert np.array_equal(psi, np.exp(1j * phi))
             for row, phi_row, gen, gen_phi in zip(psi, phi, separate,
                                                   separate_phi):
-                expected = gen.next(n)
-                assert np.array_equal(phi_row, gen_phi.next_phi(n))
+                expected = gen.next(n)[0]
+                assert np.array_equal(phi_row, gen_phi.next_phi(n)[0])
                 assert np.array_equal(row, expected)
                 # -0.0 and 0.0 alike: sigma 0 keeps the signs of zero
                 assert np.array_equal(np.signbit(row.imag),
@@ -94,8 +111,8 @@ class TestSharedLevels:
 
 class TestEstimateCov:
     def test_single_realization_rank_one(self):
-        psi = gen_pn(PnModel(sigma_deg=3.0, seed=5), 64)
-        values, _ = nx.herm_eig(estimate_cov([psi]))
+        psi = PnGenerator(5, (3.0,)).next(64)
+        values, _ = nx.herm_eig(estimate_cov(psi))
         assert abs(values[0] - 64) <= 1e-9
         assert np.max(np.abs(values[1:])) <= 1e-9
 
@@ -104,8 +121,8 @@ class TestEstimateCov:
         np.testing.assert_allclose(cov, np.ones((16, 16)), atol=1e-14)
 
     def test_unit_diagonal_and_psd(self):
-        gen = PnGenerator(PnModel(sigma_deg=4.0, seed=6))
-        cov = estimate_cov([gen.next(64) for _ in range(50)])
+        gen = PnGenerator(6, (4.0,))
+        cov = estimate_cov([gen.next(64)[0] for _ in range(50)])
         np.testing.assert_allclose(np.diag(cov).real, np.ones(64), atol=1e-6)
         assert np.max(np.abs(np.diag(cov).imag)) <= 1e-12
         values, _ = nx.herm_eig(cov)
@@ -113,8 +130,8 @@ class TestEstimateCov:
 
     def test_spectrum_concentration(self):
         # ten symbols at 3 degrees: four eigenvectors carry >= 99% of trace
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=7))
-        cov = estimate_cov([gen.next(64) for _ in range(10)])
+        gen = PnGenerator(7, (3.0,))
+        cov = estimate_cov([gen.next(64)[0] for _ in range(10)])
         values, _ = nx.herm_eig(cov)
         assert np.sum(values[:4]) >= 0.99 * np.sum(values)
 
@@ -122,8 +139,7 @@ class TestEstimateCov:
     def test_matches_outer_product_loop(self, rows):
         # the np.outer loop the preallocated product replaced, kept as the
         # reference: same terms, same order, same bits
-        psi = PnGenerator(PnModel(sigma_deg=3.0, seed=rows)).next(
-            64 * rows).reshape(rows, 64)
+        psi = PnGenerator(rows, (3.0,)).next(64 * rows).reshape(rows, 64)
         r = np.zeros((64, 64), dtype=np.complex128)
         for row in psi:
             r += np.outer(row, row.conj())
@@ -136,7 +152,7 @@ class TestEstimateCov:
     def test_stacked_rows_match_each(self):
         # rows (3, N): one covariance per leading index, each equal to
         # estimating that index's rows alone
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=8), (0.0, 2.0, 5.0))
+        gen = PnGenerator(8, (0.0, 2.0, 5.0))
         psi = gen.next(64 * 40).reshape(3, 40, 64)
         r = estimate_cov(np.swapaxes(psi, 0, 1))
         assert r.shape == (3, 64, 64)
@@ -166,7 +182,7 @@ PHASE_5PPM = 2.0 * np.pi * (5.0 * 1e-6 * 5e9) / 20e6
 
 class TestCarrierOffset:
     def test_ppm_zero_unchanged(self):
-        psi = gen_pn(PnModel(sigma_deg=3.0, seed=8), 64)
+        psi = PnGenerator(8, (3.0,)).next(64)[0]
         out = apply_offset(psi, 0.0, start_sample=100)
         np.testing.assert_array_equal(out, psi)
 
@@ -179,7 +195,7 @@ class TestCarrierOffset:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_absolute_sample_counter(self):
-        psi = gen_pn(PnModel(sigma_deg=2.0, seed=9), 64)
+        psi = PnGenerator(9, (2.0,)).next(64)[0]
         a = apply_offset(psi, PHASE_5PPM, start_sample=64)
         b = apply_offset(psi, PHASE_5PPM, start_sample=0)
         ramp = np.exp(1j * PHASE_5PPM * 64)
@@ -188,13 +204,13 @@ class TestCarrierOffset:
     def test_covariance_modulation_identity(self):
         # R built from offset realizations equals diag(c) R diag(c)*
         n = 64
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=10))
-        reals = [gen.next(n) for _ in range(20)]
+        gen = PnGenerator(10, (3.0,))
+        reals = [gen.next(n)[0] for _ in range(20)]
         # same start sample for every window so one common ramp factors out
         shifted = [apply_offset(r, PHASE_5PPM, start_sample=0) for r in reals]
         r_plain = estimate_cov(reals)
         r_shift = estimate_cov(shifted)
-        c = offset_factor(PHASE_5PPM, 0, n)
+        c = apply_offset(np.ones(n), PHASE_5PPM)
         np.testing.assert_allclose(r_shift, np.diag(c) @ r_plain @ np.diag(c).conj().T,
                                    atol=1e-10)
 
@@ -222,8 +238,7 @@ class TestPnFiles:
                                       np.zeros((2, 16)))
 
     def test_round_trip_bit_identical(self, tmp_path):
-        gen = PnGenerator(PnModel(sigma_deg=3.0, seed=12))
-        phi = gen.next_phi(128)
+        phi = PnGenerator(12, (3.0,)).next_phi(128)[0]
         path = tmp_path / "pn.txt"
         save_pn_samples(path, phi)
         loaded = load_pn_samples(path, 64)
@@ -259,7 +274,7 @@ class TestPnFiles:
         # a (levels, n) draw would be written as multi-column lines that
         # the loader rejects; raveling it would interleave the levels
         path = tmp_path / "pn.txt"
-        phi = PnGenerator(PnModel(3.0, seed=1), (1.0, 2.0)).next_phi(32)
+        phi = PnGenerator(1, (1.0, 2.0)).next_phi(32)
         with pytest.raises(ValueError, match=r"\(2, 32\)"):
             save_pn_samples(path, phi)
         assert not path.exists()

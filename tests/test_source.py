@@ -1,10 +1,13 @@
 """Source checks on src/pncomp, tests and the README: no module imports
-a name it never uses, and every pncomp name the README cites exists.
+a name it never uses, no function or class of src/pncomp is left that
+nothing in src/pncomp reaches, and every pncomp name the README cites
+exists.
 
-No linter is part of the toolchain, so the first is a small `ast` check.
-Every name an `import` or `from ... import` binds must be read somewhere
-in the module: as a name, the root of an attribute chain, or an entry of
-`__all__`.  `from __future__ import ...` binds nothing and is skipped.
+No linter is part of the toolchain, so the first two are small `ast`
+checks.  Every name an `import` or `from ... import` binds must be read
+somewhere in the module: as a name, the root of an attribute chain, or an
+entry of `__all__`.  `from __future__ import ...` binds nothing and is
+skipped.
 """
 
 import ast
@@ -54,6 +57,94 @@ def test_checker_finds_leftovers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# definitions kept although no code in src/pncomp reaches them
+REACH_ALLOWLIST = {
+    "channel.apply_channel": "bench/tracing.py LAYERS wraps it, and "
+                             "Tracer.install raises on a missing name",
+    "channel.add_awgn": "read only by apply_channel and mu_received",
+    "mimo.mu_received": "bench/tracing.py LAYERS wraps it",
+    "ofdm.evm_db": "bench/tracing.py LAYERS wraps it",
+    "phase_noise.save_pn_samples": "the documented pn_file writer",
+}
+
+
+def unreached(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes, as "module.name", of the
+    package whose modules' sources are sources {module: source} that no
+    reached code reads, sorted.  Module-level code outside definitions is
+    reached, and so, in turn, is the whole definition (body, decorators,
+    defaults and annotations) of each name that reached code reads.  A
+    name resolves through its module's definitions and relative imports:
+    `from .m import f as g` reads m.f as g, `from . import m as a` as a.f."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    defs, scopes = {}, {}
+    for mod, tree in trees.items():
+        scope = scopes[mod] = {}
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                defs[f"{mod}.{node.name}"] = node
+                scope[node.name] = f"{mod}.{node.name}"
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = ".".join(
+                        filter(None, (node.module, alias.name)))
+
+    def reads(mod: str, nodes) -> set[str]:
+        scope, found = scopes[mod], set()
+        for sub in (s for node in nodes for s in ast.walk(node)):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value,
+                                                              ast.Name)
+                    and scope.get(sub.value.id) in trees):
+                found.add(f"{scope[sub.value.id]}.{sub.attr}")
+            elif isinstance(sub, ast.Name) and sub.id in scope:
+                found.add(scope[sub.id])
+        return found
+
+    reached = set()
+    todo = [(mod, [n for n in tree.body if not isinstance(n, DEFS)])
+            for mod, tree in trees.items()]
+    while todo:
+        mod, nodes = todo.pop()
+        for target in (reads(mod, nodes) & defs.keys()) - reached:
+            reached.add(target)
+            todo.append((target.split(".")[0], [defs[target]]))
+    return sorted(set(defs) - reached)
+
+
+def test_reach_checker_finds_dead_code():
+    sources = {
+        "a": ("from .b import helper as h\n"
+              "from . import b as bm\n"
+              "def used():\n    return h() + bm.other()\n"
+              "def dead():\n    return deader()\n"
+              "def deader():\n    return 1\n"
+              "class K:\n    def m(self):\n        return used()\n"
+              "RUN = K\n"),
+        "b": ("def helper():\n    return 1\n"
+              "def other():\n    return helper()\n"
+              "def orphan():\n    return orphan()\n"),
+    }
+    # deader is read only by dead, which nothing reaches; orphan only by
+    # itself
+    assert unreached(sources) == ["a.dead", "a.deader", "b.orphan"]
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+
+
+def test_every_definition_reached():
+    assert unreached(package_sources()) == sorted(REACH_ALLOWLIST)
+
+
+def test_reach_check_fails_on_uncalled_helper():
+    sources = package_sources()
+    sources["ofdm"] += "\n\ndef _uncalled(x):\n    return evm_db(x, x)\n"
+    assert "ofdm._uncalled" in unreached(sources)
 
 
 def readme_references(text: str) -> list[str]:
