@@ -46,6 +46,32 @@ TRACK_MODES = ("tracked", "frozen", *_FIXED_TRACK_MODES)
 # memory of the block arrays (a W block is SYMBOL_BLOCK * n_rx * N * d)
 SYMBOL_BLOCK = 32
 
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+# key: (rule, test[, the only scenario it holds in]).  Each value or list
+# entry of the key must pass test, and a list key here must not be empty;
+# the rules that relate keys are code in Scenario.__post_init__
+_RULES = {
+    "name": ("one of " + ", ".join(SCENARIO_NAMES),
+             SCENARIO_NAMES.__contains__),
+    "method": ("LS or TLS", ("LS", "TLS").__contains__),
+    "basis_kinds": ("one of " + ", ".join(BASIS_KINDS),
+                    BASIS_KINDS.__contains__),
+    "track_modes": ("one of " + ", ".join(TRACK_MODES),
+                    TRACK_MODES.__contains__),
+    "scale": ("> 0", lambda v: v > 0),
+    "n_rx": _AT_LEAST_1, "n_channels": _AT_LEAST_1,
+    "n_symbols": _AT_LEAST_1, "kl_cov_symbols": _AT_LEAST_1,
+    "training_symbols": _AT_LEAST_0,
+    "freeze_after": (">= -1", lambda v: v >= -1),
+    "sigma_deg": _AT_LEAST_0, "sigma_list": _AT_LEAST_0,
+    "tx_sigma_list": _AT_LEAST_0, "d_list": _AT_LEAST_0,
+    "pn_cutoff": ("in (0, 0.5)", lambda v: 0 < v < 0.5),
+    "pn_ripple_db": ("> 0", lambda v: v > 0),
+    "beta": ("in (0, 1]", lambda v: 0 < v <= 1, "tracking"),
+    "sample_rate_hz": ("> 0", lambda v: v > 0, "tracking"),
+}
+
 
 class ConfigError(Exception):
     pass
@@ -101,35 +127,28 @@ class Scenario:
     per_symbol_rows: bool = True
 
     def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
-            raise ConfigError(f"unknown scenario {self.name!r}")
-        # NaN and inf are stopped here, where they enter: no FFT or solver
-        # scans its input (snr_db = inf means no noise)
+        # one pass over the fields: NaN and inf are stopped here, where
+        # they enter, as no FFT or solver scans its input (snr_db = inf
+        # means no noise), and each value or list entry passes its _RULES
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
+            key, value = f.name, getattr(self, f.name)
+            rule, test, *only = _RULES.get(key, (None, None))
+            if only and self.name not in only:
+                test = None
+            values = value if isinstance(value, tuple) else (value,)
+            if test and not values:
+                raise ConfigError(f"{key} must not be empty")
+            for v in values:
                 if (isinstance(v, float) and not np.isfinite(v)
-                        and (f.name, v) != ("snr_db", np.inf)):
-                    raise ConfigError(f"{f.name} must be finite, got {v}")
+                        and (key, v) != ("snr_db", np.inf)):
+                    raise ConfigError(f"{key} must be finite, got {v}")
+                if test and not test(v):
+                    raise ConfigError(f"{key} must be {rule}, got {v!r}")
         try:  # the noise power channel.awgn draws at
             10.0 ** (-self.snr_db / 10.0)
         except OverflowError:
             raise ConfigError(f"snr_db = {self.snr_db} gives a noise power "
                               f"beyond the float range") from None
-        if self.method not in ("LS", "TLS"):
-            raise ConfigError(f"method must be LS or TLS, got {self.method!r}")
-        for key, lo in (("n_rx", 1), ("n_channels", 1), ("n_symbols", 1),
-                        ("kl_cov_symbols", 1), ("training_symbols", 0),
-                        ("freeze_after", -1)):
-            if getattr(self, key) < lo:
-                raise ConfigError(f"{key} must be >= {lo}, "
-                                  f"got {getattr(self, key)}")
-        for key in ("sigma_list", "d_list", "basis_kinds", "track_modes",
-                    "tx_sigma_list"):
-            if not getattr(self, key):
-                raise ConfigError(f"sweep ranges must be non-empty: {key}")
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be > 0, got {self.scale}")
         bad = [t for t in self.null_tones if t != int(t)]
         if bad:
             raise ConfigError(f"null_tones: {bad[0]} is not a tone index")
@@ -142,12 +161,6 @@ class Scenario:
             if bad:
                 raise ConfigError(f"{key}: {bad[0]} is outside "
                                   f"[{lo}, {self.n}] for {self.name}")
-        for key, allowed in (("basis_kinds", BASIS_KINDS),
-                             ("track_modes", TRACK_MODES)):
-            bad = [v for v in getattr(self, key) if v not in allowed]
-            if bad:
-                raise ConfigError(f"{key}: unknown {bad[0]!r}, "
-                                  f"expected one of {', '.join(allowed)}")
         if self.name == "mimo_sweep" and not 1 <= self.n_users <= self.n_rx:
             raise ConfigError(f"n_users must be in [1, n_rx = {self.n_rx}], "
                               f"got {self.n_users}")
@@ -156,27 +169,15 @@ class Scenario:
                 raise ValueError("null_tones leave no data tones to score")
             self.constellation  # raises for an unsupported qam_order
             channel_mod.tap_weights(self.n_taps, self.channel_profile, self.n)
-            for key, values in (("sigma_deg", (self.sigma_deg,)),
-                                ("sigma_list", self.sigma_list),
-                                ("tx_sigma_list", self.tx_sigma_list)):
-                bad = [s for s in values if s < 0]
-                if bad:
-                    raise ValueError(f"{key} must be >= 0, got {bad[0]}")
             pn_mod.design_filter(self.pn_order, self.pn_cutoff,
                                  self.pn_ripple_db)
             if self.name == "tracking":
-                if not self.sample_rate_hz > 0:
-                    raise ValueError(f"sample_rate_hz must be > 0, "
-                                     f"got {self.sample_rate_hz}")
                 ramp = self.phase_per_sample * self.n_symbols * self.n
                 if not np.isfinite(ramp):
                     raise ValueError(
                         f"carrier offset ppm = {self.ppm}, carrier_hz = "
                         f"{self.carrier_hz}, sample_rate_hz = "
                         f"{self.sample_rate_hz} overflows the phase ramp")
-                if not 0 < self.beta <= 1:
-                    raise ValueError(f"beta must be in (0, 1], "
-                                     f"got {self.beta}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -204,30 +205,18 @@ class Scenario:
 
 
 def _coerce(key: str, raw: str, ref):
+    """raw parsed as the type of key's default ref: a bool, a comma list of
+    the type of ref's first entry (float if ref is empty), or type(ref)."""
     raw = raw.strip()
     try:
         if isinstance(ref, bool):
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError
-        if isinstance(ref, int):
-            return int(raw)
-        if isinstance(ref, float):
-            return float(raw)
+            return {"1": True, "true": True, "yes": True, "0": False,
+                    "false": False, "no": False}[raw.lower()]
         if isinstance(ref, tuple):
-            if not raw:
-                return ()
-            elem = ref[0] if ref else 0.0
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if isinstance(elem, str):
-                return tuple(parts)
-            if isinstance(elem, int):
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
-        return raw
-    except ValueError:
+            elem = type(ref[0]) if ref else float
+            return tuple(elem(p.strip()) for p in raw.split(",") if p.strip())
+        return type(ref)(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for key {key!r}: {raw!r}") from None
 
 

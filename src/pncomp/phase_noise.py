@@ -29,30 +29,27 @@ def design_filter(order: int, cutoff: float, ripple_db: float):
     unit white input).  Neither depends on the seed or sigma, so every
     generator of one (order, cutoff, ripple) shares them.
 
-    Raises ValueError for a cutoff outside (0, 0.5), a ripple <= 0, no
-    stable filter, or an impulse response that holds more than
-    _TAIL_ENERGY of its energy past the _WARMUP samples a generator warms
-    up for: the gain and the warm-up would both miss sigma_deg."""
-    if not 0 < cutoff < 0.5:
-        raise ValueError("cutoff must be in (0, 0.5) of the sample rate")
-    if not ripple_db > 0:
-        raise ValueError(f"ripple_db must be > 0, got {ripple_db}")
+    Raises ValueError for parameters scipy cannot design from (a cutoff
+    outside (0, 0.5), a ripple <= 0), no stable filter, or an impulse
+    response that holds more than _TAIL_ENERGY of its energy past the
+    _WARMUP samples a generator warms up for: the gain and the warm-up
+    would both miss sigma_deg.  The messages name the parameters by their
+    config keys, pn_order, pn_cutoff and pn_ripple_db."""
+    spec = (f"pn_order = {order}, pn_cutoff = {cutoff} and "
+            f"pn_ripple_db = {ripple_db}")
     try:  # scipy's Wn is a fraction of the Nyquist rate
         b, a = signal.cheby1(order, ripple_db, 2.0 * cutoff)
     except ArithmeticError:  # a ripple too small or too large to design
-        raise ValueError(f"no phase-noise filter for ripple_db = "
-                         f"{ripple_db}") from None
+        raise ValueError(f"no phase-noise filter for {spec}") from None
     poles = np.roots(a)
     if np.any(np.abs(poles) >= 1.0):
-        raise ValueError("unstable phase-noise filter specification")
+        raise ValueError(f"unstable phase-noise filter for {spec}")
     h = signal.lfilter(b, a, np.r_[1.0, np.zeros(_IMPULSE_LEN - 1)])
     energy = np.sum(h * h)
     if not energy > 0:  # b underflowed: the filter passes nothing
-        raise ValueError(f"no phase-noise filter for ripple_db = "
-                         f"{ripple_db}")
+        raise ValueError(f"no phase-noise filter for {spec}")
     if not np.sum(h[_WARMUP:] ** 2) <= _TAIL_ENERGY * energy:
-        raise ValueError(f"the phase-noise filter of order {order}, cutoff "
-                         f"{cutoff} and ripple_db {ripple_db} does not "
+        raise ValueError(f"the phase-noise filter for {spec} does not "
                          f"settle within its {_WARMUP}-sample warm-up")
     b.flags.writeable = a.flags.writeable = False
     return b, a, float(np.sqrt(energy))

@@ -12,7 +12,7 @@ import pytest
 from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import gen_channel
 from pncomp.compensator import build_w, equalize_only, receiver
-from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, ConfigError,
+from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, _RULES, ConfigError,
                             Scenario, _channel_symbols, _fixed_block,
                             _kl_covs, child_seed, main, parse_config,
                             run_scenario)
@@ -115,6 +115,13 @@ class TestParseConfig:
         # no data tones has nothing to score
         with pytest.raises(ConfigError, match="null_tones"):
             Scenario(name="custom", null_tones=tones)
+
+    @pytest.mark.parametrize("key, value", [
+        ("pn_cutoff", 0.7), ("pn_cutoff", 0.0), ("pn_ripple_db", 0.0)])
+    def test_filter_range_error_names_key(self, key, value):
+        # the ranges design_filter leaves to scipy are the config's rules
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            Scenario(**{key: value})
 
     def test_phase_per_sample(self):
         # delta_f * Ts = 1/N: one full turn of the offset ramp per symbol
@@ -234,6 +241,111 @@ FLOAT_KEYS = [f.name for f in dataclasses.fields(Scenario)
               if _is_float_key(f.default)]
 
 
+# id: (config file, flags, the key that the error message starts
+# with, or None); each is rejected before any simulation runs
+INVALID_VALUES = {
+    "basis_kind":
+        ("name = custom\nbasis_kinds = KL, FOO\n", [], "basis_kinds"),
+    "track_mode":
+        ("name = tracking\ntrack_modes = tracked, bogus\n", [], "track_modes"),
+    "scale_neg": ("name = evm_vs_d\n", ["--scale", "-1"], "scale"),
+    "scale_zero": ("name = evm_vs_d\n", ["--scale", "0"], "scale"),
+    "scale_nan": ("name = evm_vs_d\n", ["--scale", "nan"], "scale"),
+    "scale_inf": ("name = evm_vs_d\n", ["--scale", "inf"], "scale"),
+    "tracking_d0": ("name = tracking\nd = 0\n", [], "d"),
+    "mimo_d0": ("name = mimo_sweep\nd = 0\n", [], "d"),
+    "custom_d_gt_n": ("name = custom\nd = 65\n", [], "d"),
+    "sigma_d_neg": ("name = evm_vs_sigma\nd = -1\n", [], "d"),
+    "d_list_gt_n": ("name = evm_vs_d\nd_list = 0, 4, 65\n", [], "d_list"),
+    "d_list_neg": ("name = evm_vs_d\nd_list = -1, 4\n", [], "d_list"),
+    "n_32": ("name = evm_vs_d\nn = 32\n", [], None),
+    "method_xls": ("name = custom\nmethod = XLS\n", [], "method"),
+    "qam_8": ("name = evm_vs_d\nqam_order = 8\n", [], None),
+    "mimo_users_gt_rx":
+        ("name = mimo_sweep\nn_users = 3\nn_rx = 2\n", [], "n_users"),
+    "snr_nan": ("name = evm_vs_d\nsnr_db = nan\n", [], "snr_db"),
+    "out_unwritable":
+        ("name = evm_vs_d\n", ["--out", "/nonexistent-dir/o.csv"], None),
+    "beta_2": ("name = tracking\nbeta = 2\n", [], "beta"),
+    "n_taps_0": ("name = custom\nn_taps = 0\n", [], "n_taps"),
+    "kl_cov_0": ("name = custom\nkl_cov_symbols = 0\n", [], "kl_cov_symbols"),
+    "kl_cov_neg":
+        ("name = custom\nkl_cov_symbols = -3\n", [], "kl_cov_symbols"),
+    "profile_foo":
+        ("name = custom\nchannel_profile = foo\n", [], "channel_profile"),
+    "profile_tau_0":
+        ("name = custom\nchannel_profile = exp_decay(0)\n",
+         [], "channel_profile"),
+    "pn_cutoff_0.7": ("name = custom\npn_cutoff = 0.7\n", [], "pn_cutoff"),
+    "pn_order_40": ("name = custom\npn_order = 40\n", [], None),
+    "pn_ripple_0": ("name = custom\npn_ripple_db = 0\n", [], "pn_ripple_db"),
+    "n_rx_0": ("name = custom\nn_rx = 0\n", [], "n_rx"),
+    "training_neg":
+        ("name = tracking\ntraining_symbols = -5\n", [], "training_symbols"),
+    "freeze_after_neg":
+        ("name = tracking\nfreeze_after = -7\n", [], "freeze_after"),
+    "sample_rate_0":
+        ("name = tracking\nppm = 1\nsample_rate_hz = 0\n",
+         [], "sample_rate_hz"),
+    "mimo_users_0": ("name = mimo_sweep\nn_users = 0\n", [], "n_users"),
+    "tx_sigma_neg":
+        ("name = mimo_sweep\ntx_sigma_list = 0, -1\n", [], "tx_sigma_list"),
+    "sigma_list_neg":
+        ("name = evm_vs_sigma\nsigma_list = 1, -2\n", [], "sigma_list"),
+    "snr_overflow": ("name = custom\nsnr_db = -1e308\n", [], "snr_db"),
+    "snr_overflow_edge": ("name = custom\nsnr_db = -3083\n", [], "snr_db"),
+    "offset_inf_per_sample":
+        ("name = tracking\nppm = 1e6\ncarrier_hz = 1e308\n"
+         "sample_rate_hz = 1\n", [], None),
+    "offset_ramp_overflow":
+        ("name = tracking\nppm = 1e6\ncarrier_hz = 1e305\n"
+         "sample_rate_hz = 1\n", [], None),
+    "pn_file_missing":
+        ("name = custom\npn_file = /nonexistent-dir/pn.txt\n", [], None),
+    "pn_file_dir": ("name = custom\npn_file = /\n", [], None),
+    "basis_kinds_empty_evm_vs_d":
+        ("name = evm_vs_d\nbasis_kinds =\n", [], "basis_kinds"),
+    "basis_kinds_empty_evm_vs_sigma":
+        ("name = evm_vs_sigma\nbasis_kinds =\n", [], "basis_kinds"),
+    "basis_kinds_empty_custom":
+        ("name = custom\nbasis_kinds =\n", [], "basis_kinds"),
+    "track_modes_empty":
+        ("name = tracking\ntrack_modes =\n", [], "track_modes"),
+    "tx_sigma_list_empty":
+        ("name = mimo_sweep\ntx_sigma_list =\n", [], "tx_sigma_list"),
+    "pn_ripple_underflow":
+        ("name = tracking\npn_ripple_db = 1e-20\n", [], None),
+    "pn_ripple_overflow":
+        ("name = tracking\npn_ripple_db = 1e300\n", [], None),
+    "null_tones_fraction":
+        ("name = custom\nnull_tones = 31.5, 32\n", [], "null_tones"),
+    "null_tones_negative_fraction":
+        ("name = custom\nnull_tones = -0.5\n", [], "null_tones"),
+    "null_tones_no_data":
+        ("name = custom\nnull_tones = "
+         + ", ".join(map(str, NO_DATA_NULLS)) + "\n", [], "null_tones"),
+    "profile_suffix":
+        ("name = custom\nchannel_profile = exp_decay_foo\n",
+         [], "channel_profile"),
+    "profile_trailing_junk":
+        ("name = custom\nchannel_profile = exp_decay(2)junk\n",
+         [], "channel_profile"),
+    "profile_tau_inf":
+        ("name = custom\nchannel_profile = exp_decay(inf)\n",
+         [], "channel_profile"),
+    "profile_unclosed":
+        ("name = custom\nchannel_profile = exp_decay(3\n",
+         [], "channel_profile"),
+    "pn_cutoff_1e-6": ("name = custom\npn_cutoff = 1e-6\n", [], None),
+    "sigma_deg_neg": ("name = custom\nsigma_deg = -1\n", [], "sigma_deg"),
+    "beta_0": ("name = tracking\nbeta = 0\n", [], "beta"),
+    "pn_cutoff_0": ("name = custom\npn_cutoff = 0\n", [], "pn_cutoff"),
+    "name_bogus": ("name = bogus\n", [], "name"),
+    "n_channels_0": ("name = custom\nn_channels = 0\n", [], "n_channels"),
+    "n_symbols_0": ("name = custom\nn_symbols = 0\n", [], "n_symbols"),
+}
+
+
 class TestCli:
     def test_run_ok_and_deterministic(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -250,95 +362,24 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "not_a_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg_text, flags", [
-        ("name = custom\nbasis_kinds = KL, FOO\n", []),
-        ("name = tracking\ntrack_modes = tracked, bogus\n", []),
-        ("name = evm_vs_d\n", ["--scale", "-1"]),
-        ("name = evm_vs_d\n", ["--scale", "0"]),
-        ("name = evm_vs_d\n", ["--scale", "nan"]),
-        ("name = evm_vs_d\n", ["--scale", "inf"]),
-        ("name = tracking\nd = 0\n", []),
-        ("name = mimo_sweep\nd = 0\n", []),
-        ("name = custom\nd = 65\n", []),
-        ("name = evm_vs_sigma\nd = -1\n", []),
-        ("name = evm_vs_d\nd_list = 0, 4, 65\n", []),
-        ("name = evm_vs_d\nd_list = -1, 4\n", []),
-        ("name = evm_vs_d\nn = 32\n", []),
-        ("name = custom\nmethod = XLS\n", []),
-        ("name = evm_vs_d\nqam_order = 8\n", []),
-        ("name = mimo_sweep\nn_users = 3\nn_rx = 2\n", []),
-        ("name = evm_vs_d\nsnr_db = nan\n", []),
-        ("name = evm_vs_d\n", ["--out", "/nonexistent-dir/o.csv"]),
-        ("name = tracking\nbeta = 2\n", []),
-        ("name = custom\nn_taps = 0\n", []),
-        ("name = custom\nkl_cov_symbols = 0\n", []),
-        ("name = custom\nkl_cov_symbols = -3\n", []),
-        ("name = custom\nchannel_profile = foo\n", []),
-        ("name = custom\nchannel_profile = exp_decay(0)\n", []),
-        ("name = custom\npn_cutoff = 0.7\n", []),
-        ("name = custom\npn_order = 40\n", []),
-        ("name = custom\npn_ripple_db = 0\n", []),
-        ("name = custom\nn_rx = 0\n", []),
-        ("name = tracking\ntraining_symbols = -5\n", []),
-        ("name = tracking\nfreeze_after = -7\n", []),
-        ("name = tracking\nppm = 1\nsample_rate_hz = 0\n", []),
-        ("name = mimo_sweep\nn_users = 0\n", []),
-        ("name = mimo_sweep\ntx_sigma_list = 0, -1\n", []),
-        ("name = evm_vs_sigma\nsigma_list = 1, -2\n", []),
-        ("name = custom\nsnr_db = -1e308\n", []),
-        ("name = custom\nsnr_db = -3083\n", []),
-        ("name = tracking\nppm = 1e6\ncarrier_hz = 1e308\n"
-         "sample_rate_hz = 1\n", []),
-        ("name = tracking\nppm = 1e6\ncarrier_hz = 1e305\n"
-         "sample_rate_hz = 1\n", []),
-        ("name = custom\npn_file = /nonexistent-dir/pn.txt\n", []),
-        ("name = custom\npn_file = /\n", []),
-        ("name = evm_vs_d\nbasis_kinds =\n", []),
-        ("name = evm_vs_sigma\nbasis_kinds =\n", []),
-        ("name = custom\nbasis_kinds =\n", []),
-        ("name = tracking\ntrack_modes =\n", []),
-        ("name = mimo_sweep\ntx_sigma_list =\n", []),
-        ("name = tracking\npn_ripple_db = 1e-20\n", []),
-        ("name = tracking\npn_ripple_db = 1e300\n", []),
-        ("name = custom\nnull_tones = 31.5, 32\n", []),
-        ("name = custom\nnull_tones = -0.5\n", []),
-        ("name = custom\nnull_tones = "
-         + ", ".join(map(str, NO_DATA_NULLS)) + "\n", []),
-        ("name = custom\nchannel_profile = exp_decay_foo\n", []),
-        ("name = custom\nchannel_profile = exp_decay(2)junk\n", []),
-        ("name = custom\nchannel_profile = exp_decay(inf)\n", []),
-        ("name = custom\nchannel_profile = exp_decay(3\n", []),
-        ("name = custom\npn_cutoff = 1e-6\n", []),
-        ("name = custom\nsigma_deg = -1\n", []),
-        ("name = tracking\nbeta = 0\n", []),
-        ("name = custom\npn_cutoff = 0\n", []),
-    ], ids=["basis_kind", "track_mode", "scale_neg", "scale_zero",
-            "scale_nan", "scale_inf", "tracking_d0", "mimo_d0", "custom_d_gt_n",
-            "sigma_d_neg", "d_list_gt_n", "d_list_neg", "n_32", "method_xls",
-            "qam_8", "mimo_users_gt_rx", "snr_nan", "out_unwritable",
-            "beta_2", "n_taps_0", "kl_cov_0", "kl_cov_neg", "profile_foo",
-            "profile_tau_0", "pn_cutoff_0.7", "pn_order_40", "pn_ripple_0",
-            "n_rx_0", "training_neg", "freeze_after_neg", "sample_rate_0",
-            "mimo_users_0", "tx_sigma_neg", "sigma_list_neg", "snr_overflow",
-            "snr_overflow_edge", "offset_inf_per_sample",
-            "offset_ramp_overflow", "pn_file_missing", "pn_file_dir",
-            "basis_kinds_empty_evm_vs_d", "basis_kinds_empty_evm_vs_sigma",
-            "basis_kinds_empty_custom", "track_modes_empty",
-            "tx_sigma_list_empty", "pn_ripple_underflow",
-            "pn_ripple_overflow", "null_tones_fraction",
-            "null_tones_negative_fraction", "null_tones_no_data",
-            "profile_suffix", "profile_trailing_junk", "profile_tau_inf",
-            "profile_unclosed", "pn_cutoff_1e-6", "sigma_deg_neg", "beta_0",
-            "pn_cutoff_0"])
-    def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags):
+    @pytest.mark.parametrize("cfg_text, flags, key",
+                             INVALID_VALUES.values(), ids=list(INVALID_VALUES))
+    def test_exit_2_on_invalid_value(self, tmp_path, capsys, cfg_text, flags,
+                                     key):
         # rejected before any simulation runs, so no CSV is written
         cfg = tmp_path / "c.cfg"
         cfg.write_text(cfg_text)
         out = tmp_path / "o.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]
                     + flags) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key or ''}")
         assert not out.exists()
+
+    def test_every_rule_has_an_invalid_value(self):
+        # each key of the rule table has a case whose error names it
+        keys = {key for _, _, key in INVALID_VALUES.values()}
+        assert set(_RULES) - keys == set()
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

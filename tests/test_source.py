@@ -1,7 +1,8 @@
 """Source checks on src/pncomp, tests and the README: no module imports
 a name it never uses, no function or class of src/pncomp is left that
-nothing in src/pncomp reaches, and every pncomp name the README cites
-exists.
+nothing in src/pncomp reaches, every pncomp name the README cites
+exists, and the README's rule paragraph names every key of the config
+rule table.
 
 No linter is part of the toolchain, so the first two are small `ast`
 checks.  Every name an `import` or `from ... import` binds must be read
@@ -16,6 +17,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from pncomp.harness import _RULES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pncomp"
@@ -179,3 +182,28 @@ def test_readme_references_resolve():
     refs = readme_references((ROOT / "README.md").read_text())
     assert refs, "no module.name reference found"
     assert unresolved(refs) == []
+
+
+def rule_paragraph(text: str) -> str:
+    """The first top-level list item of Markdown text that cites
+    `harness._RULES`; an item ends at the next item or a blank line."""
+    items = re.findall(r"^- .*?(?=\n- |\n\n|\Z)", text, flags=re.M | re.S)
+    return next(item for item in items if "`harness._RULES`" in item)
+
+
+def unnamed_rule_keys(paragraph: str) -> list[str]:
+    """The keys of harness._RULES that paragraph never names in
+    backticks, in table order."""
+    named = set(re.findall(r"`(\w+)`", paragraph))
+    return [key for key in _RULES if key not in named]
+
+
+def test_readme_names_every_rule_key():
+    paragraph = rule_paragraph((ROOT / "README.md").read_text())
+    assert unnamed_rule_keys(paragraph) == []
+
+
+def test_rule_key_check_finds_unnamed_key():
+    paragraph = rule_paragraph((ROOT / "README.md").read_text())
+    for key in _RULES:
+        assert unnamed_rule_keys(paragraph.replace(f"`{key}`", key)) == [key]
