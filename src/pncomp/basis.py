@@ -9,7 +9,7 @@ from .numerics import CMat, herm_eig
 
 
 def _check_d(n: int, d: int) -> None:
-    if not 1 <= d <= n:
+    if not 1 <= d <= n:  # kept: a d past n would slice to n columns
         raise ValueError(f"d must be in [1, {n}], got {d}")
 
 

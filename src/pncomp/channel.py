@@ -39,8 +39,6 @@ def from_taps(taps: np.ndarray, n: int) -> CMat:
     """The response lambda (n_rx, N) of taps (n_rx, L), or (L,) for one
     branch, with L <= n."""
     taps = np.atleast_2d(np.asarray(taps, dtype=np.complex128))
-    if taps.shape[1] > n:
-        raise ValueError(f"more taps than tones ({taps.shape[1]} > {n})")
     padded = np.zeros((taps.shape[0], n), dtype=np.complex128)
     padded[:, :taps.shape[1]] = taps
     return np.sqrt(n) * fft(padded)

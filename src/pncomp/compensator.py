@@ -43,7 +43,7 @@ class Receiver:
     mrc_den: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.method not in ("LS", "TLS"):
+        if self.method not in ("LS", "TLS"):  # kept: else it fits by LS
             raise ValueError(f"method must be LS or TLS, got {self.method!r}")
         lay, n_blocks = self.layout, self.usable.shape[0]
         cand = lay.pilot_arr
@@ -153,13 +153,7 @@ def compensate(w, rcv: Receiver, gamma: CVec) -> CVec:
     w is build_w(z, rcv, v) for the symbol and a basis v whose leading d =
     len(gamma) columns gamma was fit on, shape (n_rx, N, >= d).
     """
-    w, gamma = np.asarray(w), np.asarray(gamma)
-    d = gamma.shape[-1]
-    if (gamma.ndim != 1 or w.ndim != 3 or w.shape[:2] != rcv.usable.shape
-            or w.shape[2] < d):
-        raise ValueError(f"W of shape {w.shape} does not fit (n_rx, N) = "
-                         f"{rcv.usable.shape} and gamma of shape {gamma.shape}")
-    s_mrc = w[:, :, :d] @ gamma
+    s_mrc = w[:, :, :len(gamma)] @ gamma
     s_mrc = np.multiply(rcv.mrc_w, s_mrc, out=s_mrc).sum(axis=0)
     s_mrc /= rcv.mrc_den
     return s_mrc

@@ -66,6 +66,7 @@ _RULES = {
     "freeze_after": (">= -1", lambda v: v >= -1),
     "sigma_deg": _AT_LEAST_0, "sigma_list": _AT_LEAST_0,
     "tx_sigma_list": _AT_LEAST_0, "d_list": _AT_LEAST_0,
+    "pn_order": _AT_LEAST_0,
     "pn_cutoff": ("in (0, 0.5)", lambda v: 0 < v < 0.5),
     "pn_ripple_db": ("> 0", lambda v: v > 0),
     "beta": ("in (0, 1]", lambda v: 0 < v <= 1, "tracking"),
@@ -164,10 +165,15 @@ class Scenario:
         if self.name == "mimo_sweep" and not 1 <= self.n_users <= self.n_rx:
             raise ConfigError(f"n_users must be in [1, n_rx = {self.n_rx}], "
                               f"got {self.n_users}")
+        key = "n"  # the key that ofdm's messages below are about
         try:  # what a run resolves from the config, before any simulation
+            default_layout(self.n)
+            key = "null_tones"
             if not self.layout.data_arr.size:
-                raise ValueError("null_tones leave no data tones to score")
-            self.constellation  # raises for an unsupported qam_order
+                raise ValueError("no data tones are left to score")
+            key = "qam_order"
+            self.constellation
+            key = None  # the messages below name their keys
             channel_mod.tap_weights(self.n_taps, self.channel_profile, self.n)
             pn_mod.design_filter(self.pn_order, self.pn_cutoff,
                                  self.pn_ripple_db)
@@ -179,7 +185,7 @@ class Scenario:
                         f"{self.carrier_hz}, sample_rate_hz = "
                         f"{self.sample_rate_hz} overflows the phase ramp")
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"{key}: {exc}" if key else str(exc)) from None
 
     @property
     def n_channels_eff(self) -> int:

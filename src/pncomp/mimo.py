@@ -24,7 +24,7 @@ def zf_beamformer(lam) -> tuple[np.ndarray, np.ndarray]:
     the pseudoinverse of every tone's (n_rx, n_users) channel from one
     stacked SVD, and the full-rank tones ok (N,); rank-deficient tones get
     b[k] = 0.  Returns (b, ok)."""
-    if lam.shape[0] > lam.shape[1]:
+    if lam.shape[0] > lam.shape[1]:  # kept: b would not invert lam
         raise ValueError(f"need n_rx >= n_users, got lam {lam.shape}")
     u, s, vh = np.linalg.svd(np.ascontiguousarray(lam.transpose(2, 1, 0)),
                              full_matrices=False)

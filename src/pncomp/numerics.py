@@ -1,11 +1,11 @@
 """Complex linear-algebra kernel shared by the rest of the package.
 
-Everything here is a thin, convention-fixing layer over numpy.linalg:
+Everything here is a thin, convention-fixing layer over numpy:
 unitary FFT/IFFT, Hermitian eigendecomposition with deterministic
 ordering and phase, SVD, and the Moore-Penrose pseudoinverse.
-Inputs are not scanned for NaN or inf: non-finite values are rejected
-where they enter the program, in harness.Scenario and
-phase_noise.load_pn_samples.
+Inputs are not scanned for NaN or inf, nor for shapes numpy rejects
+itself: bad values are rejected where they enter the program, in
+harness.Scenario and phase_noise.load_pn_samples.
 """
 
 from __future__ import annotations
@@ -17,30 +17,16 @@ CVec = NDArray[np.complex128]
 CMat = NDArray[np.complex128]
 
 DEFAULT_RCOND = 1e-12
-# sqrt(n), the unitary FFT scale, of every power-of-two length n
-_ROOT_N = {1 << k: np.sqrt(1 << k) for k in range(63)}
-
-
-def _root_n(n: int) -> float:
-    if n not in _ROOT_N:
-        raise ValueError(f"length must be a power of two, got {n}")
-    return _ROOT_N[n]
 
 
 def fft(x: CVec) -> CVec:
-    """Unitary forward DFT (1/sqrt(N) normalization)."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.fft.fft(x)
-    y /= _root_n(x.shape[-1])
-    return y
+    """Unitary forward DFT (1/sqrt(N) normalization) along the last axis."""
+    return np.fft.fft(x, norm="ortho")
 
 
 def ifft(x: CVec) -> CVec:
     """Unitary inverse DFT; exact inverse of :func:`fft`."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.fft.ifft(x)
-    y *= _root_n(x.shape[-1])
-    return y
+    return np.fft.ifft(x, norm="ortho")
 
 
 def _phase_normalize(vectors: CMat) -> CMat:
@@ -62,8 +48,6 @@ def herm_eig(a: CMat) -> tuple[NDArray[np.float64], CMat]:
     covariances with round-off asymmetry.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"herm_eig needs a square matrix, got {a.shape}")
     a = (a + a.conj().T) / 2
     values, vectors = np.linalg.eigh(a)
     order = np.arange(len(values))[::-1]  # eigh is ascending; stable reverse
@@ -81,10 +65,5 @@ def svd(a: CMat) -> tuple[CMat, NDArray[np.float64], CMat]:
 
 def pinv(a: CMat) -> CMat:
     """Moore-Penrose pseudoinverse with relative singular-value cutoff
-    DEFAULT_RCOND, of a matrix or of each matrix of a stack (..., m, n);
-    np.linalg.pinv's arithmetic step for step (same bits), less overhead."""
-    a = np.asarray(a, dtype=np.complex128)
-    u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
-    large = s > DEFAULT_RCOND * s.max(axis=-1, keepdims=True)
-    s = np.divide(1, s, where=large, out=np.zeros(s.shape))
-    return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))
+    DEFAULT_RCOND, of a matrix or of each matrix of a stack (..., m, n)."""
+    return np.linalg.pinv(a, rcond=DEFAULT_RCOND)

@@ -74,7 +74,7 @@ class PnGenerator:
 
     def next_phi(self, n: int) -> np.ndarray:
         """The angles phi (levels, n) of the next n samples."""
-        if n < 1:
+        if n < 1:  # kept: lfilter changes its state on an empty input
             raise ValueError("n must be >= 1")
         y, self._zi = signal.lfilter(
             self._b, self._a, self._rng.standard_normal(n), zi=self._zi)
@@ -98,11 +98,12 @@ def estimate_cov(rows) -> CMat:
         if r is None:
             r = np.zeros(psi.shape + psi.shape[-1:], dtype=np.complex128)
             term = np.empty_like(r)
+        # kept: a row of another shape could broadcast into r silently
         if psi.ndim < 1 or psi.shape != r.shape[:-1]:
             raise ValueError(f"row {m} is {psi.shape}, need row 1's (..., N)")
         np.multiply(psi[..., :, None], psi.conj()[..., None, :], out=term)
         r += term
-    if r is None:
+    if r is None:  # kept: no row leaves m unbound and r None
         raise ValueError("need at least one row")
     r /= m
     return (r + np.swapaxes(r.conj(), -1, -2)) / 2

@@ -55,6 +55,8 @@ class TestGenChannel:
     def test_rejects_too_many_taps(self):
         with pytest.raises(ValueError):
             gen_channel(65, "uniform", seed=0, n=64)
+        with pytest.raises(ValueError):  # the zero-padding cannot hold them
+            from_taps(np.ones(65), 64)
 
     def test_rejects_unknown_profile(self):
         with pytest.raises(ValueError):

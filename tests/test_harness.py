@@ -258,9 +258,9 @@ INVALID_VALUES = {
     "sigma_d_neg": ("name = evm_vs_sigma\nd = -1\n", [], "d"),
     "d_list_gt_n": ("name = evm_vs_d\nd_list = 0, 4, 65\n", [], "d_list"),
     "d_list_neg": ("name = evm_vs_d\nd_list = -1, 4\n", [], "d_list"),
-    "n_32": ("name = evm_vs_d\nn = 32\n", [], None),
+    "n_32": ("name = evm_vs_d\nn = 32\n", [], "n"),
     "method_xls": ("name = custom\nmethod = XLS\n", [], "method"),
-    "qam_8": ("name = evm_vs_d\nqam_order = 8\n", [], None),
+    "qam_8": ("name = evm_vs_d\nqam_order = 8\n", [], "qam_order"),
     "mimo_users_gt_rx":
         ("name = mimo_sweep\nn_users = 3\nn_rx = 2\n", [], "n_users"),
     "snr_nan": ("name = evm_vs_d\nsnr_db = nan\n", [], "snr_db"),
@@ -278,6 +278,7 @@ INVALID_VALUES = {
          [], "channel_profile"),
     "pn_cutoff_0.7": ("name = custom\npn_cutoff = 0.7\n", [], "pn_cutoff"),
     "pn_order_40": ("name = custom\npn_order = 40\n", [], None),
+    "pn_order_neg": ("name = custom\npn_order = -1\n", [], "pn_order"),
     "pn_ripple_0": ("name = custom\npn_ripple_db = 0\n", [], "pn_ripple_db"),
     "n_rx_0": ("name = custom\nn_rx = 0\n", [], "n_rx"),
     "training_neg":
@@ -321,6 +322,10 @@ INVALID_VALUES = {
         ("name = custom\nnull_tones = 31.5, 32\n", [], "null_tones"),
     "null_tones_negative_fraction":
         ("name = custom\nnull_tones = -0.5\n", [], "null_tones"),
+    "null_tones_out_of_range":
+        ("name = custom\nnull_tones = 64\n", [], "null_tones"),
+    "null_tones_on_pilot":
+        ("name = custom\nnull_tones = 0\n", [], "null_tones"),
     "null_tones_no_data":
         ("name = custom\nnull_tones = "
          + ", ".join(map(str, NO_DATA_NULLS)) + "\n", [], "null_tones"),

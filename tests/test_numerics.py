@@ -45,9 +45,19 @@ class TestFFT:
         assert abs(np.linalg.norm(nx.fft(x)) - np.linalg.norm(x)) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 6, 12])
-    def test_rejects_non_power_of_two(self, n):
-        with pytest.raises(ValueError):
-            nx.fft(np.zeros(n))
+    def test_any_length(self, n):
+        # numpy's unitary transform: no power-of-two restriction
+        x = rand_cvec(np.random.default_rng(n), n)
+        np.testing.assert_allclose(nx.fft(x), dft_matrix(n) @ x, atol=1e-12)
+        assert np.max(np.abs(nx.ifft(nx.fft(x)) - x)) <= 1e-12
+
+    def test_bits_of_n64_stack(self):
+        # at N = 64 the unitary scale 1/8 is a power of two, so it is exact
+        rng = np.random.default_rng(15)
+        x = (rng.standard_normal((32, 2, 8, 64))
+             + 1j * rng.standard_normal((32, 2, 8, 64)))
+        assert np.array_equal(nx.fft(x), np.fft.fft(x) / 8)
+        assert np.array_equal(nx.ifft(x), np.fft.ifft(x) * 8)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -185,8 +195,8 @@ class TestPinv:
         ((32, 4), 4), ((20, 9), 9), ((4, 32), 4), ((6, 6), 6),
         ((32, 5), 3), ((5, 12), 2), ((1, 7), 1), ((9, 1), 1)])
     def test_bit_identical_to_numpy(self, shape, rank):
-        # same arithmetic as np.linalg.pinv, so the same bits; rank < min
-        # shape leaves singular values of round-off size below the cutoff
+        # np.linalg.pinv at DEFAULT_RCOND, bit for bit; rank < min shape
+        # leaves singular values of round-off size below the cutoff
         rng = np.random.default_rng(13)
         stack = np.array([rand_cmat(rng, shape[0], rank)
                           @ rand_cmat(rng, rank, shape[1]) for _ in range(20)])

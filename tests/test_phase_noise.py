@@ -37,6 +37,16 @@ class TestGenPn:
         one = b.next_phi(128)
         np.testing.assert_allclose(two, one, atol=1e-14)
 
+    def test_rejects_empty_draw(self):
+        # lfilter returns a changed state for an empty input, so an empty
+        # draw would shift the stream; it is rejected and changes nothing
+        gen, fresh = PnGenerator(1, (3.0,)), PnGenerator(1, (3.0,))
+        _, zi = signal.lfilter(gen._b, gen._a, np.zeros(0), zi=gen._zi)
+        assert not np.array_equal(zi, gen._zi)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gen.next_phi(0)
+        assert np.array_equal(gen.next_phi(64), fresh.next_phi(64))
+
     def test_filter_designed_once_per_shape(self):
         # generators that differ only in seed and sigma share one filter
         # design, and draw what a freshly designed filter gives bit for bit
