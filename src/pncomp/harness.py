@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +32,6 @@ from .numerics import ifft
 from .ofdm import (Constellation, default_layout, ToneLayout, evm_linear,
                    make_symbol, ratio_to_db, symbol_error_rate)
 from .tracker import init_tracker, run_tracked
-
-CSV_COLUMNS = ["scenario", "channel_seed", "symbol_index", "aggregate",
-               "basis_kind", "d", "sigma_deg", "method", "evm_db", "ser",
-               "n_equations", "wall_clock_s"]
 
 SCENARIO_NAMES = ("evm_vs_d", "evm_vs_sigma", "mimo_sweep", "tracking",
                   "custom")
@@ -227,9 +224,11 @@ def _coerce(key: str, raw: str, ref):
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> Scenario:
-    """`key = value` file; unknown keys rejected; overrides win."""
+    """`key = value` file; unknown and repeated keys rejected; overrides
+    win."""
     defaults = Scenario()
     values: dict = {}
+    lines: dict = {}  # key: the file line that set it
     fields = {f.name: getattr(defaults, f.name)
               for f in dataclasses.fields(Scenario)}
     if path:
@@ -243,6 +242,10 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Scenario:
                 key, raw = (part.strip() for part in line.split("=", 1))
                 if key not in fields:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in lines:
+                    raise ConfigError(f"{key} is set twice in {path}, on "
+                                      f"lines {lines[key]} and {lineno}")
+                lines[key] = lineno
                 values[key] = _coerce(key, raw, fields[key])
     for key, val in (overrides or {}).items():
         if key not in fields:
@@ -254,8 +257,9 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Scenario:
         raise ConfigError(str(exc)) from None
 
 
-@dataclass
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One CSV row; the field order is the CSV header.  wall_clock_s is
+    always empty, so a seed's CSV is the same bytes on every run."""
     scenario: str
     channel_seed: int | str
     symbol_index: int | str
@@ -269,12 +273,8 @@ class ResultRow:
     n_equations: int | str
     wall_clock_s: str = ""
 
-    def as_list(self) -> list:
-        return [self.scenario, self.channel_seed, self.symbol_index,
-                self.aggregate, self.basis_kind, self.d,
-                f"{self.sigma_deg:.4f}", self.method,
-                f"{self.evm_db:.6f}", f"{self.ser:.8f}",
-                self.n_equations, self.wall_clock_s]
+
+CSV_COLUMNS = list(ResultRow._fields)
 
 
 def _pn_source(sc: Scenario, seed: int, sigmas, pn: np.ndarray | None):
@@ -545,27 +545,22 @@ _RUNNERS = {  # (scenario, pn_file windows or None) -> rows
 }
 
 
-def run_scenario(sc: Scenario, out_path: str, timing: bool = False) -> list[ResultRow]:
-    start = time.perf_counter()
+def run_scenario(sc: Scenario, out_path: str) -> list[ResultRow]:
     # the pn_file is parsed once per run; each stream cycles its windows
     pn = pn_mod.load_pn_samples(sc.pn_file, sc.n) if sc.pn_file else None
     rows = _RUNNERS[sc.name](sc, pn)
-    elapsed = time.perf_counter() - start
-    if timing:
-        # wall clock varies run to run; only emitted on request so the
-        # default CSV stays byte-identical for a given seed
-        for row in rows:
-            row.wall_clock_s = f"{elapsed:.3f}"
     write_csv(rows, out_path)
     return rows
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:
+    # each field's format spec; "" is str()
+    specs = [{"sigma_deg": ".4f", "evm_db": ".6f", "ser": ".8f"}.get(c, "")
+             for c in CSV_COLUMNS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_list())
+        writer.writerows(map(format, row, specs) for row in rows)
 
 
 def main(argv=None) -> int:
@@ -581,8 +576,6 @@ def main(argv=None) -> int:
                        help="fraction of the full channel count")
     run_p.add_argument("--full", action="store_true",
                        help="run at full scale (scale = 1)")
-    run_p.add_argument("--timing", action="store_true",
-                       help="emit wall-clock column (breaks byte determinism)")
     args = parser.parse_args(argv)
 
     overrides: dict = {}
@@ -610,14 +603,17 @@ def main(argv=None) -> int:
     if os.path.isdir(out) or not os.access(target, os.W_OK):
         print(f"config error: cannot write {out!r}", file=sys.stderr)
         return 2
+    start = time.perf_counter()
     try:
-        run_scenario(sc, out, timing=args.timing)
+        run_scenario(sc, out)
     except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # raised mid-run, like the failures above
         print(f"out of memory: {exc}", file=sys.stderr)
         return 3
+    # on stderr, not in the CSV, whose bytes a seed fixes
+    print(f"wall time: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return 0
 
 

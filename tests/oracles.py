@@ -5,16 +5,19 @@ something pncomp computes another way (the dense DFT matrix for the FFT,
 the implied TLS perturbation for the fit, one pinv or SVD per symbol for
 the stacked fit, modulation for the block simulation, the axis-by-axis
 slicer for the label-table slicer, the whole-stream tracker for the
-block-by-block one).  The tracker oracle
+block-by-block one, the phase-noise model's covariance in closed form for
+the trained one).  The tracker oracle
 takes from pncomp only build_w and the Receiver's fit rows and layout;
 its fit, combine, decision, phase estimate and PAST step are its own.
 """
 
 import numpy as np
+from scipy import signal
 
 from pncomp.compensator import build_w
 from pncomp.numerics import DEFAULT_RCOND, CMat, CVec, fft, ifft
 from pncomp.ofdm import Constellation, ToneLayout
+from pncomp.phase_noise import design_filter
 
 
 def dft_matrix(n: int) -> CMat:
@@ -28,6 +31,21 @@ def tls_implied_perturbation(w_rows: CMat, s_rows: CVec, gamma: CVec) -> CMat:
     r = w_rows @ gamma - s_rows
     g = np.concatenate([gamma, [-1.0 + 0j]])
     return -np.outer(r, g.conj()) / (np.linalg.norm(g) ** 2)
+
+
+def model_cov(n: int, sigma_deg: float, order: int, cutoff: float,
+              ripple_db: float) -> np.ndarray:
+    """R[k, l] = E[psi_k psi_l*] = exp(-sigma^2 (1 - rho(k - l))) of n
+    consecutive samples of psi = exp(j phi), phi the stationary Gaussian
+    process of std sigma_deg shaped by design_filter(order, cutoff,
+    ripple_db): rho(tau) = sum h_i h_(i+tau) / sum h_i^2, h the filter's
+    impulse response, which settles well within its 2^15 samples.  Real
+    symmetric Toeplitz, (n, n)."""
+    b, a, _ = design_filter(order, cutoff, ripple_db)
+    h = signal.lfilter(b, a, np.r_[1.0, np.zeros((1 << 15) - 1)])
+    rho = np.array([h[:len(h) - tau] @ h[tau:] for tau in range(n)]) / (h @ h)
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.exp(-np.deg2rad(sigma_deg) ** 2 * (1.0 - rho[lag]))
 
 
 def modulate(s: CVec) -> CVec:

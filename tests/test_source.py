@@ -1,8 +1,9 @@
 """Source checks on src/pncomp, tests and the README: no module imports
 a name it never uses, no function or class of src/pncomp is left that
 nothing in src/pncomp reaches, every pncomp name the README cites
-exists, and the README's rule paragraph names every key of the config
-rule table.
+exists, the README's rule paragraph names every key of the config
+rule table, and its `pncomp run` usage block names exactly the options
+of the CLI parser.
 
 No linter is part of the toolchain, so the first two are small `ast`
 checks.  Every name an `import` or `from ... import` binds must be read
@@ -11,6 +12,7 @@ entry of `__all__`.  `from __future__ import ...` binds nothing and is
 skipped.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from pncomp.harness import _RULES
+from pncomp.harness import _RULES, main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pncomp"
@@ -207,3 +209,41 @@ def test_rule_key_check_finds_unnamed_key():
     paragraph = rule_paragraph((ROOT / "README.md").read_text())
     for key in _RULES:
         assert unnamed_rule_keys(paragraph.replace(f"`{key}`", key)) == [key]
+
+
+def usage_options(text: str) -> set[str]:
+    """The `--option` names of the fenced block of Markdown text that
+    shows `pncomp run`."""
+    blocks = re.findall(r"```.*?```", text, flags=re.S)
+    usage = next(block for block in blocks if "pncomp run" in block)
+    return set(re.findall(r"--[\w-]+", usage))
+
+
+def run_options(monkeypatch) -> set[str]:
+    """The option strings, help aside, that main's `run` parser defines,
+    read off the parser main builds: its parse_args exits before it
+    parses anything."""
+    parsers = []
+
+    def stop(parser, *args, **kwargs):
+        parsers.append(parser)
+        raise SystemExit(0)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", stop)
+    with pytest.raises(SystemExit):
+        main(["run"])
+    sub, = (action for action in parsers[0]._actions
+            if isinstance(action, argparse._SubParsersAction))
+    return {opt for action in sub.choices["run"]._actions
+            for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_readme_usage_matches_parser(monkeypatch):
+    options = run_options(monkeypatch)
+    assert "--config" in options
+    assert usage_options((ROOT / "README.md").read_text()) == options
+
+
+def test_usage_check_finds_stale_option(monkeypatch):
+    text = (ROOT / "README.md").read_text().replace(
+        "[--full]", "[--full] [--timing]")
+    assert usage_options(text) - run_options(monkeypatch) == {"--timing"}
