@@ -67,7 +67,9 @@ def apply_channel(lam: CMat, x: CVec, snr_db: float,
     x = np.asarray(x, dtype=np.complex128)
     if x.shape[-1:] != lam.shape[-1:]:
         raise ValueError(f"x length {x.shape} != N={lam.shape[-1]}")
-    return add_awgn(ifft(lam * fft(x)[..., None, :]), snr_db, rng)
+    y = ifft(lam * fft(x)[..., None, :])
+    noise = awgn(y.shape, snr_db, rng)
+    return y if noise is None else y + noise
 
 
 def awgn(shape: tuple, snr_db: float,
@@ -84,9 +86,3 @@ def awgn(shape: tuple, snr_db: float,
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
     g = rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
     return sigma * (g[..., 0, :, :] + 1j * g[..., 1, :, :])
-
-
-def add_awgn(y: CMat, snr_db: float, rng: np.random.Generator) -> CMat:
-    """y (..., n_rx, N) plus awgn(y.shape, snr_db, rng)."""
-    n = awgn(y.shape, snr_db, rng)
-    return y if n is None else y + n

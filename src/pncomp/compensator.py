@@ -12,7 +12,7 @@ then applies one symbol's gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -36,23 +36,23 @@ class Receiver:
     layout: ToneLayout
     usable: np.ndarray
     method: str
-    use_null_tones: bool
-    per_block_refs: bool = False
+    use_null_tones: InitVar[bool]
+    per_block_refs: InitVar[bool]
     lam: CMat | None = None
     mrc_w: np.ndarray | None = None
     mrc_den: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, use_null_tones, per_block_refs):
         if self.method not in ("LS", "TLS"):  # kept: else it fits by LS
             raise ValueError(f"method must be LS or TLS, got {self.method!r}")
         lay, n_blocks = self.layout, self.usable.shape[0]
         cand = lay.pilot_arr
-        if self.use_null_tones:
+        if use_null_tones:
             cand = np.concatenate((cand, lay.null_arr))
         block, j = np.nonzero(self.usable[:, cand])  # block-major order
         tone = cand[j]
-        target = tone + block * lay.n if self.per_block_refs else tone
-        zero = lay.n * (n_blocks if self.per_block_refs else 1)
+        target = tone + block * lay.n if per_block_refs else tone
+        zero = lay.n * (n_blocks if per_block_refs else 1)
         null = j >= len(lay.pilot_arr)
         object.__setattr__(self, "rows", (block, tone))
         object.__setattr__(self, "tones", np.where(null, zero, target))
@@ -72,7 +72,8 @@ def receiver(lam, layout: ToneLayout, method: str = "LS",
     mrc_w = mag ** 2
     den = mrc_w.sum(axis=0)
     return Receiver(layout=layout, usable=mag >= WEAK_TONE_REL * peak,
-                    method=method, use_null_tones=use_null_tones, lam=lam,
+                    method=method, use_null_tones=use_null_tones,
+                    per_block_refs=False, lam=lam,
                     mrc_w=mrc_w, mrc_den=np.where(den == 0, 1.0, den))
 
 

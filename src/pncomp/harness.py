@@ -29,8 +29,8 @@ from .compensator import (build_w, compensate, equalize_only, fit_gamma,
 from .mimo import (mu_apply_channel, mu_build_w, mu_compensate, mu_receiver,
                    zf_beamformer)
 from .numerics import ifft
-from .ofdm import (Constellation, default_layout, ToneLayout, evm_linear,
-                   make_symbol, ratio_to_db, symbol_error_rate)
+from .ofdm import (DEFAULT_N, Constellation, default_layout, ToneLayout,
+                   evm_linear, make_symbol, ratio_to_db, symbol_error_rate)
 from .tracker import init_tracker, run_tracked
 
 SCENARIO_NAMES = ("evm_vs_d", "evm_vs_sigma", "mimo_sweep", "tracking",
@@ -88,7 +88,7 @@ class Scenario:
     300 channels scaled down by `scale` for desk runs."""
 
     name: str = "evm_vs_d"
-    n: int = 64
+    n = DEFAULT_N  # not a field: the default pilot placement fixes N
     qam_order: int = 256
     n_rx: int = 2
     n_channels: int = 300
@@ -162,10 +162,8 @@ class Scenario:
         if self.name == "mimo_sweep" and not 1 <= self.n_users <= self.n_rx:
             raise ConfigError(f"n_users must be in [1, n_rx = {self.n_rx}], "
                               f"got {self.n_users}")
-        key = "n"  # the key that ofdm's messages below are about
+        key = "null_tones"  # the key that ofdm's messages below are about
         try:  # what a run resolves from the config, before any simulation
-            default_layout(self.n)
-            key = "null_tones"
             if not self.layout.data_arr.size:
                 raise ValueError("no data tones are left to score")
             key = "qam_order"
@@ -190,7 +188,7 @@ class Scenario:
 
     @property
     def layout(self) -> ToneLayout:
-        lay = default_layout(self.n)
+        lay = default_layout()
         if self.null_tones:
             return ToneLayout(n=self.n, pilot_idx=lay.pilot_idx,
                               null_idx=tuple(int(t) for t in self.null_tones))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import add_awgn
+from .channel import awgn
 from .compensator import Receiver, fit_gamma
 from .numerics import CVec, CMat, fft, ifft
 from .ofdm import ToneLayout
@@ -58,7 +58,9 @@ def mu_received(lam, syms: CMat, psi_rx: CVec, tx_psi: list[CVec] | None,
     x = ifft(syms)
     if tx_psi is not None:
         x = np.array(tx_psi) * x
-    return psi_rx[None, :] * add_awgn(mu_apply_channel(lam, x), snr_db, rng)
+    y = mu_apply_channel(lam, x)
+    noise = awgn(y.shape, snr_db, rng)
+    return psi_rx[None, :] * (y if noise is None else y + noise)
 
 
 def mu_build_w(z, b, v: CMat) -> np.ndarray:

@@ -55,10 +55,8 @@ class ToneLayout:
         return tuple(self.data_arr.tolist())
 
 
-def default_layout(n: int = DEFAULT_N) -> ToneLayout:
-    if n != DEFAULT_N:
-        raise ValueError("default pilot placement is defined for N=64")
-    return ToneLayout(n=n, pilot_idx=DEFAULT_PILOTS)
+def default_layout() -> ToneLayout:
+    return ToneLayout(n=DEFAULT_N, pilot_idx=DEFAULT_PILOTS)
 
 
 @dataclass(frozen=True)
@@ -86,28 +84,24 @@ class Constellation:
             quads.reshape(quads.shape[:2] + (4,)), axis=-1)])
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def qam(order: int) -> "Constellation":
-        return _qam_cached(order)
-
-
-@lru_cache(maxsize=None)
-def _qam_cached(order: int) -> Constellation:
-    if order not in (4, 16, 64, 256):
-        raise ValueError(f"unsupported QAM order {order}")
-    side = int(round(np.sqrt(order)))
-    bits_per_axis = side.bit_length() - 1
-    # gray(pos) gives the bit pattern of PAM position pos; invert it so a
-    # label's bits select the amplitude level.
-    gray = np.arange(side) ^ (np.arange(side) >> 1)
-    pos_of_bits = np.empty(side, dtype=int)
-    pos_of_bits[gray] = np.arange(side)
-    amps = 2 * pos_of_bits - (side - 1)
-    labels = np.arange(order)
-    i_bits = labels >> bits_per_axis
-    q_bits = labels & (side - 1)
-    scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
-    points = scale * (amps[i_bits] + 1j * amps[q_bits])
-    return Constellation(order=order, points=points.astype(np.complex128))
+        if order not in (4, 16, 64, 256):
+            raise ValueError(f"unsupported QAM order {order}")
+        side = int(round(np.sqrt(order)))
+        bits_per_axis = side.bit_length() - 1
+        # gray(pos) gives the bit pattern of PAM position pos; invert it so a
+        # label's bits select the amplitude level.
+        gray = np.arange(side) ^ (np.arange(side) >> 1)
+        pos_of_bits = np.empty(side, dtype=int)
+        pos_of_bits[gray] = np.arange(side)
+        amps = 2 * pos_of_bits - (side - 1)
+        labels = np.arange(order)
+        i_bits = labels >> bits_per_axis
+        q_bits = labels & (side - 1)
+        scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
+        points = scale * (amps[i_bits] + 1j * amps[q_bits])
+        return Constellation(order=order, points=points.astype(np.complex128))
 
 
 def make_symbol(layout: ToneLayout, constellation: Constellation,

@@ -85,7 +85,7 @@ class TestParseConfig:
 
     def test_unknown_key_names_key_and_line(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("n = 64\nbogus_key = 3\n")
+        path.write_text("qam_order = 64\nbogus_key = 3\n")
         with pytest.raises(ConfigError, match=r"2: unknown key 'bogus_key'"):
             parse_config(str(path))
 
@@ -109,6 +109,16 @@ class TestParseConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(None, overrides={"nope": 1})
+
+    def test_n_is_not_a_key(self, tmp_path):
+        # N = 64 is fixed by the default pilot placement, not configured
+        path = tmp_path / "c.cfg"
+        path.write_text("name = evm_vs_d\nn = 64\n")
+        with pytest.raises(ConfigError, match=r"2: unknown key 'n'$"):
+            parse_config(str(path))
+        with pytest.raises(ConfigError, match=r"^unknown key 'n'$"):
+            parse_config(None, {"n": 64})
+        assert Scenario().n == 64
 
     @pytest.mark.parametrize("tones", [(31.5, 32.0), (-0.5,), NO_DATA_NULLS],
                              ids=["fraction", "negative_fraction", "no_data"])
@@ -185,6 +195,24 @@ class TestScenarios:
         assert len(rows_by(rows, basis_kind="tracked", aggregate=0)) == 6
         assert len(rows_by(rows, basis_kind="tracked", aggregate=1)) == 1
         assert rows_by(rows, basis_kind="cpe")[0].d == 1
+
+    def test_default_freeze_after_never_freezes(self, tmp_path):
+        # freeze_after = -1, the default, means "never freeze": the frozen
+        # mode then updates its basis on every symbol, as tracked does
+        sc = Scenario(name="tracking", n_symbols=40, scale=1 / 300,
+                      track_modes=("tracked", "frozen"), training_symbols=10)
+        assert sc.freeze_after == -1
+
+        def scores(rows, mode):
+            return [(r.symbol_index, r.evm_db.hex(), r.ser.hex())
+                    for r in rows_by(rows, basis_kind=mode)]
+        rows = run_scenario(sc, str(tmp_path / "out.csv"))
+        assert len(scores(rows, "tracked")) == 41
+        assert scores(rows, "frozen") == scores(rows, "tracked")
+        # a freeze inside the run does change the frozen rows
+        rows = run_scenario(dataclasses.replace(sc, freeze_after=20),
+                            str(tmp_path / "out.csv"))
+        assert scores(rows, "frozen") != scores(rows, "tracked")
 
     def test_mimo_rows_shape(self, tmp_path):
         sc = Scenario(name="mimo_sweep", sigma_list=(3.0,),
@@ -267,7 +295,9 @@ INVALID_VALUES = {
     "sigma_d_neg": ("name = evm_vs_sigma\nd = -1\n", [], "d"),
     "d_list_gt_n": ("name = evm_vs_d\nd_list = 0, 4, 65\n", [], "d_list"),
     "d_list_neg": ("name = evm_vs_d\nd_list = -1, 4\n", [], "d_list"),
-    "n_32": ("name = evm_vs_d\nn = 32\n", [], "n"),
+    # N is fixed by the default pilot placement, so n is no key; the
+    # error starts with the file path (TestParseConfig checks its text)
+    "n_not_a_key": ("name = evm_vs_d\nn = 64\n", [], None),
     "method_xls": ("name = custom\nmethod = XLS\n", [], "method"),
     "qam_8": ("name = evm_vs_d\nqam_order = 8\n", [], "qam_order"),
     "mimo_users_gt_rx":

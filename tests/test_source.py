@@ -2,8 +2,9 @@
 a name it never uses, no function or class of src/pncomp is left that
 nothing in src/pncomp reaches, every pncomp name the README cites
 exists, the README's rule paragraph names every key of the config
-rule table, and its `pncomp run` usage block names exactly the options
-of the CLI parser.
+rule table, its `pncomp run` usage block names exactly the options
+of the CLI parser, and each backticked word its CLI section says "must"
+of is a config key.
 
 No linter is part of the toolchain, so the first two are small `ast`
 checks.  Every name an `import` or `from ... import` binds must be read
@@ -14,13 +15,14 @@ skipped.
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-from pncomp.harness import _RULES, main
+from pncomp.harness import _RULES, Scenario, main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pncomp"
@@ -70,7 +72,6 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 REACH_ALLOWLIST = {
     "channel.apply_channel": "bench/tracing.py LAYERS wraps it, and "
                              "Tracer.install raises on a missing name",
-    "channel.add_awgn": "read only by apply_channel and mu_received",
     "mimo.mu_received": "bench/tracing.py LAYERS wraps it",
     "ofdm.evm_db": "bench/tracing.py LAYERS wraps it",
     "phase_noise.save_pn_samples": "the documented pn_file writer",
@@ -247,3 +248,30 @@ def test_usage_check_finds_stale_option(monkeypatch):
     text = (ROOT / "README.md").read_text().replace(
         "[--full]", "[--full] [--timing]")
     assert usage_options(text) - run_options(monkeypatch) == {"--timing"}
+
+
+def must_words(text: str) -> list[str]:
+    """The backticked snake_case words of the CLI section of Markdown
+    text that are directly followed by "must", in order."""
+    section = re.search(r"^## CLI\n(.*?)(?=^## |\Z)", text,
+                        flags=re.M | re.S)[1]
+    return re.findall(r"`([a-z][a-z0-9_]*)`\s+must\b", section)
+
+
+def non_keys(words: list[str]) -> list[str]:
+    """The words that are not Scenario fields, which parse_config rejects
+    as unknown keys."""
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    return [word for word in words if word not in fields]
+
+
+def test_readme_rules_name_only_config_keys():
+    words = must_words((ROOT / "README.md").read_text())
+    assert "null_tones" in words
+    assert non_keys(words) == []
+
+
+def test_rule_key_check_finds_non_key():
+    text = (ROOT / "README.md").read_text().replace(
+        "`null_tones` must", "`n` must be 64; `null_tones` must")
+    assert non_keys(must_words(text)) == ["n"]
