@@ -27,9 +27,9 @@ class Receiver:
     """A channel's fit constants.  usable (n_blocks, N): the tones each
     block of W (receive branch or user) may fit on.  method: "LS" or
     "TLS".  rows: (block, tone) of each block's usable pilot rows, then
-    null rows if use_null_tones.  tones: each row's target in the
-    reference tones (one shared reference, or one per block if
-    per_block_refs), past their end for the null_rows.  weak
+    null rows if use_null_tones.  tones: each row's index block*N + tone
+    into the reference, read modulo its length; a null row's target is
+    the reference's null tone, 0 in every drawn symbol.  weak
     (n_blocks, 1, N): the unusable tones, None if there are none.
     lam, mrc_w = |lam|^2 and guarded mrc_den = sum mrc_w: MRC, single-user."""
 
@@ -37,26 +37,21 @@ class Receiver:
     usable: np.ndarray
     method: str
     use_null_tones: InitVar[bool]
-    per_block_refs: InitVar[bool]
     lam: CMat | None = None
     mrc_w: np.ndarray | None = None
     mrc_den: np.ndarray | None = None
 
-    def __post_init__(self, use_null_tones, per_block_refs):
+    def __post_init__(self, use_null_tones):
         if self.method not in ("LS", "TLS"):  # kept: else it fits by LS
             raise ValueError(f"method must be LS or TLS, got {self.method!r}")
-        lay, n_blocks = self.layout, self.usable.shape[0]
+        lay = self.layout
         cand = lay.pilot_arr
         if use_null_tones:
             cand = np.concatenate((cand, lay.null_arr))
         block, j = np.nonzero(self.usable[:, cand])  # block-major order
         tone = cand[j]
-        target = tone + block * lay.n if per_block_refs else tone
-        zero = lay.n * (n_blocks if per_block_refs else 1)
-        null = j >= len(lay.pilot_arr)
         object.__setattr__(self, "rows", (block, tone))
-        object.__setattr__(self, "tones", np.where(null, zero, target))
-        object.__setattr__(self, "null_rows", np.flatnonzero(null))
+        object.__setattr__(self, "tones", tone + block * lay.n)
         weak = ~self.usable[:, None, :]
         object.__setattr__(self, "weak", weak if weak.any() else None)
 
@@ -72,8 +67,7 @@ def receiver(lam, layout: ToneLayout, method: str = "LS",
     mrc_w = mag ** 2
     den = mrc_w.sum(axis=0)
     return Receiver(layout=layout, usable=mag >= WEAK_TONE_REL * peak,
-                    method=method, use_null_tones=use_null_tones,
-                    per_block_refs=False, lam=lam,
+                    method=method, use_null_tones=use_null_tones, lam=lam,
                     mrc_w=mrc_w, mrc_den=np.where(den == 0, 1.0, den))
 
 
@@ -135,14 +129,13 @@ def equalize_only(z, rcv: Receiver) -> CVec:
 def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> CVec:
     """Fit gamma (..., d) on rcv's pilot (and null) rows of w
     (..., n_blocks, N, d), one stacked fit of len(rcv.tones) rows per
-    leading index (symbol); refs_s (..., n_refs): the reference tones (per
-    block concatenated if per_block_refs)."""
+    leading index (symbol).  refs_s (..., N) serves every block, or
+    (..., n_blocks*N) holds one per block: row (block, tone) reads index
+    block*N + tone modulo its length, a null row the null tone's 0."""
     block, tone = rcv.rows
     # contiguous rows: a strided right-hand side changes the matmul's bits
     w_rows = np.ascontiguousarray(w[..., block, tone, :])
-    s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="clip")
-    if rcv.null_rows.size:
-        s_rows[..., rcv.null_rows] = 0
+    s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="wrap")
     solve = solve_tls if rcv.method == "TLS" else solve_ls
     return solve(w_rows, s_rows)
 

@@ -224,11 +224,9 @@ def _coerce(key: str, raw: str, ref):
 def parse_config(path: str | None, overrides: dict | None = None) -> Scenario:
     """`key = value` file; unknown and repeated keys rejected; overrides
     win."""
-    defaults = Scenario()
     values: dict = {}
     lines: dict = {}  # key: the file line that set it
-    fields = {f.name: getattr(defaults, f.name)
-              for f in dataclasses.fields(Scenario)}
+    fields = {f.name: f.default for f in dataclasses.fields(Scenario)}
     if path:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):

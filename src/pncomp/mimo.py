@@ -82,7 +82,7 @@ def mu_receiver(ok, n_users: int, layout: ToneLayout, method: str = "LS",
     own reference."""
     usable = np.broadcast_to(ok, (n_users, len(ok)))
     return Receiver(layout=layout, usable=usable, method=method,
-                    use_null_tones=use_null_tones, per_block_refs=True)
+                    use_null_tones=use_null_tones)
 
 
 def mu_compensate(w, refs: CMat, rcv: Receiver) -> CMat:

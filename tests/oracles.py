@@ -105,7 +105,8 @@ def per_symbol_fit(w, rcv, d, ref):
     layout build_w gives."""
     w = np.ascontiguousarray(w)[:, :, :d]
     w_rows = w[rcv.rows]
-    s_rows = np.concatenate((ref, [0]))[rcv.tones]
+    tone = rcv.rows[1]
+    s_rows = np.where(np.isin(tone, rcv.layout.null_arr), 0, ref[tone])
     gamma = None
     if rcv.method == "TLS" and len(s_rows) >= d + 1:
         _, _, vh = np.linalg.svd(np.column_stack([w_rows, s_rows]))

@@ -261,6 +261,10 @@ class TestBlockFit:
         for d in (1, 4, 16):
             gamma = fit_gamma(w[..., :d], rcv, refs_s)
             assert gamma.shape == (n_sym, d)
+            # one (N,) reference per symbol serves every branch: the same
+            # bits as that reference repeated once per branch
+            assert np.array_equal(
+                gamma, fit_gamma(w[..., :d], rcv, np.tile(refs_s, n_rx)))
             assert len(rcv.tones) == (16 + 8 * nulls) * n_rx - 2 * weak
             for i, sym in enumerate(syms):
                 s_hat = compensate(w[i], rcv, gamma[i])
@@ -286,7 +290,7 @@ class TestBlockFit:
             assert np.array_equal(compensate(w[i], rcv, gamma[i]), s_ref)
             w_rows = w[i][rcv.rows]
             g_ls = np.linalg.pinv(w_rows, rcond=nx.DEFAULT_RCOND) @ (
-                sym[rcv.tones])
+                sym[rcv.rows[1]])
             assert np.array_equal(gamma[i], g_ls) == (i % 3 == 0)
 
 

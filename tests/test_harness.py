@@ -1144,6 +1144,27 @@ class TestFixedBlock:
     POINTS = [("KL", 0), ("KL", 1), ("KL", 4), ("KL", 8), ("DFT", 0),
               ("DFT", 1), ("DFT", 4), ("DFT", 4), ("DCT", 16)]
 
+    @pytest.mark.parametrize("kw", [
+        dict(name="evm_vs_d", n_rx=3),
+        dict(name="mimo_sweep", n_users=3, n_rx=3),
+    ], ids=["single_user_nrx3", "mimo_3users"])
+    def test_references_are_plus_zero_on_null_tones(self, kw):
+        # a null fit row's target is its reference's null tone, so that
+        # tone must be exactly +0.0 in every reference, sign bit included
+        sc = Scenario(**kw, null_tones=self.NULLS, n_symbols=SYMBOL_BLOCK + 3,
+                      sigma_list=(3.0,), tx_sigma_list=(0.0,))
+        users = (tuple((u,) for u in range(sc.n_users))
+                 if sc.name == "mimo_sweep" else ((),))
+        _, blocks = _channel_symbols(sc, 1, None, (3.0,), users=users)
+        nulls = sc.layout.null_arr
+        assert list(nulls) == list(self.NULLS)
+        n_refs = 0
+        for refs, _, _ in blocks:
+            assert refs.shape[1] == len(users)
+            assert not np.take(refs, nulls, axis=-1).view(np.uint64).any()
+            n_refs += len(refs)
+        assert n_refs == sc.n_symbols
+
     @pytest.mark.parametrize("method, n_rx, nulls, weak, m", [
         ("LS", 1, False, False, SYMBOL_BLOCK),
         ("TLS", 3, True, True, SYMBOL_BLOCK),

@@ -6,10 +6,12 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import from_taps, gen_channel
-from pncomp.compensator import build_w, fit_gamma, receiver
+from pncomp.compensator import (build_w, fit_gamma, receiver, solve_ls,
+                                solve_tls)
 from pncomp.mimo import (RANK_TOL, mu_build_w, mu_compensate, mu_receiver,
                          mu_received, zf_beamformer)
-from pncomp.ofdm import Constellation, default_layout, evm_db, make_symbol
+from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
+                         make_symbol)
 
 from oracles import dft_matrix
 
@@ -199,6 +201,30 @@ class TestBlockW:
 
 
 class TestMuCompensate:
+    @pytest.mark.parametrize("method", ["LS", "TLS"])
+    @pytest.mark.parametrize("nulls", [False, True])
+    def test_each_user_rows_read_own_reference(self, qam, method, nulls):
+        # concatenated per-user references: user u's rows (u, tone) target
+        # refs[u, tone], null rows included, so gamma is the fit on the
+        # rows built directly from rcv.rows, bit for bit
+        layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                            null_idx=tuple(range(28, 36)) if nulls else ())
+        lam = make_system(7, n_users=3, n_rx=3)
+        b, ok = zf_beamformer(lam)
+        rcv = mu_receiver(ok, 3, layout, method, nulls)
+        assert len(rcv.tones) == 3 * (16 + 8 * nulls)
+        rng = np.random.default_rng(8)
+        z = (rng.standard_normal((5, 3, 64))
+             + 1j * rng.standard_normal((5, 3, 64)))
+        w = mu_build_w(z, b, dft_basis(64, 6))
+        refs = np.array([[make_symbol(layout, qam, rng_seed=30 + 3 * m + u)
+                          for u in range(3)] for m in range(5)])
+        gamma = fit_gamma(w, rcv, refs.reshape(5, -1))
+        block, tone = rcv.rows
+        solve = solve_tls if method == "TLS" else solve_ls
+        assert np.array_equal(
+            gamma, solve(w[:, block, tone], refs[:, block, tone]))
+
     def test_simo_reduction_matches_compensator(self, qam):
         # one user, two branches: identical gamma to the 2-branch stacking
         layout = default_layout()
