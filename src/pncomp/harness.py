@@ -24,10 +24,9 @@ import numpy as np
 from . import basis as basis_mod
 from . import channel as channel_mod
 from . import phase_noise as pn_mod
-from .compensator import (build_w, compensate, equalize_only, fit_gamma,
-                          receiver)
-from .mimo import (mu_apply_channel, mu_build_w, mu_compensate, mu_receiver,
-                   zf_beamformer)
+from .compensator import (Receiver, build_w, compensate, equalize_only,
+                          fit_gamma, receiver)
+from .mimo import mu_apply_channel, mu_build_w, mu_compensate, zf_beamformer
 from .numerics import ifft
 from .ofdm import (DEFAULT_N, Constellation, default_layout, ToneLayout,
                    evm_linear, make_symbol, ratio_to_db, symbol_error_rate)
@@ -188,11 +187,7 @@ class Scenario:
 
     @property
     def layout(self) -> ToneLayout:
-        lay = default_layout()
-        if self.null_tones:
-            return ToneLayout(n=self.n, pilot_idx=lay.pilot_idx,
-                              null_idx=tuple(int(t) for t in self.null_tones))
-        return lay
+        return default_layout(tuple(int(t) for t in self.null_tones))
 
     @property
     def constellation(self) -> Constellation:
@@ -228,21 +223,25 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Scenario:
     lines: dict = {}  # key: the file line that set it
     fields = {f.name: f.default for f in dataclasses.fields(Scenario)}
     if path:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in fields:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in lines:
-                    raise ConfigError(f"{key} is set twice in {path}, on "
-                                      f"lines {lines[key]} and {lineno}")
-                lines[key] = lineno
-                values[key] = _coerce(key, raw, fields[key])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
+        for lineno, line in enumerate(text, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in fields:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ConfigError(f"{key} is set twice in {path}, on "
+                                  f"lines {lines[key]} and {lineno}")
+            lines[key] = lineno
+            values[key] = _coerce(key, raw, fields[key])
     for key, val in (overrides or {}).items():
         if key not in fields:
             raise ConfigError(f"unknown key {key!r}")
@@ -393,22 +392,21 @@ def _fixed_block(z, rcv, bases, points, refs) -> np.ndarray:
     return est
 
 
-def _score(est, refs, layout: ToneLayout, const: Constellation) -> np.ndarray:
+def _score(total, est, refs, layout: ToneLayout,
+           const: Constellation) -> np.ndarray:
     """Scores (groups, M, 3) of est[g, m], group g's estimate of refs[m]:
     its error power and reference power, from one stacked EVM of est
-    (groups, M, N) against refs (M, N), and its SER."""
+    (groups, M, N) against refs (M, N), and its SER.  They are added into
+    the running total (groups, 3) one symbol at a time, in order: the
+    sequential sum, which np.sum, summing pairwise, is not in the last
+    bits."""
     err, refp = evm_linear(est, refs, layout)
     ser = [[symbol_error_rate(s, ref, layout, const)
             for s, ref in zip(row, refs)] for row in est]
-    return np.stack(np.broadcast_arrays(err, refp, ser), axis=-1)
-
-
-def _fold(total, scores) -> None:
-    """Add scores (..., M, 3) into the running total (..., 3) one symbol
-    at a time, in order: the sequential sum, which np.sum, summing
-    pairwise, is not in the last bits."""
-    for score in np.moveaxis(scores, -2, 0):
-        total += score
+    scores = np.stack(np.broadcast_arrays(err, refp, ser), axis=-1)
+    for m in range(len(refs)):
+        total += scores[:, m]
+    return scores
 
 
 def _row(sc: Scenario, total, count: int, n_eq: int, kind: str, d: int,
@@ -441,7 +439,7 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
         for refs, (i, _), z in blocks:
             refs = refs[:, 0]
             est = _fixed_block(z, rcv, families[i], points, refs)
-            _fold(totals[i], _score(est, refs, rcv.layout, const))
+            _score(totals[i], est, refs, rcv.layout, const)
     count = sc.n_channels_eff * sc.n_symbols
     # n_equations: the last channel's fit rows
     return [_row(sc, total, count, len(rcv.tones) if d else 0, kind, d,
@@ -463,16 +461,16 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
         lam, blocks = _channel_symbols(sc, ci, pn, sc.sigma_list,
                                        sc.tx_sigma_list, users)
         b, ok = zf_beamformer(lam)
-        rcv = mu_receiver(ok, sc.n_users, sc.layout, sc.method,
-                          sc.use_null_tones)
+        rcv = Receiver(sc.layout, np.broadcast_to(ok, (sc.n_users, sc.n)),
+                       sc.method, sc.use_null_tones)
         families = bases(ci)
         for refs, (i, j), z in blocks:
             w = mu_build_w(z, b, families[i]["KL"])
             s_hats = np.array([mu_compensate(w_m, syms, rcv)
                                for w_m, syms in zip(w, refs)])
             refs = refs.reshape(-1, sc.n)
-            _fold(totals[i, j], _score(s_hats.reshape(1, -1, sc.n), refs,
-                                       rcv.layout, const)[0])
+            _score(totals[i, j, None], s_hats.reshape(1, -1, sc.n), refs,
+                   rcv.layout, const)
     count = sc.n_channels_eff * sc.n_symbols * sc.n_users
     return [_row(sc, totals[i, j], count, len(rcv.tones), f"KL_tx{tx:g}",
                  sc.d, sigma)
@@ -516,8 +514,8 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
                     z, rcv, refs, states[mode], const, sc.beta,
                     sc.training_symbols, freeze, start=m0)
                 est.append(s_hats[None])
-            scores = _score(np.concatenate(est), refs, rcv.layout, const)
-            _fold(totals, scores)
+            scores = _score(totals, np.concatenate(est), refs, rcv.layout,
+                            const)
             if per_symbol is not None:
                 per_symbol[:, m0:m0 + len(refs)] += scores
     rows = []
@@ -565,26 +563,21 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a scenario and write a CSV")
     run_p.add_argument("--config", default=None, help="key = value file")
-    run_p.add_argument("--scenario", default=None, choices=SCENARIO_NAMES)
-    run_p.add_argument("--seed", type=int, default=None, help="master seed")
+    run_p.add_argument("--scenario", dest="name", choices=SCENARIO_NAMES)
+    run_p.add_argument("--seed", dest="master_seed", type=int,
+                       help="master seed")
     run_p.add_argument("--out", default=None, help="output CSV path")
-    run_p.add_argument("--scale", type=float, default=None,
+    run_p.add_argument("--scale", type=float,
                        help="fraction of the full channel count")
     run_p.add_argument("--full", action="store_true",
                        help="run at full scale (scale = 1)")
     args = parser.parse_args(argv)
-
-    overrides: dict = {}
-    if args.scenario is not None:
-        overrides["name"] = args.scenario
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.scale is not None:
-        overrides["scale"] = args.scale
     if args.full:
-        overrides["scale"] = 1.0
+        args.scale = 1.0
+    keys = {f.name for f in dataclasses.fields(Scenario)}
     try:
-        sc = parse_config(args.config, overrides)
+        sc = parse_config(args.config, {k: v for k, v in vars(args).items()
+                                        if k in keys and v is not None})
         if sc.pn_file:  # a missing or unreadable file, not its contents
             open(sc.pn_file).close()
     except (ConfigError, OSError) as exc:
@@ -594,9 +587,10 @@ def main(argv=None) -> int:
     if out is None:
         out_dir = os.environ.get("PNCOMP_OUT_DIR", ".")
         out = os.path.join(out_dir, f"{sc.name}.csv")
-    target = out if os.path.exists(out) else os.path.dirname(
-        os.path.abspath(out))
-    if os.path.isdir(out) or not os.access(target, os.W_OK):
+    parent = os.path.dirname(os.path.abspath(out))
+    # a parent that is a file passes os.access, but open() would fail
+    if (os.path.isdir(out) or not os.path.isdir(parent) or not os.access(
+            out if os.path.exists(out) else parent, os.W_OK)):
         print(f"config error: cannot write {out!r}", file=sys.stderr)
         return 2
     start = time.perf_counter()

@@ -13,7 +13,6 @@ import numpy as np
 from .channel import awgn
 from .compensator import Receiver, fit_gamma
 from .numerics import CVec, CMat, fft, ifft
-from .ofdm import ToneLayout
 
 RANK_TOL = 1e-9
 
@@ -75,19 +74,9 @@ def mu_build_w(z, b, v: CMat) -> np.ndarray:
     return np.einsum("kur,...rkd->...ukd", b, g)
 
 
-def mu_receiver(ok, n_users: int, layout: ToneLayout, method: str = "LS",
-                use_null_tones: bool = False) -> Receiver:
-    """The fit constants of a ZF-beamformed channel whose full-rank tones
-    are ok (N,): every user's W block uses those tones, each against its
-    own reference."""
-    usable = np.broadcast_to(ok, (n_users, len(ok)))
-    return Receiver(layout=layout, usable=usable, method=method,
-                    use_null_tones=use_null_tones)
-
-
 def mu_compensate(w, refs: CMat, rcv: Receiver) -> CMat:
     """Joint gamma from all users' pilot rows against their references
     refs (n_users, N); returns the per-user equalized symbols (n_users, N).
-    w = mu_build_w(z, b, v) is one symbol's (n_users, N, d) and
-    rcv = mu_receiver(ok, ...) is built once per channel."""
+    w = mu_build_w(z, b, v) is one symbol's (n_users, N, d); rcv, built
+    once per channel, fits every user on zf_beamformer's full-rank tones."""
     return w @ fit_gamma(w, rcv, np.ravel(refs))

@@ -31,13 +31,9 @@ def ifft(x: CVec) -> CVec:
 
 def _phase_normalize(vectors: CMat) -> CMat:
     """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vectors.copy()
-    idx = np.argmax(np.abs(out), axis=0)
-    for j in range(out.shape[1]):
-        pivot = out[idx[j], j]
-        if np.abs(pivot) > 0:
-            out[:, j] *= np.conj(pivot) / np.abs(pivot)
-    return out
+    pivot = vectors[np.argmax(np.abs(vectors), axis=0),
+                    np.arange(vectors.shape[1])]
+    return vectors * (np.conj(pivot) / np.abs(pivot))
 
 
 def herm_eig(a: CMat) -> tuple[NDArray[np.float64], CMat]:

@@ -55,8 +55,9 @@ class ToneLayout:
         return tuple(self.data_arr.tolist())
 
 
-def default_layout() -> ToneLayout:
-    return ToneLayout(n=DEFAULT_N, pilot_idx=DEFAULT_PILOTS)
+def default_layout(null_idx=()) -> ToneLayout:
+    return ToneLayout(n=DEFAULT_N, pilot_idx=DEFAULT_PILOTS,
+                      null_idx=null_idx)
 
 
 @dataclass(frozen=True)

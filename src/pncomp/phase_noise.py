@@ -135,23 +135,27 @@ def load_pn_samples(path, n: int) -> np.ndarray:
     to the unit circle; a zero pair has no phase and is rejected.
     """
     phi = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                vals = [float(part) for part in line.split(",")]
-            except ValueError:
-                vals = []
-            if len(vals) not in (1, 2):
-                raise ValueError(f"{path}:{lineno}: malformed sample line")
-            if not np.isfinite(vals).all():
-                raise ValueError(f"{path}:{lineno}: non-finite sample")
-            if vals == [0.0, 0.0]:
-                raise ValueError(f"{path}:{lineno}: zero sample has no phase")
-            phi.append(vals[0] if len(vals) == 1
-                       else float(np.angle(complex(*vals))))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    vals = [float(part) for part in line.split(",")]
+                except ValueError:
+                    vals = []
+                if len(vals) not in (1, 2):
+                    raise ValueError(f"{path}:{lineno}: malformed sample line")
+                if not np.isfinite(vals).all():
+                    raise ValueError(f"{path}:{lineno}: non-finite sample")
+                if vals == [0.0, 0.0]:
+                    raise ValueError(
+                        f"{path}:{lineno}: zero sample has no phase")
+                phi.append(vals[0] if len(vals) == 1
+                           else float(np.angle(complex(*vals))))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc.reason})") from None
     if len(phi) < n:
         raise ValueError(f"{path}: {len(phi)} samples, need at least {n}")
     return np.reshape(phi[:len(phi) // n * n], (-1, n))

@@ -509,6 +509,99 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--scale", "0.5",
                      "--out", str(out)]) == 0
 
+    @staticmethod
+    def scenario_run(monkeypatch, tmp_path, cfg_text, flags) -> Scenario:
+        """The Scenario main hands run_scenario for a config file of
+        cfg_text and the flags, which no simulation follows."""
+        from pncomp import harness
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(cfg_text, encoding="utf-8")
+        seen = []
+        monkeypatch.setattr(harness, "run_scenario",
+                            lambda sc, out: seen.append(sc))
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")] + flags) == 0
+        return seen[0]
+
+    def test_scenario_flag_overrides_name(self, tmp_path, monkeypatch):
+        text = "name = evm_vs_d\nd = 3\nscale = 0.2\n"
+        sc = self.scenario_run(monkeypatch, tmp_path, text,
+                               ["--scenario", "custom"])
+        assert sc == Scenario(name="custom", d=3, scale=0.2)
+
+    def test_seed_flag_matches_master_seed_key(self, tmp_path):
+        text = ("name = custom\nbasis_kinds = DFT\nd = 2\nscale = 0.0034\n"
+                "n_symbols = 2\n")
+        cfg, seeded = tmp_path / "c.cfg", tmp_path / "s.cfg"
+        cfg.write_text(text)
+        seeded.write_text(text + "master_seed = 99\n")
+        outs = [tmp_path / f"{k}.csv" for k in "abc"]
+        assert main(["run", "--config", str(cfg), "--seed", "99",
+                     "--out", str(outs[0])]) == 0
+        assert main(["run", "--config", str(seeded),
+                     "--out", str(outs[1])]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(outs[2])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes() != outs[2].read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--full"],
+                                       ["--full", "--scale", "0.5"],
+                                       ["--scale", "0.5", "--full"]])
+    def test_full_flag_gives_scale_1(self, tmp_path, monkeypatch, flags):
+        sc = self.scenario_run(monkeypatch, tmp_path, "scale = 0.2\n", flags)
+        assert sc == Scenario(scale=1.0)
+
+    @pytest.mark.parametrize("case", ["parent_is_file_out",
+                                      "parent_is_file_env", "missing_parent",
+                                      "out_is_dir"])
+    def test_exit_2_on_unwritable_output(self, tmp_path, monkeypatch, capsys,
+                                         case):
+        # rejected before the run: one stderr line and no CSV anywhere
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("name = custom\nbasis_kinds = DFT\nd = 2\n"
+                       "scale = 0.0034\nn_symbols = 2\n")
+        out = {"parent_is_file_out": afile / "x.csv",
+               "parent_is_file_env": afile / "custom.csv",
+               "missing_parent": tmp_path / "missing" / "x.csv",
+               "out_is_dir": tmp_path / "adir"}[case]
+        flags = ["--out", str(out)]
+        if case == "parent_is_file_env":
+            monkeypatch.setenv("PNCOMP_OUT_DIR", str(afile))
+            flags = []
+        assert main(["run", "--config", str(cfg)] + flags) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {str(out)!r}\n")
+        assert afile.read_text() == "kept\n"
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_config_must_be_utf8(self, tmp_path, monkeypatch, capsys):
+        sc = self.scenario_run(monkeypatch, tmp_path,
+                               "name = custom  # φ in radians\n", [])
+        assert sc.name == "custom"
+        capsys.readouterr()
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("name = custom  # \xe9t\xe9\n".encode("latin-1"))
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: not UTF-8 (invalid continuation byte)\n")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_exit_3_on_non_utf8_pn_file(self, tmp_path, capsys):
+        pn = tmp_path / "pn.txt"
+        pn.write_bytes(b"0.0\n# \xff\n" + b"0.0\n" * 64)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"name = custom\npn_file = {pn}\nscale = 0.0034\n"
+                       "n_symbols = 2\nbasis_kinds = DFT\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: {pn}: not UTF-8 (invalid start byte)\n")
+        assert not out.exists()
+
 
 def write_pn_file(path, windows: int = 37) -> str:
     """A pn_file of `windows` 64-sample windows of a 3-degree stream; 37

@@ -6,10 +6,10 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import from_taps, gen_channel
-from pncomp.compensator import (build_w, fit_gamma, receiver, solve_ls,
-                                solve_tls)
-from pncomp.mimo import (RANK_TOL, mu_build_w, mu_compensate, mu_receiver,
-                         mu_received, zf_beamformer)
+from pncomp.compensator import (Receiver, build_w, fit_gamma, receiver,
+                                solve_ls, solve_tls)
+from pncomp.mimo import (RANK_TOL, mu_build_w, mu_compensate, mu_received,
+                         zf_beamformer)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol)
 
@@ -40,8 +40,8 @@ def per_tone(lam):
 def mu_comp(lam, z, bas, refs, layout):
     """mu_compensate on z's W with the channels' beamformer and receiver."""
     b, ok = zf_beamformer(lam)
-    return mu_compensate(mu_build_w(z, b, bas), refs,
-                         mu_receiver(ok, len(lam), layout))
+    rcv = Receiver(layout, np.broadcast_to(ok, (len(lam), 64)), "LS", False)
+    return mu_compensate(mu_build_w(z, b, bas), refs, rcv)
 
 
 def per_tone_zf(lam):
@@ -184,7 +184,8 @@ class TestBlockW:
         w = mu_build_w(z, b, bas)
         assert w.shape == (m, n_users, 64, 6)
         layout = default_layout()
-        rcv = mu_receiver(ok, n_users, layout)
+        rcv = Receiver(layout, np.broadcast_to(ok, (n_users, 64)), "LS",
+                       False)
         for i in range(m):
             w_ref = per_symbol_mu_w(z[i], b, bas)
             assert np.array_equal(w[i], w_ref)
@@ -211,7 +212,7 @@ class TestMuCompensate:
                             null_idx=tuple(range(28, 36)) if nulls else ())
         lam = make_system(7, n_users=3, n_rx=3)
         b, ok = zf_beamformer(lam)
-        rcv = mu_receiver(ok, 3, layout, method, nulls)
+        rcv = Receiver(layout, np.broadcast_to(ok, (3, 64)), method, nulls)
         assert len(rcv.tones) == 3 * (16 + 8 * nulls)
         rng = np.random.default_rng(8)
         z = (rng.standard_normal((5, 3, 64))
@@ -243,7 +244,7 @@ class TestMuCompensate:
                         np.random.default_rng(0))
         b, ok = zf_beamformer(ch[None])
         mu_gamma = fit_gamma(mu_build_w(z, b, bas),
-                             mu_receiver(ok, 1, layout), ref)
+                             Receiver(layout, ok[None], "LS", False), ref)
         rcv = receiver(ch, layout)
         simo_gamma = fit_gamma(build_w(z, rcv, bas), rcv, ref)
         np.testing.assert_allclose(mu_gamma, simo_gamma,

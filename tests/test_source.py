@@ -3,8 +3,9 @@ a name it never uses, no function or class of src/pncomp is left that
 nothing in src/pncomp reaches, every pncomp name the README cites
 exists, the README's rule paragraph names every key of the config
 rule table, its `pncomp run` usage block names exactly the options
-of the CLI parser, and each backticked word its CLI section says "must"
-of is a config key.
+of the CLI parser, each backticked word its CLI section says "must"
+of is a config key, and each `run` option but `--config`, `--out` and
+`--full` stores its value under the config key it overrides.
 
 No linter is part of the toolchain, so the first two are small `ast`
 checks.  Every name an `import` or `from ... import` binds must be read
@@ -220,10 +221,10 @@ def usage_options(text: str) -> set[str]:
     return set(re.findall(r"--[\w-]+", usage))
 
 
-def run_options(monkeypatch) -> set[str]:
-    """The option strings, help aside, that main's `run` parser defines,
-    read off the parser main builds: its parse_args exits before it
-    parses anything."""
+def run_actions(monkeypatch) -> list[argparse.Action]:
+    """The options, help aside, that main's `run` parser defines, in
+    order, read off the parser main builds: its parse_args exits before
+    it parses anything."""
     parsers = []
 
     def stop(parser, *args, **kwargs):
@@ -234,8 +235,14 @@ def run_options(monkeypatch) -> set[str]:
         main(["run"])
     sub, = (action for action in parsers[0]._actions
             if isinstance(action, argparse._SubParsersAction))
-    return {opt for action in sub.choices["run"]._actions
-            for opt in action.option_strings} - {"-h", "--help"}
+    return [action for action in sub.choices["run"]._actions
+            if action.dest != "help"]
+
+
+def run_options(monkeypatch) -> set[str]:
+    """The option strings of run_actions."""
+    return {opt for action in run_actions(monkeypatch)
+            for opt in action.option_strings}
 
 
 def test_readme_usage_matches_parser(monkeypatch):
@@ -275,3 +282,10 @@ def test_rule_key_check_finds_non_key():
     text = (ROOT / "README.md").read_text().replace(
         "`null_tones` must", "`n` must be 64; `null_tones` must")
     assert non_keys(must_words(text)) == ["n"]
+
+
+def test_run_options_set_config_keys(monkeypatch):
+    # each option that is not CLI-only stores its value under the config
+    # key it overrides, so renaming a key cannot silently unhook its flag
+    dests = [action.dest for action in run_actions(monkeypatch)]
+    assert non_keys(dests) == ["config", "out", "full"]
