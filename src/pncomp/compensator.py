@@ -6,8 +6,8 @@ branch), optionally augmented with null-tone rows; what depends only on
 the channel is built once per channel in a Receiver.  Column j of W depends
 only on column j of V, so a W built for a basis serves every leading-column
 prefix of that basis: one W per symbol fits every d of a basis family.
-fit_gamma fits a whole block of symbols in one stacked solve; compensate
-then applies one symbol's gamma.
+fit_gamma fits a whole block of symbols in one stacked solve, fit_prefixes
+every d of a family at once; compensate then applies one symbol's gamma.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .numerics import CVec, CMat, fft, pinv, svd
+from .numerics import DEFAULT_RCOND, CVec, CMat, fft, pinv, svd
 from .ofdm import ToneLayout
 
 WEAK_TONE_REL = 1e-6
@@ -132,12 +132,36 @@ def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> CVec:
     leading index (symbol).  refs_s (..., N) serves every block, or
     (..., n_blocks*N) holds one per block: row (block, tone) reads index
     block*N + tone modulo its length, a null row the null tone's 0."""
-    block, tone = rcv.rows
-    # contiguous rows: a strided right-hand side changes the matmul's bits
-    w_rows = np.ascontiguousarray(w[..., block, tone, :])
-    s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="wrap")
     solve = solve_tls if rcv.method == "TLS" else solve_ls
-    return solve(w_rows, s_rows)
+    return solve(*_fit_rows(w, rcv, refs_s))
+
+
+def _fit_rows(w, rcv: Receiver, refs_s: CVec) -> tuple[CMat, CVec]:
+    # contiguous rows: a strided right-hand side changes the matmul's bits
+    return (np.ascontiguousarray(w[..., rcv.rows[0], rcv.rows[1], :]),
+            np.take(refs_s, rcv.tones, axis=-1, mode="wrap"))
+
+
+def fit_prefixes(w, rcv: Receiver, refs_s: CVec, ds) -> dict:
+    """{d: fit_gamma(w[..., :d], rcv, refs_s)} for each d >= 1 of ds; by LS,
+    gamma_d solves R[:d, :d] gamma = R[:d, -1] from one QR of the fit rows
+    [W[..., :max(ds)] | s].  pinv refits a d with fewer rows than d, and
+    each symbol whose R[:d, :d] has min |r_ii| <= DEFAULT_RCOND * max."""
+    if rcv.method == "TLS":
+        return {d: fit_gamma(w[..., :d], rcv, refs_s) for d in ds}
+    w_rows, s_rows = _fit_rows(w[..., :max(ds)], rcv, refs_s)
+    r = np.linalg.qr(np.append(w_rows, s_rows[..., None], axis=-1), mode="r")
+    gammas = {d: solve_ls(w_rows[..., :d], s_rows) for d in ds
+              if w_rows.shape[-2] < d}
+    for d in set(ds) - gammas.keys():
+        diag = np.abs(np.diagonal(r[..., :d, :d], axis1=-2, axis2=-1))
+        weak = diag.min(axis=-1) <= DEFAULT_RCOND * diag.max(axis=-1)
+        # an identity in place of a weak triangle keeps solve from raising
+        tri = np.where(weak[..., None, None], np.eye(d), r[..., :d, :d])
+        gammas[d] = np.linalg.solve(tri, r[..., :d, -1:])[..., 0]
+        if weak.any():
+            gammas[d][weak] = solve_ls(w_rows[weak][..., :d], s_rows[weak])
+    return gammas
 
 
 def compensate(w, rcv: Receiver, gamma: CVec) -> CVec:

@@ -25,7 +25,7 @@ from . import basis as basis_mod
 from . import channel as channel_mod
 from . import phase_noise as pn_mod
 from .compensator import (Receiver, build_w, compensate, equalize_only,
-                          fit_gamma, receiver)
+                          fit_prefixes, receiver)
 from .mimo import mu_apply_channel, mu_build_w, mu_compensate, zf_beamformer
 from .numerics import ifft
 from .ofdm import (DEFAULT_N, Constellation, default_layout, ToneLayout,
@@ -224,7 +224,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Scenario:
     fields = {f.name: f.default for f in dataclasses.fields(Scenario)}
     if path:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:  # any BOM dropped
                 text = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
@@ -377,13 +377,13 @@ def _channel_symbols(sc: Scenario, ci: int, pn, sigmas, tx_sigmas=(0.0,),
 def _fixed_block(z, rcv, bases, points, refs) -> np.ndarray:
     """est[p, m]: the estimate of symbol m of block z, with references refs
     (M, N), at the fixed-basis point points[p] = (kind, d).  W is built
-    once per kind of bases (see _bases) and gamma fit for the whole block
-    once per distinct point, on W's leading d columns; d = 0 equalizes
-    without correction.  Symbol by symbol, every point combines the
-    symbol's W while it is in cache."""
+    once per kind of bases (see _bases), and fit_prefixes fits the whole
+    block at every distinct d of the kind, on W's leading d columns; d = 0
+    equalizes without correction.  Symbol by symbol, every point combines
+    the symbol's W while it is in cache."""
     ws = {kind: build_w(z, rcv, v) for kind, v in bases.items()}
-    gammas = {(kind, d): fit_gamma(ws[kind][..., :d], rcv, refs)
-              for kind, d in points if d}
+    gammas = {(kind, d): g for kind, w in ws.items() for d, g in fit_prefixes(
+        w, rcv, refs, {d for k, d in points if k == kind and d}).items()}
     est = np.empty((len(points),) + refs.shape, dtype=np.complex128)
     for m in range(len(refs)):
         for p, (kind, d) in enumerate(points):

@@ -136,7 +136,7 @@ def load_pn_samples(path, n: int) -> np.ndarray:
     """
     phi = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # any BOM dropped
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):

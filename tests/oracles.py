@@ -2,13 +2,13 @@
 
 None of these has a caller in the package: each is the textbook form of
 something pncomp computes another way (the dense DFT matrix for the FFT,
-the implied TLS perturbation for the fit, one pinv or SVD per symbol for
-the stacked fit, modulation for the block simulation, the axis-by-axis
-slicer for the label-table slicer, the whole-stream tracker for the
-block-by-block one, the phase-noise model's covariance in closed form for
-the trained one).  The tracker oracle
-takes from pncomp only build_w and the Receiver's fit rows and layout;
-its fit, combine, decision, phase estimate and PAST step are its own.
+the implied TLS perturbation for the fit, one pinv, SVD or width-d QR
+per symbol for the stacked fit, modulation for the block simulation, the
+axis-by-axis slicer for the label-table slicer, the whole-stream tracker
+for the block-by-block one, the phase-noise model's covariance in closed
+form for the trained one).  The tracker oracle takes from pncomp only
+build_w and the Receiver's fit rows and layout; its fit, combine,
+decision, phase estimate and PAST step are its own.
 """
 
 import numpy as np
@@ -97,16 +97,26 @@ def bracket_decide(est: CVec, layout: ToneLayout,
     return out
 
 
+def _rows(w, rcv, d, ref):
+    """One symbol's C-contiguous W (n_rx, N, d), its fit rows and their
+    targets: ref on pilot rows, 0 on null rows."""
+    w = np.ascontiguousarray(w)[:, :, :d]
+    tone = rcv.rows[1]
+    return w, w[rcv.rows], np.where(np.isin(tone, rcv.layout.null_arr), 0,
+                                    ref[tone])
+
+
+def _mrc(w, rcv, gamma):
+    return (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
+
+
 def per_symbol_fit(w, rcv, d, ref):
     """The per-symbol fit and combine that the block fit replaced: one
     pinv, or one SVD of [W, s], per symbol on the leading d columns of its
     W (n_rx, N, >= d).  Returns (gamma, s_hat).  The combine's last bits
     depend on W's memory layout; this one combines a C-contiguous W, the
     layout build_w gives."""
-    w = np.ascontiguousarray(w)[:, :, :d]
-    w_rows = w[rcv.rows]
-    tone = rcv.rows[1]
-    s_rows = np.where(np.isin(tone, rcv.layout.null_arr), 0, ref[tone])
+    w, w_rows, s_rows = _rows(w, rcv, d, ref)
     gamma = None
     if rcv.method == "TLS" and len(s_rows) >= d + 1:
         _, _, vh = np.linalg.svd(np.column_stack([w_rows, s_rows]))
@@ -115,7 +125,23 @@ def per_symbol_fit(w, rcv, d, ref):
             gamma = -q_last[:d] / q_last[d]
     if gamma is None:
         gamma = np.linalg.pinv(w_rows, rcond=DEFAULT_RCOND) @ s_rows
-    return gamma, (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
+    return gamma, _mrc(w, rcv, gamma)
+
+
+def per_symbol_qr_fit(w, rcv, d, ref):
+    """The LS fit and combine of one symbol by the QR of its width-d
+    [W rows | s] alone: gamma solves R[:d, :d] gamma = R[:d, d].  As in
+    per_symbol_fit, pinv fits a symbol with fewer rows than d, and one
+    whose min |r_ii| is at most 1e-12 of its max.  Returns (gamma, s_hat)."""
+    w, w_rows, s_rows = _rows(w, rcv, d, ref)
+    if len(s_rows) < d:
+        return per_symbol_fit(w, rcv, d, ref)
+    r = np.linalg.qr(np.column_stack([w_rows, s_rows]), mode="r")
+    diag = np.abs(np.diag(r[:d, :d]))
+    if diag.min() <= 1e-12 * diag.max():
+        return per_symbol_fit(w, rcv, d, ref)
+    gamma = np.linalg.solve(r[:d, :d], r[:d, d])
+    return gamma, _mrc(w, rcv, gamma)
 
 
 def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:

@@ -7,12 +7,14 @@ from pncomp import numerics as nx
 from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import from_taps, gen_channel
 from pncomp.compensator import (build_w, compensate, equalize_only,
-                                fit_gamma, receiver, solve_ls, solve_tls)
+                                fit_gamma, fit_prefixes, receiver, solve_ls,
+                                solve_tls)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol)
 from pncomp.phase_noise import PnGenerator, estimate_cov
 
-from oracles import dft_matrix, per_symbol_fit, tls_implied_perturbation
+from oracles import (dft_matrix, per_symbol_fit, per_symbol_qr_fit,
+                     tls_implied_perturbation)
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +222,9 @@ class TestBlockFit:
     """fit_gamma on a block of M symbols (one stacked pinv or SVD) plus the
     per-symbol compensate against per_symbol_fit: bit-identical."""
 
-    def _block(self, layout, qam, kl_cov, n_rx, n_sym, weak, method,
-               nulls=False):
+    @staticmethod
+    def _block(layout, qam, bas, n_rx, n_sym, weak, method, nulls=False):
+        """A receiver, n_sym references and their W with basis bas."""
         ch = gen_channel(8, "exp_decay(3)", seed=60 + n_rx, n_rx=n_rx, n=64)
         lam = ch.copy()
         if weak:  # one pilot tone is weak, another zero, on branch 0
@@ -237,7 +240,7 @@ class TestBlockFit:
                                 + 1j * rng.standard_normal(lam.shape))
                       for s in syms])
         rcv = receiver(lam, layout, method, nulls)
-        return rcv, syms, build_w(z, rcv, kl_basis(kl_cov, 16))
+        return rcv, syms, build_w(z, rcv, bas)
 
     @pytest.mark.parametrize("method, n_rx, nulls, weak, n_sym", [
         ("LS", 2, False, True, 32),
@@ -255,8 +258,8 @@ class TestBlockFit:
                                       weak, n_sym):
         layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
                             null_idx=TestPrefixW.NULLS if nulls else ())
-        rcv, syms, w = self._block(layout, qam, kl_cov, n_rx, n_sym, weak,
-                                   method, nulls)
+        rcv, syms, w = self._block(layout, qam, kl_basis(kl_cov, 16), n_rx,
+                                   n_sym, weak, method, nulls)
         refs_s = np.array(syms)
         for d in (1, 4, 16):
             gamma = fit_gamma(w[..., :d], rcv, refs_s)
@@ -280,7 +283,8 @@ class TestBlockFit:
         # a zero column makes [W, s] singular with a last right singular
         # vector whose final entry vanishes: those symbols take LS, the
         # rest of the block keeps TLS
-        rcv, syms, w = self._block(layout, qam, kl_cov, 2, 9, False, "TLS")
+        rcv, syms, w = self._block(layout, qam, kl_basis(kl_cov, 16), 2, 9,
+                                   False, "TLS")
         w = w[..., :4].copy()
         w[::3, :, :, 2] = 0
         gamma = fit_gamma(w, rcv, np.array(syms))
@@ -292,6 +296,84 @@ class TestBlockFit:
             g_ls = np.linalg.pinv(w_rows, rcond=nx.DEFAULT_RCOND) @ (
                 sym[rcv.rows[1]])
             assert np.array_equal(gamma[i], g_ls) == (i % 3 == 0)
+
+
+class TestFitPrefixes:
+    """fit_prefixes fits every LS d of a basis from one QR of [W | s]:
+    bit for bit per_symbol_qr_fit's width-d QR of one symbol, and
+    solve_ls's pinv where a d has fewer rows than d or a symbol's triangle
+    is near singular."""
+
+    @staticmethod
+    def _block(layout, qam, n_rx, weak, bas, n_sym=7):
+        rcv, syms, w = TestBlockFit._block(layout, qam, bas, n_rx, n_sym, weak,
+                                           "LS", bool(layout.null_idx))
+        return rcv, np.array(syms), w
+
+    @pytest.mark.parametrize("n_rx, nulls",
+                             [(1, False), (2, True), (3, False)])
+    def test_matches_per_symbol_qr(self, qam, n_rx, nulls):
+        layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                            null_idx=TestPrefixW.NULLS if nulls else ())
+        rcv, refs, w = self._block(layout, qam, n_rx, False,
+                                   dct_basis(64, 16))
+        gammas = fit_prefixes(w, rcv, refs, (16, 1, 5))
+        for d, gamma in gammas.items():
+            # no other d of the call changes a d's bits
+            assert np.array_equal(gamma, fit_prefixes(w, rcv, refs, [d])[d])
+            for i, ref in enumerate(refs):
+                g_ref, s_ref = per_symbol_qr_fit(w[i], rcv, d, ref)
+                assert np.array_equal(gamma[i], g_ref)
+                assert np.array_equal(compensate(w[i], rcv, gamma[i]), s_ref)
+
+    def test_fewer_rows_than_d_is_pinv(self, layout, qam):
+        # n_rx = 1, a weak and a zero pilot: 14 fit rows, so d = 16 keeps
+        # solve_ls's minimum-norm answer while d = 4 of the call fits by QR
+        rcv, refs, w = self._block(layout, qam, 1, True, dct_basis(64, 16))
+        assert len(rcv.tones) == 14
+        gammas = fit_prefixes(w, rcv, refs, (4, 16))
+        assert np.array_equal(gammas[16], fit_gamma(w, rcv, refs))
+        for i, ref in enumerate(refs):
+            assert np.array_equal(gammas[4][i],
+                                  per_symbol_qr_fit(w[i], rcv, 4, ref)[0])
+        assert not np.array_equal(gammas[4], fit_gamma(w[..., :4], rcv, refs))
+
+    @pytest.mark.parametrize("defect", ["repeated", "scaled"])
+    def test_near_rank_deficient_prefix_is_pinv(self, layout, qam, defect):
+        # in every third symbol column 3 repeats column 1, or is 1e-13 of
+        # itself: from d = 4 on, those symbols trip the rank guard and take
+        # solve_ls's answer; d = 3 and the other symbols keep the QR fit
+        rcv, refs, w = self._block(layout, qam, 2, False, dft_basis(64, 6),
+                                   n_sym=9)
+        w = w.copy()
+        if defect == "repeated":
+            w[::3, ..., 3] = w[::3, ..., 1]
+        else:
+            w[::3, ..., 3] *= 1e-13
+        gammas = fit_prefixes(w, rcv, refs, (3, 4, 6))
+        for d, gamma in gammas.items():
+            for i, ref in enumerate(refs):
+                weak = d > 3 and i % 3 == 0
+                want = (fit_gamma(w[i][..., :d], rcv, ref) if weak
+                        else per_symbol_qr_fit(w[i], rcv, d, ref)[0])
+                assert np.array_equal(gamma[i], want)
+
+    def test_prefix_of_wider_qr_is_bit_identical(self):
+        # R[:d, :d] and R[:d, -1] of QR([A | s]) are set by the first d
+        # reflectors alone, so a wider A leaves them unchanged, bit for bit
+        rng = np.random.default_rng(84)
+        for _ in range(100):
+            m, width = rng.integers(8, 48), rng.integers(2, 17)
+            a = (rng.standard_normal((3, m, width + 1))
+                 + 1j * rng.standard_normal((3, m, width + 1)))
+            r_wide = np.linalg.qr(a, mode="r")
+            for d in range(1, min(m, width) + 1):
+                r = np.linalg.qr(np.concatenate((a[..., :d], a[..., -1:]),
+                                                axis=-1), mode="r")
+                assert np.array_equal(r_wide[..., :d, :d], r[..., :d, :d]), \
+                    (m, width, d)
+                assert np.array_equal(r_wide[..., :d, -1], r[..., :d, -1]), \
+                    (m, width, d)
 
 
 class TestSolveLs:

@@ -257,6 +257,15 @@ class TestPnFiles:
         assert loaded.shape == (2, 64)
         np.testing.assert_array_equal(loaded.ravel(), phi)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # a file saved as UTF-8 with a byte-order mark loads as without it
+        phi = PnGenerator(13, (3.0,)).next_phi(64)[0]
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        save_pn_samples(plain, phi)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        np.testing.assert_array_equal(load_pn_samples(bom, 64),
+                                      load_pn_samples(plain, 64))
+
     def test_window_count(self, tmp_path):
         path = tmp_path / "pn.txt"
         save_pn_samples(path, np.linspace(0, 1, 5 * 16 + 7))
