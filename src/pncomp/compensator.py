@@ -6,8 +6,10 @@ branch), optionally augmented with null-tone rows; what depends only on
 the channel is built once per channel in a Receiver.  Column j of W depends
 only on column j of V, so a W built for a basis serves every leading-column
 prefix of that basis: one W per symbol fits every d of a basis family.
-fit_gamma fits a whole block of symbols in one stacked solve, fit_prefixes
-every d of a family at once; compensate then applies one symbol's gamma.
+fit_prefixes, the one fit, fits a block of symbols, or one, at every d of
+a family at once: by LS from one QR of the fit rows, with solve_ls's pinv
+only as its fallback, by TLS from solve_tls per d.  compensate then
+applies one symbol's gamma.
 """
 
 from __future__ import annotations
@@ -126,47 +128,42 @@ def equalize_only(z, rcv: Receiver) -> CVec:
     return np.sum(np.conj(rcv.lam) * fz, axis=0) / rcv.mrc_den
 
 
-def fit_gamma(w, rcv: Receiver, refs_s: CVec) -> CVec:
-    """Fit gamma (..., d) on rcv's pilot (and null) rows of w
-    (..., n_blocks, N, d), one stacked fit of len(rcv.tones) rows per
-    leading index (symbol).  refs_s (..., N) serves every block, or
-    (..., n_blocks*N) holds one per block: row (block, tone) reads index
-    block*N + tone modulo its length, a null row the null tone's 0."""
-    solve = solve_tls if rcv.method == "TLS" else solve_ls
-    return solve(*_fit_rows(w, rcv, refs_s))
-
-
-def _fit_rows(w, rcv: Receiver, refs_s: CVec) -> tuple[CMat, CVec]:
-    # contiguous rows: a strided right-hand side changes the matmul's bits
-    return (np.ascontiguousarray(w[..., rcv.rows[0], rcv.rows[1], :]),
-            np.take(refs_s, rcv.tones, axis=-1, mode="wrap"))
-
-
 def fit_prefixes(w, rcv: Receiver, refs_s: CVec, ds) -> dict:
-    """{d: fit_gamma(w[..., :d], rcv, refs_s)} for each d >= 1 of ds; by LS,
-    gamma_d solves R[:d, :d] gamma = R[:d, -1] from one QR of the fit rows
-    [W[..., :max(ds)] | s].  pinv refits a d with fewer rows than d, and
-    each symbol whose R[:d, :d] has min |r_ii| <= DEFAULT_RCOND * max."""
-    if rcv.method == "TLS":
-        return {d: fit_gamma(w[..., :d], rcv, refs_s) for d in ds}
-    w_rows, s_rows = _fit_rows(w[..., :max(ds)], rcv, refs_s)
-    r = np.linalg.qr(np.append(w_rows, s_rows[..., None], axis=-1), mode="r")
-    gammas = {d: solve_ls(w_rows[..., :d], s_rows) for d in ds
-              if w_rows.shape[-2] < d}
-    for d in set(ds) - gammas.keys():
-        diag = np.abs(np.diagonal(r[..., :d, :d], axis1=-2, axis2=-1))
-        weak = diag.min(axis=-1) <= DEFAULT_RCOND * diag.max(axis=-1)
-        # an identity in place of a weak triangle keeps solve from raising
-        tri = np.where(weak[..., None, None], np.eye(d), r[..., :d, :d])
-        gammas[d] = np.linalg.solve(tri, r[..., :d, -1:])[..., 0]
-        if weak.any():
-            gammas[d][weak] = solve_ls(w_rows[weak][..., :d], s_rows[weak])
+    """{d: gamma (..., d)} for each d >= 1 of ds, fit on rcv's pilot (and
+    null) rows of the leading d columns of w (..., n_blocks, N, >= d), one
+    fit per leading index (symbol).  refs_s (..., N) serves every block, or
+    (..., n_blocks*N) holds one per block: row (block, tone) reads index
+    block*N + tone modulo its length.  By TLS, solve_tls fits each d; by
+    LS, gamma solves R[:d, :d] gamma = R[:d, -1] from one QR of the rows
+    [W[..., :max(ds)] | s], and solve_ls's pinv fits a d with fewer rows
+    than d and each symbol whose min |r_ii| <= DEFAULT_RCOND * max."""
+    # contiguous rows: a strided right-hand side changes the matmul's bits
+    w_rows = np.ascontiguousarray(w[..., rcv.rows[0], rcv.rows[1], :max(ds)])
+    s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="wrap")
+    if rcv.method == "LS":
+        r = np.linalg.qr(np.append(w_rows, s_rows[..., None], axis=-1),
+                         mode="r")
+    gammas = {}
+    for d in ds:
+        rows = w_rows[..., :d]
+        if rcv.method == "TLS":
+            gammas[d] = solve_tls(rows, s_rows)
+        elif len(rcv.tones) < d:
+            gammas[d] = solve_ls(rows, s_rows)
+        else:
+            diag = np.abs(np.diagonal(r[..., :d, :d], axis1=-2, axis2=-1))
+            weak = diag.min(axis=-1) <= DEFAULT_RCOND * diag.max(axis=-1)
+            # an identity for a weak triangle keeps solve from raising
+            tri = np.where(weak[..., None, None], np.eye(d), r[..., :d, :d])
+            gammas[d] = np.linalg.solve(tri, r[..., :d, -1:])[..., 0]
+            if weak.any():
+                gammas[d][weak] = solve_ls(rows[weak], s_rows[weak])
     return gammas
 
 
 def compensate(w, rcv: Receiver, gamma: CVec) -> CVec:
-    """Correct and MRC-equalize one symbol with gamma = fit_gamma(w, ...);
-    returns the estimate (N,).
+    """Correct and MRC-equalize one symbol with its gamma from
+    fit_prefixes; returns the estimate (N,).
 
     w is build_w(z, rcv, v) for the symbol and a basis v whose leading d =
     len(gamma) columns gamma was fit on, shape (n_rx, N, >= d).

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import awgn
-from .compensator import Receiver, fit_gamma
+from .compensator import Receiver, fit_prefixes
 from .numerics import CVec, CMat, fft, ifft
 
 RANK_TOL = 1e-9
@@ -79,4 +79,5 @@ def mu_compensate(w, refs: CMat, rcv: Receiver) -> CMat:
     refs (n_users, N); returns the per-user equalized symbols (n_users, N).
     w = mu_build_w(z, b, v) is one symbol's (n_users, N, d); rcv, built
     once per channel, fits every user on zf_beamformer's full-rank tones."""
-    return w @ fit_gamma(w, rcv, np.ravel(refs))
+    d = w.shape[-1]
+    return w @ fit_prefixes(w, rcv, np.ravel(refs), (d,))[d]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import dft_basis
-from .compensator import Receiver, build_w, compensate, fit_gamma
+from .compensator import Receiver, build_w, compensate, fit_prefixes
 from .numerics import CMat, CVec, ifft
 from .ofdm import Constellation, hard_decide
 
@@ -80,11 +80,12 @@ def run_tracked(z, rcv: Receiver, refs: CMat, state: tuple[CMat, CMat],
     run in blocks, each call taking the state the previous one returned.
     """
     v, p = state
+    d = v.shape[1]
     s_hats = np.empty(refs.shape, dtype=np.complex128)
     lay, p_idx = rcv.layout, rcv.layout.pilot_arr
     for m, (z_m, ref, s_hat) in enumerate(zip(z, refs, s_hats), start):
         w = build_w(z_m, rcv, v)
-        s_hat[:] = compensate(w, rcv, fit_gamma(w, rcv, ref))
+        s_hat[:] = compensate(w, rcv, fit_prefixes(w, rcv, ref, (d,))[d])
         if freeze is not None and m >= freeze:
             continue
         if m < training:

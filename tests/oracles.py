@@ -98,15 +98,22 @@ def bracket_decide(est: CVec, layout: ToneLayout,
 
 
 def _rows(w, rcv, d, ref):
-    """One symbol's C-contiguous W (n_rx, N, d), its fit rows and their
-    targets: ref on pilot rows, 0 on null rows."""
+    """One symbol's C-contiguous W (n_blocks, N, d), its fit rows and
+    their targets: on a pilot row (block, tone), ref[tone] if ref is (N,)
+    and ref[block, tone] if it holds one (N,) reference per block; 0 on
+    null rows."""
     w = np.ascontiguousarray(w)[:, :, :d]
-    tone = rcv.rows[1]
+    block, tone = rcv.rows
+    ref = np.broadcast_to(ref, w.shape[:2])
     return w, w[rcv.rows], np.where(np.isin(tone, rcv.layout.null_arr), 0,
-                                    ref[tone])
+                                    ref[block, tone])
 
 
-def _mrc(w, rcv, gamma):
+def _combine(w, rcv, gamma):
+    """The MRC-combined correction of a single-user receiver, (N,); each
+    block's own W @ gamma, (n_blocks, N), for one without MRC weights."""
+    if rcv.mrc_w is None:
+        return w @ gamma
     return (rcv.mrc_w * (w @ gamma)).sum(axis=0) / rcv.mrc_den
 
 
@@ -125,23 +132,24 @@ def per_symbol_fit(w, rcv, d, ref):
             gamma = -q_last[:d] / q_last[d]
     if gamma is None:
         gamma = np.linalg.pinv(w_rows, rcond=DEFAULT_RCOND) @ s_rows
-    return gamma, _mrc(w, rcv, gamma)
+    return gamma, _combine(w, rcv, gamma)
 
 
 def per_symbol_qr_fit(w, rcv, d, ref):
-    """The LS fit and combine of one symbol by the QR of its width-d
-    [W rows | s] alone: gamma solves R[:d, :d] gamma = R[:d, d].  As in
-    per_symbol_fit, pinv fits a symbol with fewer rows than d, and one
-    whose min |r_ii| is at most 1e-12 of its max.  Returns (gamma, s_hat)."""
+    """The fit and combine of one symbol as pncomp's fit does it: by LS,
+    the QR of its width-d [W rows | s] alone, gamma solving R[:d, :d] gamma
+    = R[:d, d].  per_symbol_fit fits a TLS receiver, a symbol with fewer
+    rows than d, and one whose min |r_ii| is at most 1e-12 of its max.
+    Returns (gamma, s_hat)."""
     w, w_rows, s_rows = _rows(w, rcv, d, ref)
-    if len(s_rows) < d:
+    if rcv.method == "TLS" or len(s_rows) < d:
         return per_symbol_fit(w, rcv, d, ref)
     r = np.linalg.qr(np.column_stack([w_rows, s_rows]), mode="r")
     diag = np.abs(np.diag(r[:d, :d]))
     if diag.min() <= 1e-12 * diag.max():
         return per_symbol_fit(w, rcv, d, ref)
     gamma = np.linalg.solve(r[:d, :d], r[:d, d])
-    return gamma, _mrc(w, rcv, gamma)
+    return gamma, _combine(w, rcv, gamma)
 
 
 def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:
@@ -178,19 +186,20 @@ def past_update(v: CMat, p: CMat, x: CVec, beta: float):
 
 
 def run_tracked(z, rcv, refs, state, const: Constellation, beta: float,
-                training: int = 0, freeze: int | None = None):
-    """The whole-stream tracker: compensate, decide (bracket_decide in
-    const, after the first training symbols), re-estimate the phase and
-    update the basis, symbol by symbol through z (M, n_rx, N) against refs
-    (M, N) from state = (V, P) with forgetting factor beta, with no update
-    from symbol freeze on, if given.  Returns each symbol's estimate,
-    (M, N), and the last (V, P)."""
+                training: int = 0, freeze: int | None = None,
+                fit=per_symbol_qr_fit):
+    """The whole-stream tracker: compensate (fit, one of the per-symbol
+    fits above), decide (bracket_decide in const, after the first training
+    symbols), re-estimate the phase and update the basis, symbol by symbol
+    through z (M, n_rx, N) against refs (M, N) from state = (V, P) with
+    forgetting factor beta, with no update from symbol freeze on, if
+    given.  Returns each symbol's estimate, (M, N), and the last (V, P)."""
     v, p = state
     s_hats = []
     p_idx = rcv.layout.pilot_arr
     for m, (z_m, ref) in enumerate(zip(z, refs)):
         w = build_w(z_m, rcv, v)
-        _, s_hat = per_symbol_fit(w, rcv, v.shape[1], ref)
+        _, s_hat = fit(w, rcv, v.shape[1], ref)
         s_hats.append(s_hat)
         if freeze is not None and m >= freeze:
             continue

@@ -16,7 +16,7 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import gen_channel
-from pncomp.compensator import (build_w, compensate, fit_gamma, receiver,
+from pncomp.compensator import (build_w, compensate, fit_prefixes, receiver,
                                 solve_ls, solve_tls)
 from pncomp.harness import Scenario, run_scenario
 from pncomp.mimo import mu_build_w, zf_beamformer
@@ -168,7 +168,7 @@ def test_criterion_04_in_span_exact_recovery():
         for method in ("LS", "TLS"):
             rcv = receiver(ch, layout, method)
             w = build_w(z, rcv, bas)
-            s_hat = compensate(w, rcv, fit_gamma(w, rcv, sym))
+            s_hat = compensate(w, rcv, fit_prefixes(w, rcv, sym, (d,))[d])
             worst = max(worst, evm_db(s_hat, sym, layout))
     report(4, worst <= -80.0,
            f"worst in-span recovery EVM over 100 trials x {{LS,TLS}} = "
@@ -303,7 +303,7 @@ def test_criterion_11_complexity_scaling():
         def run():
             rcv = receiver(ch, layout)
             w = build_w(z, rcv, bas)
-            compensate(w, rcv, fit_gamma(w, rcv, sym))
+            compensate(w, rcv, fit_prefixes(w, rcv, sym, (d,))[d])
         return run
 
     t64 = _min_time(comp_timer(64, 8))

@@ -7,10 +7,9 @@ from pncomp import numerics as nx
 from pncomp.basis import dct_basis, dft_basis, kl_basis
 from pncomp.channel import from_taps, gen_channel
 from pncomp.compensator import (build_w, compensate, equalize_only,
-                                fit_gamma, fit_prefixes, receiver, solve_ls,
-                                solve_tls)
+                                fit_prefixes, receiver, solve_ls, solve_tls)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
-                         make_symbol)
+                         make_symbol, symbol_error_rate)
 from pncomp.phase_noise import PnGenerator, estimate_cov
 
 from oracles import (dft_matrix, per_symbol_fit, per_symbol_qr_fit,
@@ -37,8 +36,15 @@ def comp(z, lam, bas, ref, layout, **kw):
 def comp_w(w, rcv, d, ref):
     """Fit gamma on the leading d columns of one symbol's w, then
     compensate: (gamma, number of fit rows, estimate)."""
-    gamma = fit_gamma(w[..., :d], rcv, ref)
+    gamma = fit_prefixes(w, rcv, ref, (d,))[d]
     return gamma, len(rcv.tones), compensate(w, rcv, gamma)
+
+
+def pinv_fit(w, rcv, refs, d):
+    """solve_ls on the fit rows of w's leading d columns, each row's
+    target refs at its tone: the pinv fit, with no QR."""
+    block, tone = rcv.rows
+    return solve_ls(w[..., block, tone, :d], refs[..., tone])
 
 
 def w_one(z, lam, bas):
@@ -91,7 +97,7 @@ class TestBuildW:
             receiver(np.zeros((1, 64)), default_layout())
 
     def test_rejects_unknown_method(self):
-        # fit_gamma would fit any method but TLS by LS
+        # the fit knows only LS and TLS
         with pytest.raises(ValueError, match="LS or TLS"):
             receiver(np.ones((1, 64)), default_layout(), method="XLS")
 
@@ -219,8 +225,9 @@ class TestBlockW:
 
 
 class TestBlockFit:
-    """fit_gamma on a block of M symbols (one stacked pinv or SVD) plus the
-    per-symbol compensate against per_symbol_fit: bit-identical."""
+    """fit_prefixes at one d on a block of M symbols plus the per-symbol
+    compensate against per_symbol_qr_fit, bit for bit, and against
+    per_symbol_fit's pinv or SVD within 1e-10 relative."""
 
     @staticmethod
     def _block(layout, qam, bas, n_rx, n_sym, weak, method, nulls=False):
@@ -262,21 +269,28 @@ class TestBlockFit:
                                    n_sym, weak, method, nulls)
         refs_s = np.array(syms)
         for d in (1, 4, 16):
-            gamma = fit_gamma(w[..., :d], rcv, refs_s)
+            gamma = fit_prefixes(w, rcv, refs_s, (d,))[d]
             assert gamma.shape == (n_sym, d)
             # one (N,) reference per symbol serves every branch: the same
             # bits as that reference repeated once per branch
-            assert np.array_equal(
-                gamma, fit_gamma(w[..., :d], rcv, np.tile(refs_s, n_rx)))
+            assert np.array_equal(gamma, fit_prefixes(
+                w, rcv, np.tile(refs_s, n_rx), (d,))[d])
             assert len(rcv.tones) == (16 + 8 * nulls) * n_rx - 2 * weak
             for i, sym in enumerate(syms):
                 s_hat = compensate(w[i], rcv, gamma[i])
-                g_ref, s_ref = per_symbol_fit(w[i], rcv, d, sym)
+                g_ref, s_ref = per_symbol_qr_fit(w[i], rcv, d, sym)
                 assert np.array_equal(gamma[i], g_ref)
                 assert np.array_equal(s_hat, s_ref)
                 # one symbol without a leading axis, as the tracker fits
-                g_one = fit_gamma(w[i][..., :d], rcv, sym)
+                g_one = fit_prefixes(w[i][..., :d], rcv, sym, (d,))[d]
                 assert np.array_equal(g_one, g_ref)
+                # the tolerance tier: per_symbol_fit's pinv or SVD within
+                # 1e-10 relative, the same symbol errors
+                _, near = per_symbol_fit(w[i], rcv, d, sym)
+                assert (np.abs(s_hat - near).max()
+                        <= 1e-10 * np.abs(near).max())
+                assert (symbol_error_rate(s_hat, sym, layout, qam)
+                        == symbol_error_rate(near, sym, layout, qam))
 
     def test_vanishing_q22_refits_only_those_symbols(self, layout, qam,
                                                      kl_cov):
@@ -287,7 +301,7 @@ class TestBlockFit:
                                    False, "TLS")
         w = w[..., :4].copy()
         w[::3, :, :, 2] = 0
-        gamma = fit_gamma(w, rcv, np.array(syms))
+        gamma = fit_prefixes(w, rcv, np.array(syms), (4,))[4]
         for i, sym in enumerate(syms):
             g_ref, s_ref = per_symbol_fit(w[i], rcv, 4, sym)
             assert np.array_equal(gamma[i], g_ref)
@@ -332,11 +346,27 @@ class TestFitPrefixes:
         rcv, refs, w = self._block(layout, qam, 1, True, dct_basis(64, 16))
         assert len(rcv.tones) == 14
         gammas = fit_prefixes(w, rcv, refs, (4, 16))
-        assert np.array_equal(gammas[16], fit_gamma(w, rcv, refs))
+        assert np.array_equal(gammas[16], pinv_fit(w, rcv, refs, 16))
         for i, ref in enumerate(refs):
             assert np.array_equal(gammas[4][i],
                                   per_symbol_qr_fit(w[i], rcv, 4, ref)[0])
-        assert not np.array_equal(gammas[4], fit_gamma(w[..., :4], rcv, refs))
+        assert not np.array_equal(gammas[4], pinv_fit(w, rcv, refs, 4))
+
+    def test_one_symbol_fallbacks_are_pinv(self, layout, qam):
+        # one symbol with no leading axis, as the tracker and the
+        # multiuser link fit: d = 20 on one branch's 16 pilot rows, and a
+        # basis whose column 3 repeats column 1, both take solve_ls's
+        # answer bit for bit
+        rcv, refs, w = self._block(layout, qam, 1, False, dft_basis(64, 20),
+                                   n_sym=1)
+        w, ref = w[0], refs[0]
+        assert len(rcv.tones) == 16
+        assert np.array_equal(fit_prefixes(w, rcv, ref, (20,))[20],
+                              pinv_fit(w, rcv, ref, 20))
+        w = w[..., :4].copy()
+        w[..., 3] = w[..., 1]
+        assert np.array_equal(fit_prefixes(w, rcv, ref, (4,))[4],
+                              pinv_fit(w, rcv, ref, 4))
 
     @pytest.mark.parametrize("defect", ["repeated", "scaled"])
     def test_near_rank_deficient_prefix_is_pinv(self, layout, qam, defect):
@@ -354,7 +384,7 @@ class TestFitPrefixes:
         for d, gamma in gammas.items():
             for i, ref in enumerate(refs):
                 weak = d > 3 and i % 3 == 0
-                want = (fit_gamma(w[i][..., :d], rcv, ref) if weak
+                want = (pinv_fit(w[i], rcv, ref, d) if weak
                         else per_symbol_qr_fit(w[i], rcv, d, ref)[0])
                 assert np.array_equal(gamma[i], want)
 

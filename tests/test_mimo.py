@@ -6,14 +6,13 @@ import pytest
 from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import from_taps, gen_channel
-from pncomp.compensator import (Receiver, build_w, fit_gamma, receiver,
-                                solve_ls, solve_tls)
+from pncomp.compensator import Receiver, build_w, fit_prefixes, receiver
 from pncomp.mimo import (RANK_TOL, mu_build_w, mu_compensate, mu_received,
                          zf_beamformer)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
-                         make_symbol)
+                         make_symbol, symbol_error_rate)
 
-from oracles import dft_matrix
+from oracles import dft_matrix, per_symbol_fit, per_symbol_qr_fit
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +194,9 @@ class TestBlockW:
             assert s_hats.shape == (n_users, 64)
             assert np.array_equal(s_hats, mu_compensate(w_ref, refs, rcv))
             refs_s = np.concatenate(refs)
-            gamma = fit_gamma(w[i], rcv, refs_s)
-            assert np.array_equal(gamma, fit_gamma(w_ref, rcv, refs_s))
+            gamma = fit_prefixes(w[i], rcv, refs_s, (6,))[6]
+            assert np.array_equal(gamma,
+                                  fit_prefixes(w_ref, rcv, refs_s, (6,))[6])
             for u in range(n_users):
                 assert np.array_equal(s_hats[u], w[i][u] @ gamma)
 
@@ -206,8 +206,9 @@ class TestMuCompensate:
     @pytest.mark.parametrize("nulls", [False, True])
     def test_each_user_rows_read_own_reference(self, qam, method, nulls):
         # concatenated per-user references: user u's rows (u, tone) target
-        # refs[u, tone], null rows included, so gamma is the fit on the
-        # rows built directly from rcv.rows, bit for bit
+        # refs[u, tone], null rows included, so gamma is the oracle's fit
+        # on the rows it builds from rcv.rows and each user's reference,
+        # bit for bit
         layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
                             null_idx=tuple(range(28, 36)) if nulls else ())
         lam = make_system(7, n_users=3, n_rx=3)
@@ -220,11 +221,19 @@ class TestMuCompensate:
         w = mu_build_w(z, b, dft_basis(64, 6))
         refs = np.array([[make_symbol(layout, qam, rng_seed=30 + 3 * m + u)
                           for u in range(3)] for m in range(5)])
-        gamma = fit_gamma(w, rcv, refs.reshape(5, -1))
-        block, tone = rcv.rows
-        solve = solve_tls if method == "TLS" else solve_ls
-        assert np.array_equal(
-            gamma, solve(w[:, block, tone], refs[:, block, tone]))
+        gamma = fit_prefixes(w, rcv, refs.reshape(5, -1), (6,))[6]
+        for m in range(5):
+            s_hats = mu_compensate(w[m], refs[m], rcv)
+            g_ref, s_ref = per_symbol_qr_fit(w[m], rcv, 6, refs[m])
+            assert np.array_equal(gamma[m], g_ref)
+            assert np.array_equal(s_hats, s_ref)
+            # the tolerance tier: per_symbol_fit's pinv or SVD within
+            # 1e-10 relative, the same symbol errors for every user
+            _, near = per_symbol_fit(w[m], rcv, 6, refs[m])
+            assert np.abs(s_hats - near).max() <= 1e-10 * np.abs(near).max()
+            for s_hat, s_near, ref in zip(s_hats, near, refs[m]):
+                assert (symbol_error_rate(s_hat, ref, layout, qam)
+                        == symbol_error_rate(s_near, ref, layout, qam))
 
     def test_simo_reduction_matches_compensator(self, qam):
         # one user, two branches: identical gamma to the 2-branch stacking
@@ -243,10 +252,11 @@ class TestMuCompensate:
         z = mu_received(ch[None], ref[None], psi, None, np.inf,
                         np.random.default_rng(0))
         b, ok = zf_beamformer(ch[None])
-        mu_gamma = fit_gamma(mu_build_w(z, b, bas),
-                             Receiver(layout, ok[None], "LS", False), ref)
+        mu_gamma = fit_prefixes(mu_build_w(z, b, bas),
+                                Receiver(layout, ok[None], "LS", False), ref,
+                                (4,))[4]
         rcv = receiver(ch, layout)
-        simo_gamma = fit_gamma(build_w(z, rcv, bas), rcv, ref)
+        simo_gamma = fit_prefixes(build_w(z, rcv, bas), rcv, ref, (4,))[4]
         np.testing.assert_allclose(mu_gamma, simo_gamma,
                                    atol=1e-9 * np.linalg.norm(simo_gamma))
 

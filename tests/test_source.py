@@ -4,8 +4,9 @@ nothing in src/pncomp reaches, every pncomp name the README cites
 exists, the README's rule paragraph names every key of the config
 rule table, its `pncomp run` usage block names exactly the options
 of the CLI parser, each backticked word its CLI section says "must"
-of is a config key, and each `run` option but `--config`, `--out` and
-`--full` stores its value under the config key it overrides.
+of is a config key, each `run` option but `--config`, `--out` and
+`--full` stores its value under the config key it overrides, and only
+the fit's fallbacks and solve_tls reach solve_ls and so numerics.pinv.
 
 No linter is part of the toolchain, so the first two are small `ast`
 checks.  Every name an `import` or `from ... import` binds must be read
@@ -79,14 +80,13 @@ REACH_ALLOWLIST = {
 }
 
 
-def unreached(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and classes, as "module.name", of the
-    package whose modules' sources are sources {module: source} that no
-    reached code reads, sorted.  Module-level code outside definitions is
-    reached, and so, in turn, is the whole definition (body, decorators,
-    defaults and annotations) of each name that reached code reads.  A
-    name resolves through its module's definitions and relative imports:
-    `from .m import f as g` reads m.f as g, `from . import m as a` as a.f."""
+def definitions(sources: dict[str, str]):
+    """(trees, defs, scopes) of the package whose modules' sources are
+    sources {module: source}: each module's syntax tree, its module-level
+    functions and classes as {"module.name": node}, and per module the
+    names bound to them, {name: "module.name"}, through its definitions
+    and relative imports: `from .m import f as g` binds g to m.f, `from .
+    import m as a` binds a to m."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     defs, scopes = {}, {}
     for mod, tree in trees.items():
@@ -99,24 +99,38 @@ def unreached(sources: dict[str, str]) -> list[str]:
                 for alias in node.names:
                     scope[alias.asname or alias.name] = ".".join(
                         filter(None, (node.module, alias.name)))
+    return trees, defs, scopes
 
-    def reads(mod: str, nodes) -> set[str]:
-        scope, found = scopes[mod], set()
-        for sub in (s for node in nodes for s in ast.walk(node)):
-            if (isinstance(sub, ast.Attribute) and isinstance(sub.value,
-                                                              ast.Name)
-                    and scope.get(sub.value.id) in trees):
-                found.add(f"{scope[sub.value.id]}.{sub.attr}")
-            elif isinstance(sub, ast.Name) and sub.id in scope:
-                found.add(scope[sub.id])
-        return found
 
+def reads(trees, scopes, mod: str, nodes) -> set[str]:
+    """The package names, as "module.name", that nodes of module mod read:
+    a bound name, or an attribute of a bound module."""
+    scope, found = scopes[mod], set()
+    for sub in (s for node in nodes for s in ast.walk(node)):
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                and scope.get(sub.value.id) in trees):
+            found.add(f"{scope[sub.value.id]}.{sub.attr}")
+        elif isinstance(sub, ast.Name) and sub.id in scope:
+            found.add(scope[sub.id])
+    return found
+
+
+def unreached(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes, as "module.name", of the
+    package whose modules' sources are sources {module: source} that no
+    reached code reads, sorted.  Module-level code outside definitions is
+    reached, and so, in turn, is the whole definition (body, decorators,
+    defaults and annotations) of each name that reached code reads.  A
+    name resolves through its module's definitions and relative imports
+    (see definitions)."""
+    trees, defs, scopes = definitions(sources)
     reached = set()
     todo = [(mod, [n for n in tree.body if not isinstance(n, DEFS)])
             for mod, tree in trees.items()]
     while todo:
         mod, nodes = todo.pop()
-        for target in (reads(mod, nodes) & defs.keys()) - reached:
+        found = reads(trees, scopes, mod, nodes)
+        for target in (found & defs.keys()) - reached:
             reached.add(target)
             todo.append((target.split(".")[0], [defs[target]]))
     return sorted(set(defs) - reached)
@@ -152,6 +166,54 @@ def test_reach_check_fails_on_uncalled_helper():
     sources = package_sources()
     sources["ofdm"] += "\n\ndef _uncalled(x):\n    return evm_db(x, x)\n"
     assert "ofdm._uncalled" in unreached(sources)
+
+
+def readers(sources: dict[str, str], target: str) -> list[str]:
+    """The module-level functions and classes but target itself, as
+    "module.name", whose definitions read target "module.name" by a name
+    bound to it or through its module, or read any attribute of its name
+    (np.linalg.pinv reads numerics.pinv), sorted."""
+    trees, defs, scopes = definitions(sources)
+    attr = target.split(".")[1]
+    return sorted(
+        name for name, node in defs.items() if name != target and (
+            target in reads(trees, scopes, name.split(".")[0], [node])
+            or any(isinstance(sub, ast.Attribute) and sub.attr == attr
+                   for sub in ast.walk(node))))
+
+
+# one LS algorithm: fit_prefixes's QR, with solve_ls's pinv reached only
+# from the fit's fallbacks and from solve_tls's LS refits
+LS_READERS = {
+    "compensator.solve_ls": ["compensator.fit_prefixes",
+                             "compensator.solve_tls"],
+    "numerics.pinv": ["compensator.solve_ls"],
+}
+
+
+def test_pinv_reached_only_through_fit_fallbacks():
+    sources = package_sources()
+    assert {t: readers(sources, t) for t in LS_READERS} == LS_READERS
+
+
+def test_ls_path_check_finds_second_ls_path():
+    # run_tracked fitting by solve_ls itself, and mu_compensate by
+    # np.linalg.pinv, are each a second LS path
+    sources = package_sources()
+    for mod, old, new in [
+            ("tracker", "compensate, fit_prefixes",
+             "compensate, fit_prefixes, solve_ls"),
+            ("tracker", "fit_prefixes(w, rcv, ref, (d,))[d]",
+             "solve_ls(w[rcv.rows], ref[rcv.rows[1]])"),
+            ("mimo", "fit_prefixes(w, rcv, np.ravel(refs), (d,))[d]",
+             "np.linalg.pinv(w[rcv.rows]) @ np.ravel(refs)[rcv.tones]")]:
+        assert old in sources[mod]
+        sources[mod] = sources[mod].replace(old, new)
+    assert readers(sources, "compensator.solve_ls") == [
+        "compensator.fit_prefixes", "compensator.solve_tls",
+        "tracker.run_tracked"]
+    assert readers(sources, "numerics.pinv") == ["compensator.solve_ls",
+                                                 "mimo.mu_compensate"]
 
 
 def readme_references(text: str) -> list[str]:

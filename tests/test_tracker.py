@@ -263,6 +263,19 @@ class TestRunTracked:
             assert evm_db(a, ref, layout) == evm_db(b, ref, layout)
 
 
+def block_by_block(z, rcv, refs, state, const, beta, training, freeze):
+    """run_tracked called once per SYMBOL_BLOCK of the stream z, with the
+    block's start index and the state the previous call returned; returns
+    the estimates (M, N) and the last state."""
+    got = []
+    for m0 in range(0, len(z), SYMBOL_BLOCK):
+        block = slice(m0, m0 + SYMBOL_BLOCK)
+        s_hats, state = run_tracked(z[block], rcv, refs[block], state, const,
+                                    beta, training, freeze, start=m0)
+        got.append(s_hats)
+    return np.concatenate(got), state
+
+
 class TestBlockByBlockOracle:
     """run_tracked called once per SYMBOL_BLOCK, with the block's start
     index and the state the previous call returned, against one
@@ -296,15 +309,9 @@ class TestBlockByBlockOracle:
                             + 1j * rng.standard_normal((n_rx, 64)))
             z.append(psi * (nx.ifft(lam * refs[-1]) + noise))
         z, refs = np.array(z), np.array(refs)
-        want, want_state = oracles.run_tracked(
-            z, rcv, refs, init_tracker(64, 4), qam, 0.9, training, freeze)
-        got, state = [], init_tracker(64, 4)
-        for m0 in range(0, n_symbols, SYMBOL_BLOCK):
-            block = slice(m0, m0 + SYMBOL_BLOCK)
-            s_hats, state = run_tracked(z[block], rcv, refs[block], state,
-                                        qam, 0.9, training, freeze, start=m0)
-            got.append(s_hats)
-        got = np.concatenate(got)
+        args = (z, rcv, refs, init_tracker(64, 4), qam, 0.9, training, freeze)
+        want, want_state = oracles.run_tracked(*args)
+        got, state = block_by_block(*args)
         assert got.shape == want.shape == (n_symbols, 64)
         assert np.array_equal(got, want)
         assert np.array_equal(state[0], want_state[0])
@@ -314,3 +321,38 @@ class TestBlockByBlockOracle:
         dd = slice(training, freeze)
         assert any(symbol_error_rate(s_hat, ref, layout, qam) > 0
                    for s_hat, ref in zip(want[dd], refs[dd]))
+        if method == "LS":
+            # the tolerance tier: the oracle tracker with one pinv per
+            # symbol gives estimates and a state within 1e-10 relative,
+            # and the same symbol errors
+            near, near_state = oracles.run_tracked(
+                *args, fit=oracles.per_symbol_fit)
+            for s_hat, s_near, ref in zip(got, near, refs):
+                assert (np.abs(s_hat - s_near).max()
+                        <= 1e-10 * np.abs(s_near).max())
+                assert (symbol_error_rate(s_hat, ref, layout, qam)
+                        == symbol_error_rate(s_near, ref, layout, qam))
+            for a, b in zip(state, near_state):
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+    def test_fewer_rows_than_d_matches_whole_stream(self, layout):
+        # one branch has 16 pilot rows, fewer than d = 20: every symbol's
+        # fit is solve_ls's minimum-norm answer, as in the oracle tracker
+        n_symbols, seed, d = 40, 22, 20
+        qam = Constellation.qam(16)
+        lam = gen_channel(8, "exp_decay(3)", seed=seed, n_rx=1, n=64)
+        rcv = receiver(lam, layout)
+        assert len(rcv.tones) == 16
+        gen = PnGenerator(seed, (3.0,))
+        rng = np.random.default_rng(seed)
+        refs = np.array([make_symbol(layout, qam, rng_seed=seed * 1000 + m)
+                         for m in range(n_symbols)])
+        z = np.array([gen.next(64) * (nx.ifft(lam * ref) + 0.05 * (
+            rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))))
+            for ref in refs])
+        args = (z, rcv, refs, init_tracker(64, d), qam, 0.9, 10, 30)
+        want, want_state = oracles.run_tracked(*args)
+        got, state = block_by_block(*args)
+        assert np.array_equal(got, want)
+        assert np.array_equal(state[0], want_state[0])
+        assert np.array_equal(state[1], want_state[1])
