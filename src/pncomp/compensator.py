@@ -85,8 +85,10 @@ def build_w(z, rcv: Receiver, v: CMat) -> np.ndarray:
     # one unitary FFT per (symbol, branch, column), laid out as the product
     # is, so W comes out C-contiguous: the combine's bits rely on that
     w = fft(z[..., None, :] * v.T)
-    np.divide(w, rcv.lam[..., None, :], out=w, where=rcv.usable[..., None, :])
-    if rcv.weak is not None:
+    if rcv.weak is None:  # every tone usable: no mask to divide under
+        w /= rcv.lam[..., None, :]
+    else:
+        np.divide(w, rcv.lam[..., None, :], out=w, where=~rcv.weak)
         np.copyto(w, 0, where=rcv.weak)
     return w.swapaxes(-1, -2)
 
@@ -151,12 +153,13 @@ def fit_prefixes(w, rcv: Receiver, refs_s: CVec, ds) -> dict:
         elif len(rcv.tones) < d:
             gammas[d] = solve_ls(rows, s_rows)
         else:
-            diag = np.abs(np.diagonal(r[..., :d, :d], axis1=-2, axis2=-1))
+            tri = r[..., :d, :d]  # solve copies it: a view gives its bits
+            diag = np.abs(np.diagonal(tri, axis1=-2, axis2=-1))
             weak = diag.min(axis=-1) <= DEFAULT_RCOND * diag.max(axis=-1)
-            # an identity for a weak triangle keeps solve from raising
-            tri = np.where(weak[..., None, None], np.eye(d), r[..., :d, :d])
+            if any_weak := weak.any():  # weak ones -> I, so solve won't raise
+                tri = np.where(weak[..., None, None], np.eye(d), tri)
             gammas[d] = np.linalg.solve(tri, r[..., :d, -1:])[..., 0]
-            if weak.any():
+            if any_weak:
                 gammas[d][weak] = solve_ls(rows[weak], s_rows[weak])
     return gammas
 

@@ -9,7 +9,6 @@ as the first 8 bytes of blake2b("{master}:{label}").
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import itertools
@@ -384,11 +383,12 @@ def _fixed_block(z, rcv, bases, points, refs) -> np.ndarray:
     ws = {kind: build_w(z, rcv, v) for kind, v in bases.items()}
     gammas = {(kind, d): g for kind, w in ws.items() for d, g in fit_prefixes(
         w, rcv, refs, {d for k, d in points if k == kind and d}).items()}
+    fits = [(ws[kind], gammas[kind, d]) if d else None for kind, d in points]
     est = np.empty((len(points),) + refs.shape, dtype=np.complex128)
     for m in range(len(refs)):
-        for p, (kind, d) in enumerate(points):
-            est[p, m] = (compensate(ws[kind][m], rcv, gammas[kind, d][m])
-                         if d else equalize_only(z[m], rcv))
+        for p, fit in enumerate(fits):
+            est[p, m] = (compensate(fit[0][m], rcv, fit[1][m]) if fit
+                         else equalize_only(z[m], rcv))
     return est
 
 
@@ -548,13 +548,12 @@ def run_scenario(sc: Scenario, out_path: str) -> list[ResultRow]:
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:
-    # each field's format spec; "" is str()
-    specs = [{"sigma_deg": ".4f", "evm_db": ".6f", "ser": ".8f"}.get(c, "")
-             for c in CSV_COLUMNS]
+    # csv.writer's bytes: no ResultRow field holds a comma, quote or newline
+    line = ",".join({"sigma_deg": "%.4f", "evm_db": "%.6f", "ser": "%.8f"}
+                    .get(c, "%s") for c in CSV_COLUMNS) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(map(format, row, specs) for row in rows)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def main(argv=None) -> int:

@@ -109,7 +109,7 @@ def make_symbol(layout: ToneLayout, constellation: Constellation,
                 rng_seed: int) -> CVec:
     """Random payload (N,): i.i.d. constellation points on pilot and data
     tones."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.Generator(np.random.PCG64(rng_seed))  # = default_rng
     s = np.zeros(layout.n, dtype=np.complex128)
     active = layout.active_arr
     # the labels rng.choice(points, size) would draw, without its overhead

@@ -37,11 +37,10 @@ def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:
     if peak == 0:
         raise ValueError("all-zero signal reconstruction")
     q = np.multiply(z, np.conj(y_hat, out=y_hat), out=y_hat).sum(axis=0)
-    valid = mag >= 1e-9 * peak
     phi = np.arctan2(q.imag, q.real)
-    if not valid.all():
-        good = np.flatnonzero(valid)
-        bad = np.flatnonzero(~valid)
+    if mag.min() < 1e-9 * peak:
+        good = np.flatnonzero(mag >= 1e-9 * peak)
+        bad = np.flatnonzero(mag < 1e-9 * peak)
         nearest = good[np.argmin(np.abs(bad[:, None] - good[None, :]), axis=1)]
         phi[bad] = phi[nearest]
     return phi
@@ -93,8 +92,7 @@ def run_tracked(z, rcv: Receiver, refs: CMat, state: tuple[CMat, CMat],
         else:
             s_dd = hard_decide(s_hat, lay, const)
             s_dd[p_idx] = ref[p_idx]
-        x = 1j * dd_phase_estimate(z_m, s_dd, rcv.lam)
-        # track the cancellation vector exp(-j*phi_hat), the quantity the
-        # basis must span
-        v, p = past_update(v, p, np.conj(np.exp(x, out=x), out=x), beta)
+        phi = dd_phase_estimate(z_m, s_dd, rcv.lam)
+        # track exp(-j*phi_hat), the cancellation vector the basis must span
+        v, p = past_update(v, p, np.exp(-1j * phi), beta)
     return s_hats, (v, p)

@@ -2,8 +2,9 @@
 
 None of these has a caller in the package: each is the textbook form of
 something pncomp computes another way (the dense DFT matrix for the FFT,
-the implied TLS perturbation for the fit, one pinv, SVD or width-d QR
-per symbol for the stacked fit, modulation for the block simulation, the
+the implied TLS perturbation for the fit, one pinv, SVD, SVD of the
+conjugate transpose or width-d QR per symbol for the stacked fit,
+modulation for the block simulation, the
 axis-by-axis slicer for the label-table slicer, the whole-stream tracker
 for the block-by-block one, the phase-noise model's covariance in closed
 form for the trained one).  The tracker oracle takes from pncomp only
@@ -132,6 +133,22 @@ def per_symbol_fit(w, rcv, d, ref):
             gamma = -q_last[:d] / q_last[d]
     if gamma is None:
         gamma = np.linalg.pinv(w_rows, rcond=DEFAULT_RCOND) @ s_rows
+    return gamma, _combine(w, rcv, gamma)
+
+
+def per_symbol_tls_fit(w, rcv, d, ref):
+    """TLS by another route than per_symbol_fit's: gamma = -q12/q22 from
+    the last left singular vector of the conjugate transpose [W rows |
+    s]^H, the last right singular vector of [W rows | s].  per_symbol_fit
+    fits an LS receiver, a symbol with fewer rows than d + 1 and one whose
+    q22 vanishes.  Returns (gamma, s_hat)."""
+    w, w_rows, s_rows = _rows(w, rcv, d, ref)
+    if rcv.method == "LS" or len(s_rows) < d + 1:
+        return per_symbol_fit(w, rcv, d, ref)
+    u, _, _ = np.linalg.svd(np.column_stack([w_rows, s_rows]).conj().T)
+    if np.abs(u[d, d]) <= 1e-12:
+        return per_symbol_fit(w, rcv, d, ref)
+    gamma = -u[:d, d] / u[d, d]
     return gamma, _combine(w, rcv, gamma)
 
 

@@ -12,7 +12,8 @@ from pncomp.mimo import (RANK_TOL, mu_build_w, mu_compensate, mu_received,
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol, symbol_error_rate)
 
-from oracles import dft_matrix, per_symbol_fit, per_symbol_qr_fit
+from oracles import (dft_matrix, per_symbol_fit, per_symbol_qr_fit,
+                     per_symbol_tls_fit)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +158,10 @@ def per_symbol_mu_w(z, b, basis):
 class TestBlockW:
     """mu_build_w of a block of symbols must equal the per-symbol W of
     each of them bit for bit, and so must the fit and combine on it; the
-    combine of all users at once equals each user's own w[u] @ gamma."""
+    combine of all users at once equals each user's own w[u] @ gamma.  By
+    TLS, the block's estimates are within 1e-10 relative of
+    per_symbol_tls_fit's on the per-symbol W, with the same symbol errors:
+    the tolerance tier a change of W's last bits must still meet."""
 
     @pytest.mark.parametrize("make_lam", [
         lambda: make_system(40, n_users=1, n_rx=1),
@@ -185,6 +189,8 @@ class TestBlockW:
         layout = default_layout()
         rcv = Receiver(layout, np.broadcast_to(ok, (n_users, 64)), "LS",
                        False)
+        rcv_tls = Receiver(layout, rcv.usable, "TLS", False)
+        moved = False
         for i in range(m):
             w_ref = per_symbol_mu_w(z[i], b, bas)
             assert np.array_equal(w[i], w_ref)
@@ -199,6 +205,15 @@ class TestBlockW:
                                   fit_prefixes(w_ref, rcv, refs_s, (6,))[6])
             for u in range(n_users):
                 assert np.array_equal(s_hats[u], w[i][u] @ gamma)
+            s_tls = mu_compensate(w[i], refs, rcv_tls)
+            _, near = per_symbol_tls_fit(w_ref, rcv_tls, 6, refs)
+            assert np.abs(s_tls - near).max() <= 1e-10 * np.abs(near).max()
+            assert ([symbol_error_rate(s, r, layout, qam)
+                     for s, r in zip(s_tls, refs)]
+                    == [symbol_error_rate(s, r, layout, qam)
+                        for s, r in zip(near, refs)])
+            moved |= not np.array_equal(s_tls, near)
+        assert moved  # a fit by another route: not compared with itself
 
 
 class TestMuCompensate:
