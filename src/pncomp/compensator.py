@@ -31,20 +31,22 @@ class Receiver:
     "TLS".  rows: (block, tone) of each block's usable pilot rows, then
     null rows if use_null_tones.  tones: each row's index block*N + tone
     into the reference, read modulo its length; a null row's target is
-    the reference's null tone, 0 in every drawn symbol.  weak
-    (n_blocks, 1, N): the unusable tones, None if there are none.
-    lam, mrc_w = |lam|^2 and guarded mrc_den = sum mrc_w: MRC, single-user."""
+    the reference's null tone, 0 in every drawn symbol.  lam_div: lam
+    with inf on the unusable tones, the divisor of build_w.  lam, mrc_w =
+    |lam|^2 and guarded mrc_den = sum mrc_w: MRC, single-user."""
 
     layout: ToneLayout
     usable: np.ndarray
     method: str
     use_null_tones: InitVar[bool]
     lam: CMat | None = None
+    lam_div: CMat | None = None
     mrc_w: np.ndarray | None = None
     mrc_den: np.ndarray | None = None
 
     def __post_init__(self, use_null_tones):
-        if self.method not in ("LS", "TLS"):  # kept: else it fits by LS
+        # kept: fit_prefixes would end in an UnboundLocalError
+        if self.method not in ("LS", "TLS"):
             raise ValueError(f"method must be LS or TLS, got {self.method!r}")
         lay = self.layout
         cand = lay.pilot_arr
@@ -54,8 +56,6 @@ class Receiver:
         tone = cand[j]
         object.__setattr__(self, "rows", (block, tone))
         object.__setattr__(self, "tones", tone + block * lay.n)
-        weak = ~self.usable[:, None, :]
-        object.__setattr__(self, "weak", weak if weak.any() else None)
 
 
 def receiver(lam, layout: ToneLayout, method: str = "LS",
@@ -68,9 +68,11 @@ def receiver(lam, layout: ToneLayout, method: str = "LS",
         raise ValueError("all-zero channel response")
     mrc_w = mag ** 2
     den = mrc_w.sum(axis=0)
-    return Receiver(layout=layout, usable=mag >= WEAK_TONE_REL * peak,
-                    method=method, use_null_tones=use_null_tones, lam=lam,
-                    mrc_w=mrc_w, mrc_den=np.where(den == 0, 1.0, den))
+    usable = mag >= WEAK_TONE_REL * peak
+    return Receiver(layout=layout, usable=usable, method=method,
+                    use_null_tones=use_null_tones, lam=lam,
+                    lam_div=np.where(usable, lam, np.inf), mrc_w=mrc_w,
+                    mrc_den=np.where(den == 0, 1.0, den))
 
 
 def build_w(z, rcv: Receiver, v: CMat) -> np.ndarray:
@@ -79,17 +81,13 @@ def build_w(z, rcv: Receiver, v: CMat) -> np.ndarray:
     z is (..., n_rx, N): one symbol, or a block of symbols along leading
     axes; with the (N, d) basis v, W has shape (..., n_rx, N, d).  Rows
     of tones the receiver cannot use (|lambda| below 1e-6 of the branch
-    peak) are zero.
+    peak) are divided by inf, so they are zero (+0.0 or -0.0).
     """
     z = np.asarray(z, dtype=np.complex128)
     # one unitary FFT per (symbol, branch, column), laid out as the product
     # is, so W comes out C-contiguous: the combine's bits rely on that
     w = fft(z[..., None, :] * v.T)
-    if rcv.weak is None:  # every tone usable: no mask to divide under
-        w /= rcv.lam[..., None, :]
-    else:
-        np.divide(w, rcv.lam[..., None, :], out=w, where=~rcv.weak)
-        np.copyto(w, 0, where=rcv.weak)
+    w /= rcv.lam_div[..., None, :]
     return w.swapaxes(-1, -2)
 
 

@@ -22,7 +22,8 @@ def zf_beamformer(lam) -> tuple[np.ndarray, np.ndarray]:
     n_users <= n_rx: b (N, n_users, n_rx) with b[k] @ lam[..., k].T = I,
     the pseudoinverse of every tone's (n_rx, n_users) channel from one
     stacked SVD, and the full-rank tones ok (N,); rank-deficient tones get
-    b[k] = 0.  Returns (b, ok)."""
+    b[k] = 0 (+0.0 or -0.0), as their inverse singular values are all 0.
+    Returns (b, ok)."""
     if lam.shape[0] > lam.shape[1]:  # kept: b would not invert lam
         raise ValueError(f"need n_rx >= n_users, got lam {lam.shape}")
     u, s, vh = np.linalg.svd(np.ascontiguousarray(lam.transpose(2, 1, 0)),
@@ -33,20 +34,15 @@ def zf_beamformer(lam) -> tuple[np.ndarray, np.ndarray]:
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=ok[:, None])
     b = ((np.swapaxes(vh.conj(), -1, -2) * inv_s[:, None, :])
          @ np.swapaxes(u.conj(), -1, -2))
-    b[~ok] = 0
     return b, ok
 
 
 def mu_apply_channel(lam, x: np.ndarray) -> np.ndarray:
     """Noise-free received signal (..., n_rx, N) of the users' time-domain
     signals x (..., n_users, N) through their channels lam
-    (n_users, n_rx, N): the users' branch signals H_u x_u, summed from
-    zero in user order."""
-    per_user = ifft(lam * fft(x)[..., None, :])
-    y = np.zeros_like(per_user[..., 0, :, :])
-    for u in range(lam.shape[0]):
-        y += per_user[..., u, :, :]
-    return y
+    (n_users, n_rx, N): the users' branch signals H_u x_u, summed over
+    the user axis in user order."""
+    return ifft(lam * fft(x)[..., None, :]).sum(axis=-3)
 
 
 def mu_received(lam, syms: CMat, psi_rx: CVec, tx_psi: list[CVec] | None,

@@ -96,27 +96,36 @@ class TestBuildW:
         np.testing.assert_allclose(w_one(z, ch[0], bas), oracle,
                                    atol=1e-10)
 
+    @pytest.mark.parametrize("tone", ["none", "weak", "zero"])
     @pytest.mark.parametrize("n_rx, lead", [(1, ()), (2, ()), (2, (7,)),
                                             (3, (2, 5))])
-    def test_no_weak_tone_matches_masked_divide(self, layout, n_rx, lead):
-        # with every tone usable, build_w divides without the mask it
-        # keeps for channels with weak tones: the same bits, one symbol or
-        # a stacked block, and the same memory layout
+    def test_matches_masked_divide(self, layout, n_rx, lead, tone):
+        # the oracle divides under the usable-tone mask and fills the rest
+        # with 0; build_w divides every tone by lam, inf on the unusable
+        # ones: the same bits and layout on usable rows, one symbol or a
+        # stacked block, and zeros on the others
         ch = gen_channel(8, "exp_decay(3)", seed=70 + n_rx, n_rx=n_rx, n=64)
+        if tone == "weak":  # far below 1e-6 of branch 0's peak
+            ch[0, 5] = 1e-9 * np.abs(ch[0]).max()
+        elif tone == "zero":
+            ch[0, 9] = 0
         rcv = receiver(ch, layout)
-        assert rcv.weak is None
+        usable = rcv.usable
+        assert usable.all() == (tone == "none")
         rng = np.random.default_rng(71)
         z = (rng.standard_normal(lead + ch.shape)
              + 1j * rng.standard_normal(lead + ch.shape))
         bas = dft_basis(64, 8) * np.exp(1j * rng.uniform(0, 6, (1, 8)))
         want = nx.fft(z[..., None, :] * bas.T)
         np.divide(want, ch[..., None, :], out=want,
-                  where=np.ones(ch[..., None, :].shape, dtype=bool))
+                  where=usable[..., None, :])
+        np.copyto(want, 0, where=~usable[..., None, :])
         want = want.swapaxes(-1, -2)
         w = build_w(z, rcv, bas)
         assert w.shape == lead + (n_rx, 64, 8)
         assert w.strides == want.strides
-        assert w.tobytes() == want.tobytes()
+        assert w[..., usable, :].tobytes() == want[..., usable, :].tobytes()
+        assert not w[..., ~usable, :].any()
 
     def test_weak_tone_rows_zeroed(self):
         lam = np.ones(64, dtype=complex)

@@ -7,8 +7,8 @@ from pncomp import numerics as nx
 from pncomp.basis import dft_basis
 from pncomp.channel import from_taps, gen_channel
 from pncomp.compensator import Receiver, build_w, fit_prefixes, receiver
-from pncomp.mimo import (RANK_TOL, mu_build_w, mu_compensate, mu_received,
-                         zf_beamformer)
+from pncomp.mimo import (RANK_TOL, mu_apply_channel, mu_build_w,
+                         mu_compensate, mu_received, zf_beamformer)
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout, evm_db,
                          make_symbol, symbol_error_rate)
 
@@ -153,6 +153,26 @@ def per_symbol_mu_w(z, b, basis):
     g = nx.fft((z[:, :, None] * basis[None, :, :]).transpose(0, 2, 1))
     g = g.transpose(0, 2, 1)  # (n_rx, N, d): F diag(z_r) V
     return np.einsum("kur,rkd->ukd", b, g)
+
+
+class TestMuApplyChannel:
+    @pytest.mark.parametrize("n_users, lead", [(1, ()), (2, (5,)),
+                                               (3, (2, 3))])
+    def test_matches_sum_from_zero(self, n_users, lead):
+        # one sum over the user axis against the loop it replaced, which
+        # added the users' branch signals to zeros in user order
+        lam = np.stack([gen_channel(4, "uniform", seed=90 + u, n_rx=3, n=64)
+                        for u in range(n_users)])
+        rng = np.random.default_rng(91)
+        x = (rng.standard_normal(lead + (n_users, 64))
+             + 1j * rng.standard_normal(lead + (n_users, 64)))
+        per_user = nx.ifft(lam * nx.fft(x)[..., None, :])
+        want = np.zeros(lead + (3, 64), dtype=complex)
+        for u in range(n_users):
+            want += per_user[..., u, :, :]
+        got = mu_apply_channel(lam, x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBlockW:
