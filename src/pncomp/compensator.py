@@ -84,9 +84,10 @@ def build_w(z, rcv: Receiver, v: CMat) -> np.ndarray:
     peak) are divided by inf, so they are zero (+0.0 or -0.0).
     """
     z = np.asarray(z, dtype=np.complex128)
-    # one unitary FFT per (symbol, branch, column), laid out as the product
-    # is, so W comes out C-contiguous: the combine's bits rely on that
-    w = fft(z[..., None, :] * v.T)
+    # one unitary FFT per (symbol, branch, column), in place in the product,
+    # so W comes out C-contiguous: the combine's bits rely on that
+    w = z[..., None, :] * v.T
+    fft(w, out=w)
     w /= rcv.lam_div[..., None, :]
     return w.swapaxes(-1, -2)
 

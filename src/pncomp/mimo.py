@@ -63,11 +63,13 @@ def mu_build_w(z, b, v: CMat) -> np.ndarray:
     the ZF matrices b of zf_beamformer, without Kronecker
     materialization; z is (..., n_rx, N): one symbol, or a block of
     symbols along leading axes."""
-    # (..., n_rx, N, d): F diag(z_r) V, one FFT per (symbol, branch, column)
-    g = np.swapaxes(fft(z[..., None, :] * v.T), -1, -2)
-    # einsum, not a broadcast product summed over r: that sums in another
-    # order and changes the last bits
-    return np.einsum("kur,...rkd->...ukd", b, g)
+    # g = F diag(z_r) V as (..., n_rx, d, N), one in-place FFT per (symbol,
+    # branch, column), and b as (n_users, n_rx, N): the tone axis last and
+    # contiguous in both is einsum's fast layout, with the same bits
+    g = z[..., None, :] * v.T
+    fft(g, out=g)
+    return np.einsum("urk,...rdk->...ukd",
+                     np.ascontiguousarray(b.transpose(1, 2, 0)), g)
 
 
 def mu_compensate(w, refs: CMat, rcv: Receiver) -> CMat:

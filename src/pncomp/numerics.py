@@ -19,9 +19,9 @@ CMat = NDArray[np.complex128]
 DEFAULT_RCOND = 1e-12
 
 
-def fft(x: CVec) -> CVec:
-    """Unitary forward DFT (1/sqrt(N) normalization) along the last axis."""
-    return np.fft.fft(x, norm="ortho")
+def fft(x: CVec, out: CVec | None = None) -> CVec:
+    """Unitary forward DFT (1/sqrt(N) scale) on the last axis, into out."""
+    return np.fft.fft(x, norm="ortho", out=out)
 
 
 def ifft(x: CVec) -> CVec:

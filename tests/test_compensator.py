@@ -103,7 +103,10 @@ class TestBuildW:
         # the oracle divides under the usable-tone mask and fills the rest
         # with 0; build_w divides every tone by lam, inf on the unusable
         # ones: the same bits and layout on usable rows, one symbol or a
-        # stacked block, and zeros on the others
+        # stacked block, and zeros on the others.  Layout: the strides of
+        # every axis longer than 1, as numpy ignores a length-1 axis's (at
+        # n_rx = 1 with no leading axis, the in-place FFT's differs from
+        # that of fft's own output)
         ch = gen_channel(8, "exp_decay(3)", seed=70 + n_rx, n_rx=n_rx, n=64)
         if tone == "weak":  # far below 1e-6 of branch 0's peak
             ch[0, 5] = 1e-9 * np.abs(ch[0]).max()
@@ -123,9 +126,31 @@ class TestBuildW:
         want = want.swapaxes(-1, -2)
         w = build_w(z, rcv, bas)
         assert w.shape == lead + (n_rx, 64, 8)
-        assert w.strides == want.strides
+        assert ([st for st, n in zip(w.strides, w.shape) if n > 1]
+                == [st for st, n in zip(want.strides, want.shape) if n > 1])
         assert w[..., usable, :].tobytes() == want[..., usable, :].tobytes()
         assert not w[..., ~usable, :].any()
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    @pytest.mark.parametrize("lead", [(), (1,), (32,), (2, 3)])
+    @pytest.mark.parametrize("n_rx", [1, 2, 3])
+    def test_in_place_fft_matches_allocating(self, layout, n_rx, lead, d):
+        # build_w transforms the product z V in place; the form it replaced
+        # let fft allocate the output: the same bytes, one symbol or a
+        # block, with a zero (unusable) tone on branch 0
+        ch = gen_channel(8, "exp_decay(3)", seed=80 + n_rx, n_rx=n_rx, n=64)
+        ch[0, 9] = 0
+        rcv = receiver(ch, layout)
+        rng = np.random.default_rng(81)
+        z = (rng.standard_normal(lead + ch.shape)
+             + 1j * rng.standard_normal(lead + ch.shape))
+        bas = dft_basis(64, d) * np.exp(1j * rng.uniform(0, 6, (1, d)))
+        want = nx.fft(z[..., None, :] * bas.T)
+        want /= rcv.lam_div[..., None, :]
+        want = want.swapaxes(-1, -2)
+        w = build_w(z, rcv, bas)
+        assert w.shape == want.shape == lead + (n_rx, 64, d)
+        assert w.tobytes() == want.tobytes()
 
     def test_weak_tone_rows_zeroed(self):
         lam = np.ones(64, dtype=complex)

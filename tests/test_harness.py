@@ -1330,9 +1330,11 @@ class TestRowsModel:
     0.063 dB and range -0.136 to +0.056 dB; BOUND_DB is |mean| + 3 sd,
     rounded up.  A sigma 5% off moves the rows by 0.42 dB.
 
-    For d >= 1, the KL tail bound: see test_kl_rows_above_tail_bound."""
+    At finite snr_db, see test_noisy_rows_match_closed_form; for d >= 1,
+    the KL tail bound: see test_kl_rows_above_tail_bound."""
 
     BOUND_DB = 0.25
+    NOISY_BOUND_DB = 0.12
     ALLOW_DB = 0.6
 
     def test_equalized_rows_match_closed_form(self, tmp_path):
@@ -1350,6 +1352,41 @@ class TestRowsModel:
                   f"[{'PASS' if ok else 'FAIL'}] EVM {r.evm_db:.3f} dB vs "
                   f"{model:.3f} dB: offset {off:+.3f} dB, margin "
                   f"{self.BOUND_DB - abs(off):.3f} dB of {self.BOUND_DB}")
+            assert ok, (r.sigma_deg, off)
+
+    def test_noisy_rows_match_closed_form(self, tmp_path):
+        # at finite snr_db, d = 0 adds each tone's MRC noise, of power
+        # sigma_n^2 / sum_r |lambda_r,k|^2 with sigma_n^2 = 10^(-snr_db/10)
+        # (the rx phase noise is unit-modulus, so the noise stays white at
+        # that power), to the ICI term above: the model is the ICI term plus
+        # sigma_n^2 times the mean over channels of each channel's mean over
+        # data tones of 1 / sum_r |lambda_r,k|^2.  At 25 dB the noise term
+        # is about 1 (3 degrees) and 10 (1 degree) times the ICI term.  Over
+        # master seeds 1-12 at this test's 40 channels x 100 symbols, the
+        # offset had mean +0.000 and -0.017 dB, sd 0.017 and 0.032 dB and
+        # range -0.027 to +0.023 and -0.056 to +0.020 dB at 1 and 3
+        # degrees; NOISY_BOUND_DB is the larger |mean| + 3 sd, rounded up.
+        # A noise power 10% off moves the 1-degree row by about 0.4 dB.
+        sc = Scenario(name="evm_vs_sigma", sigma_list=(1.0, 3.0), d=0,
+                      snr_db=25.0, n_channels=40, scale=1.0, n_symbols=100,
+                      basis_kinds=("DFT",))
+        rows = run_scenario(sc, str(tmp_path / "d0_noisy.csv"))
+        assert [r.sigma_deg for r in rows] == list(sc.sigma_list)
+        data = sc.layout.data_arr
+        gain = np.mean([np.mean(1 / (np.abs(_channel_symbols(
+            sc, ci, None, sc.sigma_list)[0][0][:, data]) ** 2).sum(axis=0))
+            for ci in range(sc.n_channels_eff)])
+        noise = 10 ** (-sc.snr_db / 10) * gain
+        for r in rows:
+            model = 10 * np.log10(2 * (1 - np.exp(-np.deg2rad(r.sigma_deg)
+                                                  ** 2 / 2)) + noise)
+            off = r.evm_db - model
+            ok = abs(off) <= self.NOISY_BOUND_DB
+            print(f"\nd = 0 model at {r.sigma_deg:g} deg, {sc.snr_db:g} dB "
+                  f"SNR [{'PASS' if ok else 'FAIL'}] EVM {r.evm_db:.3f} dB "
+                  f"vs {model:.3f} dB: offset {off:+.3f} dB, margin "
+                  f"{self.NOISY_BOUND_DB - abs(off):.3f} dB of "
+                  f"{self.NOISY_BOUND_DB}")
             assert ok, (r.sigma_deg, off)
 
     def test_kl_rows_above_tail_bound(self, tmp_path):

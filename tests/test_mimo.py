@@ -147,12 +147,14 @@ class TestZfBeamformer:
             np.testing.assert_allclose(s_u, refs[u], atol=1e-8)
 
 
-def per_symbol_mu_w(z, b, basis):
-    """The one-symbol mu_build_w that the block version replaced, kept as
-    the reference: W (n_users, N, d) of z (n_rx, N)."""
-    g = nx.fft((z[:, :, None] * basis[None, :, :]).transpose(0, 2, 1))
-    g = g.transpose(0, 2, 1)  # (n_rx, N, d): F diag(z_r) V
-    return np.einsum("kur,rkd->ukd", b, g)
+def einsum_mu_w(z, b, basis):
+    """The mu_build_w that the tone-last layout replaced, kept as the
+    reference: W (..., n_users, N, d) of z (..., n_rx, N), one symbol or a
+    block, by the einsum on b (N, n_users, n_rx) and the FFT output viewed
+    as (..., n_rx, N, d)."""
+    g = nx.fft(np.swapaxes(z[..., :, None] * basis, -1, -2))
+    g = np.swapaxes(g, -1, -2)  # (..., n_rx, N, d): F diag(z_r) V
+    return np.einsum("kur,...rkd->...ukd", b, g)
 
 
 class TestMuApplyChannel:
@@ -173,6 +175,30 @@ class TestMuApplyChannel:
         got = mu_apply_channel(lam, x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestMuBuildW:
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    @pytest.mark.parametrize("lead", [(), (1,), (32,), (2, 3)])
+    @pytest.mark.parametrize("n_users, n_rx", [(1, 1), (1, 2), (1, 3),
+                                               (2, 2), (2, 3), (3, 3)])
+    def test_matches_einsum_oracle(self, n_users, n_rx, lead, d):
+        # mu_build_w combines b laid out (n_users, n_rx, N) with the FFT
+        # output left as (..., n_rx, d, N): the same bytes as the einsum it
+        # replaced, one symbol or a block, with a rank-deficient tone (all
+        # users zero at tone 7, so b is 0 there)
+        lam = make_system(95 + 4 * n_users + n_rx, n_users, n_rx)
+        lam[:, :, 7] = 0
+        b, ok = zf_beamformer(lam)
+        assert not ok[7] and ok.sum() == 63
+        rng = np.random.default_rng(96)
+        z = (rng.standard_normal(lead + (n_rx, 64))
+             + 1j * rng.standard_normal(lead + (n_rx, 64)))
+        bas = dft_basis(64, d) * np.exp(1j * rng.uniform(0, 6, (1, d)))
+        want = einsum_mu_w(z, b, bas)
+        w = mu_build_w(z, b, bas)
+        assert w.shape == want.shape == lead + (n_users, 64, d)
+        assert w.tobytes() == want.tobytes()
 
 
 class TestBlockW:
@@ -212,7 +238,7 @@ class TestBlockW:
         rcv_tls = Receiver(layout, rcv.usable, "TLS", False)
         moved = False
         for i in range(m):
-            w_ref = per_symbol_mu_w(z[i], b, bas)
+            w_ref = einsum_mu_w(z[i], b, bas)
             assert np.array_equal(w[i], w_ref)
             refs = np.array([make_symbol(layout, qam, rng_seed=100 * i + u)
                              for u in range(n_users)])
