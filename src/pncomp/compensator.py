@@ -15,6 +15,7 @@ applies one symbol's gamma.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .numerics import DEFAULT_RCOND, CVec, CMat, fft, pinv, svd
 from .ofdm import ToneLayout
 
 WEAK_TONE_REL = 1e-6
+# fit_prefixes's mask, cached: building it per call costs what raw mode saves
+_strict_lower = lru_cache(lambda m, n: np.tri(m, n, -1, dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,28 +141,31 @@ def fit_prefixes(w, rcv: Receiver, refs_s: CVec, ds) -> dict:
     LS, gamma solves R[:d, :d] gamma = R[:d, -1] from one QR of the rows
     [W[..., :max(ds)] | s], and solve_ls's pinv fits a d with fewer rows
     than d and each symbol whose min |r_ii| <= DEFAULT_RCOND * max."""
+    d_max, (block, tone) = max(ds), rcv.rows
     # contiguous rows: a strided right-hand side changes the matmul's bits
-    w_rows = np.ascontiguousarray(w[..., rcv.rows[0], rcv.rows[1], :max(ds)])
-    s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="wrap")
-    if rcv.method == "LS":
-        r = np.linalg.qr(np.append(w_rows, s_rows[..., None], axis=-1),
-                         mode="r")
+    if rcv.method == "TLS":
+        w_rows = np.ascontiguousarray(w[..., block, tone, :d_max])
+        s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="wrap")
+        return {d: solve_tls(w_rows[..., :d], s_rows) for d in ds}
+    a = np.empty(w.shape[:-3] + (len(tone), d_max + 1), dtype=np.complex128)
+    a[..., :-1] = w[..., block, tone, :d_max]
+    s_rows = np.take(refs_s, rcv.tones, axis=-1, mode="wrap", out=a[..., -1])
+    r = np.linalg.qr(a, mode="raw")[0].swapaxes(-1, -2)
+    np.copyto(r, 0, where=_strict_lower(*r.shape[-2:]))  # R: the upper part
+    r_ii = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     gammas = {}
     for d in ds:
-        rows = w_rows[..., :d]
-        if rcv.method == "TLS":
-            gammas[d] = solve_tls(rows, s_rows)
-        elif len(rcv.tones) < d:
-            gammas[d] = solve_ls(rows, s_rows)
-        else:
-            tri = r[..., :d, :d]  # solve copies it: a view gives its bits
-            diag = np.abs(np.diagonal(tri, axis1=-2, axis2=-1))
-            weak = diag.min(axis=-1) <= DEFAULT_RCOND * diag.max(axis=-1)
-            if any_weak := weak.any():  # weak ones -> I, so solve won't raise
-                tri = np.where(weak[..., None, None], np.eye(d), tri)
-            gammas[d] = np.linalg.solve(tri, r[..., :d, -1:])[..., 0]
-            if any_weak:
-                gammas[d][weak] = solve_ls(rows[weak], s_rows[weak])
+        if len(tone) < d:
+            gammas[d] = solve_ls(a[..., :d], np.ascontiguousarray(s_rows))
+            continue
+        tri = r[..., :d, :d]  # solve copies it: a view gives its bits
+        diag = r_ii[..., :d]
+        weak = diag.min(axis=-1) <= DEFAULT_RCOND * diag.max(axis=-1)
+        if any_weak := weak.any():  # weak ones -> I, so solve won't raise
+            tri = np.where(weak[..., None, None], np.eye(d), tri)
+        gammas[d] = np.linalg.solve(tri, r[..., :d, -1:])[..., 0]
+        if any_weak:  # boolean indexing copies: contiguous rows
+            gammas[d][weak] = solve_ls(a[..., :d][weak], s_rows[weak])
     return gammas
 
 

@@ -396,28 +396,29 @@ def _score(total, est, refs, layout: ToneLayout,
            const: Constellation) -> np.ndarray:
     """Scores (groups, M, 3) of est[g, m], group g's estimate of refs[m]:
     its error power and reference power, from one stacked EVM of est
-    (groups, M, N) against refs (M, N), and its SER.  They are added into
-    the running total (groups, 3) one symbol at a time, in order: the
-    sequential sum, which np.sum, summing pairwise, is not in the last
-    bits."""
+    (groups, M, N) against refs (M, N), and its SER.  One np.add.reduce of
+    [total, scores] along the symbol axis adds them into the running total
+    (groups, 3) symbol by symbol, in order: the sequential sum, which
+    np.sum, pairwise along a last axis, is not in the last bits."""
     err, refp = evm_linear(est, refs, layout)
     ser = [[symbol_error_rate(s, ref, layout, const)
             for s, ref in zip(row, refs)] for row in est]
     scores = np.stack(np.broadcast_arrays(err, refp, ser), axis=-1)
-    for m in range(len(refs)):
-        total += scores[:, m]
+    np.add.reduce(np.concatenate((total[:, None], scores), axis=1), axis=1,
+                  out=total)
     return scores
 
 
-def _row(sc: Scenario, total, count: int, n_eq: int, kind: str, d: int,
-         sigma: float, symbol: int | str = "") -> ResultRow:
-    """The row of total, the (error power, reference power, SER) sums of
-    count symbols: EVM as dB of the linear-domain mean error ratio, and
-    the mean SER.  symbol is a per-symbol row's index; "" aggregates."""
-    err, ref, ser = total.tolist()
-    return ResultRow(sc.name, "all", symbol, int(symbol == ""), kind, d,
-                     sigma, sc.method, ratio_to_db(err, ref), ser / count,
-                     n_eq)
+def _rows(sc: Scenario, totals, count: int, labels) -> list[ResultRow]:
+    """Rows of totals (..., 3), (error power, reference power, SER) sums of
+    count symbols, labelled in order by labels (symbol, basis kind, d,
+    sigma, n_equations): EVM in dB of the mean error ratio and the mean
+    SER, as Python floats.  symbol is a per-symbol row's index; "" sums."""
+    err, ref, ser = np.reshape(totals, (-1, 3)).T
+    return [ResultRow(sc.name, "all", m, int(m == ""), kind, d, sigma,
+                      sc.method, evm, s, n_eq)
+            for (m, kind, d, sigma, n_eq), evm, s in zip(
+                labels, ratio_to_db(err, ref).tolist(), (ser / count).tolist())]
 
 
 def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
@@ -428,7 +429,6 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
     estimated at every (kind, d) point by _fixed_block and scored in one
     stacked EVM.  Every (sigma, kind, d) total adds its symbols in
     channel, then symbol order, so repeated sigmas give repeated rows."""
-    const = sc.constellation
     points = [(kind, d) for kind in sc.basis_kinds for d in ds]
     totals = np.zeros((len(sigmas), len(points), 3))
     bases = _bases(sc, points, sigmas, pn)
@@ -439,13 +439,11 @@ def _run_sweep(sc: Scenario, pn, sigmas, ds) -> list[ResultRow]:
         for refs, (i, _), z in blocks:
             refs = refs[:, 0]
             est = _fixed_block(z, rcv, families[i], points, refs)
-            _score(totals[i], est, refs, rcv.layout, const)
-    count = sc.n_channels_eff * sc.n_symbols
+            _score(totals[i], est, refs, rcv.layout, sc.constellation)
     # n_equations: the last channel's fit rows
-    return [_row(sc, total, count, len(rcv.tones) if d else 0, kind, d,
-                 sigma)
-            for sigma, row in zip(sigmas, totals)
-            for (kind, d), total in zip(points, row)]
+    return _rows(sc, totals, sc.n_channels_eff * sc.n_symbols,
+                 [("", kind, d, sigma, len(rcv.tones) if d else 0)
+                  for sigma in sigmas for kind, d in points])
 
 
 def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
@@ -453,7 +451,6 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
     simulated once for every point, and W built once per symbol block and
     point; each point keeps its own total, so repeated values give
     repeated rows, and adds its symbols in channel, then symbol order."""
-    const = sc.constellation
     totals = np.zeros((len(sc.sigma_list), len(sc.tx_sigma_list), 3))
     users = tuple((u,) for u in range(sc.n_users))
     bases = _bases(sc, [("KL", sc.d)], sc.sigma_list, pn)
@@ -470,12 +467,10 @@ def _run_mimo_sweep(sc: Scenario, pn) -> list[ResultRow]:
                                for w_m, syms in zip(w, refs)])
             refs = refs.reshape(-1, sc.n)
             _score(totals[i, j, None], s_hats.reshape(1, -1, sc.n), refs,
-                   rcv.layout, const)
-    count = sc.n_channels_eff * sc.n_symbols * sc.n_users
-    return [_row(sc, totals[i, j], count, len(rcv.tones), f"KL_tx{tx:g}",
-                 sc.d, sigma)
-            for i, sigma in enumerate(sc.sigma_list)
-            for j, tx in enumerate(sc.tx_sigma_list)]
+                   rcv.layout, sc.constellation)
+    return _rows(sc, totals, sc.n_channels_eff * sc.n_symbols * sc.n_users,
+                 [("", f"KL_tx{tx:g}", sc.d, sigma, len(rcv.tones))
+                  for sigma in sc.sigma_list for tx in sc.tx_sigma_list])
 
 
 def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
@@ -518,15 +513,13 @@ def _run_tracking(sc: Scenario, pn) -> list[ResultRow]:
                             const)
             if per_symbol is not None:
                 per_symbol[:, m0:m0 + len(refs)] += scores
-    rows = []
+    rows, ch, n_eq = [], sc.n_channels_eff, len(rcv.tones)
     for mode in sc.track_modes:
-        k, d = modes.index(mode), mode_d[mode]
+        k, label = modes.index(mode), (mode, mode_d[mode], sc.sigma_deg, n_eq)
         if per_symbol is not None:
-            rows += [_row(sc, total, sc.n_channels_eff, len(rcv.tones), mode,
-                          d, sc.sigma_deg, m)
-                     for m, total in enumerate(per_symbol[k])]
-        rows.append(_row(sc, totals[k], sc.n_channels_eff * sc.n_symbols,
-                         len(rcv.tones), mode, d, sc.sigma_deg))
+            rows += _rows(sc, per_symbol[k], ch,
+                          ((m, *label) for m in range(sc.n_symbols)))
+        rows += _rows(sc, totals[k], ch * sc.n_symbols, [("", *label)])
     return rows
 
 

@@ -24,9 +24,9 @@ def fft(x: CVec, out: CVec | None = None) -> CVec:
     return np.fft.fft(x, norm="ortho", out=out)
 
 
-def ifft(x: CVec) -> CVec:
-    """Unitary inverse DFT; exact inverse of :func:`fft`."""
-    return np.fft.ifft(x, norm="ortho")
+def ifft(x: CVec, out: CVec | None = None) -> CVec:
+    """Unitary inverse DFT, into out; exact inverse of :func:`fft`."""
+    return np.fft.ifft(x, norm="ortho", out=out)
 
 
 def _phase_normalize(vectors: CMat) -> CMat:

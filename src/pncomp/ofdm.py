@@ -139,10 +139,10 @@ def evm_linear(est, ref, layout: ToneLayout) -> tuple:
             (np.abs(ref_s) ** 2).sum(axis=-1))
 
 
-def ratio_to_db(num: float, den: float) -> float:
-    if num == 0.0:
-        return EVM_FLOOR_DB
-    return max(10.0 * np.log10(num / den), EVM_FLOOR_DB)
+def ratio_to_db(num, den):
+    """10 log10(num / den), elementwise, floored at EVM_FLOOR_DB."""
+    with np.errstate(divide="ignore"):  # log10(0) = -inf: the floor
+        return np.maximum(10.0 * np.log10(np.divide(num, den)), EVM_FLOOR_DB)
 
 
 def hard_decide(est: CVec, layout: ToneLayout,

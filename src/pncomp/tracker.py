@@ -31,7 +31,8 @@ def dd_phase_estimate(z, s_hat: CVec, lam) -> np.ndarray:
     Samples where the reconstruction is negligible inherit the nearest
     valid estimate.
     """
-    y_hat = ifft(lam * s_hat)
+    y_hat = lam * s_hat
+    ifft(y_hat, out=y_hat)
     mag = np.abs(y_hat).max(axis=0)
     peak = mag.max()
     if peak == 0:

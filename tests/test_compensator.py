@@ -437,6 +437,47 @@ class TestFitPrefixes:
         assert np.array_equal(fit_prefixes(w, rcv, ref, (4,))[4],
                               pinv_fit(w, rcv, ref, 4))
 
+    @pytest.mark.parametrize("method", ["LS", "TLS"])
+    @pytest.mark.parametrize("n_rx", [1, 2, 3])
+    def test_single_symbol_call(self, qam, method, n_rx):
+        # the call run_tracked and mu_compensate make: one symbol with no
+        # leading axis, W of exactly d columns and ds = (d,), on pilot,
+        # null and weak rows.  In symbol 2 column 3 repeats column 1, so
+        # the LS rank guard fires there from d = 4 on; one branch leaves
+        # 22 rows, fewer than d = 24 (and than d + 1 = 23 for TLS).  The
+        # pinv answers are solve_ls's on contiguous copies of the rows
+        layout = ToneLayout(n=64, pilot_idx=default_layout().pilot_idx,
+                            null_idx=TestPrefixW.NULLS)
+        rcv, syms, w = TestBlockFit._block(layout, qam, dft_basis(64, 24),
+                                           n_rx, 3, True, method, True)
+        w = w.copy()
+        w[2, ..., 3] = w[2, ..., 1]
+        block, tone = rcv.rows
+        assert len(tone) == 24 * n_rx - 2
+        guarded = 0
+        for i, sym in enumerate(syms):
+            for d in (1, 4, 22, 24):
+                gamma = fit_prefixes(w[i][..., :d], rcv, sym, (d,))[d]
+                pinv = solve_ls(np.ascontiguousarray(w[i][block, tone, :d]),
+                                np.ascontiguousarray(sym[tone]))
+                if method == "TLS":
+                    want = (pinv if len(tone) < d + 1
+                            else per_symbol_fit(w[i], rcv, d, sym)[0])
+                elif len(tone) < d:
+                    want = pinv
+                else:
+                    r = np.linalg.qr(np.column_stack(
+                        (w[i][block, tone, :d], sym[tone])), mode="r")
+                    diag = np.abs(np.diag(r)[:d])
+                    weak = diag.min() <= nx.DEFAULT_RCOND * diag.max()
+                    assert weak == (i == 2 and d >= 4)
+                    guarded += weak
+                    want = (pinv if weak
+                            else per_symbol_qr_fit(w[i], rcv, d, sym)[0])
+                assert np.array_equal(gamma, want), (i, d)
+        # d = 4, 22 and 24 of symbol 2, but 24 only where 24 rows fit it
+        assert guarded == (0 if method == "TLS" else 2 + (len(tone) >= 24))
+
     @pytest.mark.parametrize("defect", ["repeated", "scaled", "zero"])
     def test_near_rank_deficient_prefix_is_pinv(self, layout, qam, defect):
         # in every third symbol column 3 repeats column 1, is 1e-13 of

@@ -20,8 +20,8 @@ from pncomp.channel import gen_channel
 from pncomp.compensator import build_w, equalize_only, receiver, solve_ls
 from pncomp.harness import (CSV_COLUMNS, SYMBOL_BLOCK, _RULES, ConfigError,
                             ResultRow, Scenario, _channel_symbols,
-                            _fixed_block, _kl_covs, child_seed, main,
-                            parse_config, run_scenario, write_csv)
+                            _fixed_block, _kl_covs, _score, child_seed,
+                            main, parse_config, run_scenario, write_csv)
 from pncomp.numerics import fft, ifft
 from pncomp.ofdm import (Constellation, ToneLayout, default_layout,
                          make_symbol, symbol_error_rate)
@@ -312,6 +312,64 @@ class TestCsv:
         assert len(written) == len(rows) == 12
         assert {r["wall_clock_s"] for r in written} == {""}
         assert {r.wall_clock_s for r in rows} == {""}
+
+    @pytest.mark.parametrize("kw", [
+        dict(name="evm_vs_d", d_list=(0, 2)),
+        dict(name="evm_vs_sigma", sigma_list=(0.0, 3.0), d=0, snr_db=np.inf),
+        dict(name="mimo_sweep", d=2, tx_sigma_list=(0.0, 1.0)),
+        dict(name="tracking", d=2, training_symbols=1, ppm=1.0,
+             track_modes=("tracked", "frozen", "dft", "cpe", "kl")),
+    ], ids=lambda kw: kw["name"])
+    def test_every_row_holds_python_floats(self, kw, tmp_path):
+        # the row builder's one ratio_to_db and SER divide per column reach
+        # the rows through tolist(): Python floats, not numpy scalars; at
+        # sigma 0 and d = 0 the sweep scores exact estimates, the EVM floor
+        rows = run_scenario(Scenario(**kw, **SMALL), str(tmp_path / "a.csv"))
+        assert rows
+        for r in rows:
+            assert type(r.evm_db) is float and type(r.ser) is float, r
+        if kw["name"] == "evm_vs_sigma":
+            assert rows_by(rows, sigma_deg=0.0)[0].evm_db == -300.0
+
+
+class TestScoreFold:
+    """_score adds a block's scores into the running total one symbol at a
+    time, in order: its one np.add.reduce along the symbol axis equals
+    the sequential += loop bit for bit, with one group (mimo_sweep's view
+    totals[i, j, None]) and with three.  The powers reach from below 1e-6
+    to above 10 in every block of more than one symbol, where summing the
+    scores first, or pairwise, moves the last bits."""
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("m", [1, 7, 32])
+    def test_fold_is_the_sequential_sum(self, groups, m):
+        layout, const = default_layout(), Constellation.qam(16)
+        rng = np.random.default_rng(10 * groups + m)
+        scale = 10.0 ** rng.uniform(-3.0, 0.5, (m, 1))
+        refs = scale * np.array([make_symbol(layout, const, 900 + i)
+                                 for i in range(m)])
+        noise = (rng.standard_normal((groups, m, 64))
+                 + 1j * rng.standard_normal((groups, m, 64)))
+        est = refs + refs * 10.0 ** rng.uniform(-2.0, 0.5,
+                                                (groups, m, 1)) * noise
+        # the runner's totals array, a run's sums so far; the fold writes
+        # through the view
+        totals = 10.0 ** rng.uniform(2.0, 3.0, (2, groups + 1, 3))
+        before = totals.copy()
+        total = totals[1, :groups] if groups > 1 else totals[1, 0, None]
+        scores = _score(total, est, refs, layout, const)
+        assert scores.shape == (groups, m, 3)
+        powers = scores[..., :2]
+        assert m == 1 or powers.min() < 1e-6 and powers.max() > 10
+        want = before[1, :groups].copy()
+        for k in range(m):
+            want += scores[:, k]
+        assert np.array_equal(totals[1, :groups], want)
+        assert np.array_equal(totals[0], before[0])
+        assert np.array_equal(totals[1, groups:], before[1, groups:])
+        if m > 1:  # the data moves the last bits of another order
+            assert not np.array_equal(before[1, :groups]
+                                      + scores.sum(axis=1), want)
 
 
 def _is_float_key(default) -> bool:

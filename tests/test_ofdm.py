@@ -169,6 +169,51 @@ class TestEvm:
         assert abs(ratio_to_db(err_acc, ref_acc) - (-30.0)) <= 0.3
 
 
+def scalar_ratio_to_db(num: float, den: float) -> float:
+    """The one-row rule that the array ratio_to_db replaced: the floor for
+    zero error, else 10 log10 of the ratio, floored."""
+    if num == 0.0:
+        return EVM_FLOOR_DB
+    return float(max(10.0 * np.log10(num / den), EVM_FLOOR_DB))
+
+
+class TestRatioToDb:
+    """The array ratio_to_db of the row builder against the scalar rule,
+    element by element and bit for bit (float.hex)."""
+
+    @staticmethod
+    def assert_same(num, den):
+        got = ratio_to_db(np.array(num), np.array(den)).tolist()
+        want = [scalar_ratio_to_db(n, d) for n, d in zip(num, den)]
+        assert [float.hex(g) for g in got] == [float.hex(w) for w in want]
+        return got
+
+    def test_zero_error_is_the_floor(self):
+        got = self.assert_same([0.0, 0.0, 0.0], [1e-300, 1.0, 1e300])
+        assert got == [EVM_FLOOR_DB] * 3
+
+    def test_ratio_below_1e_30_is_the_floor(self):
+        got = self.assert_same([1e-31, 5e-301, 1.0, 4.9e-324],
+                               [1.0, 1.0, 1e31, 1.0])
+        assert got == [EVM_FLOOR_DB] * 4
+        # at the floor's edge either side: 1e-30 itself and just above
+        self.assert_same([1e-30, 1.0000001e-30, 0.99999e-30], [1.0] * 3)
+
+    def test_ordinary_ratios_match_the_scalar_rule(self):
+        rng = np.random.default_rng(91)
+        num = 10.0 ** rng.uniform(-35.0, 6.0, 20000)
+        den = 10.0 ** rng.uniform(-3.0, 6.0, 20000)
+        num[::101] = 0.0
+        got = self.assert_same(num.tolist(), den.tolist())
+        assert all(type(g) is float for g in got)
+        assert min(got) == EVM_FLOOR_DB < max(got)
+
+    def test_scalar_call_still_works(self):
+        assert ratio_to_db(0.0, 2.0) == EVM_FLOOR_DB
+        assert float.hex(float(ratio_to_db(3.0, 7.0))) == float.hex(
+            scalar_ratio_to_db(3.0, 7.0))
+
+
 def per_symbol_evm(est, ref, layout):
     """The one-symbol evm_linear that the block version replaced, kept as
     the reference: (error power, reference power) of two symbols (N,)."""
